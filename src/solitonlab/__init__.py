@@ -18,8 +18,6 @@ from .algebra import (
     MatrixAlgebra,
     Rationals,
     SquareMatrix,
-    mat_inverse,
-    mat_mul,
 )
 from .errors import (
     AlgebraMismatch,
@@ -70,12 +68,10 @@ from .series import (
     Derivation,
     SeriesAlgebra,
     TruncatedSeries,
-    series_add,
     series_derive,
     series_equal,
     series_exp_linear,
     series_inverse,
-    series_mul,
 )
 from .solitons import (
     LangmuirParams,

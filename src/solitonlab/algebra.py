@@ -26,10 +26,6 @@ __all__ = [
     "QQ",
     "QQI",
     "CC",
-    "mat_mul",
-    "mat_inverse",
-    "flatten_matrix",
-    "nest_matrix",
     "random_nonzero_rational",
     "random_invertible",
     "random_element",
@@ -54,26 +50,11 @@ class Algebra:
         """Bring ``value`` into this algebra, or raise AlgebraMismatch."""
         raise NotImplementedError
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def invert(self, a):
         raise NotImplementedError
 
-    def equal(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
-        return self.equal(a, self.zero())
+        return a == self.zero()
 
     def scalar_mul(self, q, a):
         """Multiply by a central scalar of the ground field."""
@@ -316,9 +297,6 @@ class MatrixAlgebra(Algebra):
     def invert(self, a):
         return self.base.matrix_inverse(self.coerce(a))
 
-    def equal(self, a, b):
-        return a == b
-
     def scalar_mul(self, q, a):
         return SquareMatrix(
             self,
@@ -373,46 +351,42 @@ class SquareMatrix:
 
     def __add__(self, other):
         self._check_same(other)
-        base = self.algebra.base
         return SquareMatrix(
             self.algebra,
             tuple(
-                tuple(base.add(a, b) for a, b in zip(ra, rb))
+                tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
         )
 
     def __sub__(self, other):
         self._check_same(other)
-        base = self.algebra.base
         return SquareMatrix(
             self.algebra,
             tuple(
-                tuple(base.sub(a, b) for a, b in zip(ra, rb))
+                tuple(a - b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
             ),
         )
 
     def __neg__(self):
-        base = self.algebra.base
         return SquareMatrix(
-            self.algebra, tuple(tuple(base.neg(a) for a in row) for row in self.rows)
+            self.algebra, tuple(tuple(-a for a in row) for row in self.rows)
         )
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_same(other)
-        base = self.algebra.base
         n = self.dim
         cols = tuple(zip(*other.rows))
         out = []
         for row in self.rows:
             out_row = []
             for col in cols:
-                acc = base.mul(row[0], col[0])
+                acc = row[0] * col[0]
                 for k in range(1, n):
-                    acc = base.add(acc, base.mul(row[k], col[k]))
+                    acc = acc + row[k] * col[k]
                 out_row.append(acc)
             out.append(tuple(out_row))
         return SquareMatrix(self.algebra, tuple(out))
@@ -423,27 +397,13 @@ class SquareMatrix:
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return self.algebra == other.algebra and all(
-            self.algebra.base.equal(a, b)
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        return self.algebra == other.algebra and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.algebra, self.rows))
 
     def __repr__(self):
         return f"SquareMatrix({self.rows!r})"
-
-
-def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Noncommutative matrix product; a's entries multiply from the left."""
-    return a * b
-
-
-def mat_inverse(m: SquareMatrix) -> SquareMatrix:
-    """Exact two-sided inverse; raises SingularMatrix when none exists."""
-    return m.inverse()
 
 
 def _gauss_jordan(field: Algebra, rows):
@@ -455,7 +415,7 @@ def _gauss_jordan(field: Algebra, rows):
         pivot_row = None
         if field.is_exact:
             for r in range(col, n):
-                if not field.is_zero(aug[r][col]):
+                if aug[r][col]:
                     pivot_row = r
                     break
         else:
@@ -471,17 +431,14 @@ def _gauss_jordan(field: Algebra, rows):
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv_p = field.invert(aug[col][col])
-        aug[col] = [field.mul(inv_p, x) for x in aug[col]]
+        aug[col] = [inv_p * x for x in aug[col]]
         for r in range(n):
             if r == col:
                 continue
             factor = aug[r][col]
-            if field.is_zero(factor):
+            if not factor:
                 continue
-            aug[r] = [
-                field.sub(x, field.mul(factor, y))
-                for x, y in zip(aug[r], aug[col])
-            ]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
 
@@ -520,42 +477,6 @@ def _nest_once(flat: SquareMatrix, outer: MatrixAlgebra, dim: int) -> SquareMatr
             row.append(SquareMatrix(outer, block))
         rows.append(tuple(row))
     return SquareMatrix(target, tuple(rows))
-
-
-def flatten_matrix(m: SquareMatrix) -> SquareMatrix:
-    """Flatten every nesting level down to one matrix over the scalar field."""
-    while isinstance(m.algebra.base, MatrixAlgebra):
-        m = _flatten_once(m)
-    return m
-
-
-def nest_matrix(flat: SquareMatrix, algebra: MatrixAlgebra) -> SquareMatrix:
-    """Re-nest a flattened matrix into the shape described by ``algebra``."""
-    if not isinstance(algebra.base, MatrixAlgebra):
-        if flat.dim != algebra.dim or flat.algebra.base != algebra.base:
-            raise AlgebraMismatch("flattened matrix does not match the target shape")
-        return SquareMatrix(algebra, flat.rows)
-    inner_total, rem = divmod(flat.dim, algebra.dim)
-    if rem:
-        raise AlgebraMismatch("flattened matrix does not match the target shape")
-    block_alg = MatrixAlgebra(flat.algebra.base, inner_total)
-    rows = []
-    for i in range(algebra.dim):
-        row = []
-        for j in range(algebra.dim):
-            block = SquareMatrix(
-                block_alg,
-                tuple(
-                    tuple(
-                        flat.rows[i * inner_total + a][j * inner_total + b]
-                        for b in range(inner_total)
-                    )
-                    for a in range(inner_total)
-                ),
-            )
-            row.append(nest_matrix(block, algebra.base))
-        rows.append(tuple(row))
-    return SquareMatrix(algebra, tuple(rows))
 
 
 def random_nonzero_rational(rng, bound: int = 7) -> Fraction:

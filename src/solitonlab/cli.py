@@ -317,7 +317,8 @@ def _random_params(cfg, rng):
         )
     if system == "nls":
         return random_nls_params(
-            rng, N=cfg["N"], r=cfg["r"], cap=cap, mode=cfg["mode"]
+            rng, N=cfg["N"], r=cfg["r"], cap=cap, mode=cfg["mode"],
+            scalar=scalar,
         )
     raise ConfigError(f"unknown system {system!r}")
 
@@ -341,8 +342,8 @@ def _run_system(cfg) -> dict:
     last_exc = None
     solution = params = None
     for _ in range(attempts):
-        params = explicit if explicit is not None else _random_params(cfg, rng)
         try:
+            params = explicit if explicit is not None else _random_params(cfg, rng)
             if cfg["system"] == "toda":
                 solution = toda_solution(params)
             elif cfg["system"] == "sine-gordon":
@@ -480,6 +481,8 @@ def _run_selftest(cfg) -> dict:
     """Quasideterminant against the signed ratio of cofactor determinants."""
     rng = Random(cfg["seed"])
     trials = cfg["trials"]
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
     from .algebra import QQ
 
     failures = []
@@ -508,7 +511,7 @@ def _run_selftest(cfg) -> dict:
         "positions_checked": checked,
         "positions_skipped_singular": skipped,
         "failures": failures,
-        "passed": not failures,
+        "passed": checked > 0 and not failures,
     }
 
 

@@ -99,9 +99,9 @@ def quasideterminant(x: SquareMatrix, i: int, j: int):
     correction = None
     for s in range(n - 1):
         for t in range(n - 1):
-            term = base.mul(base.mul(row[s], sub_inv.entry(s, t)), col[t])
-            correction = term if correction is None else base.add(correction, term)
-    return base.sub(x.entry(i, j), correction)
+            term = row[s] * sub_inv.entry(s, t) * col[t]
+            correction = term if correction is None else correction + term
+    return x.entry(i, j) - correction
 
 
 class WronskiPair:
@@ -193,10 +193,10 @@ class FrobeniusCell:
 def _entries_agree(base, x, y) -> bool:
     """Exact equality; relative closeness when the scalars are floats."""
     if base.is_exact:
-        return base.equal(x, y)
+        return x == y
     if isinstance(base, SeriesAlgebra):
         return series_agree(x, y)
-    gap = base.magnitude(base.sub(x, y))
+    gap = base.magnitude(x - y)
     return gap <= 1e-9 * max(1.0, base.magnitude(x), base.magnitude(y))
 
 
@@ -274,10 +274,8 @@ def frobenius_quotient_closed_form(
         raise SingularCell(
             "bottom-left entry of the divisor cell is not invertible"
         ) from exc
-    pivot = base.mul(mu[0], nu_inv)
-    bottom = []
-    for q in range(n - 1):
-        bottom.append(base.sub(mu[q + 1], base.mul(pivot, nu[q + 1])))
+    pivot = mu[0] * nu_inv
+    bottom = [mu[q + 1] - pivot * nu[q + 1] for q in range(n - 1)]
     bottom.append(pivot)
     zero, one = base.zero(), base.one()
     rows = [

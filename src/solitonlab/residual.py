@@ -147,7 +147,7 @@ def check_toda(gs, d1: Derivation, d2: Derivation) -> ResidualReport:
     return report
 
 
-def _mat_inverse_or_raise(m: SquareMatrix, site):
+def _invert_matrix_or_raise(m: SquareMatrix, site):
     try:
         return m.inverse()
     except SingularMatrix as exc:
@@ -170,7 +170,7 @@ def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     scale = max(
         x.max_coeff_magnitude() for g in gammas for row in g.rows for x in row
     )
-    invs = [_mat_inverse_or_raise(g, k) for k, g in enumerate(gammas)]
+    invs = [_invert_matrix_or_raise(g, k) for k, g in enumerate(gammas)]
     top_rows_clean = True
     for k in range(n):
         log_term = matrix_of_series_derive(
@@ -249,10 +249,10 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
         x.max_coeff_magnitude() for w in ws for row in w.rows for x in row
     )
     cs = [
-        matrix_of_series_derive(ws[k], d2) * _mat_inverse_or_raise(ws[k], k)
+        matrix_of_series_derive(ws[k], d2) * _invert_matrix_or_raise(ws[k], k)
         for k in range(n)
     ]
-    c_invs = [_mat_inverse_or_raise(c, k) for k, c in enumerate(cs)]
+    c_invs = [_invert_matrix_or_raise(c, k) for k, c in enumerate(cs)]
     for k in range(n):
         log_term = matrix_of_series_derive(
             matrix_of_series_derive(cs[k], d2) * c_invs[k], d1
@@ -316,11 +316,11 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
         for x in row
     )
     cs = {
-        k: matrix_of_series_derive(ws[k], d) * _mat_inverse_or_raise(ws[k], k)
+        k: matrix_of_series_derive(ws[k], d) * _invert_matrix_or_raise(ws[k], k)
         for k in sites
     }
     us = {
-        k: cs[k] * _mat_inverse_or_raise(cs[k - shift], k - shift)
+        k: cs[k] * _invert_matrix_or_raise(cs[k - shift], k - shift)
         for k in sites
         if k - shift in cs
     }
@@ -403,21 +403,16 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
     """
     S = U.algebra.coeff
     b = S.coerce(b)
-    if not S.equal(S.mul(b, b), S.one()):
+    if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
     report = ResidualReport("nls", exact=U.algebra.is_exact)
     scale = U.max_coeff_magnitude()
-    cubic = (
-        U.derive(d0).scale_left(b).scale_left(2)
-        + U.derive(d).derive(d)
-        + (U * U * U).scale_left(2)
-    )
-    report.add_series("cubic equation", cubic, scale)
+    report.add_series("cubic equation", _cubic_residual(U, b, d0, d), scale)
     blocks = _pm_one_split(S, b)
     if blocks is not None:
         half = Fraction(1, 2)
-        q1 = S.scalar_mul(half, S.add(S.one(), b))
-        q2 = S.scalar_mul(half, S.sub(S.one(), b))
+        q1 = S.scalar_mul(half, S.one() + b)
+        q2 = S.scalar_mul(half, S.one() - b)
         u12 = U.scale_left(q1).scale_right(q2)
         u21 = U.scale_left(q2).scale_right(q1)
         report.add_series(
@@ -459,22 +454,33 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
     return report
 
 
+def _cubic_residual(U: TruncatedSeries, b, d0: Derivation, d: Derivation):
+    """2 b d0 U + d^2 U + 2 U^3."""
+    return (
+        U.derive(d0).scale_left(b).scale_left(2)
+        + U.derive(d).derive(d)
+        + (U * U * U).scale_left(2)
+    )
+
+
 def _pm_one_split(S: Algebra, b):
+    """(plus_indices, minus_indices) when b is a +/-1 diagonal with both
+    signs present, else None."""
     if not isinstance(S, MatrixAlgebra):
         return None
-    fld = S.base
+    one, zero = S.base.one(), S.base.zero()
     plus, minus = [], []
     for i in range(S.dim):
         for j in range(S.dim):
             x = b.entry(i, j)
             if i == j:
-                if fld.equal(x, fld.one()):
+                if x == one:
                     plus.append(i)
-                elif fld.equal(x, fld.neg(fld.one())):
+                elif x == -one:
                     minus.append(i)
                 else:
                     return None
-            elif not fld.is_zero(x):
+            elif x != zero:
                 return None
     if not plus or not minus:
         return None
@@ -492,41 +498,23 @@ def check_data(kind: str, data) -> ResidualReport:
     raise ValueError(f"unknown data kind {kind!r}")
 
 
-def _maybe_series_constant_check(report, label, value, derivations):
-    if isinstance(value, TruncatedSeries):
-        for d_i in derivations:
-            report.add_series(f"{label} constant under d/d{d_i.var}",
-                              value.derive(d_i))
-        return True
-    return False
-
-
 def _check_toda_data(data) -> ResidualReport:
     report = ResidualReport("toda-data", exact=data.algebra.is_exact)
     S = data.algebra
     n, N = data.n, data.N
     scale = _series_scale([data.f[i][j] for i in range(n) for j in range(N)])
-    checked_series_a = False
     for i in range(n):
         for j in range(N):
-            a_ij = data.a[i][j]
-            a_next = data.a[(i + 1) % n][j]
-            if _maybe_series_constant_check(
-                report, f"a[{i}][{j}]", a_ij, (data.d1, data.d2)
-            ):
-                checked_series_a = True
-                continue
-            res1 = data.f[i][j].derive(data.d1) - data.f[(i - 1) % n][j].scale_right(
-                S.invert(a_ij)
+            f = data.f[i][j]
+            res1 = f.derive(data.d1) - data.f[(i - 1) % n][j].scale_right(
+                S.invert(data.a[i][j])
             )
             report.add_series(f"du relation f[{i}][{j}]", res1, scale)
-            if not isinstance(a_next, TruncatedSeries):
-                res2 = data.f[i][j].derive(data.d2) - data.f[
-                    (i + 1) % n
-                ][j].scale_right(a_next)
-                report.add_series(f"dv relation f[{i}][{j}]", res2, scale)
-    if not checked_series_a:
-        report.note("a-coefficients are plain algebra elements, constant by type")
+            res2 = f.derive(data.d2) - data.f[(i + 1) % n][j].scale_right(
+                data.a[(i + 1) % n][j]
+            )
+            report.add_series(f"dv relation f[{i}][{j}]", res2, scale)
+    report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
 

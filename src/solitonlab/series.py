@@ -19,14 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import (
-    CC,
-    QQ,
-    QQI,
-    Algebra,
-    MatrixAlgebra,
-    SquareMatrix,
-)
+from .algebra import Algebra, MatrixAlgebra, SquareMatrix
 from .errors import (
     AlgebraMismatch,
     DerivationMismatch,
@@ -34,7 +27,6 @@ from .errors import (
     SingularConstantTerm,
     SingularMatrix,
 )
-from .scalars import GaussianRational
 
 __all__ = [
     "Derivation",
@@ -43,8 +35,6 @@ __all__ = [
     "D_T",
     "SeriesAlgebra",
     "TruncatedSeries",
-    "series_add",
-    "series_mul",
     "series_derive",
     "series_exp_linear",
     "series_inverse",
@@ -115,10 +105,6 @@ class Derivation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
-
-    def scaled(self, factor) -> "Derivation":
-        scale = factor if self.scale == 1 else factor * self.scale
-        return Derivation(self.var, scale)
 
     def axis(self, arity: int) -> int:
         if arity == 2 and self.var in ("u", "v"):
@@ -225,9 +211,6 @@ class SeriesAlgebra(Algebra):
     def invert(self, a):
         return series_inverse(self.coerce(a))
 
-    def equal(self, a, b):
-        return series_equal(a, b)
-
     def is_zero(self, a):
         return a.is_zero()
 
@@ -248,8 +231,9 @@ class SeriesAlgebra(Algebra):
     def format_element(self, a, degree_limit=None):
         out = []
         limit = a.valid_order if degree_limit is None else min(a.valid_order, degree_limit + 1)
+        zero = self.coeff.zero()
         for e, c in zip(self.exponents, a.coeffs):
-            if sum(e) >= limit or self.coeff.is_zero(c):
+            if sum(e) >= limit or c == zero:
                 continue
             out.append({"exponents": list(e), "coefficient": self.coeff.format_element(c)})
         return out
@@ -296,10 +280,8 @@ class TruncatedSeries:
     def nonzero_indices(self):
         cached = self._nonzero
         if cached is None:
-            alg = self.algebra.coeff
-            cached = tuple(
-                i for i, c in enumerate(self.coeffs) if not alg.is_zero(c)
-            )
+            zero = self.algebra.coeff.zero()
+            cached = tuple(i for i, c in enumerate(self.coeffs) if c != zero)
             object.__setattr__(self, "_nonzero", cached)
         return cached
 
@@ -337,27 +319,24 @@ class TruncatedSeries:
 
     def __add__(self, other):
         other = self._coerce_other(other)
-        alg = self.algebra.coeff
         return TruncatedSeries(
             self.algebra,
-            [alg.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [a + b for a, b in zip(self.coeffs, other.coeffs)],
             min(self.valid_order, other.valid_order),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        alg = self.algebra.coeff
         return TruncatedSeries(
-            self.algebra, [alg.neg(c) for c in self.coeffs], self.valid_order
+            self.algebra, [-c for c in self.coeffs], self.valid_order
         )
 
     def __sub__(self, other):
         other = self._coerce_other(other)
-        alg = self.algebra.coeff
         return TruncatedSeries(
             self.algebra,
-            [alg.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
+            [a - b for a, b in zip(self.coeffs, other.coeffs)],
             min(self.valid_order, other.valid_order),
         )
 
@@ -383,18 +362,16 @@ class TruncatedSeries:
 
     def scale_left(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the left."""
-        alg = self.algebra.coeff
-        c = alg.coerce(c)
+        c = self.algebra.coeff.coerce(c)
         return TruncatedSeries(
-            self.algebra, [alg.mul(c, x) for x in self.coeffs], self.valid_order
+            self.algebra, [c * x for x in self.coeffs], self.valid_order
         )
 
     def scale_right(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the right."""
-        alg = self.algebra.coeff
-        c = alg.coerce(c)
+        c = self.algebra.coeff.coerce(c)
         return TruncatedSeries(
-            self.algebra, [alg.mul(x, c) for x in self.coeffs], self.valid_order
+            self.algebra, [x * c for x in self.coeffs], self.valid_order
         )
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
@@ -429,8 +406,7 @@ class TruncatedSeries:
             for x, k in zip(point, e):
                 for _ in range(k):
                     w = x if w is None else w * x
-            coeff = c if w is None else alg.scalar_mul(w, c)
-            total = alg.add(total, coeff)
+            total = total + (c if w is None else alg.scalar_mul(w, c))
         return total
 
     def __eq__(self, other):
@@ -438,8 +414,8 @@ class TruncatedSeries:
             return NotImplemented
         return series_equal(self, other)
 
-    def __hash__(self):
-        return hash((self.algebra, self.coeffs, self.valid_order))
+    # equality ignores untrusted coefficients, so no hash can agree with it
+    __hash__ = None
 
     def __repr__(self):
         terms = []
@@ -468,18 +444,8 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             iout = table.get((ia, ib))
             if iout is None:
                 continue
-            out[iout] = alg.add(out[iout], alg.mul(x, cb[ib]))
+            out[iout] += x * cb[ib]
     return TruncatedSeries(salg, out, min(a.valid_order, b.valid_order))
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficient-wise sum; valid order is the minimum of the inputs'."""
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product preserving coefficient order (a's coefficients left)."""
-    return a * b
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
@@ -491,72 +457,55 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     exps = salg.exponents
     index = _index_of(salg.arity, salg.cap)
     alg = salg.coeff
-    out = [alg.zero()] * salg.size
+    zero = alg.zero()
+    out = [zero] * salg.size
     for i, e in enumerate(exps):
         k = e[axis]
         if k == 0:
             continue
         src = s.coeffs[i]
-        if alg.is_zero(src):
+        if src == zero:
             continue
         tgt = list(e)
         tgt[axis] = k - 1
-        factor = Fraction(k) if d.scale == 1 else Fraction(k) * _as_scalar(d.scale)
+        factor = Fraction(k) if d.scale == 1 else Fraction(k) * d.scale
         out[index[tuple(tgt)]] = alg.scalar_mul(factor, src)
     return TruncatedSeries(salg, out, s.valid_order - 1)
 
 
-def _as_scalar(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
-
-
-def _infer_algebra(value) -> Algebra:
-    if isinstance(value, SquareMatrix):
-        return value.algebra
-    if isinstance(value, GaussianRational):
-        return QQI
-    if isinstance(value, (Fraction, int)):
-        return QQ
-    if isinstance(value, complex):
-        return CC
-    raise AlgebraMismatch(f"cannot infer an algebra for {value!r}")
-
-
-def series_exp_linear(cu, cv, cap: int, algebra: Algebra = None) -> TruncatedSeries:
+def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
     """exp(cu*u + cv*v) through total degree < cap (or exp(cu*t) when cv is None).
 
     Requires cu*cv = cv*cu so that both one-sided derivative identities
     d/du exp = exp*cu and d/dv exp = exp*cv hold; the coefficient at (m, n)
     is cu^m * cv^n / (m! n!).
     """
-    alg = algebra if algebra is not None else _infer_algebra(cu)
-    cu = alg.coerce(cu)
+    cu = algebra.coerce(cu)
     if cv is None:
-        salg = SeriesAlgebra(alg, 1, cap)
-        powers = _power_list(alg, cu, cap)
+        salg = SeriesAlgebra(algebra, 1, cap)
+        powers = _power_list(algebra, cu, cap)
         coeffs = [
-            alg.scalar_mul(Fraction(1, factorial(m)), powers[m]) for m in range(cap)
+            algebra.scalar_mul(Fraction(1, factorial(m)), powers[m])
+            for m in range(cap)
         ]
         return TruncatedSeries(salg, coeffs, cap)
-    cv = alg.coerce(cv)
-    bracket = alg.sub(alg.mul(cu, cv), alg.mul(cv, cu))
-    if alg.is_exact:
-        commute = alg.is_zero(bracket)
+    cv = algebra.coerce(cv)
+    bracket = cu * cv - cv * cu
+    if algebra.is_exact:
+        commute = algebra.is_zero(bracket)
     else:
-        reference = max(alg.magnitude(cu) * alg.magnitude(cv), 1.0)
-        commute = alg.magnitude(bracket) <= 1e-9 * reference
+        reference = max(algebra.magnitude(cu) * algebra.magnitude(cv), 1.0)
+        commute = algebra.magnitude(bracket) <= 1e-9 * reference
     if not commute:
         raise NoncommutingExponents("exponent coefficients do not commute")
-    salg = SeriesAlgebra(alg, 2, cap)
-    pu = _power_list(alg, cu, cap)
-    pv = _power_list(alg, cv, cap)
+    salg = SeriesAlgebra(algebra, 2, cap)
+    pu = _power_list(algebra, cu, cap)
+    pv = _power_list(algebra, cv, cap)
     coeffs = []
     for m, n in salg.exponents:
         coeffs.append(
-            alg.scalar_mul(
-                Fraction(1, factorial(m) * factorial(n)), alg.mul(pu[m], pv[n])
+            algebra.scalar_mul(
+                Fraction(1, factorial(m) * factorial(n)), pu[m] * pv[n]
             )
         )
     return TruncatedSeries(salg, coeffs, cap)
@@ -565,7 +514,7 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra = None) -> TruncatedSer
 def _power_list(alg: Algebra, x, cap: int):
     powers = [alg.one()]
     for _ in range(1, cap):
-        powers.append(alg.mul(powers[-1], x))
+        powers.append(powers[-1] * x)
     return powers
 
 
@@ -586,10 +535,10 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     for iout in range(1, salg.size):
         acc = None
         for i_f, i_r in pairs[iout]:
-            term = alg.mul(cs[i_f], out[i_r])
-            acc = term if acc is None else alg.add(acc, term)
+            term = cs[i_f] * out[i_r]
+            acc = term if acc is None else acc + term
         if acc is not None:
-            out[iout] = alg.neg(alg.mul(c_inv, acc))
+            out[iout] = -(c_inv * acc)
     return TruncatedSeries(salg, out, s.valid_order)
 
 
@@ -598,10 +547,9 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     if a.algebra != b.algebra:
         return False
     vo = min(a.valid_order, b.valid_order)
-    alg = a.algebra.coeff
     exps = a.algebra.exponents
     return all(
-        alg.equal(x, y)
+        x == y
         for e, x, y in zip(exps, a.coeffs, b.coeffs)
         if sum(e) < vo
     )

@@ -33,6 +33,7 @@ from .errors import (
     SingularMatrix,
     SingularWronskian,
     VerificationError,
+    WindowTooSmall,
 )
 from .quasidet import (
     ConventionNote,
@@ -43,6 +44,7 @@ from .quasidet import (
     solution_entry_via_quasidet,
     wronski,
 )
+from .residual import _cubic_residual, _pm_one_split
 from .scalars import GaussianRational
 from .series import (
     D_T,
@@ -102,7 +104,7 @@ def _power(alg: Algebra, x, k: int):
         return _power(alg, alg.invert(x), -k)
     acc = alg.one()
     for _ in range(k):
-        acc = alg.mul(acc, x)
+        acc = acc * x
     return acc
 
 
@@ -190,20 +192,14 @@ def toda_build_f(params: TodaParams) -> TodaData:
         r_j = diag_j * shift
         e_j = series_exp_linear(r_j.inverse(), r_j, cap, algebra=mat_n)
         # row vector p_j times the matrix series, one component per site
-        entries = _series_matrix_entries(e_j)
+        entries = series_to_matrix(e_j)
         for i in range(n):
             acc = None
             for m in range(n):
-                term = entries[m][i].scale_left(p[j][m])
+                term = entries.entry(m, i).scale_left(p[j][m])
                 acc = term if acc is None else acc + term
             f[i][j] = acc
     return TodaData(f=f, a=a, n=n, N=N, algebra=S, cap=cap)
-
-
-def _series_matrix_entries(mat_series: TruncatedSeries):
-    """Split a series with matrix coefficients into a grid of scalar series."""
-    m = series_to_matrix(mat_series)
-    return [[m.entry(i, j) for j in range(m.dim)] for i in range(m.dim)]
 
 
 @dataclass
@@ -331,7 +327,7 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     for j in range(N):
         a_inv = S.invert(a[j])
         plus = series_exp_linear(a_inv, a[j], cap, algebra=S)
-        minus = series_exp_linear(S.neg(a_inv), S.neg(a[j]), cap, algebra=S)
+        minus = series_exp_linear(-a_inv, -a[j], cap, algebra=S)
         for i in range(2):
             sgn = minus.scale_left(q[j])
             f[i][j] = plus.scale_left(p[j]) + (sgn if i % 2 == 0 else -sgn)
@@ -399,7 +395,7 @@ def _sine_gordon_two_mode_closed_forms(data: TodaData, a, i):
     a1_inv, a2_inv = S.invert(a1), S.invert(a2)
     f_prev1_inv = f[prev][j1].inverse()
     first = (
-        f[i][j2].scale_right(S.mul(a2, a2))
+        f[i][j2].scale_right(a2 * a2)
         - f[i][j1].scale_right(a1) * f_prev1_inv * f[prev][j2].scale_right(a2)
     )
     def second(mid):
@@ -488,13 +484,13 @@ def langmuir_build_f(params: LangmuirParams) -> LangmuirData:
     a = []
     for m in mu:
         m_inv = S.invert(m)
-        a_j = S.add(m, m_inv)
+        a_j = m + m_inv
         S.invert(a_j)  # raises SingularMatrix when mu + mu^-1 degenerates
         a.append(a_j)
     lo, hi = min(params.k_range) - 1, max(params.k_range) + 2
     sites = list(range(lo, hi + 1))
     exp_plus = [
-        series_exp_linear(S.mul(m, m), None, cap, algebra=S) for m in mu
+        series_exp_linear(m * m, None, cap, algebra=S) for m in mu
     ]
     exp_minus = [
         series_exp_linear(_power(S, m, -2), None, cap, algebra=S) for m in mu
@@ -502,8 +498,8 @@ def langmuir_build_f(params: LangmuirParams) -> LangmuirData:
     f = {}
     for i in sites:
         f[i] = [
-            exp_plus[j].scale_left(S.mul(p[j], _power(S, mu[j], i)))
-            + exp_minus[j].scale_left(S.mul(q[j], _power(S, mu[j], -i)))
+            exp_plus[j].scale_left(p[j] * _power(S, mu[j], i))
+            + exp_minus[j].scale_left(q[j] * _power(S, mu[j], -i))
             for j in range(N)
         ]
     return LangmuirData(
@@ -531,10 +527,12 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     k+1, k) is evaluated; the reading that satisfies the lattice equation is
     selected and recorded.
     """
+    ks = list(params.k_range)
+    if len(ks) < 3:
+        raise ValueError("the site window needs at least 3 sites")
     if data is None:
         data = langmuir_build_f(params)
     N = data.N
-    ks = list(params.k_range)
     gamma_sites = list(range(ks[0] - 1, ks[-1] + 2))
     cells, etas = {}, {}
     for k in gamma_sites:
@@ -591,7 +589,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
 def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
     interior = [k for k in gs if k - 1 in gs and k + 1 in gs]
     if not interior:
-        return False
+        raise WindowTooSmall("need at least one site with both neighbours")
     scale = max(g.max_coeff_magnitude() for g in gs.values())
     for k in interior:
         res = gs[k].derive(d) - gs[k + 1] * gs[k] + gs[k] * gs[k - 1]
@@ -608,13 +606,13 @@ def _langmuir_single_mode_closed_form(data: LangmuirData, k: int):
     """
     S = data.algebra
     mu, p, q = data.mu[0], data.p[0], data.q[0]
-    mu2 = S.mul(mu, mu)
+    mu2 = mu * mu
     mu_m2 = _power(S, mu, -2)
-    gap = series_exp_linear(S.sub(mu2, mu_m2), None, data.cap, algebra=S)
+    gap = series_exp_linear(mu2 - mu_m2, None, data.cap, algebra=S)
     salg = gap.algebra
 
     def h(m):
-        return salg.constant(q) + gap.scale_left(S.mul(p, _power(S, mu, m)))
+        return salg.constant(q) + gap.scale_left(p * _power(S, mu, m))
 
     return (
         h(2 * k + 4).scale_right(mu_m2)
@@ -687,11 +685,11 @@ def nls_build_f(params: NlsParams) -> NlsData:
     params.validate()
     S = scalar_algebra(params.scalar, params.r)
     b = S.coerce(params.b)
-    if not S.equal(S.mul(b, b), S.one()):
+    if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
     half = Fraction(1, 2)
-    q1 = S.scalar_mul(half, S.add(S.one(), b))
-    q2 = S.scalar_mul(half, S.sub(S.one(), b))
+    q1 = S.scalar_mul(half, S.one() + b)
+    q2 = S.scalar_mul(half, S.one() - b)
     if params.mode == "nls":
         d0 = Derivation("u", scale=GaussianRational(0, 1))
     else:
@@ -701,13 +699,13 @@ def nls_build_f(params: NlsParams) -> NlsData:
     for j in range(params.N):
         a_j = a[j]
         S.invert(a_j)
-        a_sq = S.mul(a_j, a_j)
+        a_sq = a_j * a_j
         cu = S.scalar_mul(GaussianRational(0, 1), a_sq) if params.mode == "nls" else a_sq
         plus = series_exp_linear(cu, a_j, params.cap, algebra=S)
-        minus = series_exp_linear(S.neg(cu), S.neg(a_j), params.cap, algebra=S)
+        minus = series_exp_linear(-cu, -a_j, params.cap, algebra=S)
         fs.append(
-            plus.scale_left(S.mul(q1, S.coerce(params.c[j])))
-            + minus.scale_left(S.mul(q2, S.coerce(params.d[j])))
+            plus.scale_left(q1 * S.coerce(params.c[j]))
+            + minus.scale_left(q2 * S.coerce(params.d[j]))
         )
     return NlsData(
         fs=fs, b=b, q1=q1, q2=q2, a=a, algebra=S, cap=params.cap,
@@ -732,37 +730,6 @@ class NlsSolution:
 
 def _commutator_with(U: TruncatedSeries, b):
     return U.scale_right(b) - U.scale_left(b)
-
-
-def _cubic_residual(U: TruncatedSeries, b, d0: Derivation, d: Derivation):
-    return (
-        U.derive(d0).scale_left(b).scale_left(2)
-        + U.derive(d).derive(d)
-        + (U * U * U).scale_left(2)
-    )
-
-
-def _is_pm_one_diagonal(S, b):
-    """(r1_indices, r2_indices) when b is a +/-1 diagonal, else None."""
-    if not isinstance(S, MatrixAlgebra):
-        return None
-    fld = S.base
-    plus, minus = [], []
-    for i in range(S.dim):
-        for j in range(S.dim):
-            x = b.entry(i, j)
-            if i == j:
-                if fld.equal(x, fld.one()):
-                    plus.append(i)
-                elif fld.equal(x, fld.neg(fld.one())):
-                    minus.append(i)
-                else:
-                    return None
-            elif not fld.is_zero(x):
-                return None
-    if not plus or not minus:
-        return None
-    return plus, minus
 
 
 def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
@@ -849,9 +816,8 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
                 detail="first factor of the closed form needs b f = q1 c e - q2 d e",
             )
         )
-    blocks = _is_pm_one_diagonal(S, data.b) if isinstance(S, MatrixAlgebra) else None
     U12 = U21 = None
-    if blocks is not None:
+    if _pm_one_split(S, data.b) is not None:
         U12 = U.scale_left(data.q1).scale_right(data.q2)
         U21 = U.scale_left(data.q2).scale_right(data.q1)
         diag_part = (
@@ -868,8 +834,8 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
 
 
 def random_nls_params(rng, N: int, r: int = 2, cap: int = None,
-                      mode: str = "nls") -> NlsParams:
-    scalar = "gaussian-rational" if mode == "nls" else "rational"
+                      mode: str = "nls", scalar: str = "gaussian-rational",
+                      ) -> NlsParams:
     S = scalar_algebra(scalar, r)
     cap = cap if cap is not None else N + 6
     if r == 1:
@@ -1021,7 +987,7 @@ def random_langmuir_params(rng, N: int, r: int = 1, cap: int = None,
     while len(mu) < N:
         m = random_invertible(S, rng)
         try:
-            S.invert(S.add(m, S.invert(m)))
+            S.invert(m + S.invert(m))
         except SingularMatrix:
             continue
         mu.append(m)

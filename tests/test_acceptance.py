@@ -277,9 +277,8 @@ def test_criterion_9_scalar_closed_form_contact_order():
 def _corrupt(series, rng, max_degree):
     exps = [e for e in series.algebra.exponents if sum(e) <= max_degree]
     exponent = rng.choice(exps)
-    alg = series.algebra.coeff
     return series.with_coeff(
-        exponent, alg.add(series.coeff(exponent), alg.one())
+        exponent, series.coeff(exponent) + series.algebra.coeff.one()
     )
 
 

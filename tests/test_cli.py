@@ -42,6 +42,49 @@ def test_bad_flag_value_exits_two(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    *([system, "--r", r] for system in ("toda", "sine-gordon", "langmuir", "nls")
+      for r in ("0", "-1")),
+    ["langmuir", "--window", "1"],
+    ["langmuir", "--window", "2"],
+    ["quasidet-selftest", "--trials", "0"],
+    ["quasidet-selftest", "--trials", "-3"],
+    ["nls", "--scalar", "rational"],
+])
+def test_bad_sizes_exit_two_with_one_line(args, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(args + ["--seed", "1", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_selftest_that_checked_nothing_fails(tmp_path, monkeypatch):
+    import solitonlab.cli as cli_mod
+
+    # every submatrix looks singular, so no position is examined
+    monkeypatch.setattr(cli_mod, "_cofactor_det", lambda rows: 0)
+    code, body = run_cli(
+        ["quasidet-selftest", "--trials", "3", "--seed", "7"], tmp_path
+    )
+    assert body["positions_checked"] == 0 and body["failures"] == []
+    assert body["passed"] is False
+    assert code == 1
+
+
+def test_report_names_the_scalar_field_computed_over(tmp_path):
+    code, body = run_cli(
+        ["nls", "--N", "1", "--mode", "heat", "--scalar", "complex-float",
+         "--cap", "6", "--seed", "1"],
+        tmp_path,
+    )
+    assert code == 0
+    assert body["scalar_mode"] == "complex-float"
+    for check in body["checks"]:
+        assert check["exact"] is False
+
+
 def test_selftest(tmp_path):
     code, body = run_cli(
         ["quasidet-selftest", "--trials", "30", "--seed", "7"], tmp_path

@@ -28,6 +28,13 @@ def test_arithmetic():
     assert z.conjugate().conjugate() == z
 
 
+def test_hash_agrees_with_equality_to_rationals():
+    assert GaussianRational(1) == 1
+    assert len({GaussianRational(1), 1}) == 1
+    assert len({GaussianRational(Fraction(3, 2)), Fraction(3, 2)}) == 1
+    assert len({GaussianRational(1, 1), GaussianRational(1)}) == 2
+
+
 def test_reciprocal_of_zero():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).reciprocal()

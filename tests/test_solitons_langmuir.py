@@ -4,13 +4,14 @@ from random import Random
 import pytest
 
 from solitonlab.algebra import QQ, QQI, MatrixAlgebra
-from solitonlab.errors import SingularMatrix
+from solitonlab.errors import SingularMatrix, WindowTooSmall
 from solitonlab.quasidet import ConventionNote
 from solitonlab.residual import check_data, check_langmuir, check_marchenko_lattice
 from solitonlab.scalars import GaussianRational
-from solitonlab.series import D_T, constant_series_matrix
+from solitonlab.series import D_T, SeriesAlgebra, constant_series_matrix
 from solitonlab.solitons import (
     LangmuirParams,
+    _lattice_residuals_vanish,
     langmuir_build_f,
     langmuir_solution,
     random_langmuir_params,
@@ -40,6 +41,18 @@ def test_vacuum_family_and_constant_solution():
     for g in sol.gs.values():
         assert g == g.algebra.one()
     assert check_langmuir(sol.gs, D_T).passed
+
+
+def test_window_without_interior_site_rejected():
+    params = LangmuirParams(
+        N=1, r=1, cap=6, p=[Fraction(1)], q=[Fraction(1)],
+        mu=[Fraction(2)], k_range=[0, 1],
+    )
+    with pytest.raises(ValueError, match="at least 3 sites"):
+        langmuir_solution(params)
+    one = SeriesAlgebra(QQ, 1, 6).one()
+    with pytest.raises(WindowTooSmall):
+        _lattice_residuals_vanish({0: one, 1: one}, D_T)
 
 
 def test_mu_with_singular_sum_rejected():
