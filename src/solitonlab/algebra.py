@@ -43,9 +43,6 @@ class Algebra:
     def one(self):
         raise NotImplementedError
 
-    def from_int(self, n: int):
-        raise NotImplementedError
-
     def coerce(self, value):
         """Bring ``value`` into this algebra, or raise AlgebraMismatch."""
         raise NotImplementedError
@@ -97,9 +94,6 @@ class Rationals(_Field):
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
@@ -135,12 +129,6 @@ class GaussianRationals(_Field):
     def one(self):
         return GaussianRational(1)
 
-    def from_int(self, n):
-        return GaussianRational(n)
-
-    def i(self):
-        return GaussianRational(0, 1)
-
     def coerce(self, value):
         if isinstance(value, GaussianRational):
             return value
@@ -152,9 +140,6 @@ class GaussianRationals(_Field):
         if not a:
             raise SingularMatrix("division by zero Gaussian rational")
         return a.reciprocal()
-
-    def conjugate(self, a):
-        return a.conjugate()
 
     def magnitude(self, a):
         return abs(a)
@@ -182,9 +167,6 @@ class ComplexFloats(_Field):
 
     def one(self):
         return complex(1)
-
-    def from_int(self, n):
-        return complex(n)
 
     def coerce(self, value):
         if isinstance(value, (complex, float, int, Fraction)):
@@ -268,9 +250,6 @@ class MatrixAlgebra(Algebra):
             ),
         )
 
-    def from_int(self, n):
-        return self.scalar_mul(n, self.one())
-
     def diagonal(self, entries) -> "SquareMatrix":
         entries = [self.base.coerce(x) for x in entries]
         if len(entries) != self.dim:
@@ -289,8 +268,6 @@ class MatrixAlgebra(Algebra):
             if value.algebra == self:
                 return value
             raise AlgebraMismatch(f"matrix from {value.algebra!r}, not {self!r}")
-        if isinstance(value, int):
-            return self.from_int(value)
         # scalars of the ground field embed as multiples of the identity
         return self.scalar_mul(value, self.one())
 
@@ -370,9 +347,7 @@ class SquareMatrix:
         )
 
     def __neg__(self):
-        return SquareMatrix(
-            self.algebra, tuple(tuple(-a for a in row) for row in self.rows)
-        )
+        return self._map(lambda a: -a)
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
@@ -393,6 +368,29 @@ class SquareMatrix:
 
     def inverse(self) -> "SquareMatrix":
         return self.algebra.base.matrix_inverse(self)
+
+    # -- entrywise maps: a matrix of series gets the interface of a series --
+
+    def _map(self, fn) -> "SquareMatrix":
+        return SquareMatrix(
+            self.algebra, tuple(tuple(fn(x) for x in row) for row in self.rows)
+        )
+
+    def derive(self, d) -> "SquareMatrix":
+        """Entrywise formal derivative."""
+        return self._map(lambda x: x.derive(d))
+
+    def scale_left(self, c) -> "SquareMatrix":
+        """Multiply every entry by ``c`` from the left."""
+        return self._map(lambda x: x.scale_left(c))
+
+    def scale_right(self, c) -> "SquareMatrix":
+        """Multiply every entry by ``c`` from the right."""
+        return self._map(lambda x: x.scale_right(c))
+
+    def is_zero(self) -> bool:
+        """True when every entry is zero through its own valid order."""
+        return all(x.is_zero() for row in self.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):

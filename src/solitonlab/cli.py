@@ -8,7 +8,8 @@ identical across runs; wall-clock timings are only included on request, since
 they would break that guarantee.
 
 Exit codes: 0 all checks passed, 1 a residual check failed, 2 bad
-configuration, 3 singular parameters even after resampling.
+configuration, 3 singular parameters even after resampling, 4 an internal
+cross-check failed (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from random import Random
 
 from .algebra import MatrixAlgebra, random_element
 from .errors import (
+    BNotInvolutive,
     ConfigError,
     EvaluationSingularity,
     NonInvertibleSolution,
@@ -231,12 +233,25 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if args.system == "nls" and cfg["mode"] == "nls"
             else "rational"
         )
-    for int_key in ("n", "N", "r", "seed", "window", "max_resample", "trials"):
-        if not isinstance(cfg[int_key], int) or isinstance(cfg[int_key], bool):
-            raise ConfigError(f"{int_key} must be an integer")
-    if cfg["cap"] is not None and not isinstance(cfg["cap"], int):
-        raise ConfigError("cap must be an integer")
+    for key in ("n", "N", "r", "seed", "window", "max_resample", "trials"):
+        if not _is_int(cfg[key]):
+            raise ConfigError(f"{key} must be an integer")
+    for key in ("cap", "dump_degree"):
+        if cfg[key] is not None and not _is_int(cfg[key]):
+            raise ConfigError(f"{key} must be an integer or null")
+    for key in ("scalar", "mode"):
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{key} must be a string")
+    if cfg["report"] is not None and not isinstance(cfg["report"], str):
+        raise ConfigError("report must be a string or null")
+    for key in ("dump_series", "with_lemmas", "timings", "scalar_form"):
+        if not isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} must be true or false")
     return cfg
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _default_cap(cfg) -> int:
@@ -356,7 +371,7 @@ def _run_system(cfg) -> dict:
         except _SINGULAR as exc:
             last_exc = exc
             continue
-        except ValueError as exc:
+        except (ValueError, BNotInvolutive) as exc:
             raise ConfigError(str(exc)) from exc
     if solution is None:
         raise EvaluationSingularity(
@@ -570,9 +585,12 @@ def main(argv=None) -> int:
     except EvaluationSingularity as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return 3
-    except SolitonLabError as exc:
+    except _SINGULAR as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SolitonLabError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     _summarize(body, _report_path(cfg))
     return code
 

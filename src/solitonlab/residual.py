@@ -18,20 +18,11 @@ from .errors import (
     BNotInvolutive,
     HypothesisViolated,
     NonInvertibleSolution,
-    SingularConstantTerm,
     SingularMatrix,
     WindowTooSmall,
 )
 from .quasidet import ConventionNote, FrobeniusCell
-from .series import (
-    D_U,
-    D_V,
-    Derivation,
-    TruncatedSeries,
-    constant_series_matrix,
-    matrix_of_series_derive,
-    matrix_of_series_is_zero,
-)
+from .series import D_U, D_V, Derivation, TruncatedSeries, constant_series_matrix
 
 __all__ = [
     "ResidualEntry",
@@ -78,24 +69,17 @@ class ResidualReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def add_series(self, label: str, s: TruncatedSeries, scale: float = 1.0):
-        mag = s.max_coeff_magnitude()
-        if self.exact:
-            zero = s.is_zero()
-            self.entries.append(
-                ResidualEntry(label, zero, mag, s.valid_order, exact_zero=zero)
-            )
-        else:
-            tol = FLOAT_RELATIVE_TOLERANCE * max(scale, 1.0)
-            self.entries.append(
-                ResidualEntry(label, mag <= tol, mag, s.valid_order)
-            )
+    def add(self, label: str, x, scale: float = 1.0):
+        """Record a series, or a square matrix of series, as one entry.
 
-    def add_matrix(self, label: str, m: SquareMatrix, scale: float = 1.0):
-        vo = min(x.valid_order for row in m.rows for x in row)
-        mag = max(x.max_coeff_magnitude() for row in m.rows for x in row)
+        A matrix is zero when every entry is zero through that entry's own
+        valid order; the entry reports the least order and largest magnitude.
+        """
+        parts = _series_of(x)
+        vo = min(s.valid_order for s in parts)
+        mag = max(s.max_coeff_magnitude() for s in parts)
         if self.exact:
-            zero = matrix_of_series_is_zero(m)
+            zero = x.is_zero()
             self.entries.append(ResidualEntry(label, zero, mag, vo, exact_zero=zero))
         else:
             tol = FLOAT_RELATIVE_TOLERANCE * max(scale, 1.0)
@@ -117,17 +101,60 @@ class ResidualReport:
         }
 
 
-def _series_scale(series_list) -> float:
-    return max((s.max_coeff_magnitude() for s in series_list), default=0.0)
+def _series_of(x):
+    """The series of a residual: itself, or the entries of a matrix."""
+    if isinstance(x, TruncatedSeries):
+        return (x,)
+    return [e for row in x.rows for e in row]
 
 
-def _invert_or_raise(s: TruncatedSeries, site):
+def _series_scale(xs) -> float:
+    return max(
+        (s.max_coeff_magnitude() for x in xs for s in _series_of(x)), default=0.0
+    )
+
+
+def _invert_or_raise(x, site):
     try:
-        return s.inverse()
-    except (SingularConstantTerm, SingularMatrix) as exc:
+        return x.inverse()
+    except SingularMatrix as exc:
         raise NonInvertibleSolution(
             f"solution at site {site} is not invertible: {exc}", site=site
         ) from exc
+
+
+# -- the lattice equations, each written once for series and matrices -------
+
+
+def _toda_residuals(xs, d1: Derivation, d2: Derivation, shift: int = 1):
+    """d1((d2 x_k) x_k^-1) - x_k x_{k-shift}^-1 + x_{k+shift} x_k^-1, per site."""
+    n = len(xs)
+    invs = [_invert_or_raise(x, k) for k, x in enumerate(xs)]
+    return [
+        (xs[k].derive(d2) * invs[k]).derive(d1)
+        - xs[k] * invs[(k - shift) % n]
+        + xs[(k + shift) % n] * invs[k]
+        for k in range(n)
+    ]
+
+
+def _langmuir_residual(xs, k, d: Derivation, shift: int = 1):
+    """d x_k - x_{k+shift} x_k + x_k x_{k-shift}."""
+    return xs[k].derive(d) - xs[k + shift] * xs[k] + xs[k] * xs[k - shift]
+
+
+def _cubic_residual(U, b, d0: Derivation, d: Derivation):
+    """2 b d0 U + d^2 U + 2 U^3."""
+    return (
+        U.derive(d0).scale_left(b).scale_left(2)
+        + U.derive(d).derive(d)
+        + (U * U * U).scale_left(2)
+    )
+
+
+def _commutator_with(U, b):
+    """U b - b U."""
+    return U.scale_right(b) - U.scale_left(b)
 
 
 def check_toda(gs, d1: Derivation, d2: Derivation) -> ResidualReport:
@@ -136,24 +163,11 @@ def check_toda(gs, d1: Derivation, d2: Derivation) -> ResidualReport:
         d1((d2 g_k) g_k^-1) - g_k g_{k-1}^-1 + g_{k+1} g_k^-1 = 0
     """
     gs = list(gs)
-    n = len(gs)
     report = ResidualReport("toda", exact=gs[0].algebra.is_exact)
     scale = _series_scale(gs)
-    invs = [_invert_or_raise(g, k) for k, g in enumerate(gs)]
-    for k in range(n):
-        log_term = (gs[k].derive(d2) * invs[k]).derive(d1)
-        res = log_term - gs[k] * invs[(k - 1) % n] + gs[(k + 1) % n] * invs[k]
-        report.add_series(f"site {k}", res, scale)
+    for k, res in enumerate(_toda_residuals(gs, d1, d2)):
+        report.add(f"site {k}", res, scale)
     return report
-
-
-def _invert_matrix_or_raise(m: SquareMatrix, site):
-    try:
-        return m.inverse()
-    except SingularMatrix as exc:
-        raise NonInvertibleSolution(
-            f"matrix solution at site {site} is not invertible: {exc}", site=site
-        ) from exc
 
 
 def _as_matrix(x) -> SquareMatrix:
@@ -163,21 +177,13 @@ def _as_matrix(x) -> SquareMatrix:
 def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     """The lattice equations at the level of whole Frobenius quotients."""
     gammas = [_as_matrix(g) for g in gammas]
-    n = len(gammas)
     report = ResidualReport(
         "toda-gamma", exact=gammas[0].algebra.base.is_exact
     )
-    scale = max(
-        x.max_coeff_magnitude() for g in gammas for row in g.rows for x in row
-    )
-    invs = [_invert_matrix_or_raise(g, k) for k, g in enumerate(gammas)]
+    scale = _series_scale(gammas)
     top_rows_clean = True
-    for k in range(n):
-        log_term = matrix_of_series_derive(
-            matrix_of_series_derive(gammas[k], d2) * invs[k], d1
-        )
-        res = log_term - gammas[k] * invs[(k - 1) % n] + gammas[(k + 1) % n] * invs[k]
-        report.add_matrix(f"site {k}", res, scale)
+    for k, res in enumerate(_toda_residuals(gammas, d1, d2)):
+        report.add(f"site {k}", res, scale)
         dim = res.dim
         if any(
             not res.entry(p, q).is_zero()
@@ -225,19 +231,15 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
         raise HypothesisViolated("need one constant diagonal per site", which="A")
     for k in range(n):
         for d_i, name in ((d1, "d1"), (d2, "d2")):
-            if not matrix_of_series_is_zero(matrix_of_series_derive(a_mats[k], d_i)):
+            if not a_mats[k].derive(d_i).is_zero():
                 raise HypothesisViolated(
                     f"A[{k}] is not constant under {name}", which="A-constant"
                 )
-        mixed = matrix_of_series_derive(
-            matrix_of_series_derive(ws[k], d2), d1
-        ) - ws[k]
-        if not matrix_of_series_is_zero(mixed):
+        if not (ws[k].derive(d2).derive(d1) - ws[k]).is_zero():
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        linear = matrix_of_series_derive(ws[k], d2) - ws[(k + shift) % n] * a_mats[k]
-        if not matrix_of_series_is_zero(linear):
+        if not (ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k]).is_zero():
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + shift}] A[{k}]", which="shift-linear-relation"
             )
@@ -245,24 +247,10 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
         "marchenko", exact=ws[0].algebra.base.is_exact
     )
     report.note(f"hypotheses validated at all {n} sites (shift {shift})")
-    scale = max(
-        x.max_coeff_magnitude() for w in ws for row in w.rows for x in row
-    )
-    cs = [
-        matrix_of_series_derive(ws[k], d2) * _invert_matrix_or_raise(ws[k], k)
-        for k in range(n)
-    ]
-    c_invs = [_invert_matrix_or_raise(c, k) for k, c in enumerate(cs)]
-    for k in range(n):
-        log_term = matrix_of_series_derive(
-            matrix_of_series_derive(cs[k], d2) * c_invs[k], d1
-        )
-        res = (
-            log_term
-            - cs[k] * c_invs[(k - shift) % n]
-            + cs[(k + shift) % n] * c_invs[k]
-        )
-        report.add_matrix(f"site {k}", res, scale)
+    scale = _series_scale(ws)
+    cs = [ws[k].derive(d2) * _invert_or_raise(ws[k], k) for k in range(n)]
+    for k, res in enumerate(_toda_residuals(cs, d1, d2, shift)):
+        report.add(f"site {k}", res, scale)
     return report
 
 
@@ -281,20 +269,15 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     template = ws[sites[0]]
     a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
     for k in sites:
-        if not matrix_of_series_is_zero(matrix_of_series_derive(a_mats[k], d)):
+        if not a_mats[k].derive(d).is_zero():
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
         if k + 2 * shift in ws:
-            if not matrix_of_series_is_zero(
-                matrix_of_series_derive(ws[k], d) - ws[k + 2 * shift]
-            ):
+            if not (ws[k].derive(d) - ws[k + 2 * shift]).is_zero():
                 raise HypothesisViolated(
                     f"d G[{k}] != G[{k + 2 * shift}]", which="double-shift-relation"
                 )
         if k + shift in ws:
-            if not matrix_of_series_is_zero(
-                matrix_of_series_derive(ws[k], d) + ws[k]
-                - ws[k + shift] * a_mats[k]
-            ):
+            if not (ws[k].derive(d) + ws[k] - ws[k + shift] * a_mats[k]).is_zero():
                 raise HypothesisViolated(
                     f"d G[{k}] + G[{k}] != G[{k + shift}] A[{k}]",
                     which="shift-affine-relation",
@@ -309,47 +292,29 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     report = ResidualReport(
         "marchenko-lattice", exact=template.algebra.base.is_exact
     )
-    scale = max(
-        x.max_coeff_magnitude()
-        for w in ws.values()
-        for row in w.rows
-        for x in row
-    )
-    cs = {
-        k: matrix_of_series_derive(ws[k], d) * _invert_matrix_or_raise(ws[k], k)
-        for k in sites
-    }
+    scale = _series_scale(ws.values())
+    cs = {k: ws[k].derive(d) * _invert_or_raise(ws[k], k) for k in sites}
     us = {
-        k: cs[k] * _invert_matrix_or_raise(cs[k - shift], k - shift)
+        k: cs[k] * _invert_or_raise(cs[k - shift], k - shift)
         for k in sites
         if k - shift in cs
     }
     for k in main_sites:
-        res = (
-            matrix_of_series_derive(us[k], d)
-            - us[k + shift] * us[k]
-            + us[k] * us[k - shift]
-        )
-        report.add_matrix(f"lattice-equation site {k}", res, scale)
-    one = constant_series_matrix(
-        MatrixAlgebra(template.algebra.base.coeff, template.dim).one(),
-        template.algebra.base.arity,
-        template.algebra.base.cap,
-    )
+        res = _langmuir_residual(us, k, d, shift)
+        report.add(f"lattice-equation site {k}", res, scale)
+    one = template.algebra.one()
     for k in sites:
         if k + shift in cs:
-            res = (cs[k + shift] - cs[k]) * (cs[k] + one) - matrix_of_series_derive(
-                cs[k], d
-            )
-            report.add_matrix(f"increment-product site {k}", res, scale)
+            res = (cs[k + shift] - cs[k]) * (cs[k] + one) - cs[k].derive(d)
+            report.add(f"increment-product site {k}", res, scale)
         if k + 2 * shift in cs:
             res = (cs[k + 2 * shift] - cs[k + shift]) * cs[k] - (
                 cs[k + shift] - cs[k]
             )
-            report.add_matrix(f"increment-shift site {k}", res, scale)
+            report.add(f"increment-shift site {k}", res, scale)
         if k in us and k + shift in cs:
             res = us[k] - (one + cs[k + shift] - cs[k])
-            report.add_matrix(f"additive-quotient site {k}", res, scale)
+            report.add(f"additive-quotient site {k}", res, scale)
     return report
 
 
@@ -368,26 +333,13 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     commutative = not isinstance(sample.algebra.coeff, MatrixAlgebra)
     scale = _series_scale([gs[k] for k in sites])
     for k in interior:
-        res = gs[k].derive(d) - gs[k + 1] * gs[k] + gs[k] * gs[k - 1]
-        report.add_series(f"site {k}", res, scale)
+        report.add(f"site {k}", _langmuir_residual(gs, k, d), scale)
         if commutative:
             res2 = gs[k].derive(d) - gs[k] * (gs[k + 1] - gs[k - 1])
-            report.add_series(f"site {k} (commutative product form)", res2, scale)
+            report.add(f"site {k} (commutative product form)", res2, scale)
     if commutative:
         report.note("commutative scalars: product form checked as well")
     return report
-
-
-def _mat_scale_left(c, m: SquareMatrix) -> SquareMatrix:
-    return SquareMatrix(
-        m.algebra, tuple(tuple(x.scale_left(c) for x in row) for row in m.rows)
-    )
-
-
-def _mat_scale_right(m: SquareMatrix, c) -> SquareMatrix:
-    return SquareMatrix(
-        m.algebra, tuple(tuple(x.scale_right(c) for x in row) for row in m.rows)
-    )
 
 
 def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
@@ -407,7 +359,7 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         raise BNotInvolutive("b*b must equal 1 exactly")
     report = ResidualReport("nls", exact=U.algebra.is_exact)
     scale = U.max_coeff_magnitude()
-    report.add_series("cubic equation", _cubic_residual(U, b, d0, d), scale)
+    report.add("cubic equation", _cubic_residual(U, b, d0, d), scale)
     blocks = _pm_one_split(S, b)
     if blocks is not None:
         half = Fraction(1, 2)
@@ -415,12 +367,8 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         q2 = S.scalar_mul(half, S.one() - b)
         u12 = U.scale_left(q1).scale_right(q2)
         u21 = U.scale_left(q2).scale_right(q1)
-        report.add_series(
-            "diagonal block (1,1)", U.scale_left(q1).scale_right(q1), scale
-        )
-        report.add_series(
-            "diagonal block (2,2)", U.scale_left(q2).scale_right(q2), scale
-        )
+        report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1), scale)
+        report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2), scale)
         res_block12 = (
             u12.derive(d0).scale_left(2)
             + u12.derive(d).derive(d)
@@ -431,36 +379,18 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
             + u21.derive(d).derive(d)
             + (u21 * u12 * u21).scale_left(2)
         )
-        report.add_series("block equation (1,2)", res_block12, scale)
-        report.add_series("block equation (2,1)", res_block21, scale)
+        report.add("block equation (1,2)", res_block12, scale)
+        report.add("block equation (2,1)", res_block21, scale)
         report.note(
             f"grading splits the algebra {len(blocks[0])}+{len(blocks[1])}"
         )
     if gamma is not None:
         g_mat = _as_matrix(gamma)
-        u_mat = _mat_scale_right(g_mat, b) - _mat_scale_left(b, g_mat)
-        v_mat = _mat_scale_right(g_mat, b) + _mat_scale_left(b, g_mat)
-        res_v = _mat_scale_left(b, matrix_of_series_derive(v_mat, d)) - u_mat * u_mat
-        report.add_matrix("v-equation", res_v, scale)
-        u_cubed = u_mat * u_mat * u_mat
-        mat_cubic = (
-            _mat_scale_left(
-                2, _mat_scale_left(b, matrix_of_series_derive(u_mat, d0))
-            )
-            + matrix_of_series_derive(matrix_of_series_derive(u_mat, d), d)
-            + _mat_scale_left(2, u_cubed)
-        )
-        report.add_matrix("matrix cubic equation", mat_cubic, scale)
+        u_mat = _commutator_with(g_mat, b)
+        v_mat = g_mat.scale_right(b) + g_mat.scale_left(b)
+        report.add("v-equation", v_mat.derive(d).scale_left(b) - u_mat * u_mat, scale)
+        report.add("matrix cubic equation", _cubic_residual(u_mat, b, d0, d), scale)
     return report
-
-
-def _cubic_residual(U: TruncatedSeries, b, d0: Derivation, d: Derivation):
-    """2 b d0 U + d^2 U + 2 U^3."""
-    return (
-        U.derive(d0).scale_left(b).scale_left(2)
-        + U.derive(d).derive(d)
-        + (U * U * U).scale_left(2)
-    )
 
 
 def _pm_one_split(S: Algebra, b):
@@ -509,11 +439,11 @@ def _check_toda_data(data) -> ResidualReport:
             res1 = f.derive(data.d1) - data.f[(i - 1) % n][j].scale_right(
                 S.invert(data.a[i][j])
             )
-            report.add_series(f"du relation f[{i}][{j}]", res1, scale)
+            report.add(f"du relation f[{i}][{j}]", res1, scale)
             res2 = f.derive(data.d2) - data.f[(i + 1) % n][j].scale_right(
                 data.a[(i + 1) % n][j]
             )
-            report.add_series(f"dv relation f[{i}][{j}]", res2, scale)
+            report.add(f"dv relation f[{i}][{j}]", res2, scale)
     report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
@@ -526,13 +456,13 @@ def _check_langmuir_data(data) -> ResidualReport:
         for j in range(data.N):
             f = data.f[k][j]
             if k + 2 in data.f:
-                report.add_series(
+                report.add(
                     f"shift-by-two relation f[{k}][{j}]",
                     f.derive(data.d) - data.f[k + 2][j],
                     scale,
                 )
             if k + 1 in data.f:
-                report.add_series(
+                report.add(
                     f"shift-by-one relation f[{k}][{j}]",
                     f.derive(data.d) + f - data.f[k + 1][j].scale_right(data.a[j]),
                     scale,
@@ -547,15 +477,14 @@ def _check_nls_data(data) -> ResidualReport:
     report = ResidualReport("nls-data", exact=data.algebra.is_exact)
     scale = _series_scale(data.fs)
     wp = wronski(data.fs, data.d)
-    second = matrix_of_series_derive(wp.dW, data.d)
-    res_evolution = matrix_of_series_derive(wp.W, data.d0) + _mat_scale_left(data.b, second)
-    report.add_matrix("d0 + graded second derivative", res_evolution, scale)
+    res_evolution = wp.W.derive(data.d0) + wp.dW.derive(data.d).scale_left(data.b)
+    report.add("d0 + graded second derivative", res_evolution, scale)
     n = wp.N
     wa_rows = tuple(
         tuple(wp.W.entry(m, j).scale_right(data.a[j]) for j in range(n))
         for m in range(n)
     )
     wa = SquareMatrix(wp.W.algebra, wa_rows)
-    res_grading = _mat_scale_left(data.b, wp.dW) - wa
-    report.add_matrix("graded first derivative vs diagonal", res_grading, scale)
+    res_grading = wp.dW.scale_left(data.b) - wa
+    report.add("graded first derivative vs diagonal", res_grading, scale)
     return report

@@ -41,8 +41,6 @@ __all__ = [
     "series_equal",
     "matrix_to_series",
     "series_to_matrix",
-    "matrix_of_series_derive",
-    "matrix_of_series_is_zero",
     "constant_series_matrix",
 ]
 
@@ -197,9 +195,6 @@ class SeriesAlgebra(Algebra):
 
     def one(self):
         return self.constant(self.coeff.one())
-
-    def from_int(self, n):
-        return self.constant(self.coeff.from_int(n))
 
     def coerce(self, value):
         if isinstance(value, TruncatedSeries):
@@ -596,18 +591,6 @@ def matrix_to_series(m: SquareMatrix) -> TruncatedSeries:
             )
         )
     return TruncatedSeries(salg, coeffs, vo)
-
-
-def matrix_of_series_derive(m: SquareMatrix, d: Derivation) -> SquareMatrix:
-    """Entrywise derivative of a square matrix of series."""
-    return SquareMatrix(
-        m.algebra,
-        tuple(tuple(series_derive(x, d) for x in row) for row in m.rows),
-    )
-
-
-def matrix_of_series_is_zero(m: SquareMatrix) -> bool:
-    return all(x.is_zero() for row in m.rows for x in row)
 
 
 def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:

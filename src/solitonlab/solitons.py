@@ -44,7 +44,12 @@ from .quasidet import (
     solution_entry_via_quasidet,
     wronski,
 )
-from .residual import _cubic_residual, _pm_one_split
+from .residual import (
+    _commutator_with,
+    _cubic_residual,
+    _langmuir_residual,
+    _pm_one_split,
+)
 from .scalars import GaussianRational
 from .series import (
     D_T,
@@ -211,9 +216,9 @@ class TodaSolution:
     notes: list
 
 
-def toda_solution(params: TodaParams, data: TodaData = None,
-                  cross_check: bool = True) -> TodaSolution:
-    """Bottom-left Frobenius-quotient entries of the sitewise Wronskians."""
+def toda_solution(params: TodaParams, data: TodaData = None) -> TodaSolution:
+    """Bottom-left Frobenius-quotient entries of the sitewise Wronskians,
+    cross-checked against the quasideterminant expression at every site."""
     if data is None:
         data = toda_build_f(params)
     cells, pairs, gs = [], [], []
@@ -229,21 +234,20 @@ def toda_solution(params: TodaParams, data: TodaData = None,
         pairs.append(wp)
         cells.append(cell)
         gs.append(cell.entry(data.N - 1, 0))
-    if cross_check:
-        mismatches = []
-        for k, (wp, cell) in enumerate(zip(pairs, cells)):
-            try:
-                expr = solution_entry_via_quasidet(wp)
-            except SingularMatrix:
-                notes.append(f"quasideterminant expression undefined at site {k}")
-                continue
-            if not series_agree(expr, gs[k]):
-                mismatches.append(k)
-        if mismatches:
-            raise VerificationError(
-                f"quasideterminant expression disagrees at sites {mismatches}"
-            )
-        notes.append("quasideterminant expression matches the quotient entry at every site")
+    mismatches = []
+    for k, wp in enumerate(pairs):
+        try:
+            expr = solution_entry_via_quasidet(wp)
+        except SingularMatrix:
+            notes.append(f"quasideterminant expression undefined at site {k}")
+            continue
+        if not series_agree(expr, gs[k]):
+            mismatches.append(k)
+    if mismatches:
+        raise VerificationError(
+            f"quasideterminant expression disagrees at sites {mismatches}"
+        )
+    notes.append("quasideterminant expression matches the quotient entry at every site")
     return TodaSolution(gs=gs, cells=cells, wronskians=pairs, data=data, notes=notes)
 
 
@@ -591,11 +595,9 @@ def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
     if not interior:
         raise WindowTooSmall("need at least one site with both neighbours")
     scale = max(g.max_coeff_magnitude() for g in gs.values())
-    for k in interior:
-        res = gs[k].derive(d) - gs[k + 1] * gs[k] + gs[k] * gs[k - 1]
-        if not series_near_zero(res, scale):
-            return False
-    return True
+    return all(
+        series_near_zero(_langmuir_residual(gs, k, d), scale) for k in interior
+    )
 
 
 def _langmuir_single_mode_closed_form(data: LangmuirData, k: int):
@@ -651,6 +653,7 @@ class NlsParams:
     def validate(self):
         if self.N < 1:
             raise ValueError("mode count N must be at least 1")
+        _require_grading_size(self.r)
         if self.cap < self.N + 3:
             raise ValueError(f"cap must be at least N + 3 = {self.N + 3}")
         if not (len(self.c) == len(self.d) == len(self.a) == self.N):
@@ -659,6 +662,14 @@ class NlsParams:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "nls" and self.scalar != "gaussian-rational":
             raise ValueError("mode 'nls' needs gaussian-rational scalars for i")
+
+
+def _require_grading_size(r: int):
+    if r < 2:
+        raise ValueError(
+            "block size r must be at least 2: with b = +/-1 the solution "
+            "U = g b - b g is identically zero"
+        )
 
 
 @dataclass
@@ -687,6 +698,8 @@ def nls_build_f(params: NlsParams) -> NlsData:
     b = S.coerce(params.b)
     if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
+    if b == S.one() or b == -S.one():
+        raise ValueError("b = +/-1 makes U = g b - b g identically zero")
     half = Fraction(1, 2)
     q1 = S.scalar_mul(half, S.one() + b)
     q2 = S.scalar_mul(half, S.one() - b)
@@ -726,10 +739,6 @@ class NlsSolution:
     data: NlsData
     notes: list
     vacuum: bool = False
-
-
-def _commutator_with(U: TruncatedSeries, b):
-    return U.scale_right(b) - U.scale_left(b)
 
 
 def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
@@ -836,12 +845,10 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
 def random_nls_params(rng, N: int, r: int = 2, cap: int = None,
                       mode: str = "nls", scalar: str = "gaussian-rational",
                       ) -> NlsParams:
+    _require_grading_size(r)
     S = scalar_algebra(scalar, r)
     cap = cap if cap is not None else N + 6
-    if r == 1:
-        b = S.one()
-    else:
-        b = S.diagonal([1] * ((r + 1) // 2) + [-1] * (r - (r + 1) // 2))
+    b = S.diagonal([1] * ((r + 1) // 2) + [-1] * (r - (r + 1) // 2))
     return NlsParams(
         N=N,
         r=r,
@@ -899,8 +906,6 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8,
     then the deviation at scaled sample points measures the contact order,
     which must track the series' valid order.
     """
-    from .series import matrix_of_series_derive
-
     qqi = QQI
     a = qqi.coerce(a)
     alpha = qqi.coerce(alpha)
@@ -920,7 +925,7 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8,
     )
     salg = f_rows[0][0].algebra
     f = SquareMatrix(MatrixAlgebra(salg, 2), f_rows)
-    gamma = matrix_of_series_derive(f, D_V) * f.inverse()
+    gamma = f.derive(D_V) * f.inverse()
     w12 = gamma.entry(0, 1).scale_left(-2)
     w21 = gamma.entry(1, 0).scale_left(-2)
     # exact origin value of the closed form

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import solitonlab
 from solitonlab.cli import main
 
 
@@ -50,6 +52,7 @@ def test_bad_flag_value_exits_two(tmp_path):
     ["quasidet-selftest", "--trials", "0"],
     ["quasidet-selftest", "--trials", "-3"],
     ["nls", "--scalar", "rational"],
+    ["nls", "--r", "1"],
 ])
 def test_bad_sizes_exit_two_with_one_line(args, tmp_path, capsys):
     report = tmp_path / "r.json"
@@ -250,11 +253,80 @@ def test_exit_one_when_a_check_fails(tmp_path, monkeypatch):
 
 
 def test_module_entrypoint_runs(tmp_path):
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(solitonlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "solitonlab.cli", "toda", "--n", "2",
          "--N", "1", "--seed", "1", "--report", str(tmp_path / "r.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dump_degree", "2"),
+    ("report", 7),
+    ("timings", "yes"),
+    ("dump_series", 1),
+    ("with_lemmas", "true"),
+    ("scalar_form", None),
+    ("cap", True),
+    ("scalar", ["rational"]),
+    ("mode", 3),
+])
+def test_bad_config_types_exit_two_with_one_line(key, value, tmp_path,
+                                                 monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("SOLITONLAB_REPORT_DIR", str(out))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 1, "seed": 1, key: value}))
+    assert main(["nls", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def _nls_config(tmp_path, b):
+    one = [["1", "0"], ["0", "1"]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "nls", "N": 1, "r": 2, "cap": 6,
+        "params": {"b": b, "c": [one], "d": [one], "a": [one]},
+    }))
+    return cfg
+
+
+@pytest.mark.parametrize("b", [
+    [["1", "1"], ["0", "1"]],  # b*b != 1
+    [["1", "0"], ["0", "1"]],  # b = 1: U = g b - b g vanishes
+    [["-1", "0"], ["0", "-1"]],
+])
+def test_explicit_bad_grading_exits_two(b, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    cfg = _nls_config(tmp_path, b)
+    assert main(["nls", "--config", str(cfg), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_internal_failure_exits_four(tmp_path, monkeypatch, capsys):
+    import solitonlab.cli as cli_mod
+    from solitonlab.errors import VerificationError
+
+    def broken(params):
+        raise VerificationError("cross-check disagrees")
+
+    monkeypatch.setattr(cli_mod, "toda_solution", broken)
+    report = tmp_path / "r.json"
+    assert main(["toda", "--seed", "1", "--report", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: cross-check disagrees\n"
+    assert not report.exists()

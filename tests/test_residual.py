@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from solitonlab.algebra import CC, QQ, MatrixAlgebra
+from solitonlab.algebra import CC, QQ, MatrixAlgebra, SquareMatrix
 from solitonlab.errors import (
     BNotInvolutive,
     HypothesisViolated,
@@ -11,6 +11,7 @@ from solitonlab.errors import (
     WindowTooSmall,
 )
 from solitonlab.residual import (
+    ResidualReport,
     check_data,
     check_langmuir,
     check_marchenko,
@@ -63,9 +64,38 @@ def test_single_coefficient_corruption_fails_toda():
     assert not report.passed
 
 
-def test_constant_gammas_pass_matrix_level():
-    from solitonlab.algebra import SquareMatrix
+def test_report_checks_each_matrix_entry_through_its_own_order():
+    salg = SeriesAlgebra(QQ, 1, 8)
+    short = salg.zero().with_valid_order(3)
+    zero = salg.zero()
+    # nonzero at degree 4: below its own order 6, above the matrix minimum 3
+    late = salg.monomial((4,), 1, valid_order=6)
+    mat = MatrixAlgebra(salg, 2)
+    report = ResidualReport("entrywise", exact=True)
+    report.add("late nonzero", SquareMatrix(mat, ((short, zero), (zero, late))))
+    report.add("all zero", SquareMatrix(mat, ((short, zero), (zero, late - late))))
+    failing, clean = report.entries
+    assert not report.passed
+    assert not failing.passed and failing.exact_zero is False
+    assert failing.valid_order == 3 and failing.max_magnitude == 1.0
+    assert clean.passed and clean.exact_zero and clean.valid_order == 3
 
+
+def test_single_coefficient_corruption_fails_toda_gamma():
+    rng = Random(167)
+    sol = toda_solution(random_toda_params(rng, n=2, N=2, r=1, cap=7))
+    gammas = [cell.matrix for cell in sol.cells]
+    assert check_toda_gamma(gammas, D_U, D_V).passed
+    g = gammas[0]
+    for p, q in ((g.dim - 1, 0), (g.dim - 1, g.dim - 1)):
+        entry = g.entry(p, q)
+        rows = [list(r) for r in g.rows]
+        rows[p][q] = entry.with_coeff((1, 1), entry.coeff((1, 1)) + 1)
+        bad = SquareMatrix(g.algebra, rows)
+        assert not check_toda_gamma([bad, gammas[1]], D_U, D_V).passed
+
+
+def test_constant_gammas_pass_matrix_level():
     mat = MatrixAlgebra(QQ, 2).matrix([[1, 2], [3, 5]])
     m = constant_series_matrix(mat, 2, 5)
     report = check_toda_gamma([m, m], D_U, D_V)
@@ -77,8 +107,6 @@ def test_marchenko_hypothesis_violation_detected():
     sol = toda_solution(random_toda_params(rng, n=2, N=1, r=1, cap=6))
     gammas, a_mats = toda_shift_data(sol)
     # inject u-dependence into one a-diagonal
-    from solitonlab.algebra import SquareMatrix
-
     bad_entry = a_mats[0].entry(0, 0).with_coeff((1, 0), Fraction(1))
     rows = [list(r) for r in a_mats[0].rows]
     rows[0][0] = bad_entry
@@ -98,7 +126,6 @@ def test_marchenko_period_one_telescopes():
 
 def test_lattice_checker_detects_corruption():
     from solitonlab.quasidet import wronski
-    from solitonlab.algebra import SquareMatrix
 
     rng = Random(131)
     params = random_langmuir_params(rng, N=1, r=1, cap=8, window=3)

@@ -29,6 +29,26 @@ def test_involution_required():
         nls_build_f(params)
 
 
+@pytest.mark.parametrize("r", [1, 0])
+def test_grading_needs_two_blocks(r):
+    # with r = 1 the grading is b = +/-1 and U = g b - b g is identically zero
+    params = NlsParams(N=1, r=r, cap=6, b=1, c=[1], d=[1], a=[1])
+    with pytest.raises(ValueError):
+        params.validate()
+    with pytest.raises(ValueError):
+        random_nls_params(Random(1), N=1, r=r)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_scalar_grading_rejected(sign):
+    params = NlsParams(
+        N=1, r=2, cap=6, b=M2I.scalar_mul(sign, M2I.one()),
+        c=[M2I.one()], d=[M2I.one()], a=[M2I.one()],
+    )
+    with pytest.raises(ValueError):
+        nls_build_f(params)
+
+
 def test_projector_identities():
     rng = Random(5)
     data = nls_build_f(random_nls_params(rng, N=1, r=2, cap=6))
