@@ -6,7 +6,10 @@ stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the nesting down to one big matrix over the scalar field, runs a
 pivoted Gauss-Jordan elimination there, and re-nests the result.
 
-All values are immutable; every operation is a pure function.
+All values are immutable; every operation is a pure function.  Whether a
+value is zero, or two values agree, is decided only by ``Algebra.near_zero``
+and ``Algebra.agree``: exactly for exact scalars, and within one relative
+tolerance for complex floats.
 """
 
 from __future__ import annotations
@@ -29,7 +32,11 @@ __all__ = [
     "random_nonzero_rational",
     "random_invertible",
     "random_element",
+    "FLOAT_RELATIVE_TOLERANCE",
 ]
+
+# The one tolerance of the float diagnostics mode, relative to a check's scale.
+FLOAT_RELATIVE_TOLERANCE = 1e-10
 
 
 class Algebra:
@@ -52,6 +59,20 @@ class Algebra:
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
+
+    def near_zero(self, a, scale: float = 0.0) -> bool:
+        """Exactly zero; for floats, within the relative tolerance of ``scale``."""
+        if self.is_exact:
+            return self.is_zero(a)
+        return self.magnitude(a) <= FLOAT_RELATIVE_TOLERANCE * max(scale, 1.0)
+
+    def agree(self, a, b, scale: float = 0.0) -> bool:
+        """Exactly equal; for floats, near zero relative to both operands."""
+        if self.is_exact:
+            return a == b
+        return self.near_zero(
+            a - b, max(scale, self.magnitude(a), self.magnitude(b))
+        )
 
     def scalar_mul(self, q, a):
         """Multiply by a central scalar of the ground field."""
@@ -387,10 +408,6 @@ class SquareMatrix:
     def scale_right(self, c) -> "SquareMatrix":
         """Multiply every entry by ``c`` from the right."""
         return self._map(lambda x: x.scale_right(c))
-
-    def is_zero(self) -> bool:
-        """True when every entry is zero through its own valid order."""
-        return all(x.is_zero() for row in self.rows for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):

@@ -239,6 +239,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key in ("cap", "dump_degree"):
         if cfg[key] is not None and not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer or null")
+    if cfg["max_resample"] < 1:
+        raise ConfigError("max_resample must be at least 1")
+    if cfg["dump_degree"] is not None and cfg["dump_degree"] < 0:
+        raise ConfigError("dump_degree must be at least 0")
     for key in ("scalar", "mode"):
         if not isinstance(cfg[key], str):
             raise ConfigError(f"{key} must be a string")
@@ -353,7 +357,7 @@ def _run_system(cfg) -> dict:
     """Build, verify, and assemble the report body for one solution family."""
     rng = Random(cfg["seed"])
     explicit = _explicit_params(cfg)
-    attempts = 1 if explicit is not None else max(1, cfg["max_resample"])
+    attempts = 1 if explicit is not None else cfg["max_resample"]
     last_exc = None
     solution = params = None
     for _ in range(attempts):
@@ -548,8 +552,11 @@ def run(cfg: dict) -> tuple[int, dict]:
         body["timings"] = {"total_seconds": time.perf_counter() - started}
     path = _report_path(cfg)
     text = json.dumps(body, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {path}: {exc}") from exc
     return (0 if body["passed"] else 1), body
 
 

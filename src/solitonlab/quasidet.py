@@ -24,13 +24,7 @@ from .errors import (
     SingularWronskian,
     VerificationError,
 )
-from .series import (
-    Derivation,
-    SeriesAlgebra,
-    TruncatedSeries,
-    series_agree,
-    series_derive,
-)
+from .series import Derivation, TruncatedSeries, series_derive
 
 __all__ = [
     "ConventionNote",
@@ -155,21 +149,17 @@ class FrobeniusCell:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: SquareMatrix):
-        _require_frobenius_shape(matrix)
+        shape = _frobenius_matrix(matrix.algebra.base, matrix.rows[-1])
+        if not matrix.algebra.agree(matrix, shape):
+            raise ShapeViolation(
+                "rows above the bottom are not the shifted identity"
+            )
         self.matrix = matrix
 
     @classmethod
     def from_bottom_row(cls, base, bottom_row) -> "FrobeniusCell":
         """Build a cell over algebra ``base`` with the given bottom row."""
-        row = [base.coerce(x) for x in bottom_row]
-        n = len(row)
-        zero, one = base.zero(), base.one()
-        rows = [
-            tuple(one if q == p + 1 else zero for q in range(n))
-            for p in range(n - 1)
-        ]
-        rows.append(tuple(row))
-        return cls(SquareMatrix(MatrixAlgebra(base, n), tuple(rows)))
+        return cls(_frobenius_matrix(base, [base.coerce(x) for x in bottom_row]))
 
     @property
     def N(self):
@@ -190,38 +180,16 @@ class FrobeniusCell:
         return f"FrobeniusCell(N={self.N})"
 
 
-def _entries_agree(base, x, y) -> bool:
-    """Exact equality; relative closeness when the scalars are floats."""
-    if base.is_exact:
-        return x == y
-    if isinstance(base, SeriesAlgebra):
-        return series_agree(x, y)
-    gap = base.magnitude(x - y)
-    return gap <= 1e-9 * max(1.0, base.magnitude(x), base.magnitude(y))
-
-
-def matrices_agree(a: SquareMatrix, b: SquareMatrix) -> bool:
-    if a.algebra != b.algebra:
-        return False
-    base = a.algebra.base
-    return all(
-        _entries_agree(base, x, y)
-        for ra, rb in zip(a.rows, b.rows)
-        for x, y in zip(ra, rb)
-    )
-
-
-def _require_frobenius_shape(matrix: SquareMatrix):
-    base = matrix.algebra.base
-    n = matrix.dim
+def _frobenius_matrix(base, bottom_row) -> SquareMatrix:
+    """Shifted identity rows over ``base`` above the given bottom row."""
+    n = len(bottom_row)
     zero, one = base.zero(), base.one()
-    for p in range(n - 1):
-        for q in range(n):
-            want = one if q == p + 1 else zero
-            if not _entries_agree(base, matrix.entry(p, q), want):
-                raise ShapeViolation(
-                    f"row {p} is not a shifted identity row at column {q}"
-                )
+    rows = [
+        tuple(one if q == p + 1 else zero for q in range(n))
+        for p in range(n - 1)
+    ]
+    rows.append(tuple(bottom_row))
+    return SquareMatrix(MatrixAlgebra(base, n), tuple(rows))
 
 
 def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
@@ -253,7 +221,7 @@ def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMa
         direct = k_cell.matrix * l_cell.matrix.inverse()
     except SingularMatrix as exc:
         raise SingularCell(f"cell quotient undefined: {exc}") from exc
-    if not matrices_agree(direct, closed):
+    if not direct.algebra.agree(direct, closed):
         raise VerificationError(
             "Frobenius quotient closed form disagrees with the matrix quotient"
         )
@@ -319,7 +287,7 @@ def bottom_row_conventions(wp: WronskiPair, cell: FrobeniusCell) -> ConventionNo
                 details.append(f"q={q}: {name} submatrix singular")
                 continue
             value = numer * denom
-            if not series_agree(value, target):
+            if not value.algebra.agree(value, target):
                 results[name] = False
     matched = [name for name, ok in results.items() if ok]
     return ConventionNote(

@@ -3,7 +3,8 @@ whether every residual coefficient vanishes through the proven order.
 
 In exact scalar modes a "pass" means every checked coefficient is the exact
 zero of its algebra; the float mode (diagnostics only) compares magnitudes
-against a relative tolerance of 1e-10 times the largest input coefficient.
+against ``Algebra.near_zero``'s relative tolerance times the largest input
+coefficient of the check.
 Hypothesis validation failures raise; residual failures are reported, because
 a checker that cannot fail is worthless.
 """
@@ -27,7 +28,6 @@ from .series import D_U, D_V, Derivation, TruncatedSeries, constant_series_matri
 __all__ = [
     "ResidualEntry",
     "ResidualReport",
-    "FLOAT_RELATIVE_TOLERANCE",
     "check_toda",
     "check_toda_gamma",
     "check_marchenko",
@@ -36,8 +36,6 @@ __all__ = [
     "check_nls",
     "check_data",
 ]
-
-FLOAT_RELATIVE_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -75,15 +73,12 @@ class ResidualReport:
         A matrix is zero when every entry is zero through that entry's own
         valid order; the entry reports the least order and largest magnitude.
         """
-        parts = _series_of(x)
-        vo = min(s.valid_order for s in parts)
-        mag = max(s.max_coeff_magnitude() for s in parts)
-        if self.exact:
-            zero = x.is_zero()
-            self.entries.append(ResidualEntry(label, zero, mag, vo, exact_zero=zero))
-        else:
-            tol = FLOAT_RELATIVE_TOLERANCE * max(scale, 1.0)
-            self.entries.append(ResidualEntry(label, mag <= tol, mag, vo))
+        vo = min(s.valid_order for s in _series_of(x))
+        passed = x.algebra.near_zero(x, scale)
+        self.entries.append(ResidualEntry(
+            label, passed, x.algebra.magnitude(x), vo,
+            exact_zero=passed if self.exact else None,
+        ))
 
     def note(self, note):
         self.notes.append(note)
@@ -109,9 +104,7 @@ def _series_of(x):
 
 
 def _series_scale(xs) -> float:
-    return max(
-        (s.max_coeff_magnitude() for x in xs for s in _series_of(x)), default=0.0
-    )
+    return max((x.algebra.magnitude(x) for x in xs), default=0.0)
 
 
 def _invert_or_raise(x, site):
@@ -177,16 +170,15 @@ def _as_matrix(x) -> SquareMatrix:
 def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     """The lattice equations at the level of whole Frobenius quotients."""
     gammas = [_as_matrix(g) for g in gammas]
-    report = ResidualReport(
-        "toda-gamma", exact=gammas[0].algebra.base.is_exact
-    )
+    salg = gammas[0].algebra.base
+    report = ResidualReport("toda-gamma", exact=salg.is_exact)
     scale = _series_scale(gammas)
     top_rows_clean = True
     for k, res in enumerate(_toda_residuals(gammas, d1, d2)):
         report.add(f"site {k}", res, scale)
         dim = res.dim
         if any(
-            not res.entry(p, q).is_zero()
+            not salg.near_zero(res.entry(p, q), scale)
             for p in range(dim - 1)
             for q in range(dim)
         ):
@@ -226,28 +218,29 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
     d2 = d2 if d2 is not None else D_V
     ws = [_as_matrix(g) for g in gamma]
     n = len(ws)
+    alg = ws[0].algebra
     a_mats = _embed_constants(a, ws[0])
     if len(a_mats) != n:
         raise HypothesisViolated("need one constant diagonal per site", which="A")
+    scale = _series_scale(ws)
     for k in range(n):
         for d_i, name in ((d1, "d1"), (d2, "d2")):
-            if not a_mats[k].derive(d_i).is_zero():
+            if not alg.near_zero(a_mats[k].derive(d_i), scale):
                 raise HypothesisViolated(
                     f"A[{k}] is not constant under {name}", which="A-constant"
                 )
-        if not (ws[k].derive(d2).derive(d1) - ws[k]).is_zero():
+        if not alg.near_zero(ws[k].derive(d2).derive(d1) - ws[k], scale):
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        if not (ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k]).is_zero():
+        if not alg.near_zero(
+            ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k], scale
+        ):
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + shift}] A[{k}]", which="shift-linear-relation"
             )
-    report = ResidualReport(
-        "marchenko", exact=ws[0].algebra.base.is_exact
-    )
+    report = ResidualReport("marchenko", exact=alg.is_exact)
     report.note(f"hypotheses validated at all {n} sites (shift {shift})")
-    scale = _series_scale(ws)
     cs = [ws[k].derive(d2) * _invert_or_raise(ws[k], k) for k in range(n)]
     for k, res in enumerate(_toda_residuals(cs, d1, d2, shift)):
         report.add(f"site {k}", res, scale)
@@ -267,17 +260,20 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     sites = sorted(gamma)
     ws = {k: _as_matrix(gamma[k]) for k in sites}
     template = ws[sites[0]]
+    alg = template.algebra
     a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
+    scale = _series_scale(ws.values())
     for k in sites:
-        if not a_mats[k].derive(d).is_zero():
+        if not alg.near_zero(a_mats[k].derive(d), scale):
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
         if k + 2 * shift in ws:
-            if not (ws[k].derive(d) - ws[k + 2 * shift]).is_zero():
+            if not alg.near_zero(ws[k].derive(d) - ws[k + 2 * shift], scale):
                 raise HypothesisViolated(
                     f"d G[{k}] != G[{k + 2 * shift}]", which="double-shift-relation"
                 )
         if k + shift in ws:
-            if not (ws[k].derive(d) + ws[k] - ws[k + shift] * a_mats[k]).is_zero():
+            res = ws[k].derive(d) + ws[k] - ws[k + shift] * a_mats[k]
+            if not alg.near_zero(res, scale):
                 raise HypothesisViolated(
                     f"d G[{k}] + G[{k}] != G[{k + shift}] A[{k}]",
                     which="shift-affine-relation",
@@ -289,10 +285,7 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     ]
     if not main_sites:
         raise WindowTooSmall("no site has both lattice neighbours available")
-    report = ResidualReport(
-        "marchenko-lattice", exact=template.algebra.base.is_exact
-    )
-    scale = _series_scale(ws.values())
+    report = ResidualReport("marchenko-lattice", exact=alg.is_exact)
     cs = {k: ws[k].derive(d) * _invert_or_raise(ws[k], k) for k in sites}
     us = {
         k: cs[k] * _invert_or_raise(cs[k - shift], k - shift)
@@ -302,7 +295,7 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     for k in main_sites:
         res = _langmuir_residual(us, k, d, shift)
         report.add(f"lattice-equation site {k}", res, scale)
-    one = template.algebra.one()
+    one = alg.one()
     for k in sites:
         if k + shift in cs:
             res = (cs[k + shift] - cs[k]) * (cs[k] + one) - cs[k].derive(d)

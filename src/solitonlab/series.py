@@ -283,10 +283,9 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         """True when every trusted coefficient (degree < valid_order) is zero."""
         exps = self.algebra.exponents
-        alg = self.algebra.coeff
         return all(
             sum(exps[i]) >= self.valid_order for i in self.nonzero_indices()
-        ) if alg.is_exact else self.max_coeff_magnitude() == 0.0
+        )
 
     def max_coeff_magnitude(self) -> float:
         exps = self.algebra.exponents
@@ -485,13 +484,9 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
         ]
         return TruncatedSeries(salg, coeffs, cap)
     cv = algebra.coerce(cv)
-    bracket = cu * cv - cv * cu
-    if algebra.is_exact:
-        commute = algebra.is_zero(bracket)
-    else:
-        reference = max(algebra.magnitude(cu) * algebra.magnitude(cv), 1.0)
-        commute = algebra.magnitude(bracket) <= 1e-9 * reference
-    if not commute:
+    if not algebra.agree(
+        cu * cv, cv * cu, algebra.magnitude(cu) * algebra.magnitude(cv)
+    ):
         raise NoncommutingExponents("exponent coefficients do not commute")
     salg = SeriesAlgebra(algebra, 2, cap)
     pu = _power_list(algebra, cu, cap)
@@ -548,24 +543,6 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
         for e, x, y in zip(exps, a.coeffs, b.coeffs)
         if sum(e) < vo
     )
-
-
-FLOAT_AGREE_TOLERANCE = 1e-9
-
-
-def series_near_zero(s: TruncatedSeries, scale: float = 1.0) -> bool:
-    """Exact-zero test, relaxed to a relative magnitude bound for floats."""
-    if s.algebra.is_exact:
-        return s.is_zero()
-    return s.max_coeff_magnitude() <= FLOAT_AGREE_TOLERANCE * max(scale, 1.0)
-
-
-def series_agree(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """series_equal for exact scalars; relative closeness for floats."""
-    if a.algebra.is_exact:
-        return series_equal(a, b)
-    scale = max(a.max_coeff_magnitude(), b.max_coeff_magnitude())
-    return series_near_zero(a - b, scale)
 
 
 # -- matrix-of-series <-> series-of-matrices -------------------------------

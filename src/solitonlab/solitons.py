@@ -57,9 +57,7 @@ from .series import (
     D_V,
     Derivation,
     TruncatedSeries,
-    series_agree,
     series_exp_linear,
-    series_near_zero,
     series_to_matrix,
 )
 
@@ -241,7 +239,7 @@ def toda_solution(params: TodaParams, data: TodaData = None) -> TodaSolution:
         except SingularMatrix:
             notes.append(f"quasideterminant expression undefined at site {k}")
             continue
-        if not series_agree(expr, gs[k]):
+        if not expr.algebra.agree(expr, gs[k]):
             mismatches.append(k)
     if mismatches:
         raise VerificationError(
@@ -347,7 +345,7 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
             for i in range(2)
         )
         for i in range(2):
-            if not series_agree(closed_forms[i], toda.gs[i]):
+            if not toda.gs[i].algebra.agree(closed_forms[i], toda.gs[i]):
                 raise ClosedFormMismatch(
                     f"single-mode closed form disagrees with pipeline at site {i}"
                 )
@@ -356,7 +354,7 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
         matched = {"site-consistent": [], "literal-fixed-site": []}
         for i in range(2):
             for name, cf in _sine_gordon_two_mode_closed_forms(data, a, i).items():
-                if cf is not None and series_agree(cf, toda.gs[i]):
+                if cf is not None and cf.algebra.agree(cf, toda.gs[i]):
                     matched[name].append(i)
         if matched["site-consistent"] != [0, 1]:
             raise ClosedFormMismatch(
@@ -554,7 +552,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         quotient = frobenius_quotient(cells[k], cells[k - 1])
         gs[k] = quotient.entry(N - 1, N - 1)
         product_form = etas[k] * etas[k - 1].inverse()
-        if not series_agree(gs[k], product_form):
+        if not product_form.algebra.agree(gs[k], product_form):
             raise VerificationError(
                 f"quotient entry differs from the eta product at site {k}"
             )
@@ -579,7 +577,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
             k: _langmuir_single_mode_closed_form(data, k) for k in ks
         }
         for k in ks:
-            if not series_agree(closed_forms[k], gs[k]):
+            if not gs[k].algebra.agree(closed_forms[k], gs[k]):
                 raise ClosedFormMismatch(
                     f"single-mode closed form disagrees with pipeline at site {k}"
                 )
@@ -595,8 +593,9 @@ def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
     if not interior:
         raise WindowTooSmall("need at least one site with both neighbours")
     scale = max(g.max_coeff_magnitude() for g in gs.values())
+    salg = gs[interior[0]].algebra
     return all(
-        series_near_zero(_langmuir_residual(gs, k, d), scale) for k in interior
+        salg.near_zero(_langmuir_residual(gs, k, d), scale) for k in interior
     )
 
 
@@ -757,8 +756,8 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     salg = data.fs[0].algebra
     notes = []
     if params is not None and (
-        all(S.is_zero(S.coerce(c)) for c in params.c)
-        or all(S.is_zero(S.coerce(c)) for c in params.d)
+        all(S.near_zero(S.coerce(c)) for c in params.c)
+        or all(S.near_zero(S.coerce(c)) for c in params.d)
     ):
         zero = salg.zero()
         notes.append("vacuum: one exponential family is zero, U = 0")
@@ -784,7 +783,7 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     matched = [
         name
         for name, g in candidates.items()
-        if series_near_zero(
+        if salg.near_zero(
             _cubic_residual(_commutator_with(g, data.b), data.b, data.d0, data.d),
             cand_scale,
         )
@@ -809,9 +808,9 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
         f_inv = f.inverse()
         corrected = f.scale_left(data.b).scale_right(data.a[0]) * f_inv
         literal = f.scale_right(data.a[0]) * f_inv
-        if series_agree(corrected, g):
+        if salg.agree(corrected, g):
             cf_matched.append("sign-corrected")
-        if series_agree(literal, g):
+        if salg.agree(literal, g):
             cf_matched.append("literal-plus-sign")
         if "sign-corrected" not in cf_matched:
             raise ClosedFormMismatch(
@@ -833,7 +832,7 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
             U.scale_left(data.q1).scale_right(data.q1)
             + U.scale_left(data.q2).scale_right(data.q2)
         )
-        if not series_near_zero(diag_part, U.max_coeff_magnitude()):
+        if not salg.near_zero(diag_part, U.max_coeff_magnitude()):
             raise VerificationError("diagonal blocks of U do not vanish")
         notes.append("diagonal blocks of U vanish; off-diagonal blocks extracted")
     return NlsSolution(

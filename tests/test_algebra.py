@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from solitonlab.algebra import (
     CC,
+    FLOAT_RELATIVE_TOLERANCE,
     QQ,
     QQI,
     MatrixAlgebra,
@@ -130,3 +131,26 @@ def test_immutability():
 def test_format_element():
     enc = M2.format_element(M2.matrix([[1, Fraction(1, 2)], [0, 1]]))
     assert enc == [["1", "1/2"], ["0", "1"]]
+
+
+def test_exact_near_zero_is_exact_zero():
+    assert QQ.near_zero(Fraction(0))
+    assert not QQ.near_zero(Fraction(1, 10**30))
+    assert not QQ.near_zero(Fraction(1, 10**30), scale=1e40)
+    assert not QQ.agree(Fraction(1), Fraction(1) + Fraction(1, 10**30))
+
+
+def test_float_near_zero_uses_one_relative_tolerance():
+    assert FLOAT_RELATIVE_TOLERANCE == 1e-10
+    assert CC.near_zero(1e-11)
+    assert not CC.near_zero(1e-9)
+    assert CC.near_zero(1e-9, scale=100.0)
+
+
+def test_float_matrix_agrees_relative_to_its_largest_entry():
+    alg = MatrixAlgebra(CC, 2)
+    a = alg.matrix([[1e6, 0], [0, 1]])
+    b = alg.matrix([[1e6, 1e-5], [0, 1]])
+    assert alg.agree(a, b)
+    assert not CC.agree(1e-5, 0)
+    assert not alg.agree(a, alg.matrix([[1e6, 1e-3], [0, 1]]))

@@ -53,6 +53,9 @@ def test_bad_flag_value_exits_two(tmp_path):
     ["quasidet-selftest", "--trials", "-3"],
     ["nls", "--scalar", "rational"],
     ["nls", "--r", "1"],
+    ["toda", "--max-resample", "0"],
+    ["toda", "--max-resample", "-3"],
+    ["toda", "--dump-series", "--dump-degree", "-1"],
 ])
 def test_bad_sizes_exit_two_with_one_line(args, tmp_path, capsys):
     report = tmp_path / "r.json"
@@ -61,6 +64,35 @@ def test_bad_sizes_exit_two_with_one_line(args, tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert not report.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["toda", "--n", "2", "--cap", "5"],
+    ["quasidet-selftest", "--trials", "2"],
+])
+def test_unwritable_report_exits_two_with_one_line(args, tmp_path, capsys):
+    report = tmp_path / "missing" / "x.json"
+    assert main(args + ["--seed", "1", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write report ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["toda", "--n", "2", "--N", "1", "--with-lemmas"],
+    ["sine-gordon", "--N", "1", "--with-lemmas"],
+    ["langmuir", "--N", "1", "--with-lemmas"],
+    ["nls", "--mode", "heat", "--N", "2"],
+    ["toda", "--n", "2", "--N", "2", "--r", "2"],
+])
+def test_complex_float_runs_pass(args, tmp_path):
+    code, body = run_cli(
+        args + ["--scalar", "complex-float", "--seed", "1"], tmp_path
+    )
+    assert code == 0
+    assert body["passed"] is True
+    for check in body["checks"]:
+        assert check["exact"] is False
 
 
 def test_selftest_that_checked_nothing_fails(tmp_path, monkeypatch):

@@ -234,6 +234,12 @@ def test_float_mode_tolerance():
     assert report.passed  # residual magnitudes are tiny relative to inputs
     for e in report.entries:
         assert e.exact_zero is None
+    # moving one coefficient by a small fraction of the solution's size fails
+    g = sol.gs[0]
+    for relative_shift in (1e-6, 1e-9):
+        shift = relative_shift * g.max_coeff_magnitude()
+        bad = g.with_coeff((0, 0), g.coeff((0, 0)) + shift)
+        assert not check_toda([bad, sol.gs[1]], D_U, D_V).passed
 
 
 def test_report_serialization_round_trip():
