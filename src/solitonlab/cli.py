@@ -7,9 +7,10 @@ are rejected in exact scalar modes.  With a fixed seed the report bytes are
 identical across runs; wall-clock timings are only included on request, since
 they would break that guarantee.
 
-Exit codes: 0 all checks passed, 1 a residual check failed, 2 bad
+Exit codes: 0 all checks passed, 1 a residual check failed (or, in
+complex-float mode, a cross-check or closed-form comparison), 2 bad
 configuration, 3 singular parameters even after resampling, 4 an internal
-cross-check failed (a bug, not bad input).
+cross-check failed in an exact mode (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from random import Random
 from .algebra import MatrixAlgebra, random_element
 from .errors import (
     BNotInvolutive,
+    ClosedFormMismatch,
     ConfigError,
     EvaluationSingularity,
     NonInvertibleSolution,
+    ShapeViolation,
     SingularMatrix,
     SolitonLabError,
+    VerificationError,
 )
 from .quasidet import ConventionNote, bottom_row_conventions, quasideterminant
 from .residual import (
@@ -64,6 +68,8 @@ from .solitons import (
 REPORT_DIR_ENV = "SOLITONLAB_REPORT_DIR"
 
 _SINGULAR = (SingularMatrix, NonInvertibleSolution)
+# comparisons that rounding alone can fail in complex-float mode
+_COMPARISONS = (ShapeViolation, ClosedFormMismatch, VerificationError)
 
 
 def _parse_scalar(node, scalar: str):
@@ -596,6 +602,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolitonLabError as exc:
+        if isinstance(exc, _COMPARISONS) and cfg["scalar"] == "complex-float":
+            print(f"float comparison failed: {exc}", file=sys.stderr)
+            return 1
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     _summarize(body, _report_path(cfg))

@@ -39,8 +39,6 @@ __all__ = [
     "series_exp_linear",
     "series_inverse",
     "series_equal",
-    "matrix_to_series",
-    "series_to_matrix",
     "constant_series_matrix",
 ]
 
@@ -51,6 +49,12 @@ def _exponents(arity: int, cap: int):
     if arity == 1:
         return tuple((m,) for m in range(cap))
     return tuple((d - n, n) for d in range(cap) for n in range(d + 1))
+
+
+def _count_below(arity: int, degree: int) -> int:
+    """How many exponents have total degree < degree: a prefix of the grading."""
+    degree = max(degree, 0)
+    return degree if arity == 1 else degree * (degree + 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +230,29 @@ class SeriesAlgebra(Algebra):
     def format_element(self, a, degree_limit=None):
         out = []
         limit = a.valid_order if degree_limit is None else min(a.valid_order, degree_limit + 1)
+        k = _count_below(self.arity, limit)
         zero = self.coeff.zero()
-        for e, c in zip(self.exponents, a.coeffs):
-            if sum(e) >= limit or c == zero:
+        for e, c in zip(self.exponents, a.coeffs[:k]):
+            if c == zero:
                 continue
             out.append({"exponents": list(e), "coefficient": self.coeff.format_element(c)})
         return out
 
     def matrix_inverse(self, m):
-        # a matrix of series is a series of matrices in disguise; invert there
-        swapped = matrix_to_series(m)
-        try:
-            inv = series_inverse(swapped)
-        except SingularConstantTerm as exc:
-            raise SingularMatrix(
-                "matrix of series has a singular constant coefficient"
-            ) from exc
-        return series_to_matrix(inv)
+        # a matrix of series is a series of N x N matrices in disguise: invert
+        # the coefficient matrices read off the entries, then write them back
+        n, mat = m.dim, MatrixAlgebra(self.coeff, m.dim)
+        coeffs = [
+            SquareMatrix(mat, [[x.coeffs[k] for x in row] for row in m.rows])
+            for k in range(self.size)
+        ]
+        inv = _inverse_coeffs(self.arity, self.cap, mat, coeffs)
+        vo = min(x.valid_order for row in m.rows for x in row)
+        rows = [
+            [TruncatedSeries(self, [c.rows[i][j] for c in inv], vo) for j in range(n)]
+            for i in range(n)
+        ]
+        return SquareMatrix(m.algebra, rows)
 
 
 class TruncatedSeries:
@@ -282,20 +292,13 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         """True when every trusted coefficient (degree < valid_order) is zero."""
-        exps = self.algebra.exponents
-        return all(
-            sum(exps[i]) >= self.valid_order for i in self.nonzero_indices()
-        )
+        k = _count_below(self.algebra.arity, self.valid_order)
+        return all(i >= k for i in self.nonzero_indices())
 
     def max_coeff_magnitude(self) -> float:
-        exps = self.algebra.exponents
         alg = self.algebra.coeff
-        mags = [
-            alg.magnitude(c)
-            for e, c in zip(exps, self.coeffs)
-            if sum(e) < self.valid_order
-        ]
-        return max(mags, default=0.0)
+        k = _count_below(self.algebra.arity, self.valid_order)
+        return max((alg.magnitude(c) for c in self.coeffs[:k]), default=0.0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -391,11 +394,9 @@ class TruncatedSeries:
         if len(point) != self.algebra.arity:
             raise ValueError("point arity mismatch")
         alg = self.algebra.coeff
-        exps = self.algebra.exponents
+        k = _count_below(self.algebra.arity, self.valid_order)
         total = alg.zero()
-        for e, c in zip(exps, self.coeffs):
-            if sum(e) >= self.valid_order:
-                continue
+        for e, c in zip(self.algebra.exponents, self.coeffs[:k]):
             w = None
             for x, k in zip(point, e):
                 for _ in range(k):
@@ -508,27 +509,31 @@ def _power_list(alg: Algebra, x, cap: int):
     return powers
 
 
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse through the stored range; needs an invertible constant."""
-    salg = s.algebra
-    alg = salg.coeff
+def _inverse_coeffs(arity: int, cap: int, alg: Algebra, coeffs) -> list:
+    """Coefficients of the two-sided inverse of a series over ``alg``."""
     try:
-        c_inv = alg.invert(s.coeffs[0])
+        c_inv = alg.invert(coeffs[0])
     except SingularMatrix as exc:
         raise SingularConstantTerm(
             "series constant term is not invertible"
         ) from exc
-    pairs = _inverse_pairs(salg.arity, salg.cap)
-    out = [alg.zero()] * salg.size
+    pairs = _inverse_pairs(arity, cap)
+    out = [alg.zero()] * len(coeffs)
     out[0] = c_inv
-    cs = s.coeffs
-    for iout in range(1, salg.size):
+    for iout in range(1, len(coeffs)):
         acc = None
         for i_f, i_r in pairs[iout]:
-            term = cs[i_f] * out[i_r]
+            term = coeffs[i_f] * out[i_r]
             acc = term if acc is None else acc + term
         if acc is not None:
             out[iout] = -(c_inv * acc)
+    return out
+
+
+def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Two-sided inverse through the stored range; needs an invertible constant."""
+    salg = s.algebra
+    out = _inverse_coeffs(salg.arity, salg.cap, salg.coeff, s.coeffs)
     return TruncatedSeries(salg, out, s.valid_order)
 
 
@@ -536,38 +541,8 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Exact agreement of every coefficient both sides trust."""
     if a.algebra != b.algebra:
         return False
-    vo = min(a.valid_order, b.valid_order)
-    exps = a.algebra.exponents
-    return all(
-        x == y
-        for e, x, y in zip(exps, a.coeffs, b.coeffs)
-        if sum(e) < vo
-    )
-
-
-# -- matrix-of-series <-> series-of-matrices -------------------------------
-
-
-def matrix_to_series(m: SquareMatrix) -> TruncatedSeries:
-    """Transpose an NxN matrix of series into one series of NxN coefficients."""
-    inner = m.algebra.base
-    if not isinstance(inner, SeriesAlgebra):
-        raise AlgebraMismatch("matrix entries are not series")
-    coeff_alg = MatrixAlgebra(inner.coeff, m.dim)
-    salg = SeriesAlgebra(coeff_alg, inner.arity, inner.cap)
-    vo = min(entry.valid_order for row in m.rows for entry in row)
-    coeffs = []
-    for k in range(salg.size):
-        coeffs.append(
-            SquareMatrix(
-                coeff_alg,
-                tuple(
-                    tuple(m.rows[i][j].coeffs[k] for j in range(m.dim))
-                    for i in range(m.dim)
-                ),
-            )
-        )
-    return TruncatedSeries(salg, coeffs, vo)
+    k = _count_below(a.algebra.arity, min(a.valid_order, b.valid_order))
+    return all(x == y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
 
 
 def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:
@@ -579,22 +554,3 @@ def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatri
         tuple(tuple(salg.constant(x) for x in row) for row in m.rows),
     )
 
-
-def series_to_matrix(s: TruncatedSeries) -> SquareMatrix:
-    """Inverse of :func:`matrix_to_series`."""
-    coeff_alg = s.algebra.coeff
-    if not isinstance(coeff_alg, MatrixAlgebra):
-        raise AlgebraMismatch("series coefficients are not matrices")
-    inner = SeriesAlgebra(coeff_alg.base, s.algebra.arity, s.algebra.cap)
-    outer = MatrixAlgebra(inner, coeff_alg.dim)
-    rows = []
-    for i in range(coeff_alg.dim):
-        row = []
-        for j in range(coeff_alg.dim):
-            row.append(
-                TruncatedSeries(
-                    inner, [c.rows[i][j] for c in s.coeffs], s.valid_order
-                )
-            )
-        rows.append(tuple(row))
-    return SquareMatrix(outer, tuple(rows))

@@ -56,9 +56,9 @@ from .series import (
     D_U,
     D_V,
     Derivation,
+    SeriesAlgebra,
     TruncatedSeries,
     series_exp_linear,
-    series_to_matrix,
 )
 
 __all__ = [
@@ -189,19 +189,21 @@ def toda_build_f(params: TodaParams) -> TodaData:
         for x in row:
             S.invert(x)  # raises SingularMatrix if any a is not invertible
     p = [[S.coerce(x) for x in row] for row in params.p]
+    salg = SeriesAlgebra(S, 2, cap)
     f = [[None] * N for _ in range(n)]
     for j in range(N):
         diag_j = mat_n.diagonal([a[i][j] for i in range(n)])
         r_j = diag_j * shift
         e_j = series_exp_linear(r_j.inverse(), r_j, cap, algebra=mat_n)
         # row vector p_j times the matrix series, one component per site
-        entries = series_to_matrix(e_j)
         for i in range(n):
-            acc = None
-            for m in range(n):
-                term = entries.entry(m, i).scale_left(p[j][m])
-                acc = term if acc is None else acc + term
-            f[i][j] = acc
+            coeffs = []
+            for c in e_j.coeffs:
+                acc = p[j][0] * c.rows[0][i]
+                for m in range(1, n):
+                    acc = acc + p[j][m] * c.rows[m][i]
+                coeffs.append(acc)
+            f[i][j] = TruncatedSeries(salg, coeffs, e_j.valid_order)
     return TodaData(f=f, a=a, n=n, N=N, algebra=S, cap=cap)
 
 
@@ -776,18 +778,15 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     g_bl = cell.entry(N - 1, 0)
     g_br = cell.entry(N - 1, N - 1)
     candidates = {"bottom-left": g_bl, "bottom-right": g_br}
-    cand_scale = max(
-        _commutator_with(g, data.b).max_coeff_magnitude()
-        for g in candidates.values()
-    )
-    matched = [
-        name
-        for name, g in candidates.items()
-        if salg.near_zero(
-            _cubic_residual(_commutator_with(g, data.b), data.b, data.d0, data.d),
-            cand_scale,
-        )
-    ]
+    # one commutator and one cubic per distinct entry: for N = 1 both
+    # corners are the same object
+    commutators = {id(g): _commutator_with(g, data.b) for g in candidates.values()}
+    cand_scale = max(c.max_coeff_magnitude() for c in commutators.values())
+    solves = {
+        key: salg.near_zero(_cubic_residual(c, data.b, data.d0, data.d), cand_scale)
+        for key, c in commutators.items()
+    }
+    matched = [name for name, g in candidates.items() if solves[id(g)]]
     note = ConventionNote(
         topic="cubic-solution-entry",
         candidates=list(candidates),
@@ -801,7 +800,7 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
             "neither corner entry yields a cubic-equation solution"
         )
     g = candidates["bottom-left" if "bottom-left" in matched else "bottom-right"]
-    U = _commutator_with(g, data.b)
+    U = commutators[id(g)]
     if N == 1:
         cf_matched = []
         f = data.fs[0]

@@ -95,6 +95,21 @@ def test_complex_float_runs_pass(args, tmp_path):
         assert check["exact"] is False
 
 
+@pytest.mark.parametrize("args, failed", [
+    (["langmuir", "--N", "2", "--r", "2", "--seed", "1"],
+     "rows above the bottom are not the shifted identity"),
+    (["langmuir", "--N", "1", "--with-lemmas", "--seed", "6"],
+     "single-mode closed form disagrees with pipeline at site 4"),
+], ids=["langmuir-N2-r2-seed1", "langmuir-N1-lemmas-seed6"])
+def test_float_comparison_failure_exits_one(args, failed, tmp_path, capsys):
+    # ill-conditioned float draws: rounding, not a bug, fails the comparison
+    report = tmp_path / "r.json"
+    code = main(args + ["--scalar", "complex-float", "--report", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == f"float comparison failed: {failed}\n"
+    assert not report.exists()
+
+
 def test_selftest_that_checked_nothing_fails(tmp_path, monkeypatch):
     import solitonlab.cli as cli_mod
 

@@ -12,6 +12,7 @@ from solitonlab.errors import (
     DerivationMismatch,
     NoncommutingExponents,
     SingularConstantTerm,
+    SingularMatrix,
 )
 from solitonlab.scalars import GaussianRational
 from solitonlab.series import (
@@ -21,11 +22,9 @@ from solitonlab.series import (
     Derivation,
     SeriesAlgebra,
     TruncatedSeries,
-    matrix_to_series,
     series_equal,
     series_exp_linear,
     series_inverse,
-    series_to_matrix,
 )
 
 CAP = 6
@@ -200,7 +199,7 @@ def test_inverse_derivative_identity_matrix_of_series(rng):
     m = SquareMatrix(MatrixAlgebra(SeriesAlgebra(QQ, 2, CAP), 2), rows)
     try:
         inv = m.inverse()
-    except Exception:
+    except SingularMatrix:
         pytest.skip("random matrix of series not invertible")
     lhs = inv.derive(D_U)
     rhs = -(inv * m.derive(D_U) * inv)
@@ -260,21 +259,43 @@ def test_scaled_derivation_needs_matching_scalars():
         S.monomial((1, 0)).derive(d0)  # rational series cannot absorb i
 
 
-def test_matrix_series_swap_roundtrip(rng):
-    salg = SeriesAlgebra(QQ, 2, 4)
-    rows = tuple(
-        tuple(
-            TruncatedSeries(
-                salg,
-                [Fraction(rng.randint(-3, 3)) for _ in range(salg.size)],
-                4,
-            )
-            for _ in range(2)
-        )
-        for _ in range(2)
-    )
-    m = SquareMatrix(MatrixAlgebra(salg, 2), rows)
-    assert series_to_matrix(matrix_to_series(m)) == m
+def _block_series_matrix(rng, valid_orders, constants):
+    """2x2 matrix of series over Mat(2, QQ): given constant terms, random rest."""
+    rows = []
+    for i in range(2):
+        row = []
+        for j in range(2):
+            coeffs = [M2.matrix(constants[i][j])] + [
+                M2.matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(2)] for _ in range(2)])
+                for _ in range(SM.size - 1)
+            ]
+            row.append(TruncatedSeries(SM, coeffs, valid_orders[i][j]))
+        rows.append(tuple(row))
+    return SquareMatrix(MatrixAlgebra(SM, 2), tuple(rows))
+
+
+def test_matrix_of_block_series_inverse(rng):
+    # the constant term flattens to an invertible 4x4 matrix whose blocks
+    # do not commute
+    constants = [[[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                 [[[1, 0], [0, 0]], [[1, 0], [0, 1]]]]
+    m = _block_series_matrix(rng, [[CAP, 4], [5, CAP - 1]], constants)
+    inv = m.inverse()
+    one = MatrixAlgebra(SM, 2).one()
+    assert m * inv == one
+    assert inv * m == one
+    # the least entry order, so the identity above holds through degree < 4
+    assert {x.valid_order for row in inv.rows for x in row} == {4}
+
+
+def test_matrix_of_block_series_singular_constant(rng):
+    # the flattened constant term has a zero second row
+    constants = [[[[1, 0], [0, 0]], [[0, 1], [0, 0]]],
+                 [[[1, 0], [1, 0]], [[1, 0], [0, 1]]]]
+    m = _block_series_matrix(rng, [[CAP] * 2] * 2, constants)
+    with pytest.raises(SingularMatrix):
+        m.inverse()
 
 
 def test_evaluate_exact_point():
