@@ -28,7 +28,6 @@ from .errors import (
     HypothesisViolated,
     NonInvertibleSolution,
     NoncommutingExponents,
-    ShapeViolation,
     SingularCell,
     SingularConstantTerm,
     SingularMatrix,
@@ -44,7 +43,6 @@ from .quasidet import (
     bottom_row_conventions,
     frobenius_gamma,
     frobenius_quotient,
-    frobenius_quotient_closed_form,
     quasideterminant,
     solution_entry_via_quasidet,
     wronski,

@@ -26,6 +26,8 @@ __all__ = [
     "ComplexFloats",
     "MatrixAlgebra",
     "SquareMatrix",
+    "dot",
+    "row_times",
     "QQ",
     "QQI",
     "CC",
@@ -419,6 +421,19 @@ class SquareMatrix:
 
     def __repr__(self):
         return f"SquareMatrix({self.rows!r})"
+
+
+def dot(xs, ys):
+    """Sum of xs[k] * ys[k], left factor first, added left to right."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def row_times(row, m: SquareMatrix) -> tuple:
+    """The row vector ``row`` times the matrix ``m``."""
+    return tuple(dot(row, col) for col in zip(*m.rows))
 
 
 def _gauss_jordan(field: Algebra, rows):

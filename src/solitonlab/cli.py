@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     EvaluationSingularity,
     NonInvertibleSolution,
-    ShapeViolation,
     SingularMatrix,
     SolitonLabError,
     VerificationError,
@@ -69,12 +68,14 @@ REPORT_DIR_ENV = "SOLITONLAB_REPORT_DIR"
 
 _SINGULAR = (SingularMatrix, NonInvertibleSolution)
 # comparisons that rounding alone can fail in complex-float mode
-_COMPARISONS = (ShapeViolation, ClosedFormMismatch, VerificationError)
+_COMPARISONS = (ClosedFormMismatch, VerificationError)
 
 
 def _parse_scalar(node, scalar: str):
+    if isinstance(node, bool):
+        raise ConfigError(f"booleans are not scalars: {node!r}")
     if scalar == "rational":
-        if isinstance(node, bool) or isinstance(node, float):
+        if isinstance(node, float):
             raise ConfigError(f"floats are rejected in exact modes: {node!r}")
         if isinstance(node, int):
             return Fraction(node)
@@ -84,7 +85,7 @@ def _parse_scalar(node, scalar: str):
             except ValueError as exc:
                 raise ConfigError(f"bad rational {node!r}") from exc
     elif scalar == "gaussian-rational":
-        if isinstance(node, bool) or isinstance(node, float):
+        if isinstance(node, float):
             raise ConfigError(f"floats are rejected in exact modes: {node!r}")
         if isinstance(node, int):
             return GaussianRational(node)
@@ -175,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "quasidet-selftest",
         help="commutative determinant oracle over random rational matrices",
     )
-    p_self.add_argument("--trials", type=int, default=100)
+    p_self.add_argument("--trials", type=int)
     p_self.add_argument("--seed", type=int)
     p_self.add_argument("--config", help="JSON config file")
     p_self.add_argument("--report", help="report file path")

@@ -33,10 +33,6 @@ class SingularConstantTerm(SingularMatrix):
     """Series inversion requires an invertible constant coefficient."""
 
 
-class ShapeViolation(SolitonLabError):
-    """A matrix that must have Frobenius shape does not."""
-
-
 class NoncommutingExponents(SolitonLabError):
     """exp of a linear form requires the two exponent coefficients to commute."""
 

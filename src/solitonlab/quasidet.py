@@ -7,17 +7,18 @@ reduces to the signed ratio of determinants, which the tests use as an oracle.
 
 A Wronski matrix stacks iterated derivatives of a family of series; the
 quotient (dW) * W^-1 always has Frobenius (companion) shape: every row above
-the bottom one is a shifted identity row.  The bottom row is the carrier of
-the soliton solutions, and there are two plausible readings of its
-quasideterminant expression; ``bottom_row_conventions`` records which one
-actually reproduces the computed quotient rather than guessing.
+the bottom one is a shifted identity row, so a cell is built from its bottom
+row, and a computed bottom row is checked by its defining relation.  The
+bottom row is the carrier of the soliton solutions, and there are two
+plausible readings of its quasideterminant expression;
+``bottom_row_conventions`` records which one actually reproduces the computed
+quotient rather than guessing.
 """
 
 from __future__ import annotations
 
-from .algebra import MatrixAlgebra, SquareMatrix
+from .algebra import MatrixAlgebra, SquareMatrix, dot, row_times
 from .errors import (
-    ShapeViolation,
     SingularCell,
     SingularMatrix,
     SingularSubmatrix,
@@ -34,7 +35,6 @@ __all__ = [
     "FrobeniusCell",
     "frobenius_gamma",
     "frobenius_quotient",
-    "frobenius_quotient_closed_form",
     "bottom_row_conventions",
     "solution_entry_via_quasidet",
 ]
@@ -90,12 +90,7 @@ def quasideterminant(x: SquareMatrix, i: int, j: int):
         ) from exc
     row = [x.entry(i, c) for c in cols]
     col = [x.entry(r, j) for r in rows]
-    correction = None
-    for s in range(n - 1):
-        for t in range(n - 1):
-            term = row[s] * sub_inv.entry(s, t) * col[t]
-            correction = term if correction is None else correction + term
-    return x.entry(i, j) - correction
+    return x.entry(i, j) - dot(row_times(row, sub_inv), col)
 
 
 class WronskiPair:
@@ -144,22 +139,19 @@ def wronski(fs, d: Derivation) -> WronskiPair:
 
 
 class FrobeniusCell:
-    """Square matrix whose rows above the bottom form the shifted identity."""
+    """The matrix over ``base`` with this bottom row below the shifted identity."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix: SquareMatrix):
-        shape = _frobenius_matrix(matrix.algebra.base, matrix.rows[-1])
-        if not matrix.algebra.agree(matrix, shape):
-            raise ShapeViolation(
-                "rows above the bottom are not the shifted identity"
-            )
-        self.matrix = matrix
-
-    @classmethod
-    def from_bottom_row(cls, base, bottom_row) -> "FrobeniusCell":
-        """Build a cell over algebra ``base`` with the given bottom row."""
-        return cls(_frobenius_matrix(base, [base.coerce(x) for x in bottom_row]))
+    def __init__(self, base, bottom_row):
+        n = len(bottom_row)
+        zero, one = base.zero(), base.one()
+        rows = [
+            tuple(one if q == p + 1 else zero for q in range(n))
+            for p in range(n - 1)
+        ]
+        rows.append(tuple(base.coerce(x) for x in bottom_row))
+        self.matrix = SquareMatrix(MatrixAlgebra(base, n), rows)
 
     @property
     def N(self):
@@ -180,60 +172,46 @@ class FrobeniusCell:
         return f"FrobeniusCell(N={self.N})"
 
 
-def _frobenius_matrix(base, bottom_row) -> SquareMatrix:
-    """Shifted identity rows over ``base`` above the given bottom row."""
-    n = len(bottom_row)
-    zero, one = base.zero(), base.one()
-    rows = [
-        tuple(one if q == p + 1 else zero for q in range(n))
-        for p in range(n - 1)
-    ]
-    rows.append(tuple(bottom_row))
-    return SquareMatrix(MatrixAlgebra(base, n), tuple(rows))
+def _solves(x, m: SquareMatrix, y) -> bool:
+    """Whether the row ``x`` times ``m`` agrees with the row ``y``; floats are
+    compared at max|x| * max|m|, the size of the terms summed into an entry."""
+    base = m.algebra.base
+    scale = max(base.magnitude(e) for e in x) * m.algebra.magnitude(m)
+    return all(base.agree(a, b, scale) for a, b in zip(row_times(x, m), y))
 
 
 def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
-    """The quotient (dW) * W^-1, verified to have exact Frobenius shape.
+    """The quotient (dW) * W^-1, of which only the bottom row is computed.
 
-    The shifted-identity rows are not assumed: they are checked coefficient by
-    coefficient through the valid order, so a violation signals an arithmetic
-    bug rather than bad input.
+    Row k of dW is row k + 1 of W for k < N - 1, so the rows above are the
+    shifted identity.  The bottom row x is checked through the valid order by
+    x * W = (bottom row of dW), so a failure signals an arithmetic bug; at
+    N = 1 that relation is the series inverse's own.
     """
     try:
         w_inv = wp.W.inverse()
     except SingularMatrix as exc:
         raise SingularWronskian(f"Wronski matrix not invertible: {exc}") from exc
-    gamma = wp.dW * w_inv
-    return FrobeniusCell(gamma)
+    target = wp.dW.rows[-1]
+    bottom = row_times(target, w_inv)
+    if wp.N > 1 and not _solves(bottom, wp.W, target):
+        raise VerificationError(
+            "bottom row of (dW) * W^-1 fails its defining relation x * W = dW"
+        )
+    return FrobeniusCell(wp.W.algebra.base, bottom)
 
 
 def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMatrix:
-    """Y = K * L^-1 for Frobenius cells, checked against its closed form.
+    """Y = K * L^-1 for Frobenius cells, in closed form.
 
-    L is invertible exactly when its bottom-left entry is; the result has
-    identity rows above the bottom, and the bottom row mixes the two cells'
-    bottom rows through that one inverse.
+    L is invertible exactly when its bottom-left entry is.  Y has identity
+    rows above the bottom row y, which mixes the cells' bottom rows mu and nu
+    through that one inverse.  The identity rows satisfy Y * L = K by
+    construction, and y is checked by y * L = mu.
     """
     if k_cell.N != l_cell.N or k_cell.matrix.algebra != l_cell.matrix.algebra:
         raise SingularCell("cells must share dimension and algebra")
-    closed = frobenius_quotient_closed_form(k_cell, l_cell)
-    try:
-        direct = k_cell.matrix * l_cell.matrix.inverse()
-    except SingularMatrix as exc:
-        raise SingularCell(f"cell quotient undefined: {exc}") from exc
-    if not direct.algebra.agree(direct, closed):
-        raise VerificationError(
-            "Frobenius quotient closed form disagrees with the matrix quotient"
-        )
-    return direct
-
-
-def frobenius_quotient_closed_form(
-    k_cell: FrobeniusCell, l_cell: FrobeniusCell
-) -> SquareMatrix:
-    """The explicit form of K * L^-1: identity rows plus a mixed bottom row."""
     base = k_cell.matrix.algebra.base
-    n = k_cell.N
     mu = k_cell.bottom_row()
     nu = l_cell.bottom_row()
     try:
@@ -243,14 +221,13 @@ def frobenius_quotient_closed_form(
             "bottom-left entry of the divisor cell is not invertible"
         ) from exc
     pivot = mu[0] * nu_inv
-    bottom = [mu[q + 1] - pivot * nu[q + 1] for q in range(n - 1)]
-    bottom.append(pivot)
-    zero, one = base.zero(), base.one()
-    rows = [
-        tuple(one if q == p else zero for q in range(n)) for p in range(n - 1)
-    ]
-    rows.append(tuple(bottom))
-    return SquareMatrix(k_cell.matrix.algebra, tuple(rows))
+    bottom = [m - pivot * v for m, v in zip(mu[1:], nu[1:])] + [pivot]
+    if not _solves(bottom, l_cell.matrix, mu):
+        raise VerificationError(
+            "Frobenius quotient fails its defining relation Y * L = K"
+        )
+    identity = k_cell.matrix.algebra.one().rows
+    return SquareMatrix(k_cell.matrix.algebra, identity[:-1] + (tuple(bottom),))
 
 
 def _submatrix_skipping_order(wp: WronskiPair, skip: int) -> SquareMatrix:

@@ -96,11 +96,11 @@ def test_complex_float_runs_pass(args, tmp_path):
 
 
 @pytest.mark.parametrize("args, failed", [
-    (["langmuir", "--N", "2", "--r", "2", "--seed", "1"],
-     "rows above the bottom are not the shifted identity"),
+    (["langmuir", "--N", "1", "--r", "2", "--seed", "5"],
+     "single-mode closed form disagrees with pipeline at site 3"),
     (["langmuir", "--N", "1", "--with-lemmas", "--seed", "6"],
      "single-mode closed form disagrees with pipeline at site 4"),
-], ids=["langmuir-N2-r2-seed1", "langmuir-N1-lemmas-seed6"])
+], ids=["langmuir-N1-r2-seed5", "langmuir-N1-lemmas-seed6"])
 def test_float_comparison_failure_exits_one(args, failed, tmp_path, capsys):
     # ill-conditioned float draws: rounding, not a bug, fails the comparison
     report = tmp_path / "r.json"
@@ -376,4 +376,55 @@ def test_internal_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert main(["toda", "--seed", "1", "--report", str(report)]) == 4
     err = capsys.readouterr().err
     assert err == "internal error: cross-check disagrees\n"
+    assert not report.exists()
+
+
+def test_wrong_wronski_inverse_exits_four(tmp_path, monkeypatch, capsys):
+    from solitonlab.algebra import SquareMatrix
+    from solitonlab.series import SeriesAlgebra
+
+    inverse = SquareMatrix.inverse
+
+    def corrupted(m):
+        rows = [list(r) for r in inverse(m).rows]
+        if isinstance(m.algebra.base, SeriesAlgebra):
+            rows[0][0] = rows[0][0] + 1
+        return SquareMatrix(m.algebra, rows)
+
+    monkeypatch.setattr(SquareMatrix, "inverse", corrupted)
+    report = tmp_path / "r.json"
+    assert main(["toda", "--n", "2", "--N", "2", "--seed", "1",
+                 "--report", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "defining relation" in err
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_config_file_trials_are_used(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 5, "seed": 2}))
+    code, body = run_cli(["quasidet-selftest", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert body["trials"] == 5
+    cfg.write_text(json.dumps({"trials": 0}))
+    code, _ = run_cli(["quasidet-selftest", "--config", str(cfg)], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: trials must be at least 1\n"
+    )
+
+
+@pytest.mark.parametrize("scalar", ["rational", "gaussian-rational", "complex-float"])
+def test_json_booleans_are_not_scalars(scalar, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "toda", "n": 2, "N": 1, "cap": 6, "scalar": scalar,
+        "params": {"a": [[True], ["1"]], "p": [["1", "1/2"]]},
+    }))
+    report = tmp_path / "r.json"
+    assert main(["toda", "--config", str(cfg), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: booleans are not scalars: True\n"
+    )
     assert not report.exists()

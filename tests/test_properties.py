@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from solitonlab.cli import main
 from solitonlab.errors import SingularMatrix
 from solitonlab.solitons import (
+    langmuir_solution,
     nls_solution,
+    random_langmuir_params,
     random_nls_params,
     random_toda_params,
     toda_solution,
@@ -57,6 +59,23 @@ def test_heat_valid_order_is_honest_and_tight(seed):
         for cap in (6, 8)
     )
     assert _first_disagreement(low.U, high.U) == low.U.valid_order
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+@example(9)  # an exact draw: the two caps agree on every stored coefficient
+def test_langmuir_valid_order_is_honest(seed):
+    low, high = (
+        _solve(
+            lambda rng: langmuir_solution(
+                random_langmuir_params(rng, 2, cap=cap, window=3)
+            ),
+            seed,
+        )
+        for cap in (8, 10)
+    )
+    for k, g_low in low.gs.items():
+        assert _first_disagreement(g_low, high.gs[k]) in (None, g_low.valid_order)
 
 
 def _mostly(valid, invalid):

@@ -5,13 +5,17 @@ import pytest
 
 from conftest import fraction_det
 from solitonlab.algebra import QQ, MatrixAlgebra, SquareMatrix, random_element
-from solitonlab.errors import ShapeViolation, SingularCell, SingularSubmatrix
+from solitonlab.errors import (
+    SingularCell,
+    SingularMatrix,
+    SingularSubmatrix,
+    VerificationError,
+)
 from solitonlab.quasidet import (
     FrobeniusCell,
     bottom_row_conventions,
     frobenius_gamma,
     frobenius_quotient,
-    frobenius_quotient_closed_form,
     quasideterminant,
     solution_entry_via_quasidet,
     wronski,
@@ -148,14 +152,23 @@ def test_solution_entry_matches_cell():
     assert solution_entry_via_quasidet(wp) == cell.entry(1, 0)
 
 
-def test_frobenius_cell_shape_enforced():
-    bad = M2.matrix([[0, 2], [1, 1]])  # row 0 is not a shifted identity row
-    with pytest.raises(ShapeViolation):
-        FrobeniusCell(bad)
+def test_frobenius_gamma_rejects_a_wrong_inverse(monkeypatch):
+    rng = Random(13)
+    wp = wronski(_toda_like_series(rng, 2), D_V)
+    inverse = SquareMatrix.inverse
+
+    def corrupted(m):
+        rows = [list(r) for r in inverse(m).rows]
+        rows[0][0] = rows[0][0] + 1
+        return SquareMatrix(m.algebra, rows)
+
+    monkeypatch.setattr(SquareMatrix, "inverse", corrupted)
+    with pytest.raises(VerificationError):
+        frobenius_gamma(wp)
 
 
-def test_frobenius_cell_from_bottom_row():
-    cell = FrobeniusCell.from_bottom_row(QQ, [1, 2, 3])
+def test_frobenius_cell_of_bottom_row():
+    cell = FrobeniusCell(QQ, [1, 2, 3])
     assert cell.N == 3
     assert cell.entry(0, 1) == 1
     assert cell.entry(0, 0) == 0
@@ -163,14 +176,14 @@ def test_frobenius_cell_from_bottom_row():
 
 
 def test_quotient_identity_when_equal():
-    cell = FrobeniusCell.from_bottom_row(QQ, [2, 3])
+    cell = FrobeniusCell(QQ, [2, 3])
     y = frobenius_quotient(cell, cell)
     assert y == M2.one()
 
 
 def test_quotient_literal_example():
-    k = FrobeniusCell.from_bottom_row(QQ, [2, 3])
-    l = FrobeniusCell.from_bottom_row(QQ, [1, 1])
+    k = FrobeniusCell(QQ, [2, 3])
+    l = FrobeniusCell(QQ, [1, 1])
     y = frobenius_quotient(k, l)
     assert y == M2.matrix([[1, 0], [1, 2]])
     # bottom row decomposes through the single inverted corner entry
@@ -179,8 +192,8 @@ def test_quotient_literal_example():
 
 
 def test_quotient_requires_invertible_corner():
-    k = FrobeniusCell.from_bottom_row(M2, [M2.one(), M2.one()])
-    l = FrobeniusCell.from_bottom_row(
+    k = FrobeniusCell(M2, [M2.one(), M2.one()])
+    l = FrobeniusCell(
         M2, [M2.matrix([[1, 2], [2, 4]]), M2.one()]
     )
     with pytest.raises(SingularCell):
@@ -191,15 +204,23 @@ def test_quotient_closed_form_random_matrix_entries():
     rng = Random(12)
     for _ in range(15):
         n = rng.choice([2, 3, 4])
-        k = FrobeniusCell.from_bottom_row(
+        k = FrobeniusCell(
             M2, [random_element(M2, rng) for _ in range(n)]
         )
-        l = FrobeniusCell.from_bottom_row(
+        l = FrobeniusCell(
             M2, [random_element(M2, rng) for _ in range(n)]
         )
         try:
             direct = k.matrix * l.matrix.inverse()
-        except Exception:
+        except SingularMatrix:
             continue
-        assert frobenius_quotient_closed_form(k, l) == direct
         assert frobenius_quotient(k, l) == direct
+
+
+def test_quotient_rejects_a_wrong_bottom_row(monkeypatch):
+    k = FrobeniusCell(QQ, [2, 3, 5])
+    l = FrobeniusCell(QQ, [1, 1, 4])
+    # a wrong inverse of the corner entry moves every bottom-row entry
+    monkeypatch.setattr(type(QQ), "invert", lambda self, a: 1 / a + 1)
+    with pytest.raises(VerificationError):
+        frobenius_quotient(k, l)
