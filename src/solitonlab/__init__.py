@@ -1,21 +1,21 @@
 """solitonlab: exact-arithmetic multisoliton constructions and verification.
 
 Everything is computed over exact scalars (rationals or Gaussian rationals,
-with complex floats as a diagnostics-only mode): truncated noncommutative
-power series, quasideterminants, Wronski/Frobenius machinery, the four
-solution families, and residual checkers that substitute each candidate back
-into its nonlinear system and prove the result vanishes coefficient by
-coefficient through a tracked order.
+or residues modulo one 31-bit prime, where a zero is evidence rather than a
+proof): truncated noncommutative power series, quasideterminants,
+Wronski/Frobenius machinery, the four solution families, and residual checkers
+that substitute each candidate back into its nonlinear system and prove the
+result vanishes coefficient by coefficient through a tracked order.
 """
 
 from .algebra import (
-    CC,
+    GFP,
     QQ,
     QQI,
     Algebra,
-    ComplexFloats,
     GaussianRationals,
     MatrixAlgebra,
+    PrimeField,
     Rationals,
     SquareMatrix,
 )
@@ -58,7 +58,7 @@ from .residual import (
     check_toda,
     check_toda_gamma,
 )
-from .scalars import GaussianRational, parse_gaussian, parse_rational
+from .scalars import GaussianRational, Residue, parse_gaussian, parse_rational
 from .series import (
     D_T,
     D_U,

@@ -1,15 +1,15 @@
 """Exact unital associative algebras and square matrices over them.
 
-The algebra tower is: a scalar field (rationals, Gaussian rationals, or
-complex floats for diagnostics) at the bottom, with ``MatrixAlgebra`` layers
+The algebra tower is: a scalar field (rationals, Gaussian rationals, or the
+residues modulo one 31-bit prime) at the bottom, with ``MatrixAlgebra`` layers
 stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the nesting down to one big matrix over the scalar field, runs a
-pivoted Gauss-Jordan elimination there, and re-nests the result.
+Gauss-Jordan elimination there, and re-nests the result.
 
-All values are immutable; every operation is a pure function.  Whether a
-value is zero, or two values agree, is decided only by ``Algebra.near_zero``
-and ``Algebra.agree``: exactly for exact scalars, and within one relative
-tolerance for complex floats.
+All values are immutable; every operation is a pure function.  Every field is
+exact, so zero and agreement tests are ``alg.is_zero(x)`` and ``==``, with no
+tolerance.  ``is_exact`` says whether a zero proves a zero over QQ or QQ(i):
+over GF(p) it is evidence only.
 """
 
 from __future__ import annotations
@@ -17,28 +17,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch, SingularMatrix
-from .scalars import GaussianRational, format_gaussian, format_rational
+from .scalars import PRIME, GaussianRational, Residue, format_gaussian, format_rational
 
 __all__ = [
     "Algebra",
     "Rationals",
     "GaussianRationals",
-    "ComplexFloats",
+    "PrimeField",
     "MatrixAlgebra",
     "SquareMatrix",
     "dot",
     "row_times",
     "QQ",
     "QQI",
-    "CC",
+    "GFP",
     "random_nonzero_rational",
     "random_invertible",
     "random_element",
-    "FLOAT_RELATIVE_TOLERANCE",
 ]
-
-# The one tolerance of the float diagnostics mode, relative to a check's scale.
-FLOAT_RELATIVE_TOLERANCE = 1e-10
 
 
 class Algebra:
@@ -61,20 +57,6 @@ class Algebra:
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-    def near_zero(self, a, scale: float = 0.0) -> bool:
-        """Exactly zero; for floats, within the relative tolerance of ``scale``."""
-        if self.is_exact:
-            return self.is_zero(a)
-        return self.magnitude(a) <= FLOAT_RELATIVE_TOLERANCE * max(scale, 1.0)
-
-    def agree(self, a, b, scale: float = 0.0) -> bool:
-        """Exactly equal; for floats, near zero relative to both operands."""
-        if self.is_exact:
-            return a == b
-        return self.near_zero(
-            a - b, max(scale, self.magnitude(a), self.magnitude(b))
-        )
 
     def scalar_mul(self, q, a):
         """Multiply by a central scalar of the ground field."""
@@ -180,48 +162,50 @@ class GaussianRationals(_Field):
         return hash("QQ_I")
 
 
-class ComplexFloats(_Field):
-    """Floating complex numbers; diagnostics only, never exactness-critical."""
+class PrimeField(_Field):
+    """GF(p) for p = PRIME: exact arithmetic, but a zero here is evidence,
+    not a proof, of a zero over QQ."""
 
     is_exact = False
 
     def zero(self):
-        return complex(0)
+        return Residue(0)
 
     def one(self):
-        return complex(1)
+        return Residue(1)
 
     def coerce(self, value):
-        if isinstance(value, (complex, float, int, Fraction)):
-            return complex(value)
-        if isinstance(value, GaussianRational):
-            return complex(value)
-        raise AlgebraMismatch(f"cannot coerce {value!r} into complex floats")
+        if isinstance(value, Residue):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Residue(value)
+        raise AlgebraMismatch(f"cannot coerce {value!r} into GF({PRIME})")
 
     def invert(self, a):
-        if a == 0:
-            raise SingularMatrix("division by zero complex float")
-        return 1 / a
+        if not a:
+            raise SingularMatrix("division by zero residue")
+        return Residue(pow(a.v, -1, PRIME))
 
     def magnitude(self, a):
-        return abs(a)
+        # the size of the symmetric residue, in (-PRIME/2, PRIME/2)
+        return float(min(a.v, PRIME - a.v))
 
     def format_element(self, a):
-        return repr(a)
+        return str(a)
 
     def __repr__(self):
-        return "CC"
+        return "GFP"
 
     def __eq__(self, other):
-        return isinstance(other, ComplexFloats)
+        return isinstance(other, PrimeField)
 
     def __hash__(self):
-        return hash("CC")
+        return hash("GFP")
 
 
 QQ = Rationals()
 QQI = GaussianRationals()
-CC = ComplexFloats()
+GFP = PrimeField()
 
 
 class MatrixAlgebra(Algebra):
@@ -442,21 +426,10 @@ def _gauss_jordan(field: Algebra, rows):
     aug = [list(rows[i]) + [field.one() if i == j else field.zero() for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        pivot_row = None
-        if field.is_exact:
-            for r in range(col, n):
-                if aug[r][col]:
-                    pivot_row = r
-                    break
+        for pivot_row in range(col, n):
+            if aug[pivot_row][col]:
+                break
         else:
-            best = 0.0
-            for r in range(col, n):
-                mag = field.magnitude(aug[r][col])
-                if mag > best:
-                    best, pivot_row = mag, r
-            if best == 0.0:
-                pivot_row = None
-        if pivot_row is None:
             raise SingularMatrix(f"no invertible pivot in column {col}")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
@@ -518,18 +491,14 @@ def random_nonzero_rational(rng, bound: int = 7) -> Fraction:
 
 
 def random_element(algebra: Algebra, rng, bound: int = 7):
-    """Random element built from small nonzero rationals."""
-    if isinstance(algebra, Rationals):
-        return random_nonzero_rational(rng, bound)
+    """Random element built from small nonzero rationals; over GF(p) the same
+    draws as over QQ, reduced mod p."""
+    if isinstance(algebra, (Rationals, PrimeField)):
+        return algebra.coerce(random_nonzero_rational(rng, bound))
     if isinstance(algebra, GaussianRationals):
         return GaussianRational(
             random_nonzero_rational(rng, bound),
             rng.choice([Fraction(0), random_nonzero_rational(rng, bound)]),
-        )
-    if isinstance(algebra, ComplexFloats):
-        return complex(
-            float(random_nonzero_rational(rng, bound)),
-            float(rng.choice([Fraction(0), random_nonzero_rational(rng, bound)])),
         )
     if isinstance(algebra, MatrixAlgebra):
         return SquareMatrix(

@@ -2,15 +2,14 @@
 
 Subcommands: toda, sine-gordon, langmuir, nls, quasidet-selftest.  Parameters
 come from a JSON config file and/or inline flags (flags win); exact scalars
-are encoded as strings "p/q" and "p/q+r/s*i", and non-integer JSON numbers
-are rejected in exact scalar modes.  With a fixed seed the report bytes are
-identical across runs; wall-clock timings are only included on request, since
-they would break that guarantee.
+are encoded as strings "p/q" and "p/q+r/s*i" (``gf-p`` reads rationals and
+reduces them mod p), and non-integer JSON numbers are rejected.  With a fixed
+seed the report bytes are identical across runs; wall-clock timings are only
+included on request, since they would break that guarantee.
 
-Exit codes: 0 all checks passed, 1 a residual check failed (or, in
-complex-float mode, a cross-check or closed-form comparison), 2 bad
+Exit codes: 0 all checks passed, 1 a residual check failed, 2 bad
 configuration, 3 singular parameters even after resampling, 4 an internal
-cross-check failed in an exact mode (a bug, not bad input).
+cross-check failed (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -23,18 +22,21 @@ import time
 from fractions import Fraction
 from random import Random
 
-from .algebra import MatrixAlgebra, random_element
+from .algebra import QQ, MatrixAlgebra, random_element
 from .errors import (
     BNotInvolutive,
-    ClosedFormMismatch,
     ConfigError,
     EvaluationSingularity,
     NonInvertibleSolution,
     SingularMatrix,
     SolitonLabError,
-    VerificationError,
 )
-from .quasidet import ConventionNote, bottom_row_conventions, quasideterminant
+from .quasidet import (
+    ConventionNote,
+    bottom_row_conventions,
+    quasideterminant,
+    wronski,
+)
 from .residual import (
     check_data,
     check_langmuir,
@@ -67,41 +69,23 @@ from .solitons import (
 REPORT_DIR_ENV = "SOLITONLAB_REPORT_DIR"
 
 _SINGULAR = (SingularMatrix, NonInvertibleSolution)
-# comparisons that rounding alone can fail in complex-float mode
-_COMPARISONS = (ClosedFormMismatch, VerificationError)
 
 
 def _parse_scalar(node, scalar: str):
+    """A config scalar, exactly; ``gf-p`` reads rationals, reduced mod p later."""
     if isinstance(node, bool):
         raise ConfigError(f"booleans are not scalars: {node!r}")
-    if scalar == "rational":
-        if isinstance(node, float):
-            raise ConfigError(f"floats are rejected in exact modes: {node!r}")
-        if isinstance(node, int):
-            return Fraction(node)
-        if isinstance(node, str):
-            try:
-                return parse_rational(node)
-            except ValueError as exc:
-                raise ConfigError(f"bad rational {node!r}") from exc
-    elif scalar == "gaussian-rational":
-        if isinstance(node, float):
-            raise ConfigError(f"floats are rejected in exact modes: {node!r}")
-        if isinstance(node, int):
-            return GaussianRational(node)
-        if isinstance(node, str):
-            try:
-                return parse_gaussian(node)
-            except ValueError as exc:
-                raise ConfigError(f"bad Gaussian rational {node!r}") from exc
-    elif scalar == "complex-float":
-        if isinstance(node, (int, float)):
-            return complex(node)
-        if isinstance(node, str):
-            try:
-                return complex(parse_gaussian(node))
-            except ValueError as exc:
-                raise ConfigError(f"bad scalar {node!r}") from exc
+    if isinstance(node, float):
+        raise ConfigError(f"floats are rejected in exact modes: {node!r}")
+    gaussian = scalar == "gaussian-rational"
+    if isinstance(node, int):
+        return GaussianRational(node) if gaussian else Fraction(node)
+    if isinstance(node, str):
+        try:
+            return parse_gaussian(node) if gaussian else parse_rational(node)
+        except (ValueError, ZeroDivisionError) as exc:
+            kind = "Gaussian rational" if gaussian else "rational"
+            raise ConfigError(f"bad {kind} {node!r}") from exc
     raise ConfigError(f"cannot parse {node!r} as a {scalar} scalar")
 
 
@@ -147,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--scalar", choices=[
-            "rational", "gaussian-rational", "complex-float"])
+            "rational", "gaussian-rational", "gf-p"])
         p.add_argument("--report", help="report file path")
         p.add_argument("--dump-series", action="store_true", default=None)
         p.add_argument("--dump-degree", type=int)
@@ -212,7 +196,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -430,8 +414,6 @@ def _run_system(cfg) -> dict:
         notes.extend(solution.notes)
         dumps = [(f"g[{k}]", solution.gs[k]) for k in sorted(solution.gs)]
         if cfg["with_lemmas"]:
-            from .quasidet import wronski
-
             gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
             mat_n = MatrixAlgebra(data.algebra, data.N)
             a_const = constant_series_matrix(
@@ -509,8 +491,6 @@ def _run_selftest(cfg) -> dict:
     trials = cfg["trials"]
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    from .algebra import QQ
-
     failures = []
     checked = 0
     skipped = 0
@@ -603,9 +583,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SolitonLabError as exc:
-        if isinstance(exc, _COMPARISONS) and cfg["scalar"] == "complex-float":
-            print(f"float comparison failed: {exc}", file=sys.stderr)
-            return 1
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     _summarize(body, _report_path(cfg))

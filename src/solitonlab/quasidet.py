@@ -172,14 +172,6 @@ class FrobeniusCell:
         return f"FrobeniusCell(N={self.N})"
 
 
-def _solves(x, m: SquareMatrix, y) -> bool:
-    """Whether the row ``x`` times ``m`` agrees with the row ``y``; floats are
-    compared at max|x| * max|m|, the size of the terms summed into an entry."""
-    base = m.algebra.base
-    scale = max(base.magnitude(e) for e in x) * m.algebra.magnitude(m)
-    return all(base.agree(a, b, scale) for a, b in zip(row_times(x, m), y))
-
-
 def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
     """The quotient (dW) * W^-1, of which only the bottom row is computed.
 
@@ -194,7 +186,7 @@ def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
         raise SingularWronskian(f"Wronski matrix not invertible: {exc}") from exc
     target = wp.dW.rows[-1]
     bottom = row_times(target, w_inv)
-    if wp.N > 1 and not _solves(bottom, wp.W, target):
+    if wp.N > 1 and row_times(bottom, wp.W) != target:
         raise VerificationError(
             "bottom row of (dW) * W^-1 fails its defining relation x * W = dW"
         )
@@ -222,7 +214,7 @@ def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMa
         ) from exc
     pivot = mu[0] * nu_inv
     bottom = [m - pivot * v for m, v in zip(mu[1:], nu[1:])] + [pivot]
-    if not _solves(bottom, l_cell.matrix, mu):
+    if row_times(bottom, l_cell.matrix) != mu:
         raise VerificationError(
             "Frobenius quotient fails its defining relation Y * L = K"
         )
@@ -263,8 +255,7 @@ def bottom_row_conventions(wp: WronskiPair, cell: FrobeniusCell) -> ConventionNo
                 results[name] = False
                 details.append(f"q={q}: {name} submatrix singular")
                 continue
-            value = numer * denom
-            if not value.algebra.agree(value, target):
+            if numer * denom != target:
                 results[name] = False
     matched = [name for name, ok in results.items() if ok]
     return ConventionNote(

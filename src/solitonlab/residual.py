@@ -1,10 +1,9 @@
 """Substitute candidate solutions into the nonlinear systems and report
 whether every residual coefficient vanishes through the proven order.
 
-In exact scalar modes a "pass" means every checked coefficient is the exact
-zero of its algebra; the float mode (diagnostics only) compares magnitudes
-against ``Algebra.near_zero``'s relative tolerance times the largest input
-coefficient of the check.
+A "pass" means every checked coefficient is the exact zero of its algebra,
+with no tolerance.  Over QQ and QQ(i) that proves the residual vanishes
+(``exact_zero``); over GF(p) it is evidence only, so ``exact_zero`` is null.
 Hypothesis validation failures raise; residual failures are reported, because
 a checker that cannot fail is worthless.
 """
@@ -22,7 +21,7 @@ from .errors import (
     SingularMatrix,
     WindowTooSmall,
 )
-from .quasidet import ConventionNote, FrobeniusCell
+from .quasidet import ConventionNote, FrobeniusCell, wronski
 from .series import D_U, D_V, Derivation, TruncatedSeries, constant_series_matrix
 
 __all__ = [
@@ -67,14 +66,14 @@ class ResidualReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def add(self, label: str, x, scale: float = 1.0):
+    def add(self, label: str, x):
         """Record a series, or a square matrix of series, as one entry.
 
         A matrix is zero when every entry is zero through that entry's own
         valid order; the entry reports the least order and largest magnitude.
         """
         vo = min(s.valid_order for s in _series_of(x))
-        passed = x.algebra.near_zero(x, scale)
+        passed = x.algebra.is_zero(x)
         self.entries.append(ResidualEntry(
             label, passed, x.algebra.magnitude(x), vo,
             exact_zero=passed if self.exact else None,
@@ -101,10 +100,6 @@ def _series_of(x):
     if isinstance(x, TruncatedSeries):
         return (x,)
     return [e for row in x.rows for e in row]
-
-
-def _series_scale(xs) -> float:
-    return max((x.algebra.magnitude(x) for x in xs), default=0.0)
 
 
 def _invert_or_raise(x, site):
@@ -157,9 +152,8 @@ def check_toda(gs, d1: Derivation, d2: Derivation) -> ResidualReport:
     """
     gs = list(gs)
     report = ResidualReport("toda", exact=gs[0].algebra.is_exact)
-    scale = _series_scale(gs)
     for k, res in enumerate(_toda_residuals(gs, d1, d2)):
-        report.add(f"site {k}", res, scale)
+        report.add(f"site {k}", res)
     return report
 
 
@@ -170,15 +164,13 @@ def _as_matrix(x) -> SquareMatrix:
 def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     """The lattice equations at the level of whole Frobenius quotients."""
     gammas = [_as_matrix(g) for g in gammas]
-    salg = gammas[0].algebra.base
-    report = ResidualReport("toda-gamma", exact=salg.is_exact)
-    scale = _series_scale(gammas)
+    report = ResidualReport("toda-gamma", exact=gammas[0].algebra.is_exact)
     top_rows_clean = True
     for k, res in enumerate(_toda_residuals(gammas, d1, d2)):
-        report.add(f"site {k}", res, scale)
+        report.add(f"site {k}", res)
         dim = res.dim
         if any(
-            not salg.near_zero(res.entry(p, q), scale)
+            not res.entry(p, q).is_zero()
             for p in range(dim - 1)
             for q in range(dim)
         ):
@@ -222,20 +214,17 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
     a_mats = _embed_constants(a, ws[0])
     if len(a_mats) != n:
         raise HypothesisViolated("need one constant diagonal per site", which="A")
-    scale = _series_scale(ws)
     for k in range(n):
         for d_i, name in ((d1, "d1"), (d2, "d2")):
-            if not alg.near_zero(a_mats[k].derive(d_i), scale):
+            if not alg.is_zero(a_mats[k].derive(d_i)):
                 raise HypothesisViolated(
                     f"A[{k}] is not constant under {name}", which="A-constant"
                 )
-        if not alg.near_zero(ws[k].derive(d2).derive(d1) - ws[k], scale):
+        if not alg.is_zero(ws[k].derive(d2).derive(d1) - ws[k]):
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        if not alg.near_zero(
-            ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k], scale
-        ):
+        if not alg.is_zero(ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k]):
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + shift}] A[{k}]", which="shift-linear-relation"
             )
@@ -243,7 +232,7 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
     report.note(f"hypotheses validated at all {n} sites (shift {shift})")
     cs = [ws[k].derive(d2) * _invert_or_raise(ws[k], k) for k in range(n)]
     for k, res in enumerate(_toda_residuals(cs, d1, d2, shift)):
-        report.add(f"site {k}", res, scale)
+        report.add(f"site {k}", res)
     return report
 
 
@@ -262,18 +251,17 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     template = ws[sites[0]]
     alg = template.algebra
     a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
-    scale = _series_scale(ws.values())
     for k in sites:
-        if not alg.near_zero(a_mats[k].derive(d), scale):
+        if not alg.is_zero(a_mats[k].derive(d)):
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
         if k + 2 * shift in ws:
-            if not alg.near_zero(ws[k].derive(d) - ws[k + 2 * shift], scale):
+            if not alg.is_zero(ws[k].derive(d) - ws[k + 2 * shift]):
                 raise HypothesisViolated(
                     f"d G[{k}] != G[{k + 2 * shift}]", which="double-shift-relation"
                 )
         if k + shift in ws:
             res = ws[k].derive(d) + ws[k] - ws[k + shift] * a_mats[k]
-            if not alg.near_zero(res, scale):
+            if not alg.is_zero(res):
                 raise HypothesisViolated(
                     f"d G[{k}] + G[{k}] != G[{k + shift}] A[{k}]",
                     which="shift-affine-relation",
@@ -294,20 +282,20 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     }
     for k in main_sites:
         res = _langmuir_residual(us, k, d, shift)
-        report.add(f"lattice-equation site {k}", res, scale)
+        report.add(f"lattice-equation site {k}", res)
     one = alg.one()
     for k in sites:
         if k + shift in cs:
             res = (cs[k + shift] - cs[k]) * (cs[k] + one) - cs[k].derive(d)
-            report.add(f"increment-product site {k}", res, scale)
+            report.add(f"increment-product site {k}", res)
         if k + 2 * shift in cs:
             res = (cs[k + 2 * shift] - cs[k + shift]) * cs[k] - (
                 cs[k + shift] - cs[k]
             )
-            report.add(f"increment-shift site {k}", res, scale)
+            report.add(f"increment-shift site {k}", res)
         if k in us and k + shift in cs:
             res = us[k] - (one + cs[k + shift] - cs[k])
-            report.add(f"additive-quotient site {k}", res, scale)
+            report.add(f"additive-quotient site {k}", res)
     return report
 
 
@@ -324,12 +312,11 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     sample = gs[sites[0]]
     report = ResidualReport("langmuir", exact=sample.algebra.is_exact)
     commutative = not isinstance(sample.algebra.coeff, MatrixAlgebra)
-    scale = _series_scale([gs[k] for k in sites])
     for k in interior:
-        report.add(f"site {k}", _langmuir_residual(gs, k, d), scale)
+        report.add(f"site {k}", _langmuir_residual(gs, k, d))
         if commutative:
             res2 = gs[k].derive(d) - gs[k] * (gs[k + 1] - gs[k - 1])
-            report.add(f"site {k} (commutative product form)", res2, scale)
+            report.add(f"site {k} (commutative product form)", res2)
     if commutative:
         report.note("commutative scalars: product form checked as well")
     return report
@@ -351,8 +338,7 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
     if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
     report = ResidualReport("nls", exact=U.algebra.is_exact)
-    scale = U.max_coeff_magnitude()
-    report.add("cubic equation", _cubic_residual(U, b, d0, d), scale)
+    report.add("cubic equation", _cubic_residual(U, b, d0, d))
     blocks = _pm_one_split(S, b)
     if blocks is not None:
         half = Fraction(1, 2)
@@ -360,8 +346,8 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         q2 = S.scalar_mul(half, S.one() - b)
         u12 = U.scale_left(q1).scale_right(q2)
         u21 = U.scale_left(q2).scale_right(q1)
-        report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1), scale)
-        report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2), scale)
+        report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1))
+        report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2))
         res_block12 = (
             u12.derive(d0).scale_left(2)
             + u12.derive(d).derive(d)
@@ -372,8 +358,8 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
             + u21.derive(d).derive(d)
             + (u21 * u12 * u21).scale_left(2)
         )
-        report.add("block equation (1,2)", res_block12, scale)
-        report.add("block equation (2,1)", res_block21, scale)
+        report.add("block equation (1,2)", res_block12)
+        report.add("block equation (2,1)", res_block21)
         report.note(
             f"grading splits the algebra {len(blocks[0])}+{len(blocks[1])}"
         )
@@ -381,8 +367,8 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         g_mat = _as_matrix(gamma)
         u_mat = _commutator_with(g_mat, b)
         v_mat = g_mat.scale_right(b) + g_mat.scale_left(b)
-        report.add("v-equation", v_mat.derive(d).scale_left(b) - u_mat * u_mat, scale)
-        report.add("matrix cubic equation", _cubic_residual(u_mat, b, d0, d), scale)
+        report.add("v-equation", v_mat.derive(d).scale_left(b) - u_mat * u_mat)
+        report.add("matrix cubic equation", _cubic_residual(u_mat, b, d0, d))
     return report
 
 
@@ -425,18 +411,17 @@ def _check_toda_data(data) -> ResidualReport:
     report = ResidualReport("toda-data", exact=data.algebra.is_exact)
     S = data.algebra
     n, N = data.n, data.N
-    scale = _series_scale([data.f[i][j] for i in range(n) for j in range(N)])
     for i in range(n):
         for j in range(N):
             f = data.f[i][j]
             res1 = f.derive(data.d1) - data.f[(i - 1) % n][j].scale_right(
                 S.invert(data.a[i][j])
             )
-            report.add(f"du relation f[{i}][{j}]", res1, scale)
+            report.add(f"du relation f[{i}][{j}]", res1)
             res2 = f.derive(data.d2) - data.f[(i + 1) % n][j].scale_right(
                 data.a[(i + 1) % n][j]
             )
-            report.add(f"dv relation f[{i}][{j}]", res2, scale)
+            report.add(f"dv relation f[{i}][{j}]", res2)
     report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
@@ -444,7 +429,6 @@ def _check_toda_data(data) -> ResidualReport:
 def _check_langmuir_data(data) -> ResidualReport:
     report = ResidualReport("langmuir-data", exact=data.algebra.is_exact)
     sites = sorted(data.f)
-    scale = _series_scale([f for k in sites for f in data.f[k]])
     for k in sites:
         for j in range(data.N):
             f = data.f[k][j]
@@ -452,26 +436,21 @@ def _check_langmuir_data(data) -> ResidualReport:
                 report.add(
                     f"shift-by-two relation f[{k}][{j}]",
                     f.derive(data.d) - data.f[k + 2][j],
-                    scale,
                 )
             if k + 1 in data.f:
                 report.add(
                     f"shift-by-one relation f[{k}][{j}]",
                     f.derive(data.d) + f - data.f[k + 1][j].scale_right(data.a[j]),
-                    scale,
                 )
     report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
 
 def _check_nls_data(data) -> ResidualReport:
-    from .quasidet import wronski
-
     report = ResidualReport("nls-data", exact=data.algebra.is_exact)
-    scale = _series_scale(data.fs)
     wp = wronski(data.fs, data.d)
     res_evolution = wp.W.derive(data.d0) + wp.dW.derive(data.d).scale_left(data.b)
-    report.add("d0 + graded second derivative", res_evolution, scale)
+    report.add("d0 + graded second derivative", res_evolution)
     n = wp.N
     wa_rows = tuple(
         tuple(wp.W.entry(m, j).scale_right(data.a[j]) for j in range(n))
@@ -479,5 +458,5 @@ def _check_nls_data(data) -> ResidualReport:
     )
     wa = SquareMatrix(wp.W.algebra, wa_rows)
     res_grading = wp.dW.scale_left(data.b) - wa
-    report.add("graded first derivative vs diagonal", res_grading, scale)
+    report.add("graded first derivative vs diagonal", res_grading)
     return report

@@ -1,9 +1,12 @@
-"""Exact scalar carriers: rationals, Gaussian rationals, and their text encoding.
+"""Exact scalar carriers: rationals, Gaussian rationals, residues mod p, and
+their text encoding.
 
 Plain rationals are stdlib ``Fraction`` values (always lowest terms, positive
 denominator).  Gaussian rationals are pairs of fractions ``re + im*i`` with
-``i*i = -1`` exact.  Complex ``float`` values are allowed only as a diagnostic
-scalar mode; they never participate in exactness claims.
+``i*i = -1`` exact.  Residues are integers modulo the fixed prime
+``PRIME = 2**31 - 1``; a rational reduces to one when its denominator is
+prime to ``PRIME``.  Arithmetic mod p is exact, but a zero there is evidence,
+not a proof, that the rational value is zero.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from fractions import Fraction
 __all__ = [
     "GaussianRational",
     "GAUSSIAN_I",
+    "PRIME",
+    "Residue",
     "parse_rational",
     "parse_gaussian",
     "format_rational",
@@ -123,6 +128,88 @@ class GaussianRational:
 
 
 GAUSSIAN_I = GaussianRational(0, 1)
+
+# 2**31 - 1 = 3 mod 4, so -1 is not a square mod PRIME: there is no i.
+PRIME = 2**31 - 1
+
+
+class Residue:
+    """An integer modulo PRIME, stored as its residue ``v`` in [0, PRIME).
+
+    A Fraction reduces through its denominator's inverse, and raises
+    ValueError when PRIME divides the denominator.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, value=0):
+        if isinstance(value, Fraction):
+            if value.denominator % PRIME == 0:
+                raise ValueError(f"{value} has no residue modulo {PRIME}")
+            value = value.numerator * pow(value.denominator, -1, PRIME)
+        object.__setattr__(self, "v", value % PRIME)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Residue is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, Residue):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Residue(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Residue(self.v + o.v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Residue(-self.v)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Residue(self.v - o.v)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Residue(self.v * o.v)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.v == o.v
+
+    def __hash__(self):
+        # agrees with equality among residues, and with the ints in [0, PRIME)
+        return hash(self.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __repr__(self):
+        return f"Residue({self.v})"
+
+    def __str__(self):
+        return str(self.v)
+
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _GAUSS_RE = re.compile(

@@ -225,7 +225,8 @@ class SeriesAlgebra(Algebra):
         return self.coeff.scalar_field
 
     def magnitude(self, a):
-        return a.max_coeff_magnitude()
+        k = _count_below(self.arity, a.valid_order)
+        return max((self.coeff.magnitude(c) for c in a.coeffs[:k]), default=0.0)
 
     def format_element(self, a, degree_limit=None):
         out = []
@@ -294,11 +295,6 @@ class TruncatedSeries:
         """True when every trusted coefficient (degree < valid_order) is zero."""
         k = _count_below(self.algebra.arity, self.valid_order)
         return all(i >= k for i in self.nonzero_indices())
-
-    def max_coeff_magnitude(self) -> float:
-        alg = self.algebra.coeff
-        k = _count_below(self.algebra.arity, self.valid_order)
-        return max((alg.magnitude(c) for c in self.coeffs[:k]), default=0.0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -485,9 +481,7 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
         ]
         return TruncatedSeries(salg, coeffs, cap)
     cv = algebra.coerce(cv)
-    if not algebra.agree(
-        cu * cv, cv * cu, algebra.magnitude(cu) * algebra.magnitude(cv)
-    ):
+    if cu * cv != cv * cu:
         raise NoncommutingExponents("exponent coefficients do not commute")
     salg = SeriesAlgebra(algebra, 2, cap)
     pu = _power_list(algebra, cu, cap)

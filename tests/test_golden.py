@@ -4,13 +4,20 @@ Each case runs through ``cli.run`` with default settings (no timings), so the
 report bytes depend only on the arithmetic.  A refactor must leave every file
 unchanged.  Rewrite the goldens (``python tests/test_golden.py``) only when
 report content changes on purpose, and say why in CHANGES.md.
+
+The cases over QQ also run in ``gf-p`` mode, whose series must be the QQ
+series reduced mod p: a differential test of the prime field against the
+proven rational results.
 """
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from solitonlab import cli
+from solitonlab.scalars import Residue
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -30,6 +37,17 @@ CASES = {
 }
 
 
+# every case that runs over QQ (nls-N1 needs QQ(i); the self-test has no series)
+RATIONAL_CASES = [
+    "heat-N1-dump",
+    "langmuir-N1-r2-lemmas",
+    "langmuir-N2-w5",
+    "sine-gordon-N2-lemmas",
+    "toda-n2-N1-lemmas",
+    "toda-n3-N2",
+]
+
+
 def _report_bytes(args, path: Path) -> bytes:
     cfg = cli._merge_config(
         cli._build_parser().parse_args(args + ["--seed", "1", "--report", str(path)])
@@ -42,6 +60,30 @@ def _report_bytes(args, path: Path) -> bytes:
 def test_report_matches_golden(name, tmp_path):
     got = _report_bytes(CASES[name], tmp_path / "report.json")
     assert got == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def _mod_p(coefficient):
+    """A dumped rational coefficient (or matrix of them) as dumped mod p."""
+    if isinstance(coefficient, list):
+        return [_mod_p(c) for c in coefficient]
+    return str(Residue(Fraction(coefficient)))
+
+
+@pytest.mark.parametrize("name", RATIONAL_CASES)
+def test_gf_p_series_are_the_rational_series_mod_p(name, tmp_path):
+    args = CASES[name] + ["--dump-series"]
+    qq, gfp = (
+        json.loads(_report_bytes(args + ["--scalar", scalar], tmp_path / "r.json"))
+        for scalar in ("rational", "gf-p")
+    )
+    assert qq["series"].keys() == gfp["series"].keys()
+    for key, terms in qq["series"].items():
+        assert [t["exponents"] for t in terms] == [
+            t["exponents"] for t in gfp["series"][key]
+        ]
+        assert [_mod_p(t["coefficient"]) for t in terms] == [
+            t["coefficient"] for t in gfp["series"][key]
+        ]
 
 
 if __name__ == "__main__":

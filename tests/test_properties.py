@@ -14,7 +14,9 @@ from solitonlab.solitons import (
     nls_solution,
     random_langmuir_params,
     random_nls_params,
+    random_sine_gordon_params,
     random_toda_params,
+    sine_gordon_solution,
     toda_solution,
 )
 
@@ -44,6 +46,32 @@ def test_toda_valid_order_is_honest_and_tight(seed):
     )
     for g_low, g_high in zip(low.gs, high.gs):
         assert _first_disagreement(g_low, g_high) == g_low.valid_order
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_sine_gordon_valid_order_is_honest_and_tight(seed):
+    low, high = (
+        _solve(
+            lambda rng: sine_gordon_solution(
+                random_sine_gordon_params(rng, 2, cap=cap)
+            ),
+            seed,
+        )
+        for cap in (6, 8)
+    )
+    for g_low, g_high in zip(low.gs, high.gs):
+        assert _first_disagreement(g_low, g_high) == g_low.valid_order
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_nls_valid_order_is_honest_and_tight(seed):
+    low, high = (
+        _solve(lambda rng: nls_solution(random_nls_params(rng, 1, cap=cap)), seed)
+        for cap in (6, 8)
+    )
+    assert _first_disagreement(low.U, high.U) == low.U.valid_order
 
 
 @settings(max_examples=10, deadline=None)
@@ -104,7 +132,7 @@ def _argv(draw):
         argv += ["--mode", draw(st.sampled_from(["nls", "heat"]))]
     if draw(st.booleans()):
         argv += ["--scalar", draw(st.sampled_from(
-            ["rational", "gaussian-rational", "complex-float"]
+            ["rational", "gaussian-rational", "gf-p"]
         ))]
     for flag in ("--with-lemmas", "--dump-series"):
         if draw(st.booleans()):

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab.algebra import QQ, QQI, MatrixAlgebra, SquareMatrix, random_invertible
+from solitonlab.algebra import (
+    GFP,
+    QQ,
+    QQI,
+    MatrixAlgebra,
+    SquareMatrix,
+    random_invertible,
+)
 from solitonlab.errors import (
     AlgebraMismatch,
     DerivationMismatch,
@@ -122,12 +129,10 @@ def test_exp_linear_noncommuting_exponents_rejected():
         series_exp_linear(a, b, CAP, algebra=M2)
 
 
-def test_exp_linear_float_mode_allowed():
-    from solitonlab.algebra import CC
-
-    e = series_exp_linear(complex(1.0), None, 4, algebra=CC)
+def test_exp_linear_gf_p_mode_allowed():
+    e = series_exp_linear(1, None, 4, algebra=GFP)
     assert not e.algebra.is_exact
-    assert abs(e.coeff((2,)) - 0.5) < 1e-15
+    assert e.coeff((2,)) == GFP.coerce(Fraction(1, 2))
 
 
 def test_inverse_geometric():
