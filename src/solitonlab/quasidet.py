@@ -8,7 +8,9 @@ reduces to the signed ratio of determinants, which the tests use as an oracle.
 A Wronski matrix stacks iterated derivatives of a family of series; the
 quotient (dW) * W^-1 always has Frobenius (companion) shape: every row above
 the bottom one is a shifted identity row, so a cell is built from its bottom
-row, and a computed bottom row is checked by its defining relation.  The
+row.  For N >= 2 that row x is solved from x * W = (bottom row of dW)
+coefficient by coefficient (``SeriesAlgebra.row_solve``), so W is never
+inverted, and is then checked by the same relation.  The
 bottom row is the carrier of the soliton solutions, and there are two
 plausible readings of its quasideterminant expression;
 ``bottom_row_conventions`` records which one actually reproduces the computed
@@ -176,21 +178,26 @@ def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
     """The quotient (dW) * W^-1, of which only the bottom row is computed.
 
     Row k of dW is row k + 1 of W for k < N - 1, so the rows above are the
-    shifted identity.  The bottom row x is checked through the valid order by
-    x * W = (bottom row of dW), so a failure signals an arithmetic bug; at
-    N = 1 that relation is the series inverse's own.
+    shifted identity.  For N >= 2 the bottom row x is solved from
+    x * W = (bottom row of dW) one coefficient at a time, with no inverse of
+    W, and then checked by that relation through the valid order, so a
+    failure signals an arithmetic bug.  At N = 1 it is the bottom row of dW
+    times the series inverse of W, whose recurrence is the relation's own.
     """
+    target = wp.dW.rows[-1]
+    salg = wp.W.algebra.base
     try:
-        w_inv = wp.W.inverse()
+        if wp.N == 1:
+            bottom = row_times(target, wp.W.inverse())
+        else:
+            bottom = salg.row_solve(target, wp.W)
     except SingularMatrix as exc:
         raise SingularWronskian(f"Wronski matrix not invertible: {exc}") from exc
-    target = wp.dW.rows[-1]
-    bottom = row_times(target, w_inv)
     if wp.N > 1 and row_times(bottom, wp.W) != target:
         raise VerificationError(
             "bottom row of (dW) * W^-1 fails its defining relation x * W = dW"
         )
-    return FrobeniusCell(wp.W.algebra.base, bottom)
+    return FrobeniusCell(salg, bottom)
 
 
 def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMatrix:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import Algebra, MatrixAlgebra, SquareMatrix
+from .algebra import Algebra, MatrixAlgebra, SquareMatrix, row_times
 from .errors import (
     AlgebraMismatch,
     DerivationMismatch,
@@ -239,14 +239,20 @@ class SeriesAlgebra(Algebra):
             out.append({"exponents": list(e), "coefficient": self.coeff.format_element(c)})
         return out
 
-    def matrix_inverse(self, m):
-        # a matrix of series is a series of N x N matrices in disguise: invert
-        # the coefficient matrices read off the entries, then write them back
-        n, mat = m.dim, MatrixAlgebra(self.coeff, m.dim)
+    def _coefficient_matrices(self, m):
+        # a matrix of series is a series of N x N matrices in disguise
+        mat = MatrixAlgebra(self.coeff, m.dim)
         coeffs = [
             SquareMatrix(mat, [[x.coeffs[k] for x in row] for row in m.rows])
             for k in range(self.size)
         ]
+        return mat, coeffs
+
+    def matrix_inverse(self, m):
+        # invert the coefficient matrices read off the entries, then write
+        # them back
+        n = m.dim
+        mat, coeffs = self._coefficient_matrices(m)
         inv = _inverse_coeffs(self.arity, self.cap, mat, coeffs)
         vo = min(x.valid_order for row in m.rows for x in row)
         rows = [
@@ -254,6 +260,34 @@ class SeriesAlgebra(Algebra):
             for i in range(n)
         ]
         return SquareMatrix(m.algebra, rows)
+
+    def row_solve(self, y, m) -> tuple:
+        """The row x of series with x * m = y, one coefficient at a time.
+
+        x_E = (y_E - sum over F != 0 of x_(E-F) * W_F) * W_0^-1, where W_F
+        are the coefficient matrices of m: one inversion of W_0, then one
+        row-times-matrix product per (F, E-F) pair.  Equals
+        ``row_times(y, m.inverse())`` without building the inverse, valid
+        order included.  Raises SingularConstantTerm when W_0 is singular.
+        """
+        mat, coeffs = self._coefficient_matrices(m)
+        try:
+            w0_inv = mat.invert(coeffs[0])
+        except SingularMatrix as exc:
+            raise SingularConstantTerm(
+                "constant coefficient matrix is not invertible"
+            ) from exc
+        pairs = _inverse_pairs(self.arity, self.cap)
+        xs = []
+        for e, e_pairs in enumerate(pairs):
+            acc = [s.coeffs[e] for s in y]
+            for i_f, i_r in e_pairs:
+                acc = [a - t for a, t in zip(acc, row_times(xs[i_r], coeffs[i_f]))]
+            xs.append(row_times(acc, w0_inv))
+        vo = min(s.valid_order for s in (*y, *(x for row in m.rows for x in row)))
+        return tuple(
+            TruncatedSeries(self, [x[j] for x in xs], vo) for j in range(m.dim)
+        )
 
 
 class TruncatedSeries:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from solitonlab.cli import main
 from solitonlab.errors import SingularMatrix
+from solitonlab.quasidet import frobenius_gamma, wronski
 from solitonlab.solitons import (
     langmuir_solution,
     nls_solution,
@@ -17,6 +18,7 @@ from solitonlab.solitons import (
     random_sine_gordon_params,
     random_toda_params,
     sine_gordon_solution,
+    toda_build_f,
     toda_solution,
 )
 
@@ -46,6 +48,20 @@ def test_toda_valid_order_is_honest_and_tight(seed):
     )
     for g_low, g_high in zip(low.gs, high.gs):
         assert _first_disagreement(g_low, g_high) == g_low.valid_order
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+@example(12)  # one entry is exact one degree beyond the claimed order
+def test_toda_three_mode_bottom_row_is_honest(seed):
+    def bottom_row(rng, cap):
+        data = toda_build_f(random_toda_params(rng, 2, 3, cap=cap))
+        return frobenius_gamma(wronski(data.f[0], data.d2)).bottom_row()
+
+    low, high = (_solve(lambda rng: bottom_row(rng, cap), seed) for cap in (6, 8))
+    for x_low, x_high in zip(low, high):
+        first = _first_disagreement(x_low, x_high)
+        assert first is None or first >= x_low.valid_order
 
 
 @settings(max_examples=10, deadline=None)

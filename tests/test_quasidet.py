@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from conftest import fraction_det
-from solitonlab.algebra import QQ, MatrixAlgebra, SquareMatrix, random_element
+from solitonlab.algebra import QQ, MatrixAlgebra, random_element
 from solitonlab.errors import (
     SingularCell,
     SingularMatrix,
@@ -155,14 +155,13 @@ def test_solution_entry_matches_cell():
 def test_frobenius_gamma_rejects_a_wrong_inverse(monkeypatch):
     rng = Random(13)
     wp = wronski(_toda_like_series(rng, 2), D_V)
-    inverse = SquareMatrix.inverse
+    solve = SeriesAlgebra.row_solve
 
-    def corrupted(m):
-        rows = [list(r) for r in inverse(m).rows]
-        rows[0][0] = rows[0][0] + 1
-        return SquareMatrix(m.algebra, rows)
+    def corrupted(self, y, m):
+        row = solve(self, y, m)
+        return (row[0] + 1,) + row[1:]  # one coefficient off by one
 
-    monkeypatch.setattr(SquareMatrix, "inverse", corrupted)
+    monkeypatch.setattr(SeriesAlgebra, "row_solve", corrupted)
     with pytest.raises(VerificationError):
         frobenius_gamma(wp)
 
