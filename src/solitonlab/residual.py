@@ -71,9 +71,10 @@ class ResidualReport:
 
         A matrix is zero when every entry is zero through that entry's own
         valid order; the entry reports the least order and largest magnitude.
+        An entry whose least order is 0 examined nothing, so it fails.
         """
         vo = min(s.valid_order for s in _series_of(x))
-        passed = x.algebra.is_zero(x)
+        passed = vo >= 1 and x.algebra.is_zero(x)
         self.entries.append(ResidualEntry(
             label, passed, x.algebra.magnitude(x), vo,
             exact_zero=passed if self.exact else None,

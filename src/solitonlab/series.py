@@ -1,23 +1,24 @@
 """Truncated formal power series with noncommutative coefficients.
 
 A series lives in ``SeriesAlgebra(coeff, arity, cap)``: one variable ``t`` or
-two commuting variables ``(u, v)``, coefficients in any algebra from
-:mod:`solitonlab.algebra`, and dense storage of every coefficient of total
-degree below ``cap`` in graded-lexicographic order.
+two commuting variables ``(u, v)``, and coefficients in any algebra from
+:mod:`solitonlab.algebra`.
 
-Each series also carries ``valid_order``: all coefficients of total degree
-strictly below it are guaranteed correct.  Storage above ``valid_order`` (but
-below ``cap``) holds deterministic values that lost information to truncation;
-no claim is ever made about them.  Products and sums take the minimum of the
-operands' valid orders, a formal derivative loses one order, and inversion
-preserves the order of its input.
+Each series carries ``valid_order`` (at most ``cap``): every coefficient of
+total degree strictly below it is guaranteed correct, and those are exactly
+the coefficients it stores, densely in graded-lexicographic order.  Products
+and sums take the minimum of the operands' valid orders and compute only that
+prefix, a formal derivative loses one order, and inversion preserves the order
+of its input.  A series with no trusted coefficient decides nothing: deriving,
+inverting or row-solving it raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
 
 from .algebra import Algebra, MatrixAlgebra, SquareMatrix, row_times
 from .errors import (
@@ -53,7 +54,6 @@ def _exponents(arity: int, cap: int):
 
 def _count_below(arity: int, degree: int) -> int:
     """How many exponents have total degree < degree: a prefix of the grading."""
-    degree = max(degree, 0)
     return degree if arity == 1 else degree * (degree + 1) // 2
 
 
@@ -171,27 +171,20 @@ class SeriesAlgebra(Algebra):
     def exponents(self):
         return _exponents(self.arity, self.cap)
 
-    @property
-    def size(self):
-        return len(self.exponents)
-
     def constant(self, value, valid_order=None) -> "TruncatedSeries":
-        value = self.coeff.coerce(value)
-        z = self.coeff.zero()
-        coeffs = [z] * self.size
-        coeffs[0] = value
-        vo = self.cap if valid_order is None else valid_order
-        return TruncatedSeries(self, coeffs, vo)
+        return self.monomial((0,) * self.arity, value, valid_order)
 
     def monomial(self, exponent, value=1, valid_order=None) -> "TruncatedSeries":
+        """value * u^m v^n (or t^m); only zeros when it lies at or above valid_order."""
         exponent = tuple(exponent)
         idx = _index_of(self.arity, self.cap).get(exponent)
         if idx is None:
             raise ValueError(f"exponent {exponent} out of range for cap {self.cap}")
-        z = self.coeff.zero()
-        coeffs = [z] * self.size
-        coeffs[idx] = self.coeff.coerce(value)
+        value = self.coeff.coerce(value)
         vo = self.cap if valid_order is None else valid_order
+        coeffs = [self.coeff.zero()] * _count_below(self.arity, vo)
+        if idx < len(coeffs):
+            coeffs[idx] = value
         return TruncatedSeries(self, coeffs, vo)
 
     def zero(self):
@@ -225,26 +218,22 @@ class SeriesAlgebra(Algebra):
         return self.coeff.scalar_field
 
     def magnitude(self, a):
-        k = _count_below(self.arity, a.valid_order)
-        return max((self.coeff.magnitude(c) for c in a.coeffs[:k]), default=0.0)
+        return max((self.coeff.magnitude(c) for c in a.coeffs), default=0.0)
 
     def format_element(self, a, degree_limit=None):
-        out = []
-        limit = a.valid_order if degree_limit is None else min(a.valid_order, degree_limit + 1)
-        k = _count_below(self.arity, limit)
         zero = self.coeff.zero()
-        for e, c in zip(self.exponents, a.coeffs[:k]):
-            if c == zero:
-                continue
-            out.append({"exponents": list(e), "coefficient": self.coeff.format_element(c)})
-        return out
+        return [
+            {"exponents": list(e), "coefficient": self.coeff.format_element(c)}
+            for e, c in zip(self.exponents, a.coeffs)
+            if c != zero and (degree_limit is None or sum(e) <= degree_limit)
+        ]
 
-    def _coefficient_matrices(self, m):
+    def _coefficient_matrices(self, m, valid_order):
         # a matrix of series is a series of N x N matrices in disguise
         mat = MatrixAlgebra(self.coeff, m.dim)
         coeffs = [
             SquareMatrix(mat, [[x.coeffs[k] for x in row] for row in m.rows])
-            for k in range(self.size)
+            for k in range(_count_below(self.arity, valid_order))
         ]
         return mat, coeffs
 
@@ -252,9 +241,9 @@ class SeriesAlgebra(Algebra):
         # invert the coefficient matrices read off the entries, then write
         # them back
         n = m.dim
-        mat, coeffs = self._coefficient_matrices(m)
-        inv = _inverse_coeffs(self.arity, self.cap, mat, coeffs)
-        vo = min(x.valid_order for row in m.rows for x in row)
+        vo = _trusted_order([x for row in m.rows for x in row], "invert")
+        mat, coeffs = self._coefficient_matrices(m, vo)
+        inv = _inverse_coeffs(self.arity, vo, mat, coeffs)
         rows = [
             [TruncatedSeries(self, [c.rows[i][j] for c in inv], vo) for j in range(n)]
             for i in range(n)
@@ -268,40 +257,46 @@ class SeriesAlgebra(Algebra):
         are the coefficient matrices of m: one inversion of W_0, then one
         row-times-matrix product per (F, E-F) pair.  Equals
         ``row_times(y, m.inverse())`` without building the inverse, valid
-        order included.  Raises SingularConstantTerm when W_0 is singular.
+        order included.  Raises SingularConstantTerm when W_0 is singular
+        and ValueError when no coefficient is trusted.
         """
-        mat, coeffs = self._coefficient_matrices(m)
+        vo = _trusted_order([*y, *(x for row in m.rows for x in row)], "solve")
+        mat, coeffs = self._coefficient_matrices(m, vo)
         try:
             w0_inv = mat.invert(coeffs[0])
         except SingularMatrix as exc:
             raise SingularConstantTerm(
                 "constant coefficient matrix is not invertible"
             ) from exc
-        pairs = _inverse_pairs(self.arity, self.cap)
+        pairs = _inverse_pairs(self.arity, vo)
         xs = []
         for e, e_pairs in enumerate(pairs):
             acc = [s.coeffs[e] for s in y]
             for i_f, i_r in e_pairs:
                 acc = [a - t for a, t in zip(acc, row_times(xs[i_r], coeffs[i_f]))]
             xs.append(row_times(acc, w0_inv))
-        vo = min(s.valid_order for s in (*y, *(x for row in m.rows for x in row)))
         return tuple(
             TruncatedSeries(self, [x[j] for x in xs], vo) for j in range(m.dim)
         )
 
 
 class TruncatedSeries:
-    """Immutable dense truncated series; ``*`` is the Cauchy product."""
+    """Immutable truncated series; ``*`` is the Cauchy product.
+
+    ``coeffs`` holds exactly the trusted coefficients: one per exponent of
+    total degree below ``valid_order``, in graded-lexicographic order.
+    """
 
     __slots__ = ("algebra", "coeffs", "valid_order", "_nonzero")
 
     def __init__(self, algebra: SeriesAlgebra, coeffs, valid_order: int):
-        if len(coeffs) != algebra.size:
-            raise AlgebraMismatch("coefficient storage does not match cap")
         if not 0 <= valid_order <= algebra.cap:
             raise ValueError(f"valid_order {valid_order} outside [0, cap]")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != _count_below(algebra.arity, valid_order):
+            raise AlgebraMismatch(f"{len(coeffs)} coefficients for valid_order {valid_order}")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "valid_order", valid_order)
         object.__setattr__(self, "_nonzero", None)
 
@@ -310,12 +305,16 @@ class TruncatedSeries:
 
     # -- inspection ---------------------------------------------------------
 
+    def _trusted_index(self, exponent):
+        e = tuple(exponent)
+        idx = _index_of(self.algebra.arity, self.algebra.cap).get(e)
+        if idx is None or idx >= len(self.coeffs):
+            raise ValueError(f"exponent {e} not below valid_order {self.valid_order}")
+        return idx
+
     def coeff(self, exponent):
-        """Coefficient at an exponent tuple (stored range only)."""
-        idx = _index_of(self.algebra.arity, self.algebra.cap).get(tuple(exponent))
-        if idx is None:
-            raise ValueError(f"exponent {tuple(exponent)} not stored (cap {self.algebra.cap})")
-        return self.coeffs[idx]
+        """Coefficient at an exponent tuple; ValueError at or above valid_order."""
+        return self.coeffs[self._trusted_index(exponent)]
 
     def nonzero_indices(self):
         cached = self._nonzero
@@ -327,8 +326,7 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         """True when every trusted coefficient (degree < valid_order) is zero."""
-        k = _count_below(self.algebra.arity, self.valid_order)
-        return all(i >= k for i in self.nonzero_indices())
+        return not self.nonzero_indices()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -408,25 +406,25 @@ class TruncatedSeries:
         return series_inverse(self)
 
     def with_coeff(self, exponent, value) -> "TruncatedSeries":
-        """Copy with one stored coefficient replaced (testing/corruption aid)."""
-        exponent = tuple(exponent)
-        idx = _index_of(self.algebra.arity, self.algebra.cap)[exponent]
+        """Copy with one trusted coefficient replaced; ValueError at or above valid_order."""
         coeffs = list(self.coeffs)
-        coeffs[idx] = self.algebra.coeff.coerce(value)
+        coeffs[self._trusted_index(exponent)] = self.algebra.coeff.coerce(value)
         return TruncatedSeries(self.algebra, coeffs, self.valid_order)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
-        """Explicit re-truncation; the one way valid_order may increase."""
-        return TruncatedSeries(self.algebra, self.coeffs, valid_order)
+        """Truncate; raising the order is a ValueError, as nothing is stored there."""
+        if valid_order > self.valid_order:
+            raise ValueError(f"cannot raise valid_order {self.valid_order} to {valid_order}")
+        k = _count_below(self.algebra.arity, valid_order)
+        return TruncatedSeries(self.algebra, self.coeffs[:k], valid_order)
 
     def evaluate(self, point):
         """Sum the trusted coefficients at a point of the scalar field."""
         if len(point) != self.algebra.arity:
             raise ValueError("point arity mismatch")
         alg = self.algebra.coeff
-        k = _count_below(self.algebra.arity, self.valid_order)
         total = alg.zero()
-        for e, c in zip(self.algebra.exponents, self.coeffs[:k]):
+        for e, c in zip(self.algebra.exponents, self.coeffs):
             w = None
             for x, k in zip(point, e):
                 for _ in range(k):
@@ -439,7 +437,8 @@ class TruncatedSeries:
             return NotImplemented
         return series_equal(self, other)
 
-    # equality ignores untrusted coefficients, so no hash can agree with it
+    # series of different orders compare equal on their common prefix, so no
+    # hash can agree with equality
     __hash__ = None
 
     def __repr__(self):
@@ -457,39 +456,44 @@ class TruncatedSeries:
         return f"<series {body}; valid<{self.valid_order}>"
 
 
+def _trusted_order(series, action: str) -> int:
+    """The least valid order of ``series``; ValueError when it is 0."""
+    vo = min(s.valid_order for s in series)
+    if vo < 1:
+        raise ValueError(f"no trusted coefficients to {action}")
+    return vo
+
+
 def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     salg = a.algebra
-    alg = salg.coeff
-    table = _pair_table(salg.arity, salg.cap)
-    out = [alg.zero()] * salg.size
+    vo = min(a.valid_order, b.valid_order)
+    table = _pair_table(salg.arity, vo)
+    out = [salg.coeff.zero()] * _count_below(salg.arity, vo)
     ca, cb = a.coeffs, b.coeffs
     for ia in a.nonzero_indices():
+        if ia >= len(out):
+            break
         x = ca[ia]
         for ib in b.nonzero_indices():
             iout = table.get((ia, ib))
             if iout is None:
                 continue
             out[iout] += x * cb[ib]
-    return TruncatedSeries(salg, out, min(a.valid_order, b.valid_order))
+    return TruncatedSeries(salg, out, vo)
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     """Formal partial derivative; valid order drops by one."""
-    if s.valid_order < 1:
-        raise ValueError("series has no trusted coefficients to differentiate")
+    _trusted_order((s,), "differentiate")
     salg = s.algebra
     axis = d.axis(salg.arity)
-    exps = salg.exponents
     index = _index_of(salg.arity, salg.cap)
     alg = salg.coeff
     zero = alg.zero()
-    out = [zero] * salg.size
-    for i, e in enumerate(exps):
+    out = [zero] * _count_below(salg.arity, s.valid_order - 1)
+    for e, src in zip(salg.exponents, s.coeffs):
         k = e[axis]
-        if k == 0:
-            continue
-        src = s.coeffs[i]
-        if src == zero:
+        if k == 0 or src == zero:
             continue
         tgt = list(e)
         tgt[axis] = k - 1
@@ -505,28 +509,20 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
     d/du exp = exp*cu and d/dv exp = exp*cv hold; the coefficient at (m, n)
     is cu^m * cv^n / (m! n!).
     """
-    cu = algebra.coerce(cu)
-    if cv is None:
-        salg = SeriesAlgebra(algebra, 1, cap)
-        powers = _power_list(algebra, cu, cap)
-        coeffs = [
-            algebra.scalar_mul(Fraction(1, factorial(m)), powers[m])
-            for m in range(cap)
-        ]
-        return TruncatedSeries(salg, coeffs, cap)
-    cv = algebra.coerce(cv)
-    if cu * cv != cv * cu:
-        raise NoncommutingExponents("exponent coefficients do not commute")
-    salg = SeriesAlgebra(algebra, 2, cap)
-    pu = _power_list(algebra, cu, cap)
-    pv = _power_list(algebra, cv, cap)
-    coeffs = []
-    for m, n in salg.exponents:
-        coeffs.append(
-            algebra.scalar_mul(
-                Fraction(1, factorial(m) * factorial(n)), pu[m] * pv[n]
-            )
+    cs = [algebra.coerce(cu)]
+    if cv is not None:
+        cs.append(algebra.coerce(cv))
+        if cs[0] * cs[1] != cs[1] * cs[0]:
+            raise NoncommutingExponents("exponent coefficients do not commute")
+    powers = [_power_list(algebra, c, cap) for c in cs]
+    salg = SeriesAlgebra(algebra, len(cs), cap)
+    coeffs = [
+        algebra.scalar_mul(
+            Fraction(1, prod(factorial(k) for k in e)),
+            reduce(mul, (p[k] for p, k in zip(powers, e))),
         )
+        for e in salg.exponents
+    ]
     return TruncatedSeries(salg, coeffs, cap)
 
 
@@ -537,15 +533,13 @@ def _power_list(alg: Algebra, x, cap: int):
     return powers
 
 
-def _inverse_coeffs(arity: int, cap: int, alg: Algebra, coeffs) -> list:
-    """Coefficients of the two-sided inverse of a series over ``alg``."""
+def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
+    """Trusted coefficients of the two-sided inverse of a series over ``alg``."""
     try:
         c_inv = alg.invert(coeffs[0])
     except SingularMatrix as exc:
-        raise SingularConstantTerm(
-            "series constant term is not invertible"
-        ) from exc
-    pairs = _inverse_pairs(arity, cap)
+        raise SingularConstantTerm("series constant term is not invertible") from exc
+    pairs = _inverse_pairs(arity, valid_order)
     out = [alg.zero()] * len(coeffs)
     out[0] = c_inv
     for iout in range(1, len(coeffs)):
@@ -559,9 +553,13 @@ def _inverse_coeffs(arity: int, cap: int, alg: Algebra, coeffs) -> list:
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse through the stored range; needs an invertible constant."""
+    """Two-sided inverse through the input's valid order.
+
+    Needs an invertible constant term; ValueError when no coefficient is trusted.
+    """
+    _trusted_order((s,), "invert")
     salg = s.algebra
-    out = _inverse_coeffs(salg.arity, salg.cap, salg.coeff, s.coeffs)
+    out = _inverse_coeffs(salg.arity, s.valid_order, salg.coeff, s.coeffs)
     return TruncatedSeries(salg, out, s.valid_order)
 
 
@@ -569,8 +567,7 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Exact agreement of every coefficient both sides trust."""
     if a.algebra != b.algebra:
         return False
-    k = _count_below(a.algebra.arity, min(a.valid_order, b.valid_order))
-    return all(x == y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
+    return all(x == y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:

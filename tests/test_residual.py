@@ -175,6 +175,19 @@ def test_langmuir_corruption_detected():
     assert not check_langmuir(gs, D_T).passed
 
 
+def test_langmuir_entry_that_examined_nothing_fails():
+    # constants 5, 6, 7 do not solve the lattice, but at valid order 1 the
+    # derivative trusts no coefficient: the residual proves nothing
+    salg = SeriesAlgebra(QQ, 1, 4)
+    gs = {k: salg.constant(5 + k, valid_order=1) for k in range(3)}
+    report = check_langmuir(gs, D_T)
+    assert not report.passed
+    assert report.entries
+    for e in report.entries:
+        assert e.valid_order == 0
+        assert not e.passed and e.exact_zero is False
+
+
 def test_nls_zero_solution_trivially_passes():
     salg = SeriesAlgebra(MatrixAlgebra(QQ, 2), 2, 5)
     b = MatrixAlgebra(QQ, 2).diagonal([1, -1])

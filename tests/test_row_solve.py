@@ -67,7 +67,6 @@ def test_row_solve_equals_row_times_inverse(build):
     expected = row_times(y, W.inverse())
     assert len(solved) == W.dim
     for x, e in zip(solved, expected):
-        # every stored coefficient, not only the trusted ones
         assert x.coeffs == e.coeffs
         assert x.valid_order == e.valid_order
     assert row_times(solved, W) == y

@@ -45,7 +45,8 @@ small_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=7)
 def rational_series(salg=S):
     return st.builds(
         lambda coeffs: TruncatedSeries(salg, coeffs, salg.cap),
-        st.lists(small_fractions, min_size=salg.size, max_size=salg.size),
+        st.lists(small_fractions, min_size=len(salg.exponents),
+                 max_size=len(salg.exponents)),
     )
 
 
@@ -195,7 +196,7 @@ def test_inverse_derivative_identity_matrix_of_series(rng):
                 TruncatedSeries(
                     SeriesAlgebra(QQ, 2, CAP),
                     [Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-                     for _ in range(S.size)],
+                     for _ in S.exponents],
                     CAP,
                 )
                 for _ in range(2)
@@ -220,8 +221,10 @@ def test_valid_order_bookkeeping():
     assert prod.valid_order == CAP - 1
     assert d.inverse().valid_order == CAP - 1
     assert (d + e).valid_order == CAP - 1
-    # explicit re-truncation is the only way up
-    assert d.with_valid_order(CAP).valid_order == CAP
+    # truncation only lowers: nothing is stored above the valid order
+    assert d.with_valid_order(2).valid_order == 2
+    with pytest.raises(ValueError):
+        d.with_valid_order(CAP)
 
 
 def test_valid_order_gates_equality():
@@ -232,8 +235,9 @@ def test_valid_order_gates_equality():
 
 
 def test_series_are_unhashable():
-    # equality ignores untrusted coefficients, so a hash over the stored ones
-    # would put equal series into different set slots
+    # series of different orders compare equal on their common prefix, so a
+    # hash over the stored coefficients would put equal series into
+    # different set slots
     one, u = S.one(), S.monomial((1, 0))
     low = (one + u).with_valid_order(1)
     assert low == one
@@ -270,10 +274,11 @@ def _block_series_matrix(rng, valid_orders, constants):
     for i in range(2):
         row = []
         for j in range(2):
+            trusted = sum(1 for e in SM.exponents if sum(e) < valid_orders[i][j])
             coeffs = [M2.matrix(constants[i][j])] + [
                 M2.matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                             for _ in range(2)] for _ in range(2)])
-                for _ in range(SM.size - 1)
+                for _ in range(trusted - 1)
             ]
             row.append(TruncatedSeries(SM, coeffs, valid_orders[i][j]))
         rows.append(tuple(row))
