@@ -33,11 +33,15 @@ CASES = {
     "nls-N1": ["nls", "--N", "1", "--cap", "7"],
     "heat-N1-dump": ["nls", "--N", "1", "--mode", "heat", "--cap", "7",
                      "--dump-series"],
+    "nls-N2-dump": ["nls", "--N", "2", "--cap", "7", "--dump-series"],
+    "toda-n3-N2-r2-dump": ["toda", "--n", "3", "--N", "2", "--r", "2",
+                           "--cap", "7", "--dump-series"],
     "selftest-30": ["quasidet-selftest", "--trials", "30"],
 }
 
 
-# every case that runs over QQ (nls-N1 needs QQ(i); the self-test has no series)
+# every case that runs over QQ (nls-N1 and nls-N2-dump need QQ(i); the self-test
+# has no series)
 RATIONAL_CASES = [
     "heat-N1-dump",
     "langmuir-N1-r2-lemmas",
@@ -45,6 +49,7 @@ RATIONAL_CASES = [
     "sine-gordon-N2-lemmas",
     "toda-n2-N1-lemmas",
     "toda-n3-N2",
+    "toda-n3-N2-r2-dump",
 ]
 
 
