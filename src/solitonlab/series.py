@@ -11,16 +11,34 @@ and sums take the minimum of the operands' valid orders and compute only that
 prefix, a formal derivative loses one order, and inversion preserves the order
 of its input.  A series with no trusted coefficient decides nothing: deriving,
 inverting or row-solving it raises ``ValueError``.
+
+Products are formed over integers.  Each operand's trusted prefix is read as
+integer numerators over one common denominator, the lcm of every scalar
+denominator in it (1 over GF(p)), with one channel per entry of a matrix
+coefficient and two (re, im) over QQ(i).  The channels are convolved with
+plain ``int`` multiply-adds, and every output scalar is built once, as a
+``Fraction`` over the product of the two denominators (or a ``Residue``).
+Fractions reduce to lowest terms and residues to [0, p), so each value, and
+every report, is the same as from a coefficient-by-coefficient product.
+Scaling by a coefficient is a product with a constant series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 
-from .algebra import Algebra, MatrixAlgebra, SquareMatrix, row_times
+from .algebra import (
+    Algebra,
+    GaussianRationals,
+    MatrixAlgebra,
+    PrimeField,
+    Rationals,
+    SquareMatrix,
+    row_times,
+)
 from .errors import (
     AlgebraMismatch,
     DerivationMismatch,
@@ -28,6 +46,7 @@ from .errors import (
     SingularConstantTerm,
     SingularMatrix,
 )
+from .scalars import GaussianRational, Residue
 
 __all__ = [
     "Derivation",
@@ -63,35 +82,30 @@ def _index_of(arity: int, cap: int):
 
 
 @lru_cache(maxsize=None)
-def _pair_table(arity: int, cap: int):
-    """(ia, ib) -> output index for every product that stays under cap."""
+def _row_pairs(arity: int, cap: int):
+    """Per row ia: the output index of (ia, ib) for each ib whose product stays
+    under cap.  Those ib are a prefix of the grading, so the row lists only
+    their output indices."""
     exps = _exponents(arity, cap)
     index = _index_of(arity, cap)
-    table = {}
-    for ia, ea in enumerate(exps):
-        da = sum(ea)
-        for ib, eb in enumerate(exps):
-            if da + sum(eb) >= cap:
-                continue
-            table[(ia, ib)] = index[tuple(x + y for x, y in zip(ea, eb))]
-    return table
+    return tuple(
+        tuple(
+            index[tuple(x + y for x, y in zip(ea, eb))]
+            for eb in exps[: _count_below(arity, cap - sum(ea))]
+        )
+        for ea in exps
+    )
 
 
 @lru_cache(maxsize=None)
 def _inverse_pairs(arity: int, cap: int):
     """For each output index E: the (F, E-F) index pairs with F != 0."""
-    exps = _exponents(arity, cap)
-    index = _index_of(arity, cap)
-    pairs = [[] for _ in exps]
-    for i_f, ef in enumerate(exps):
-        if i_f == 0:
-            continue
-        for i_r, er in enumerate(exps):
-            tot = tuple(x + y for x, y in zip(ef, er))
-            if sum(tot) >= cap:
-                continue
-            pairs[index[tot]].append((i_f, i_r))
-    return tuple(tuple(p) for p in pairs)
+    pairs = [[] for _ in range(_count_below(arity, cap))]
+    for i_f, row in enumerate(_row_pairs(arity, cap)):
+        if i_f:
+            for i_r, iout in enumerate(row):
+                pairs[iout].append((i_f, i_r))
+    return tuple(map(tuple, pairs))
 
 
 class Derivation:
@@ -387,17 +401,11 @@ class TruncatedSeries:
 
     def scale_left(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the left."""
-        c = self.algebra.coeff.coerce(c)
-        return TruncatedSeries(
-            self.algebra, [c * x for x in self.coeffs], self.valid_order
-        )
+        return _convolve(self.algebra.constant(c, self.valid_order), self)
 
     def scale_right(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the right."""
-        c = self.algebra.coeff.coerce(c)
-        return TruncatedSeries(
-            self.algebra, [x * c for x in self.coeffs], self.valid_order
-        )
+        return _convolve(self, self.algebra.constant(c, self.valid_order))
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
         return series_derive(self, d)
@@ -465,21 +473,150 @@ def _trusted_order(series, action: str) -> int:
 
 
 def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The Cauchy product a * b through the lesser valid order, over integers.
+
+    Each operand's trusted prefix is lifted to integer numerator channels over
+    one common denominator, the channels are convolved with plain ``int``
+    multiply-adds (block entries as (i, k) * (k, j), summed over k), and each
+    output scalar is lowered once, over the product of the two denominators.
+    """
     salg = a.algebra
     vo = min(a.valid_order, b.valid_order)
-    table = _pair_table(salg.arity, vo)
-    out = [salg.coeff.zero()] * _count_below(salg.arity, vo)
-    ca, cb = a.coeffs, b.coeffs
-    for ia in a.nonzero_indices():
-        if ia >= len(out):
-            break
-        x = ca[ia]
-        for ib in b.nonzero_indices():
-            iout = table.get((ia, ib))
-            if iout is None:
-                continue
-            out[iout] += x * cb[ib]
-    return TruncatedSeries(salg, out, vo)
+    n = _count_below(salg.arity, vo)
+    rows = _row_pairs(salg.arity, vo)
+    field, dim = _field_and_dim(salg.coeff)
+    terms = _GAUSSIAN_TERMS if isinstance(field, GaussianRationals) else _REAL_TERMS
+    den_a, xs = _lift(a.coeffs[:n], salg.coeff, field, dim)
+    den_b, ys = _lift(b.coeffs[:n], salg.coeff, field, dim)
+    out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            acc = out[i][j]
+            for k in range(dim):
+                x, y = xs[i][k], ys[k][j]
+                for ca, cb, co, sign in terms:
+                    if x[ca] is not None and y[cb] is not None:
+                        if acc[co] is None:
+                            acc[co] = [0] * n
+                        _mul_add(acc[co], x[ca], y[cb], rows, sign)
+    coeffs = _lower(salg.coeff, field, dim, out, den_a * den_b, n)
+    return TruncatedSeries(salg, coeffs, vo)
+
+
+# Channel products (a, b, out, sign) add sign * a * b to channel out.  A scalar
+# of QQ or GF(p) is one channel; over QQ(i) it is (re, im), and
+# (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
+_REAL_TERMS = ((0, 0, 0, 1),)
+_GAUSSIAN_TERMS = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
+
+
+def _mul_add(out, x, y, rows, sign):
+    """out += sign * (x conv y) for integer channels x, y over the pair rows."""
+    if x.count(0) < y.count(0):
+        x, y = y, x  # integers commute: walk the rows of the sparser channel
+    for xa, row in zip(x, rows):
+        if xa:
+            if sign < 0:
+                xa = -xa
+            for io, yb in zip(row, y):
+                out[io] += xa * yb
+
+
+def _field_and_dim(alg):
+    """The scalar field under ``alg`` and the size of its flattened coefficients."""
+    dim = 1
+    while isinstance(alg, MatrixAlgebra):
+        dim *= alg.dim
+        alg = alg.base
+    return alg, dim
+
+
+def _lift(coeffs, alg, field, dim):
+    """(D, xs): xs[i][j][c] lists the integer numerators over D of channel c of
+    entry (i, j) of every coefficient, or is None when they are all zero.  D is
+    the lcm of every scalar denominator in ``coeffs`` (1 over GF(p))."""
+    if dim == 1:
+        entries = [[coeffs]]
+    else:
+        grids = [_scalar_grid(alg, c) for c in coeffs]
+        entries = [[[g[i][j] for g in grids] for j in range(dim)] for i in range(dim)]
+    chans = [[_split(field, e) for e in row] for row in entries]
+    den = lcm(*{v.denominator for row in chans for ch in row for part in ch for v in part})
+    return den, [
+        [[_numerators(part, den) for part in ch] for ch in row]
+        for row in chans
+    ]
+
+
+def _numerators(values, den):
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return nums if any(nums) else None
+
+
+def _split(field, xs):
+    """Field scalars as channels of rationals or integers: (re, im) over QQ(i)."""
+    if isinstance(field, Rationals):
+        return (xs,)
+    if isinstance(field, GaussianRationals):
+        return [z.re for z in xs], [z.im for z in xs]
+    if isinstance(field, PrimeField):
+        return ([r.v for r in xs],)
+    raise AlgebraMismatch(f"no integer channels for scalars of {field!r}")
+
+
+def _lower(alg, field, dim, out, den, n):
+    """The output coefficients from their numerator channels over ``den``."""
+    entries = [[_join(field, ch, den, n) for ch in row] for row in out]
+    if dim == 1:
+        return entries[0][0]
+    return [
+        _from_grid(alg, tuple(tuple(e[k] for e in row) for row in entries))
+        for k in range(n)
+    ]
+
+
+def _join(field, chans, den, n):
+    if isinstance(field, GaussianRationals):
+        re, im = (_fractions(c, den, n) for c in chans)
+        return [GaussianRational(x, y) for x, y in zip(re, im)]
+    if isinstance(field, PrimeField):
+        return [Residue(v) for v in chans[0]] if chans[0] else [field.zero()] * n
+    return _fractions(chans[0], den, n)
+
+
+def _fractions(nums, den, n):
+    if nums is None:
+        return [_ZERO] * n
+    return [Fraction(v, den) if v else _ZERO for v in nums]
+
+
+_ZERO = Fraction(0)
+
+
+def _scalar_grid(alg, x):
+    """A matrix coefficient as rows of field scalars, nested blocks flattened."""
+    if not isinstance(alg.base, MatrixAlgebra):
+        return x.rows
+    blocks = [[_scalar_grid(alg.base, e) for e in row] for row in x.rows]
+    return [
+        [s for block in brow for s in block[a]]
+        for brow in blocks
+        for a in range(len(brow[0]))
+    ]
+
+
+def _from_grid(alg, grid):
+    """Inverse of _scalar_grid."""
+    if not isinstance(alg.base, MatrixAlgebra):
+        return SquareMatrix(alg, grid)
+    s = len(grid) // alg.dim
+    return SquareMatrix(alg, tuple(
+        tuple(
+            _from_grid(alg.base, tuple(r[j * s:(j + 1) * s] for r in grid[i * s:(i + 1) * s]))
+            for j in range(alg.dim)
+        )
+        for i in range(alg.dim)
+    ))
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
