@@ -541,7 +541,8 @@ def _lift(coeffs, alg, field, dim):
         grids = [_scalar_grid(alg, c) for c in coeffs]
         entries = [[[g[i][j] for g in grids] for j in range(dim)] for i in range(dim)]
     chans = [[_split(field, e) for e in row] for row in entries]
-    den = lcm(*{v.denominator for row in chans for ch in row for part in ch for v in part})
+    den = lcm(*{v.denominator for row in chans for ch in row for part in ch
+                 for v in part})
     return den, [
         [[_numerators(part, den) for part in ch] for ch in row]
         for row in chans
@@ -612,7 +613,8 @@ def _from_grid(alg, grid):
     s = len(grid) // alg.dim
     return SquareMatrix(alg, tuple(
         tuple(
-            _from_grid(alg.base, tuple(r[j * s:(j + 1) * s] for r in grid[i * s:(i + 1) * s]))
+            _from_grid(alg.base, tuple(row[j * s:(j + 1) * s]
+                                       for row in grid[i * s:(i + 1) * s]))
             for j in range(alg.dim)
         )
         for i in range(alg.dim)

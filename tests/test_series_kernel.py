@@ -14,7 +14,13 @@ import pytest
 
 from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.scalars import PRIME, GaussianRational, Residue
-from solitonlab.series import SeriesAlgebra, TruncatedSeries, _count_below
+from solitonlab.series import (
+    SeriesAlgebra,
+    TruncatedSeries,
+    _count_below,
+    _inverse_pairs,
+    _row_pairs,
+)
 
 CAP = 6
 COEFFS = {
@@ -37,10 +43,10 @@ def _scalar(field, rng):
         return field.zero()
     if field == GFP:
         return Residue(rng.choice(RESIDUES + (rng.randrange(PRIME),)))
-    rational = Fraction(rng.randint(-40, 40), rng.choice(DENOMINATORS))
-    if field == QQI:
-        return GaussianRational(rational, Fraction(rng.randint(-40, 40), rng.choice(DENOMINATORS)))
-    return rational
+    def rational():
+        return Fraction(rng.randint(-40, 40), rng.choice(DENOMINATORS))
+
+    return GaussianRational(rational(), rational()) if field == QQI else rational()
 
 
 def _element(alg, rng):
@@ -57,7 +63,8 @@ def _series(salg, valid_order, rng, kind="dense"):
     if kind == "one-term":
         exponent = salg.exponents[rng.randrange(n)]
         return salg.monomial(exponent, _element(salg.coeff, rng), valid_order)
-    return TruncatedSeries(salg, [_element(salg.coeff, rng) for _ in range(n)], valid_order)
+    coeffs = [_element(salg.coeff, rng) for _ in range(n)]
+    return TruncatedSeries(salg, coeffs, valid_order)
 
 
 def _cauchy(a, b):
@@ -119,3 +126,23 @@ def test_scaling_matches_coefficientwise_products(salg, valid_order):
         assert left.coeffs == tuple(c * x for x in s.coeffs)
         assert right.coeffs == tuple(x * c for x in s.coeffs)
         assert (c * s).coeffs == left.coeffs and (s * c).coeffs == right.coeffs
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_pair_tables_list_every_product_below_cap(arity):
+    """The kernel's per-row table and the inverse recurrence's (F, E-F) pairs
+    both list every pair of exponents whose sum stays below cap."""
+    for cap in range(1, 9):
+        exps = SeriesAlgebra(QQ, arity, cap).exponents
+        index = {e: i for i, e in enumerate(exps)}
+        rows = [[] for _ in exps]
+        pairs = [[] for _ in exps]
+        for ia, ea in enumerate(exps):
+            for ib, eb in enumerate(exps):
+                e = tuple(p + q for p, q in zip(ea, eb))
+                if sum(e) < cap:
+                    rows[ia].append(index[e])
+                    if ia:
+                        pairs[index[e]].append((ia, ib))
+        assert _row_pairs(arity, cap) == tuple(map(tuple, rows))
+        assert _inverse_pairs(arity, cap) == tuple(map(tuple, pairs))
