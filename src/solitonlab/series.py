@@ -18,9 +18,19 @@ denominator in it (1 over GF(p)), with one channel per entry of a matrix
 coefficient and two (re, im) over QQ(i).  The channels are convolved with
 plain ``int`` multiply-adds, and every output scalar is built once, as a
 ``Fraction`` over the product of the two denominators (or a ``Residue``).
-Fractions reduce to lowest terms and residues to [0, p), so each value, and
-every report, is the same as from a coefficient-by-coefficient product.
 Scaling by a coefficient is a product with a constant series.
+
+Inverses and row solves are one right division x * a = y, also over
+integers (``_divide``): a series inverse is y = 1, the inverse of a matrix of
+series is y = 1 with the N x N matrix of r x r blocks flattened to Nr x Nr,
+and ``row_solve`` takes y as one block row.  a_0^-1 comes from the
+coefficient algebra's exact ``invert``, then a, y and a_0^-1 become integers
+over the denominators D_a, D_y and m, and with s = D_a m each x_E is
+Z_E / (D_y m s^|E|) for integer matrices Z_E given by one recurrence.
+
+Fractions reduce to lowest terms and residues to [0, p), and a product, an
+inverse or the solution of x * a = y is unique, so each value, and every
+report, is the same as from a coefficient-by-coefficient computation.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .algebra import (
     Algebra,
@@ -37,7 +47,6 @@ from .algebra import (
     PrimeField,
     Rationals,
     SquareMatrix,
-    row_times,
 )
 from .errors import (
     AlgebraMismatch,
@@ -46,7 +55,7 @@ from .errors import (
     SingularConstantTerm,
     SingularMatrix,
 )
-from .scalars import GaussianRational, Residue
+from .scalars import PRIME, GaussianRational, Residue
 
 __all__ = [
     "Derivation",
@@ -242,56 +251,61 @@ class SeriesAlgebra(Algebra):
             if c != zero and (degree_limit is None or sum(e) <= degree_limit)
         ]
 
-    def _coefficient_matrices(self, m, valid_order):
-        # a matrix of series is a series of N x N matrices in disguise
-        mat = MatrixAlgebra(self.coeff, m.dim)
-        coeffs = [
-            SquareMatrix(mat, [[x.coeffs[k] for x in row] for row in m.rows])
-            for k in range(_count_below(self.arity, valid_order))
-        ]
-        return mat, coeffs
-
     def matrix_inverse(self, m):
-        # invert the coefficient matrices read off the entries, then write
-        # them back
-        n = m.dim
-        vo = _trusted_order([x for row in m.rows for x in row], "invert")
-        mat, coeffs = self._coefficient_matrices(m, vo)
-        inv = _inverse_coeffs(self.arity, vo, mat, coeffs)
-        rows = [
-            [TruncatedSeries(self, [c.rows[i][j] for c in inv], vo) for j in range(n)]
-            for i in range(n)
-        ]
+        """The inverse of a matrix of series: the right division x * m = 1."""
+        one, zero = self.one(), self.zero()
+        ident = [[one if i == j else zero for j in range(m.dim)] for i in range(m.dim)]
+        rows = self._divide_rows(
+            ident, m, "invert", "series constant term is not invertible"
+        )
         return SquareMatrix(m.algebra, rows)
 
     def row_solve(self, y, m) -> tuple:
-        """The row x of series with x * m = y, one coefficient at a time.
+        """The row x of series with x * m = y, through the least valid order
+        of y and m.
 
-        x_E = (y_E - sum over F != 0 of x_(E-F) * W_F) * W_0^-1, where W_F
-        are the coefficient matrices of m: one inversion of W_0, then one
-        row-times-matrix product per (F, E-F) pair.  Equals
-        ``row_times(y, m.inverse())`` without building the inverse, valid
-        order included.  Raises SingularConstantTerm when W_0 is singular
-        and ValueError when no coefficient is trusted.
+        m is read as one series of N x N matrices, each flattened to a grid
+        of field scalars, and y as one block row of such a grid; ``_divide``
+        forms x over integers.  Equals ``row_times(y, m.inverse())`` without
+        building the inverse, valid order included, and every value is the
+        same: the solution is unique and its scalars are canonical.  Raises
+        SingularConstantTerm when the constant matrix W_0 is singular and
+        ValueError when no coefficient is trusted.
         """
-        vo = _trusted_order([*y, *(x for row in m.rows for x in row)], "solve")
-        mat, coeffs = self._coefficient_matrices(m, vo)
-        try:
-            w0_inv = mat.invert(coeffs[0])
-        except SingularMatrix as exc:
-            raise SingularConstantTerm(
-                "constant coefficient matrix is not invertible"
-            ) from exc
-        pairs = _inverse_pairs(self.arity, vo)
-        xs = []
-        for e, e_pairs in enumerate(pairs):
-            acc = [s.coeffs[e] for s in y]
-            for i_f, i_r in e_pairs:
-                acc = [a - t for a, t in zip(acc, row_times(xs[i_r], coeffs[i_f]))]
-            xs.append(row_times(acc, w0_inv))
-        return tuple(
-            TruncatedSeries(self, [x[j] for x in xs], vo) for j in range(m.dim)
+        return self._divide_rows(
+            [y], m, "solve", "constant coefficient matrix is not invertible"
+        )[0]
+
+    def _divide_rows(self, y_rows, m, action, singular):
+        """The rows of series x with x * m = y_rows, blocks of each row flattened."""
+        vo = _trusted_order(
+            [x for rows in (y_rows, m.rows) for row in rows for x in row], action
         )
+        n = _count_below(self.arity, vo)
+        a0 = SquareMatrix(MatrixAlgebra(self.coeff, m.dim),
+                          [[x.coeffs[0] for x in row] for row in m.rows])
+        x = _divide(self.arity, vo, a0.algebra, a0, self._entry_grid(m.rows, n),
+                    self._entry_grid(y_rows, n), singular)
+        r = _field_and_dim(self.coeff)[1]
+        return [
+            tuple(
+                TruncatedSeries(
+                    self,
+                    _from_entries(self.coeff, [row[j * r:(j + 1) * r]
+                                               for row in x[i * r:(i + 1) * r]], n),
+                    vo,
+                )
+                for j in range(m.dim)
+            )
+            for i in range(len(y_rows))
+        ]
+
+    def _entry_grid(self, rows, n):
+        """Per-entry scalar lists (see ``_entries``) of rows of series, with
+        every block flattened into the one grid."""
+        r = _field_and_dim(self.coeff)[1]
+        blocks = [[_entries(self.coeff, r, x.coeffs[:n]) for x in row] for row in rows]
+        return [[e for b in brow for e in b[a]] for brow in blocks for a in range(r)]
 
 
 class TruncatedSeries:
@@ -486,8 +500,8 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     rows = _row_pairs(salg.arity, vo)
     field, dim = _field_and_dim(salg.coeff)
     terms = _GAUSSIAN_TERMS if isinstance(field, GaussianRationals) else _REAL_TERMS
-    den_a, xs = _lift(a.coeffs[:n], salg.coeff, field, dim)
-    den_b, ys = _lift(b.coeffs[:n], salg.coeff, field, dim)
+    den_a, xs = _lift(_entries(salg.coeff, dim, a.coeffs[:n]), field)
+    den_b, ys = _lift(_entries(salg.coeff, dim, b.coeffs[:n]), field)
     out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -499,7 +513,7 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                         if acc[co] is None:
                             acc[co] = [0] * n
                         _mul_add(acc[co], x[ca], y[cb], rows, sign)
-    coeffs = _lower(salg.coeff, field, dim, out, den_a * den_b, n)
+    coeffs = _from_entries(salg.coeff, _lower(field, out, [den_a * den_b] * n), n)
     return TruncatedSeries(salg, coeffs, vo)
 
 
@@ -531,15 +545,30 @@ def _field_and_dim(alg):
     return alg, dim
 
 
-def _lift(coeffs, alg, field, dim):
+def _entries(alg, dim, coeffs):
+    """Coefficients of ``alg`` as a dim x dim grid of per-entry scalar lists:
+    entry (i, j) lists that entry of every coefficient, nested blocks
+    flattened.  A coefficient that is a field scalar is the one entry."""
+    if not isinstance(alg, MatrixAlgebra):
+        return [[coeffs]]
+    grids = [_scalar_grid(alg, c) for c in coeffs]
+    return [[[g[i][j] for g in grids] for j in range(dim)] for i in range(dim)]
+
+
+def _from_entries(alg, entries, n):
+    """Inverse of _entries: the n coefficients of ``alg`` from per-entry lists."""
+    if not isinstance(alg, MatrixAlgebra):
+        return entries[0][0]
+    return [
+        _from_grid(alg, tuple(tuple(e[k] for e in row) for row in entries))
+        for k in range(n)
+    ]
+
+
+def _lift(entries, field):
     """(D, xs): xs[i][j][c] lists the integer numerators over D of channel c of
-    entry (i, j) of every coefficient, or is None when they are all zero.  D is
-    the lcm of every scalar denominator in ``coeffs`` (1 over GF(p))."""
-    if dim == 1:
-        entries = [[coeffs]]
-    else:
-        grids = [_scalar_grid(alg, c) for c in coeffs]
-        entries = [[[g[i][j] for g in grids] for j in range(dim)] for i in range(dim)]
+    entry (i, j), or is None when they are all zero.  D is the lcm of every
+    scalar denominator in ``entries`` (1 over GF(p))."""
     chans = [[_split(field, e) for e in row] for row in entries]
     den = lcm(*{v.denominator for row in chans for ch in row for part in ch
                  for v in part})
@@ -565,30 +594,25 @@ def _split(field, xs):
     raise AlgebraMismatch(f"no integer channels for scalars of {field!r}")
 
 
-def _lower(alg, field, dim, out, den, n):
-    """The output coefficients from their numerator channels over ``den``."""
-    entries = [[_join(field, ch, den, n) for ch in row] for row in out]
-    if dim == 1:
-        return entries[0][0]
-    return [
-        _from_grid(alg, tuple(tuple(e[k] for e in row) for row in entries))
-        for k in range(n)
-    ]
+def _lower(field, out, dens):
+    """Per-entry field scalars from numerator channels, the numerators at
+    index k over ``dens[k]``."""
+    return [[_join(field, ch, dens) for ch in row] for row in out]
 
 
-def _join(field, chans, den, n):
+def _join(field, chans, dens):
     if isinstance(field, GaussianRationals):
-        re, im = (_fractions(c, den, n) for c in chans)
+        re, im = (_fractions(c, dens) for c in chans)
         return [GaussianRational(x, y) for x, y in zip(re, im)]
     if isinstance(field, PrimeField):
-        return [Residue(v) for v in chans[0]] if chans[0] else [field.zero()] * n
-    return _fractions(chans[0], den, n)
+        return [Residue(v) for v in chans[0]] if chans[0] else [field.zero()] * len(dens)
+    return _fractions(chans[0], dens)
 
 
-def _fractions(nums, den, n):
+def _fractions(nums, dens):
     if nums is None:
-        return [_ZERO] * n
-    return [Fraction(v, den) if v else _ZERO for v in nums]
+        return [_ZERO] * len(dens)
+    return [Fraction(v, d) if v else _ZERO for v, d in zip(nums, dens)]
 
 
 _ZERO = Fraction(0)
@@ -673,22 +697,129 @@ def _power_list(alg: Algebra, x, cap: int):
 
 
 def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
-    """Trusted coefficients of the two-sided inverse of a series over ``alg``."""
+    """Trusted coefficients of the two-sided inverse of a series over ``alg``.
+
+    It is the right division x * a = 1 by ``_divide``; the inverse is unique
+    and its scalars canonical, so every value is the same as from a
+    coefficient-by-coefficient recurrence.
+    """
+    field, dim = _field_and_dim(alg)
+    n = len(coeffs)
+    one = _entries(alg, dim, [alg.one()] + [alg.zero()] * (n - 1))
+    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, coeffs), one,
+                "series constant term is not invertible")
+    return _from_entries(alg, x, n)
+
+
+def _divide(arity, valid_order, alg, a0, a, y, singular):
+    """The x with x * a = y through ``valid_order``, formed over integers.
+
+    ``a`` is a series over ``alg`` with constant coefficient ``a0``, and ``a``
+    and ``y`` are given as per-entry scalar lists (see ``_entries``): dim x dim
+    for a, k x dim for y.  Returns x in the shape of y.
+
+    a_0^-1 comes from ``alg.invert`` (a SingularMatrix there raises
+    SingularConstantTerm with the message ``singular``).  a, y and a_0^-1 are
+    lifted to integers A = D_a a, Y = D_y y and M = m a_0^-1, and with
+    s = D_a m, x_E = Z_E / (D_y m s^|E|) where
+
+        Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M
+
+    is an exact integer recurrence.  Over QQ(i) each grid is embedded in
+    real integers (see ``_real_grid``), and over GF(p) every Z_E is reduced.
+    """
     try:
-        c_inv = alg.invert(coeffs[0])
+        a0_inv = alg.invert(a0)
     except SingularMatrix as exc:
-        raise SingularConstantTerm("series constant term is not invertible") from exc
+        raise SingularConstantTerm(singular) from exc
+    field, dim = _field_and_dim(alg)
+    den_a, a_int = _lift(a, field)
+    m, m_int = _lift(_entries(alg, dim, [a0_inv]), field)
+    den_y, y_int = _lift(y, field)
+    s = den_a * m
+    z = _divide_integers(
+        arity, valid_order,
+        _real_grid(field, a_int, True),
+        [[e[0] if e else 0 for e in row] for row in _real_grid(field, m_int, True)],
+        _real_grid(field, y_int, False),
+        s, PRIME if isinstance(field, PrimeField) else None,
+    )
+    if isinstance(field, GaussianRationals):
+        z = [[(row[j], row[dim + j]) for j in range(dim)] for row in z]
+    else:
+        z = [[(x,) for x in row] for row in z]
+    dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
+    return _lower(field, z, dens)
+
+
+def _real_grid(field, grid, square):
+    """Integer channels as one grid of real entries.  Over QQ(i) a row
+    re + i*im becomes [re | im] and a square grid Re + i*Im becomes
+    [[Re, Im], [-Im, Re]], so the product of the two is [Re | Im] of the
+    complex product."""
+    rows = [[ch[0] for ch in row] for row in grid]
+    if not isinstance(field, GaussianRationals):
+        return rows
+    ims = [[ch[1] for ch in row] for row in grid]
+    top = [re + im for re, im in zip(rows, ims)]
+    if not square:
+        return top
+    return top + [
+        [None if x is None else [-v for v in x] for x in im] + re
+        for re, im in zip(rows, ims)
+    ]
+
+
+def _divide_integers(arity, valid_order, a, m, y, s, modulus):
+    """Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M for
+    every index E below ``valid_order``, reduced mod ``modulus`` if given.
+
+    A and Y are grids of per-index integer lists (None for an all-zero
+    entry) and M a grid of integers; Z comes back in Y's shape.  Each row of
+    Z depends only on the same row of Y.
+    """
+    n = _count_below(arity, valid_order)
+    size = len(m)
+    powers = [s ** d for d in range(valid_order)]
+    degrees = [sum(e) for e in _exponents(arity, valid_order)]
     pairs = _inverse_pairs(arity, valid_order)
-    out = [alg.zero()] * len(coeffs)
-    out[0] = c_inv
-    for iout in range(1, len(coeffs)):
-        acc = None
-        for i_f, i_r in pairs[iout]:
-            term = coeffs[i_f] * out[i_r]
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[iout] = -(c_inv * acc)
-    return out
+    take_rest = [_gather([i_r for _, i_r in p]) for p in pairs]
+    # per index E, per column j: (k, s^(|F|-1) * A_F[k][j] over E's pairs)
+    weights = [0] + [powers[d - 1] for d in degrees[1:]]
+    scaled = [
+        [None if x is None else [v * w for v, w in zip(x, weights)] for x in row]
+        for row in a
+    ]
+    cols = [
+        [[(k, take(row[j])) for k, row in enumerate(scaled) if row[j] is not None]
+         for j in range(size)]
+        for take in (_gather([i_f for i_f, _ in p]) for p in pairs)
+    ]
+    m_cols = list(zip(*m))
+    z = []
+    for y_row in y:
+        z_row = [[] for _ in range(size)]
+        for e in range(n):
+            scale = powers[degrees[e]]
+            t = [0 if ys is None else ys[e] * scale for ys in y_row]
+            if e:
+                past = [take_rest[e](zs) for zs in z_row]
+                for j, col in enumerate(cols[e]):
+                    for k, values in col:
+                        t[j] -= sum(map(mul, past[k], values))
+            for zs, m_col in zip(z_row, m_cols):
+                v = sum(map(mul, t, m_col))
+                zs.append(v % modulus if modulus else v)
+        z.append(z_row)
+    return z
+
+
+def _gather(indices):
+    """A function returning the tuple of a sequence's items at ``indices``."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda xs: (xs[i],)
+    return itemgetter(*indices) if indices else lambda xs: ()
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:

@@ -35,6 +35,21 @@ def test_hash_agrees_with_equality_to_rationals():
     assert len({GaussianRational(1, 1), GaussianRational(1)}) == 2
 
 
+def test_fraction_parts_are_stored_as_is():
+    re, im = Fraction(3, 4), Fraction(-5, 6)
+    z = GaussianRational(re, im)
+    assert z.re is re and z.im is im
+
+
+def test_other_parts_are_coerced_to_fractions():
+    for value, part in [(3, Fraction(3)), (True, Fraction(1)), (False, Fraction(0)),
+                        ("6/8", Fraction(3, 4)), ("-2", Fraction(-2))]:
+        z = GaussianRational(value, value)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert z.re == part and z.im == part
+    assert GaussianRational() == GaussianRational(Fraction(0), Fraction(0))
+
+
 def test_reciprocal_of_zero():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(0).reciprocal()

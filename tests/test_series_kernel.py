@@ -27,6 +27,8 @@ COEFFS = {
     "QQ": QQ,
     "QQi": QQI,
     "GFp": GFP,
+    "Mat1-QQ": MatrixAlgebra(QQ, 1),
+    "Mat1-GFp": MatrixAlgebra(GFP, 1),
     "Mat2-QQ": MatrixAlgebra(QQ, 2),
     "Mat2-QQi": MatrixAlgebra(QQI, 2),
     "Mat3-GFp": MatrixAlgebra(GFP, 3),
