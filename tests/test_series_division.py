@@ -293,8 +293,9 @@ def test_matrix_inverse_matches_reference(name, arity):
 
 
 def _solve_cases():
-    """Every algebra and arity with W of 1 x 1 and 3 x 3 series; the sympy
-    reference is kept to flattened sizes of at most 6 (4 at arity 2)."""
+    """Every algebra and arity with W of 1 x 1 and 3 x 3 series.  Over QQ
+    and QQ(i) the sympy reference is kept to flattened sizes of at most 6 (4
+    at arity 2); the integer reference over GF(p) runs every size."""
     return [
         pytest.param(name, arity, n_modes, id=f"{name}-arity{arity}-N{n_modes}")
         for name, alg in COEFFS.items()
