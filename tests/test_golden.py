@@ -37,11 +37,14 @@ CASES = {
     "toda-n3-N2-r2-dump": ["toda", "--n", "3", "--N", "2", "--r", "2",
                            "--cap", "7", "--dump-series"],
     "selftest-30": ["quasidet-selftest", "--trials", "30"],
+    "selftest-300-s2": ["quasidet-selftest", "--trials", "300", "--seed", "2"],
+    "heat-N2-gfp-dump": ["nls", "--N", "2", "--mode", "heat", "--scalar", "gf-p",
+                         "--cap", "7", "--dump-series"],
 }
 
 
-# every case that runs over QQ (nls-N1 and nls-N2-dump need QQ(i); the self-test
-# has no series)
+# every case that runs over QQ (nls-N1 and nls-N2-dump need QQ(i), heat-N2-gfp-dump
+# runs over GF(p); the self-tests have no series)
 RATIONAL_CASES = [
     "heat-N1-dump",
     "langmuir-N1-r2-lemmas",
@@ -54,9 +57,10 @@ RATIONAL_CASES = [
 
 
 def _report_bytes(args, path: Path) -> bytes:
-    cfg = cli._merge_config(
-        cli._build_parser().parse_args(args + ["--seed", "1", "--report", str(path)])
-    )
+    # seed 1 unless the case names its own, which comes later and wins
+    cfg = cli._merge_config(cli._build_parser().parse_args(
+        args[:1] + ["--seed", "1"] + args[1:] + ["--report", str(path)]
+    ))
     cli.run(cfg)
     return path.read_bytes()
 
