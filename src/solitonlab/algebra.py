@@ -4,7 +4,11 @@ The algebra tower is: a scalar field (rationals, Gaussian rationals, or the
 residues modulo one 31-bit prime) at the bottom, with ``MatrixAlgebra`` layers
 stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the nesting down to one big matrix over the scalar field, runs a
-Gauss-Jordan elimination there, and re-nests the result.
+Gauss-Jordan elimination there, and re-nests the result.  The elimination
+is fraction-free, over integers (``_gauss_jordan``): the matrix is lifted
+once to integer numerators over one denominator (Gaussian-integer pairs
+over QQ(i), residues over GF(p)), every step divides exactly by the previous
+pivot, and each entry of the inverse is built once.
 
 All values are immutable; every operation is a pure function.  Every field is
 exact, so zero and agreement tests are ``alg.is_zero(x)`` and ``==``, with no
@@ -15,6 +19,7 @@ over GF(p) it is evidence only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlgebraMismatch, SingularMatrix
 from .scalars import PRIME, GaussianRational, Residue, format_gaussian, format_rational
@@ -421,28 +426,110 @@ def row_times(row, m: SquareMatrix) -> tuple:
 
 
 def _gauss_jordan(field: Algebra, rows):
-    """In-place Gauss-Jordan over a field; returns the inverse rows."""
+    """The inverse rows of a square matrix over a field, by fraction-free
+    Gauss-Jordan elimination over integers (Bareiss 1968).
+
+    The rows are lifted once to integers A = D * rows (``_integer_rows``) and
+    set beside the identity.  Column by column, the first row with a nonzero
+    entry there is the pivot row y, with pivot p; every other row x becomes
+    (p x - f y) / prev, with f the row's entry in the column and prev the
+    previous pivot (1 at first).  The division is exact, and the zero pattern
+    of each column is that of the elimination over the field, so the pivots,
+    and the column a SingularMatrix names, are the same.  At the end the left
+    half is det * I and the right half det * A^-1, and each entry of the
+    inverse is built once, as D * (det * A^-1) / det.
+    """
     n = len(rows)
-    aug = [list(rows[i]) + [field.one() if i == j else field.zero() for j in range(n)]
-           for i in range(n)]
+    den, ints = _integer_rows(field, rows)
+    zero, one, step = (
+        ((0, 0), (1, 0), _gaussian_step) if isinstance(field, GaussianRationals)
+        else (0, 1, _residue_step) if isinstance(field, PrimeField)
+        else (0, 1, _integer_step)
+    )
+    aug = [row + [one if i == j else zero for j in range(n)]
+           for i, row in enumerate(ints)]
+    prev = one
     for col in range(n):
         for pivot_row in range(col, n):
-            if aug[pivot_row][col]:
+            if aug[pivot_row][col] != zero:
                 break
         else:
             raise SingularMatrix(f"no invertible pivot in column {col}")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = field.invert(aug[col][col])
-        aug[col] = [inv_p * x for x in aug[col]]
+        y = aug[col]
+        p = y[col]
         for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if not factor:
-                continue
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            f = aug[r][col]
+            if r != col and (f != zero or p != prev):
+                aug[r] = step(p, f, prev, aug[r], y)
+        prev = p
+    return _from_integer_rows(field, den, prev, [row[n:] for row in aug])
+
+
+def _integer_rows(field, rows):
+    """(D, integer rows): D * rows with D the lcm of every denominator over
+    QQ, Gaussian integers as (re, im) pairs over QQ(i), and the residues
+    themselves (D = 1) over GF(p)."""
+    if isinstance(field, PrimeField):
+        return 1, [[x.v for x in row] for row in rows]
+    if isinstance(field, GaussianRationals):
+        den = lcm(*(q.denominator for row in rows for z in row for q in (z.re, z.im)))
+        return den, [[(_numerator(z.re, den), _numerator(z.im, den)) for z in row]
+                     for row in rows]
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return den, [[_numerator(x, den) for x in row] for row in rows]
+
+
+def _numerator(x, den):
+    return x.numerator * (den // x.denominator)
+
+
+def _from_integer_rows(field, den, det, rows):
+    """The field scalars D * v / det of integer rows as from ``_integer_rows``."""
+    if isinstance(field, PrimeField):
+        inv = pow(det, -1, PRIME)
+        return [[Residue(v * inv) for v in row] for row in rows]
+    if isinstance(field, GaussianRationals):
+        # (vr + vi i) / (dr + di i) = (vr + vi i)(dr - di i) / (dr^2 + di^2)
+        dr, di = det
+        norm = dr * dr + di * di
+        return [
+            [GaussianRational(Fraction(den * (vr * dr + vi * di), norm),
+                              Fraction(den * (vi * dr - vr * di), norm))
+             for vr, vi in row]
+            for row in rows
+        ]
+    return [[Fraction(den * v, det) if v else _ZERO for v in row] for row in rows]
+
+
+_ZERO = Fraction(0)
+
+
+def _integer_step(p, f, prev, x, y):
+    """(p x - f y) / prev over integers; the division is exact."""
+    return [(p * a - f * b) // prev for a, b in zip(x, y)]
+
+
+def _residue_step(p, f, prev, x, y):
+    """(p x - f y) / prev mod PRIME."""
+    q = pow(prev, -1, PRIME)
+    p, f = p * q % PRIME, f * q % PRIME
+    return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
+
+
+def _gaussian_step(p, f, prev, x, y):
+    """(p x - f y) / prev over Gaussian integers as (re, im) pairs; the
+    division, by multiplying with the conjugate of prev and dividing by its
+    norm, is exact."""
+    (pr, pi), (fr, fi), (gr, gi) = p, f, prev
+    norm = gr * gr + gi * gi
+    out = []
+    for (xr, xi), (yr, yi) in zip(x, y):
+        re = pr * xr - pi * xi - fr * yr + fi * yi
+        im = pr * xi + pi * xr - fr * yi - fi * yr
+        out.append(((re * gr + im * gi) // norm, (im * gr - re * gi) // norm))
+    return out
 
 
 def _flatten_once(m: SquareMatrix) -> SquareMatrix:

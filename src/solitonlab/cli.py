@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .algebra import QQ, MatrixAlgebra, random_element
@@ -474,10 +475,11 @@ def _run_system(cfg) -> dict:
 
 
 def _cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = Fraction(0)
+    total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = rows[0][j] * _cofactor_det(minor)
@@ -486,7 +488,13 @@ def _cofactor_det(rows):
 
 
 def _run_selftest(cfg) -> dict:
-    """Quasideterminant against the signed ratio of cofactor determinants."""
+    """Quasideterminant against the signed ratio of cofactor determinants.
+
+    Each trial matrix M is lifted once to integers A = D * M, with D the lcm
+    of its denominators, so det M = det(A) / D^n and each minor of M is that
+    of A over D^(n-1).  The reference stays a cofactor expansion, an
+    algorithm independent of the elimination that inverts the submatrices.
+    """
     rng = Random(cfg["seed"])
     trials = cfg["trials"]
     if trials < 1:
@@ -498,12 +506,13 @@ def _run_selftest(cfg) -> dict:
     for trial in range(trials):
         size = sizes[trial % len(sizes)]
         m = random_element(MatrixAlgebra(QQ, size), rng)
-        rows = [list(r) for r in m.rows]
-        full = _cofactor_det(rows)
+        den = lcm(*(x.denominator for r in m.rows for x in r))
+        rows = [[x.numerator * (den // x.denominator) for x in r] for r in m.rows]
+        full = Fraction(_cofactor_det(rows), den ** size)
         for i in range(size):
             for j in range(size):
                 sub = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-                sub_det = _cofactor_det(sub)
+                sub_det = Fraction(_cofactor_det(sub), den ** (size - 1))
                 if sub_det == 0:
                     skipped += 1
                     continue

@@ -28,17 +28,23 @@ coefficient algebra's exact ``invert``, then a, y and a_0^-1 become integers
 over the denominators D_a, D_y and m, and with s = D_a m each x_E is
 Z_E / (D_y m s^|E|) for integer matrices Z_E given by one recurrence.
 
+Exponentials and derivatives work on the same integer numerators.  The
+coefficients c^k / k! of exp(c t) come from integer powers of the lifted c,
+and exp(cu*u + cv*v) is the product exp(cu*u) * exp(cv*v).  A derivative
+multiplies each numerator by k and by the lifted scale of the derivation.
+
 Fractions reduce to lowest terms and residues to [0, p), and a product, an
-inverse or the solution of x * a = y is unique, so each value, and every
-report, is the same as from a coefficient-by-coefficient computation.
+inverse, the solution of x * a = y, a power and a derivative are unique, so
+each value, and every report, is the same as from a coefficient-by-coefficient
+computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import factorial, lcm, prod
-from operator import itemgetter, mul
+from functools import lru_cache
+from math import lcm
+from operator import add, itemgetter, mul
 
 from .algebra import (
     Algebra,
@@ -499,7 +505,7 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = _count_below(salg.arity, vo)
     rows = _row_pairs(salg.arity, vo)
     field, dim = _field_and_dim(salg.coeff)
-    terms = _GAUSSIAN_TERMS if isinstance(field, GaussianRationals) else _REAL_TERMS
+    terms = _terms(field)
     den_a, xs = _lift(_entries(salg.coeff, dim, a.coeffs[:n]), field)
     den_b, ys = _lift(_entries(salg.coeff, dim, b.coeffs[:n]), field)
     out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
@@ -522,6 +528,10 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 # (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
 _REAL_TERMS = ((0, 0, 0, 1),)
 _GAUSSIAN_TERMS = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
+
+
+def _terms(field):
+    return _GAUSSIAN_TERMS if isinstance(field, GaussianRationals) else _REAL_TERMS
 
 
 def _mul_add(out, x, y, rows, sign):
@@ -646,23 +656,44 @@ def _from_grid(alg, grid):
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
-    """Formal partial derivative; valid order drops by one."""
-    _trusted_order((s,), "differentiate")
+    """Formal partial derivative; valid order drops by one.
+
+    The coefficient at E is k * scale times the one at E + e_axis, with
+    k = E[axis] + 1: the lifted integer numerators (see ``_lift``) are
+    multiplied by k and by the lifted scale, and each output scalar is
+    lowered once, over the product of the two denominators.
+    """
+    vo = _trusted_order((s,), "differentiate")
     salg = s.algebra
-    axis = d.axis(salg.arity)
-    index = _index_of(salg.arity, salg.cap)
-    alg = salg.coeff
-    zero = alg.zero()
-    out = [zero] * _count_below(salg.arity, s.valid_order - 1)
-    for e, src in zip(salg.exponents, s.coeffs):
-        k = e[axis]
-        if k == 0 or src == zero:
-            continue
-        tgt = list(e)
-        tgt[axis] = k - 1
-        factor = Fraction(k) if d.scale == 1 else Fraction(k) * d.scale
-        out[index[tuple(tgt)]] = alg.scalar_mul(factor, src)
-    return TruncatedSeries(salg, out, s.valid_order - 1)
+    field, dim = _field_and_dim(salg.coeff)
+    n = _count_below(salg.arity, vo - 1)
+    sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
+    den, xs = _lift(_entries(salg.coeff, dim, s.coeffs), field)
+    scale_den, [[scale]] = _lift([[[field.coerce(d.scale)]]], field)
+    terms = _terms(field)
+    out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
+    for x_row, out_row in zip(xs, out):
+        for x, acc in zip(x_row, out_row):
+            for ca, cb, co, sign in terms:
+                if x[ca] is not None and scale[cb] is not None:
+                    w = sign * scale[cb][0]
+                    nums = [w * k * v for k, v in zip(factors, sources(x[ca]))]
+                    acc[co] = nums if acc[co] is None else list(map(add, acc[co], nums))
+    coeffs = _from_entries(salg.coeff, _lower(field, out, [den * scale_den] * n), n)
+    return TruncatedSeries(salg, coeffs, vo - 1)
+
+
+@lru_cache(maxsize=None)
+def _derive_map(arity: int, valid_order: int, axis: int):
+    """For d/d(axis) of a series trusted below ``valid_order``: a gather of
+    the source index of each output index, and the factor k of each."""
+    index = _index_of(arity, valid_order)
+    targets = _exponents(arity, valid_order - 1)
+    step = tuple(int(i == axis) for i in range(arity))
+    return (
+        _gather([index[tuple(map(add, e, step))] for e in targets]),
+        tuple(e[axis] + 1 for e in targets),
+    )
 
 
 def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
@@ -670,30 +701,50 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
 
     Requires cu*cv = cv*cu so that both one-sided derivative identities
     d/du exp = exp*cu and d/dv exp = exp*cv hold; the coefficient at (m, n)
-    is cu^m * cv^n / (m! n!).
+    is cu^m * cv^n / (m! n!).  It is formed as the product kernel's
+    exp(cu*u) * exp(cv*v), each factor from ``_exp_coeffs``.
     """
     cs = [algebra.coerce(cu)]
     if cv is not None:
         cs.append(algebra.coerce(cv))
         if cs[0] * cs[1] != cs[1] * cs[0]:
             raise NoncommutingExponents("exponent coefficients do not commute")
-    powers = [_power_list(algebra, c, cap) for c in cs]
     salg = SeriesAlgebra(algebra, len(cs), cap)
-    coeffs = [
-        algebra.scalar_mul(
-            Fraction(1, prod(factorial(k) for k in e)),
-            reduce(mul, (p[k] for p, k in zip(powers, e))),
-        )
-        for e in salg.exponents
-    ]
-    return TruncatedSeries(salg, coeffs, cap)
+    if cv is None:
+        return TruncatedSeries(salg, _exp_coeffs(algebra, cs[0], cap), cap)
+    zero = algebra.zero()
+    factors = []
+    for axis, c in enumerate(cs):
+        powers = _exp_coeffs(algebra, c, cap)
+        factors.append(TruncatedSeries(
+            salg, [zero if e[1 - axis] else powers[e[axis]] for e in salg.exponents], cap
+        ))
+    return _convolve(*factors)
 
 
-def _power_list(alg: Algebra, x, cap: int):
-    powers = [alg.one()]
-    for _ in range(1, cap):
-        powers.append(powers[-1] * x)
-    return powers
+def _exp_coeffs(alg, c, cap):
+    """c^k / k! for k < cap, from integer powers of c.
+
+    c is lifted to C = D c, in its real grid (see ``_real_grid``) over QQ(i);
+    the rows of the identity are multiplied by C cap - 1 times, and each
+    C^k is lowered once, over D^k k!.  Over GF(p) each product is reduced
+    and divided by k at once, and the lowering reads no denominator.
+    """
+    field, dim = _field_and_dim(alg)
+    den, c_int = _lift(_entries(alg, dim, [c]), field)
+    grid = _real_grid(field, c_int, True)
+    cols = list(zip(*([e[0] if e else 0 for e in row] for row in grid)))
+    powers = [[[int(i == j) for j in range(len(grid))] for i in range(dim)]]
+    dens = [1]
+    for k in range(1, cap):
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in powers[-1]]
+        if isinstance(field, PrimeField):
+            inv_k = pow(k, -1, PRIME)
+            rows = [[v * inv_k % PRIME for v in row] for row in rows]
+        powers.append(rows)
+        dens.append(dens[-1] * den * k)
+    z = [[list(col) for col in zip(*rows)] for rows in zip(*powers)]
+    return _from_entries(alg, _lower(field, _pair_channels(field, dim, z), dens), cap)
 
 
 def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
@@ -744,12 +795,16 @@ def _divide(arity, valid_order, alg, a0, a, y, singular):
         _real_grid(field, y_int, False),
         s, PRIME if isinstance(field, PrimeField) else None,
     )
-    if isinstance(field, GaussianRationals):
-        z = [[(row[j], row[dim + j]) for j in range(dim)] for row in z]
-    else:
-        z = [[(x,) for x in row] for row in z]
     dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
-    return _lower(field, z, dens)
+    return _lower(field, _pair_channels(field, dim, z), dens)
+
+
+def _pair_channels(field, dim, rows):
+    """Rows of real entries back to rows of channel tuples: inverse of
+    ``_real_grid`` on a row."""
+    if isinstance(field, GaussianRationals):
+        return [[(row[j], row[dim + j]) for j in range(dim)] for row in rows]
+    return [[(x,) for x in row] for row in rows]
 
 
 def _real_grid(field, grid, square):
