@@ -3,12 +3,14 @@
 The algebra tower is: a scalar field (rationals, Gaussian rationals, or the
 residues modulo one 31-bit prime) at the bottom, with ``MatrixAlgebra`` layers
 stacked on top.  Entries of a matrix may themselves be matrices; inversion
-flattens the nesting down to one big matrix over the scalar field, runs a
-Gauss-Jordan elimination there, and re-nests the result.  The elimination
-is fraction-free, over integers (``_gauss_jordan``): the matrix is lifted
-once to integer numerators over one denominator (Gaussian-integer pairs
-over QQ(i), residues over GF(p)), every step divides exactly by the previous
-pivot, and each entry of the inverse is built once.
+flattens the whole tower once to one big matrix over the scalar field
+(``_scalar_grid``), runs a Gauss-Jordan elimination there, and re-nests the
+result (``_from_grid``).
+
+This module owns the integer form of field scalars (see ``_Field``), on
+which the fraction-free elimination here (``_gauss_jordan``) and the series
+kernels of :mod:`solitonlab.series` run: ``_lift`` reads scalars as integer
+numerators over one denominator, and ``_lower`` builds each scalar back once.
 
 All values are immutable; every operation is a pure function.  Every field is
 exact, so zero and agreement tests are ``alg.is_zero(x)`` and ``==``, with no
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 from .errors import AlgebraMismatch, SingularMatrix
 from .scalars import PRIME, GaussianRational, Residue, format_gaussian, format_rational
@@ -67,11 +70,6 @@ class Algebra:
         """Multiply by a central scalar of the ground field."""
         raise NotImplementedError
 
-    @property
-    def scalar_field(self) -> "Algebra":
-        """The commutative field at the bottom of the tower."""
-        return self
-
     def magnitude(self, a) -> float:
         """Float size estimate of an element (diagnostics only)."""
         raise NotImplementedError
@@ -86,12 +84,22 @@ class Algebra:
 
 
 class _Field(Algebra):
-    """Shared behaviour for the commutative scalar fields."""
+    """Shared behaviour for the commutative scalar fields, and their integer
+    form: ``split`` reads scalars as channels of rationals or integers (one,
+    or (re, im) over QQ(i)), ``join`` builds scalars from integer channels
+    over denominators, ``terms`` lists the channel products (a, b, out, sign)
+    that add sign * a * b to channel out, ``modulus`` is PRIME over GF(p),
+    ``reciprocal(d)`` is (c, norm) with 1/d = c/norm, and ``bareiss_step``
+    takes rows with their channels laid end to end."""
+
+    terms = ((0, 0, 0, 1),)
+    modulus = None
+
+    def reciprocal(self, d):
+        return [1], d[0]
 
     def matrix_inverse(self, m):
-        rows = [list(r) for r in m.rows]
-        inv = _gauss_jordan(self, rows)
-        return SquareMatrix(m.algebra, inv)
+        return SquareMatrix(m.algebra, _gauss_jordan(self, m.rows))
 
     def scalar_mul(self, q, a):
         return self.coerce(q) * a
@@ -122,6 +130,18 @@ class Rationals(_Field):
     def format_element(self, a):
         return format_rational(a)
 
+    def split(self, xs):
+        return (xs,)
+
+    def join(self, chans, dens):
+        return _fractions(chans[0], dens)
+
+    @staticmethod
+    def bareiss_step(p, f, prev, x, y):
+        """(p x - f y) / prev over integers; the division is exact."""
+        p, f, prev = p[0], f[0], prev[0]
+        return [(p * a - f * b) // prev for a, b in zip(x, y)]
+
     def __repr__(self):
         return "QQ"
 
@@ -133,6 +153,9 @@ class Rationals(_Field):
 
 
 class GaussianRationals(_Field):
+    # a scalar is (re, im), and (a + bi)(c + di) = (ac - bd) + (ad + bc)i
+    terms = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
+
     def zero(self):
         return GaussianRational(0)
 
@@ -157,6 +180,32 @@ class GaussianRationals(_Field):
     def format_element(self, a):
         return format_gaussian(a)
 
+    def split(self, xs):
+        return [z.re for z in xs], [z.im for z in xs]
+
+    def join(self, chans, dens):
+        re, im = (_fractions(c, dens) for c in chans)
+        return [GaussianRational(x, y) for x, y in zip(re, im)]
+
+    @staticmethod
+    def bareiss_step(p, f, prev, x, y):
+        """(p x - f y) / prev over Gaussian integers; the division, times the
+        conjugate of prev and over its norm, is exact."""
+        (pr, pi), (fr, fi), (gr, gi) = p, f, prev
+        norm = gr * gr + gi * gi
+        h = len(x) // 2
+        out_re, out_im = [], []
+        for xr, xi, yr, yi in zip(x[:h], x[h:], y[:h], y[h:]):
+            re = pr * xr - pi * xi - fr * yr + fi * yi
+            im = pr * xi + pi * xr - fr * yi - fi * yr
+            out_re.append((re * gr + im * gi) // norm)
+            out_im.append((im * gr - re * gi) // norm)
+        return out_re + out_im
+
+    def reciprocal(self, d):
+        dr, di = d
+        return [dr, -di], dr * dr + di * di
+
     def __repr__(self):
         return "QQ_I"
 
@@ -172,6 +221,7 @@ class PrimeField(_Field):
     not a proof, of a zero over QQ."""
 
     is_exact = False
+    modulus = PRIME
 
     def zero(self):
         return Residue(0)
@@ -197,6 +247,20 @@ class PrimeField(_Field):
 
     def format_element(self, a):
         return str(a)
+
+    def split(self, xs):
+        return ([r.v for r in xs],)
+
+    def join(self, chans, dens):
+        inverse = {d: pow(d, -1, PRIME) for d in set(dens)}
+        return [Residue(v * inverse[d]) for v, d in zip(chans[0] or [0] * len(dens), dens)]
+
+    @staticmethod
+    def bareiss_step(p, f, prev, x, y):
+        """(p x - f y) / prev mod PRIME."""
+        q = pow(prev[0], -1, PRIME)
+        p, f = p[0] * q % PRIME, f[0] * q % PRIME
+        return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
 
     def __repr__(self):
         return "GFP"
@@ -295,8 +359,9 @@ class MatrixAlgebra(Algebra):
         )
 
     @property
-    def scalar_field(self):
-        return self.base.scalar_field
+    def scalar_field(self) -> Algebra:
+        """The algebra under every matrix layer: for a tower over a field, the field."""
+        return _field_and_dim(self)[0]
 
     def magnitude(self, a):
         return max(self.base.magnitude(x) for row in a.rows for x in row)
@@ -305,10 +370,11 @@ class MatrixAlgebra(Algebra):
         return [[self.base.format_element(x) for x in row] for row in a.rows]
 
     def matrix_inverse(self, m):
-        # entries are themselves matrices: peel one nesting level and recurse
-        flat = _flatten_once(m)
-        inv = flat.inverse()
-        return _nest_once(inv, self, m.algebra.dim)
+        # entries are themselves matrices: invert the whole tower flattened once
+        bottom = _field_and_dim(self)[0]
+        grid = _scalar_grid(m.algebra, m)
+        inv = bottom.matrix_inverse(SquareMatrix(MatrixAlgebra(bottom, len(grid)), grid))
+        return _from_grid(m.algebra, inv.rows)
 
 
 class SquareMatrix:
@@ -429,144 +495,137 @@ def _gauss_jordan(field: Algebra, rows):
     """The inverse rows of a square matrix over a field, by fraction-free
     Gauss-Jordan elimination over integers (Bareiss 1968).
 
-    The rows are lifted once to integers A = D * rows (``_integer_rows``) and
-    set beside the identity.  Column by column, the first row with a nonzero
+    The rows are lifted once to integers A = D * rows (``_lift``) and set
+    beside the identity.  Column by column, the first row with a nonzero
     entry there is the pivot row y, with pivot p; every other row x becomes
-    (p x - f y) / prev, with f the row's entry in the column and prev the
-    previous pivot (1 at first).  The division is exact, and the zero pattern
-    of each column is that of the elimination over the field, so the pivots,
-    and the column a SingularMatrix names, are the same.  At the end the left
-    half is det * I and the right half det * A^-1, and each entry of the
-    inverse is built once, as D * (det * A^-1) / det.
+    (p x - f y) / prev (``bareiss_step``), with f the row's entry in the
+    column and prev the previous pivot (1 at first).  The division is exact,
+    and the zero pattern of each column is that of the elimination over the
+    field, so the pivots, and the column a SingularMatrix names, are the
+    same.  At the end the left half is det * I and the right half det * A^-1,
+    and each inverse entry is built once, as D * (det * A^-1) * c / norm
+    with 1/det = c/norm (``reciprocal``).
     """
-    n = len(rows)
-    den, ints = _integer_rows(field, rows)
-    zero, one, step = (
-        ((0, 0), (1, 0), _gaussian_step) if isinstance(field, GaussianRationals)
-        else (0, 1, _residue_step) if isinstance(field, PrimeField)
-        else (0, 1, _integer_step)
-    )
-    aug = [row + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(ints)]
-    prev = one
+    n, m = len(rows), 2 * len(rows)
+    den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
+    zero = [0] * len(chans)
+    # a row of aug is its channels laid end to end, m entries each, so the
+    # channels of the entry in column col are row[col::m]
+    aug = []
+    for i in range(n):
+        row = []
+        for ch in chans:
+            row += ch[i * n:(i + 1) * n] if ch else [0] * n
+            row += [0] * n
+        row[n + i] = 1
+        aug.append(row)
+    step = field.bareiss_step
+    prev = [1] + zero[1:]
     for col in range(n):
         for pivot_row in range(col, n):
-            if aug[pivot_row][col] != zero:
+            if aug[pivot_row][col::m] != zero:
                 break
         else:
             raise SingularMatrix(f"no invertible pivot in column {col}")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         y = aug[col]
-        p = y[col]
+        p = y[col::m]
+        same = p == prev
         for r in range(n):
-            f = aug[r][col]
-            if r != col and (f != zero or p != prev):
-                aug[r] = step(p, f, prev, aug[r], y)
+            if r != col:
+                f = aug[r][col::m]
+                if f != zero or not same:
+                    aug[r] = step(p, f, prev, aug[r], y)
         prev = p
-    return _from_integer_rows(field, den, prev, [row[n:] for row in aug])
+    c, norm = field.reciprocal(prev)
+    right = [[den * v for row in aug for v in row[k + n:k + m]] for k in range(0, len(y), m)]
+    inv = field.join(_times(field.terms, right, c), [norm] * (n * n))
+    return [inv[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _integer_rows(field, rows):
-    """(D, integer rows): D * rows with D the lcm of every denominator over
-    QQ, Gaussian integers as (re, im) pairs over QQ(i), and the residues
-    themselves (D = 1) over GF(p)."""
-    if isinstance(field, PrimeField):
-        return 1, [[x.v for x in row] for row in rows]
-    if isinstance(field, GaussianRationals):
-        den = lcm(*(q.denominator for row in rows for z in row for q in (z.re, z.im)))
-        return den, [[(_numerator(z.re, den), _numerator(z.im, den)) for z in row]
-                     for row in rows]
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return den, [[_numerator(x, den) for x in row] for row in rows]
+def _field_and_dim(alg):
+    """The algebra under the matrix tower ``alg`` and its flattened size."""
+    dim = 1
+    while isinstance(alg, MatrixAlgebra):
+        dim *= alg.dim
+        alg = alg.base
+    return alg, dim
 
 
-def _numerator(x, den):
-    return x.numerator * (den // x.denominator)
+def _scalar_grid(alg, x):
+    """A matrix of ``alg`` as rows of bottom-algebra scalars, nested blocks
+    flattened: entry (a, b) of block (i, j) of size s is at (i s + a, j s + b)."""
+    if not isinstance(alg.base, MatrixAlgebra):
+        return x.rows
+    blocks = [[_scalar_grid(alg.base, e) for e in row] for row in x.rows]
+    return [
+        [s for block in brow for s in block[a]]
+        for brow in blocks
+        for a in range(len(brow[0]))
+    ]
 
 
-def _from_integer_rows(field, den, det, rows):
-    """The field scalars D * v / det of integer rows as from ``_integer_rows``."""
-    if isinstance(field, PrimeField):
-        inv = pow(det, -1, PRIME)
-        return [[Residue(v * inv) for v in row] for row in rows]
-    if isinstance(field, GaussianRationals):
-        # (vr + vi i) / (dr + di i) = (vr + vi i)(dr - di i) / (dr^2 + di^2)
-        dr, di = det
-        norm = dr * dr + di * di
-        return [
-            [GaussianRational(Fraction(den * (vr * dr + vi * di), norm),
-                              Fraction(den * (vi * dr - vr * di), norm))
-             for vr, vi in row]
-            for row in rows
-        ]
-    return [[Fraction(den * v, det) if v else _ZERO for v in row] for row in rows]
+def _from_grid(alg, grid):
+    """Inverse of _scalar_grid."""
+    if not isinstance(alg.base, MatrixAlgebra):
+        return SquareMatrix(alg, grid)
+    s = len(grid) // alg.dim
+    return SquareMatrix(alg, tuple(
+        tuple(
+            _from_grid(alg.base, tuple(row[j * s:(j + 1) * s]
+                                       for row in grid[i * s:(i + 1) * s]))
+            for j in range(alg.dim)
+        )
+        for i in range(alg.dim)
+    ))
 
 
-_ZERO = Fraction(0)
+def _lift(field, grid):
+    """(D, xs) for a grid of per-entry lists of field scalars: xs[i][j][c]
+    lists the integer numerators over D of channel c of entry (i, j), or is
+    None when they are all zero.  D is the lcm of every scalar denominator in
+    ``grid`` (1 over GF(p))."""
+    split = field.split
+    chans = [[split(e) for e in row] for row in grid]
+    den = lcm(*{v.denominator for row in chans for ch in row for part in ch
+                 for v in part})
+    return den, [
+        [[_numerators(part, den) for part in ch] for ch in row]
+        for row in chans
+    ]
 
 
-def _integer_step(p, f, prev, x, y):
-    """(p x - f y) / prev over integers; the division is exact."""
-    return [(p * a - f * b) // prev for a, b in zip(x, y)]
+def _numerators(values, den):
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return nums if any(nums) else None
 
 
-def _residue_step(p, f, prev, x, y):
-    """(p x - f y) / prev mod PRIME."""
-    q = pow(prev, -1, PRIME)
-    p, f = p * q % PRIME, f * q % PRIME
-    return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
+def _lower(field, grid, dens):
+    """Inverse of ``_lift``: the numerators at index k are over ``dens[k]``."""
+    join = field.join
+    return [[join(ch, dens) for ch in row] for row in grid]
 
 
-def _gaussian_step(p, f, prev, x, y):
-    """(p x - f y) / prev over Gaussian integers as (re, im) pairs; the
-    division, by multiplying with the conjugate of prev and dividing by its
-    norm, is exact."""
-    (pr, pi), (fr, fi), (gr, gi) = p, f, prev
-    norm = gr * gr + gi * gi
-    out = []
-    for (xr, xi), (yr, yi) in zip(x, y):
-        re = pr * xr - pi * xi - fr * yr + fi * yi
-        im = pr * xi + pi * xr - fr * yi - fi * yr
-        out.append(((re * gr + im * gi) // norm, (im * gr - re * gi) // norm))
+def _times(terms, chans, c):
+    """Integer channels (lists, or None for all zeros) times a constant c of
+    the integer form, through the channel products ``terms``."""
+    out = [None] * len(chans)
+    for ca, cb, co, sign in terms:
+        x, w = chans[ca], sign * c[cb]
+        if x is not None and w:
+            nums = x if w == 1 else [w * v for v in x]
+            out[co] = nums if out[co] is None else list(map(add, out[co], nums))
     return out
 
 
-def _flatten_once(m: SquareMatrix) -> SquareMatrix:
-    """Matrix over MatrixAlgebra(base, r) -> matrix over base of size dim*r."""
-    inner = m.algebra.base
-    if not isinstance(inner, MatrixAlgebra):
-        raise AlgebraMismatch("entries are not matrices; nothing to flatten")
-    r = inner.dim
-    big = MatrixAlgebra(inner.base, m.dim * r)
-    rows = []
-    for i in range(m.dim):
-        for a in range(r):
-            rows.append(
-                tuple(
-                    m.rows[i][j].rows[a][b]
-                    for j in range(m.dim)
-                    for b in range(r)
-                )
-            )
-    return SquareMatrix(big, tuple(rows))
+def _fractions(nums, dens):
+    if nums is None:
+        return [_ZERO] * len(dens)
+    return [Fraction(v, d) if v else _ZERO for v, d in zip(nums, dens)]
 
 
-def _nest_once(flat: SquareMatrix, outer: MatrixAlgebra, dim: int) -> SquareMatrix:
-    """Inverse of _flatten_once for an outer algebra of matrices of size dim."""
-    r = outer.dim
-    target = MatrixAlgebra(outer, dim)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            block = tuple(
-                tuple(flat.rows[i * r + a][j * r + b] for b in range(r))
-                for a in range(r)
-            )
-            row.append(SquareMatrix(outer, block))
-        rows.append(tuple(row))
-    return SquareMatrix(target, tuple(rows))
+_ZERO = Fraction(0)
 
 
 def random_nonzero_rational(rng, bound: int = 7) -> Fraction:

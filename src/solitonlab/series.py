@@ -12,13 +12,15 @@ prefix, a formal derivative loses one order, and inversion preserves the order
 of its input.  A series with no trusted coefficient decides nothing: deriving,
 inverting or row-solving it raises ``ValueError``.
 
-Products are formed over integers.  Each operand's trusted prefix is read as
-integer numerators over one common denominator, the lcm of every scalar
-denominator in it (1 over GF(p)), with one channel per entry of a matrix
+Products are formed over integers, in the integer form of field scalars
+that :mod:`solitonlab.algebra` owns (``_lift``, ``_lower`` and the field's
+``terms`` and ``modulus``); this module keeps only the algorithms.  Each
+operand's trusted prefix is read as integer numerators over one common
+denominator (1 over GF(p)), with one channel per entry of a matrix
 coefficient and two (re, im) over QQ(i).  The channels are convolved with
-plain ``int`` multiply-adds, and every output scalar is built once, as a
-``Fraction`` over the product of the two denominators (or a ``Residue``).
-Scaling by a coefficient is a product with a constant series.
+plain ``int`` multiply-adds, and every output scalar is built once, over the
+product of the two denominators.  Scaling by a coefficient is a product with
+a constant series.
 
 Inverses and row solves are one right division x * a = y, also over
 integers (``_divide``): a series inverse is y = 1, the inverse of a matrix of
@@ -41,18 +43,19 @@ computation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add, itemgetter, mul
 
 from .algebra import (
     Algebra,
-    GaussianRationals,
     MatrixAlgebra,
-    PrimeField,
-    Rationals,
     SquareMatrix,
+    _field_and_dim,
+    _from_grid,
+    _lift,
+    _lower,
+    _scalar_grid,
+    _times,
 )
 from .errors import (
     AlgebraMismatch,
@@ -61,7 +64,6 @@ from .errors import (
     SingularConstantTerm,
     SingularMatrix,
 )
-from .scalars import PRIME, GaussianRational, Residue
 
 __all__ = [
     "Derivation",
@@ -241,10 +243,6 @@ class SeriesAlgebra(Algebra):
             [self.coeff.scalar_mul(q, c) for c in a.coeffs],
             a.valid_order,
         )
-
-    @property
-    def scalar_field(self):
-        return self.coeff.scalar_field
 
     def magnitude(self, a):
         return max((self.coeff.magnitude(c) for c in a.coeffs), default=0.0)
@@ -505,9 +503,9 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = _count_below(salg.arity, vo)
     rows = _row_pairs(salg.arity, vo)
     field, dim = _field_and_dim(salg.coeff)
-    terms = _terms(field)
-    den_a, xs = _lift(_entries(salg.coeff, dim, a.coeffs[:n]), field)
-    den_b, ys = _lift(_entries(salg.coeff, dim, b.coeffs[:n]), field)
+    terms = field.terms
+    den_a, xs = _lift(field, _entries(salg.coeff, dim, a.coeffs[:n]))
+    den_b, ys = _lift(field, _entries(salg.coeff, dim, b.coeffs[:n]))
     out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
@@ -523,17 +521,6 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(salg, coeffs, vo)
 
 
-# Channel products (a, b, out, sign) add sign * a * b to channel out.  A scalar
-# of QQ or GF(p) is one channel; over QQ(i) it is (re, im), and
-# (a + bi)(c + di) = (ac - bd) + (ad + bc)i.
-_REAL_TERMS = ((0, 0, 0, 1),)
-_GAUSSIAN_TERMS = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
-
-
-def _terms(field):
-    return _GAUSSIAN_TERMS if isinstance(field, GaussianRationals) else _REAL_TERMS
-
-
 def _mul_add(out, x, y, rows, sign):
     """out += sign * (x conv y) for integer channels x, y over the pair rows."""
     if x.count(0) < y.count(0):
@@ -544,15 +531,6 @@ def _mul_add(out, x, y, rows, sign):
                 xa = -xa
             for io, yb in zip(row, y):
                 out[io] += xa * yb
-
-
-def _field_and_dim(alg):
-    """The scalar field under ``alg`` and the size of its flattened coefficients."""
-    dim = 1
-    while isinstance(alg, MatrixAlgebra):
-        dim *= alg.dim
-        alg = alg.base
-    return alg, dim
 
 
 def _entries(alg, dim, coeffs):
@@ -575,86 +553,6 @@ def _from_entries(alg, entries, n):
     ]
 
 
-def _lift(entries, field):
-    """(D, xs): xs[i][j][c] lists the integer numerators over D of channel c of
-    entry (i, j), or is None when they are all zero.  D is the lcm of every
-    scalar denominator in ``entries`` (1 over GF(p))."""
-    chans = [[_split(field, e) for e in row] for row in entries]
-    den = lcm(*{v.denominator for row in chans for ch in row for part in ch
-                 for v in part})
-    return den, [
-        [[_numerators(part, den) for part in ch] for ch in row]
-        for row in chans
-    ]
-
-
-def _numerators(values, den):
-    nums = [v.numerator * (den // v.denominator) for v in values]
-    return nums if any(nums) else None
-
-
-def _split(field, xs):
-    """Field scalars as channels of rationals or integers: (re, im) over QQ(i)."""
-    if isinstance(field, Rationals):
-        return (xs,)
-    if isinstance(field, GaussianRationals):
-        return [z.re for z in xs], [z.im for z in xs]
-    if isinstance(field, PrimeField):
-        return ([r.v for r in xs],)
-    raise AlgebraMismatch(f"no integer channels for scalars of {field!r}")
-
-
-def _lower(field, out, dens):
-    """Per-entry field scalars from numerator channels, the numerators at
-    index k over ``dens[k]``."""
-    return [[_join(field, ch, dens) for ch in row] for row in out]
-
-
-def _join(field, chans, dens):
-    if isinstance(field, GaussianRationals):
-        re, im = (_fractions(c, dens) for c in chans)
-        return [GaussianRational(x, y) for x, y in zip(re, im)]
-    if isinstance(field, PrimeField):
-        return [Residue(v) for v in chans[0]] if chans[0] else [field.zero()] * len(dens)
-    return _fractions(chans[0], dens)
-
-
-def _fractions(nums, dens):
-    if nums is None:
-        return [_ZERO] * len(dens)
-    return [Fraction(v, d) if v else _ZERO for v, d in zip(nums, dens)]
-
-
-_ZERO = Fraction(0)
-
-
-def _scalar_grid(alg, x):
-    """A matrix coefficient as rows of field scalars, nested blocks flattened."""
-    if not isinstance(alg.base, MatrixAlgebra):
-        return x.rows
-    blocks = [[_scalar_grid(alg.base, e) for e in row] for row in x.rows]
-    return [
-        [s for block in brow for s in block[a]]
-        for brow in blocks
-        for a in range(len(brow[0]))
-    ]
-
-
-def _from_grid(alg, grid):
-    """Inverse of _scalar_grid."""
-    if not isinstance(alg.base, MatrixAlgebra):
-        return SquareMatrix(alg, grid)
-    s = len(grid) // alg.dim
-    return SquareMatrix(alg, tuple(
-        tuple(
-            _from_grid(alg.base, tuple(row[j * s:(j + 1) * s]
-                                       for row in grid[i * s:(i + 1) * s]))
-            for j in range(alg.dim)
-        )
-        for i in range(alg.dim)
-    ))
-
-
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     """Formal partial derivative; valid order drops by one.
 
@@ -668,17 +566,16 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     field, dim = _field_and_dim(salg.coeff)
     n = _count_below(salg.arity, vo - 1)
     sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
-    den, xs = _lift(_entries(salg.coeff, dim, s.coeffs), field)
-    scale_den, [[scale]] = _lift([[[field.coerce(d.scale)]]], field)
-    terms = _terms(field)
-    out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
-    for x_row, out_row in zip(xs, out):
-        for x, acc in zip(x_row, out_row):
-            for ca, cb, co, sign in terms:
-                if x[ca] is not None and scale[cb] is not None:
-                    w = sign * scale[cb][0]
-                    nums = [w * k * v for k, v in zip(factors, sources(x[ca]))]
-                    acc[co] = nums if acc[co] is None else list(map(add, acc[co], nums))
+    den, xs = _lift(field, _entries(salg.coeff, dim, s.coeffs))
+    scale_den, [[scale]] = _lift(field, [[[field.coerce(d.scale)]]])
+    scale = [0 if ch is None else ch[0] for ch in scale]
+    terms = field.terms
+    out = [
+        [_times(terms, [None if ch is None else list(map(mul, factors, sources(ch)))
+                        for ch in x], scale)
+         for x in row]
+        for row in xs
+    ]
     coeffs = _from_entries(salg.coeff, _lower(field, out, [den * scale_den] * n), n)
     return TruncatedSeries(salg, coeffs, vo - 1)
 
@@ -727,24 +624,23 @@ def _exp_coeffs(alg, c, cap):
 
     c is lifted to C = D c, in its real grid (see ``_real_grid``) over QQ(i);
     the rows of the identity are multiplied by C cap - 1 times, and each
-    C^k is lowered once, over D^k k!.  Over GF(p) each product is reduced
-    and divided by k at once, and the lowering reads no denominator.
+    C^k is lowered once, over D^k k!.  Over GF(p) each product is reduced.
     """
     field, dim = _field_and_dim(alg)
-    den, c_int = _lift(_entries(alg, dim, [c]), field)
-    grid = _real_grid(field, c_int, True)
+    den, c_int = _lift(field, _entries(alg, dim, [c]))
+    grid = _real_grid(field.terms, c_int)
     cols = list(zip(*([e[0] if e else 0 for e in row] for row in grid)))
     powers = [[[int(i == j) for j in range(len(grid))] for i in range(dim)]]
     dens = [1]
+    p = field.modulus
     for k in range(1, cap):
         rows = [[sum(map(mul, row, col)) for col in cols] for row in powers[-1]]
-        if isinstance(field, PrimeField):
-            inv_k = pow(k, -1, PRIME)
-            rows = [[v * inv_k % PRIME for v in row] for row in rows]
+        if p:
+            rows = [[v % p for v in row] for row in rows]
         powers.append(rows)
         dens.append(dens[-1] * den * k)
     z = [[list(col) for col in zip(*rows)] for rows in zip(*powers)]
-    return _from_entries(alg, _lower(field, _pair_channels(field, dim, z), dens), cap)
+    return _from_entries(alg, _lower(field, _pair_channels(dim, z), dens), cap)
 
 
 def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
@@ -784,45 +680,42 @@ def _divide(arity, valid_order, alg, a0, a, y, singular):
     except SingularMatrix as exc:
         raise SingularConstantTerm(singular) from exc
     field, dim = _field_and_dim(alg)
-    den_a, a_int = _lift(a, field)
-    m, m_int = _lift(_entries(alg, dim, [a0_inv]), field)
-    den_y, y_int = _lift(y, field)
+    den_a, a_int = _lift(field, a)
+    m, m_int = _lift(field, _entries(alg, dim, [a0_inv]))
+    den_y, y_int = _lift(field, y)
     s = den_a * m
     z = _divide_integers(
         arity, valid_order,
-        _real_grid(field, a_int, True),
-        [[e[0] if e else 0 for e in row] for row in _real_grid(field, m_int, True)],
-        _real_grid(field, y_int, False),
-        s, PRIME if isinstance(field, PrimeField) else None,
+        _real_grid(field.terms, a_int),
+        [[e[0] if e else 0 for e in row] for row in _real_grid(field.terms, m_int)],
+        [[ch[c] for c in range(len(row[0])) for ch in row] for row in y_int],
+        s, field.modulus,
     )
     dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
-    return _lower(field, _pair_channels(field, dim, z), dens)
+    return _lower(field, _pair_channels(dim, z), dens)
 
 
-def _pair_channels(field, dim, rows):
-    """Rows of real entries back to rows of channel tuples: inverse of
-    ``_real_grid`` on a row."""
-    if isinstance(field, GaussianRationals):
-        return [[(row[j], row[dim + j]) for j in range(dim)] for row in rows]
-    return [[(x,) for x in row] for row in rows]
+def _pair_channels(dim, rows):
+    """Rows of real entries [channel 0 | channel 1 | ...], each channel dim
+    entries wide, back to rows of per-entry channels."""
+    return [[row[j::dim] for j in range(dim)] for row in rows]
 
 
-def _real_grid(field, grid, square):
-    """Integer channels as one grid of real entries.  Over QQ(i) a row
-    re + i*im becomes [re | im] and a square grid Re + i*Im becomes
-    [[Re, Im], [-Im, Re]], so the product of the two is [Re | Im] of the
-    complex product."""
-    rows = [[ch[0] for ch in row] for row in grid]
-    if not isinstance(field, GaussianRationals):
-        return rows
-    ims = [[ch[1] for ch in row] for row in grid]
-    top = [re + im for re, im in zip(rows, ims)]
-    if not square:
-        return top
-    return top + [
-        [None if x is None else [-v for v in x] for x in im] + re
-        for re, im in zip(rows, ims)
-    ]
+def _real_grid(terms, grid):
+    """A square grid of integer channels as one real matrix R: block (a, out)
+    is sign * channel b for each channel product (a, b, out, sign), so a row
+    [channel 0 | channel 1 | ...] times R is that row of the channel
+    product.  Over QQ(i) R is [[Re, Im], [-Im, Re]]."""
+    dim = len(grid)
+    size = dim * len(grid[0][0])
+    real = [[None] * size for _ in range(size)]
+    for ca, cb, co, sign in terms:
+        for i, row in enumerate(grid):
+            out = real[ca * dim + i]
+            for j, ch in enumerate(row):
+                x = ch[cb]
+                out[co * dim + j] = x if x is None or sign > 0 else [-v for v in x]
+    return real
 
 
 def _divide_integers(arity, valid_order, a, m, y, s, modulus):

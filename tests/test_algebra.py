@@ -90,8 +90,9 @@ def test_inverse_roundtrip_random(seed):
 
 
 def test_three_level_nested_inverse_roundtrip(rng):
-    # inversion flattens and re-nests one level per recursion step, down to
-    # an 8x8 elimination over QQ; the product checks every level's layout
+    # inversion flattens the whole tower once to an 8x8 grid over QQ,
+    # eliminates there and nests the inverse back; the product checks every
+    # level's layout
     nested = MatrixAlgebra(MatrixAlgebra(MatrixAlgebra(QQ, 2), 2), 2)
     m = random_invertible(nested, rng)
     inv = m.inverse()

@@ -11,6 +11,7 @@ where an elimination taking the first nonzero pivot of each column stops.
 """
 
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -154,26 +155,52 @@ def test_inverse_matches_reference(name, size, zeros):
         done += 1
 
 
+# towers Mat(d_0, Mat(d_1, ... field)), outermost size first
+TOWERS = ((QQ, (2, 2)), (QQ, (2, 3)), (QQI, (2, 2)), (GFP, (3, 2)), (QQ, (2, 2, 2)))
+TOWER_IDS = [f"{field!r}-{'x'.join(map(str, dims))}" for field, dims in TOWERS]
+
+
+def _nested(field, dims, grid, top=0, left=0):
+    """The tower element whose block (i, j), of size s, holds the grid's
+    rows from top + i*s and columns from left + j*s, down to the scalars."""
+    if not dims:
+        return _scalar(field, grid[top][left])
+    inner = field
+    for d in reversed(dims[1:]):
+        inner = MatrixAlgebra(inner, d)
+    s = prod(dims[1:])
+    return SquareMatrix(MatrixAlgebra(inner, dims[0]), [
+        [_nested(field, dims[1:], grid, top + i * s, left + j * s)
+         for j in range(dims[0])]
+        for i in range(dims[0])
+    ])
+
+
+def _flat_entry(m, size, i, j):
+    """Entry (i, j) of the size x size flattened grid of a tower element."""
+    while isinstance(m, SquareMatrix):
+        s = size // m.dim
+        m, i, j, size = m.rows[i // s][j // s], i % s, j % s, s
+    return m
+
+
 def test_nested_inverse_matches_reference():
-    """Mat(2, Mat(2, QQ)) is inverted as its flattened 4 x 4 grid."""
+    """A tower over QQ, QQ(i) or GF(p) is inverted as its flattened grid,
+    with block (i, j) of size s at rows i*s.. and columns j*s.."""
     rng = Random("nested")
-    inner = MatrixAlgebra(QQ, 2)
-    outer = MatrixAlgebra(inner, 2)
-    for zeros in (0.0, 0.5):
-        grid = None
-        while grid is None or _ref_inverse(QQ, grid) is None:
-            grid = [[_draw(QQ, rng, zeros) for _ in range(4)] for _ in range(4)]
-        m = SquareMatrix(outer, [
-            [SquareMatrix(inner, [[_scalar(QQ, grid[2 * i + a][2 * j + b])
-                                   for b in range(2)] for a in range(2)])
-             for j in range(2)]
-            for i in range(2)
-        ])
-        got = m.inverse()
-        assert got.algebra == outer
-        flat = [[_key(QQ, got.rows[i // 2][j // 2].rows[i % 2][j % 2])
-                 for j in range(4)] for i in range(4)]
-        assert flat == _ref_keys(QQ, _ref_inverse(QQ, grid))
+    for field, dims in TOWERS:
+        size = prod(dims)
+        for zeros in (0.0, 0.5):
+            grid = None
+            while grid is None or _ref_inverse(field, grid) is None:
+                grid = [[_draw(field, rng, zeros) for _ in range(size)]
+                        for _ in range(size)]
+            m = _nested(field, dims, grid)
+            got = m.inverse()
+            assert got.algebra == m.algebra
+            flat = [[_key(field, _flat_entry(got, size, i, j)) for j in range(size)]
+                    for i in range(size)]
+            assert flat == _ref_keys(field, _ref_inverse(field, grid))
 
 
 def _singular_grids(field, size, rng):
@@ -202,4 +229,16 @@ def test_singular_matrix_names_its_column(name, size):
         column = _singular_column(field, grid)
         with pytest.raises(SingularMatrix) as info:
             _matrix(field, grid).inverse()
+        assert str(info.value) == f"no invertible pivot in column {column}"
+
+
+@pytest.mark.parametrize("field,dims", TOWERS, ids=TOWER_IDS)
+def test_nested_singular_matrix_names_its_column(field, dims):
+    """A singular tower names the column of its flattened grid."""
+    size = prod(dims)
+    rng = Random(f"nested singular {field} {dims}")
+    for grid in _singular_grids(field, size, rng):
+        column = _singular_column(field, grid)
+        with pytest.raises(SingularMatrix) as info:
+            _nested(field, dims, grid).inverse()
         assert str(info.value) == f"no invertible pivot in column {column}"

@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -21,6 +22,7 @@ from solitonlab.errors import (
     SingularConstantTerm,
     SingularMatrix,
 )
+from solitonlab import series
 from solitonlab.scalars import GaussianRational
 from solitonlab.series import (
     D_T,
@@ -329,3 +331,23 @@ def test_with_coeff_replaces_one_coefficient():
     s = S.one().with_coeff((1, 1), Fraction(7))
     assert s.coeff((1, 1)) == 7
     assert s.coeff((0, 0)) == 1
+
+
+SCALAR_TYPES = {"Fraction", "GaussianRational", "Residue",
+                "Rationals", "GaussianRationals", "PrimeField"}
+
+
+def test_series_module_names_no_scalar_type():
+    """solitonlab.algebra owns the integer form of field scalars: the series
+    module imports, and refers to, no scalar type and no field class."""
+    tree = ast.parse(open(series.__file__, encoding="utf-8").read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {part for a in node.names for part in a.name.split(".")}
+            names |= {a.asname for a in node.names if a.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert sorted(names & SCALAR_TYPES) == []
