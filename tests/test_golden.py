@@ -40,6 +40,10 @@ CASES = {
     "selftest-300-s2": ["quasidet-selftest", "--trials", "300", "--seed", "2"],
     "heat-N2-gfp-dump": ["nls", "--N", "2", "--mode", "heat", "--scalar", "gf-p",
                          "--cap", "7", "--dump-series"],
+    "langmuir-N2-r2-lemmas": ["langmuir", "--N", "2", "--r", "2", "--window", "5",
+                              "--cap", "8", "--with-lemmas"],
+    "toda-n3-N3-lemmas": ["toda", "--n", "3", "--N", "3", "--cap", "8",
+                          "--with-lemmas"],
 }
 
 
@@ -48,11 +52,13 @@ CASES = {
 RATIONAL_CASES = [
     "heat-N1-dump",
     "langmuir-N1-r2-lemmas",
+    "langmuir-N2-r2-lemmas",
     "langmuir-N2-w5",
     "sine-gordon-N2-lemmas",
     "toda-n2-N1-lemmas",
     "toda-n3-N2",
     "toda-n3-N2-r2-dump",
+    "toda-n3-N3-lemmas",
 ]
 
 
