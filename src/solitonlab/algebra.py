@@ -5,7 +5,9 @@ residues modulo one 31-bit prime) at the bottom, with ``MatrixAlgebra`` layers
 stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the whole tower once to one big matrix over the scalar field
 (``_scalar_grid``), runs a Gauss-Jordan elimination there, and re-nests the
-result (``_from_grid``).
+result (``_from_grid``).  Products and inverses of matrices are the entry
+algebra's job (``matmul``, ``matrix_inverse``): the default product goes
+entry by entry, and series multiply whole grids at once.
 
 This module owns the integer form of field scalars (see ``_Field``), on
 which the fraction-free elimination here (``_gauss_jordan``) and the series
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 from .errors import AlgebraMismatch, SingularMatrix
 from .scalars import PRIME, GaussianRational, Residue, format_gaussian, format_rational
@@ -34,7 +36,6 @@ __all__ = [
     "PrimeField",
     "MatrixAlgebra",
     "SquareMatrix",
-    "dot",
     "row_times",
     "QQ",
     "QQI",
@@ -82,6 +83,23 @@ class Algebra:
         """Invert a square matrix whose entries live in this algebra."""
         raise NotImplementedError
 
+    def matmul(self, xs, ys) -> list:
+        """The rows of the product of a k x N grid ``xs`` by an N x m grid
+        ``ys`` of elements: entry (i, j) adds xs[i][l] * ys[l][j] over l, left
+        factor first, from left to right."""
+        cols = tuple(zip(*ys))
+        out = []
+        for row in xs:
+            out_row = []
+            for col in cols:
+                products = map(mul, row, col)
+                acc = next(products)
+                for p in products:
+                    acc = acc + p
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return out
+
 
 class _Field(Algebra):
     """Shared behaviour for the commutative scalar fields, and their integer
@@ -89,8 +107,9 @@ class _Field(Algebra):
     or (re, im) over QQ(i)), ``join`` builds scalars from integer channels
     over denominators, ``terms`` lists the channel products (a, b, out, sign)
     that add sign * a * b to channel out, ``modulus`` is PRIME over GF(p),
-    ``reciprocal(d)`` is (c, norm) with 1/d = c/norm, and ``bareiss_step``
-    takes rows with their channels laid end to end."""
+    ``reciprocal(d)`` is (c, norm) with 1/d = c/norm, and
+    ``bareiss_step(p, prev)`` is the elimination step of one pivot p, on rows
+    with their channels laid end to end."""
 
     terms = ((0, 0, 0, 1),)
     modulus = None
@@ -137,10 +156,15 @@ class Rationals(_Field):
         return _fractions(chans[0], dens)
 
     @staticmethod
-    def bareiss_step(p, f, prev, x, y):
-        """(p x - f y) / prev over integers; the division is exact."""
-        p, f, prev = p[0], f[0], prev[0]
-        return [(p * a - f * b) // prev for a, b in zip(x, y)]
+    def bareiss_step(p, prev):
+        """x -> (p x - f y) / prev over integers; the division is exact."""
+        p, prev = p[0], prev[0]
+
+        def step(f, x, y):
+            f = f[0]
+            return [(p * a - f * b) // prev for a, b in zip(x, y)]
+
+        return step
 
     def __repr__(self):
         return "QQ"
@@ -188,19 +212,24 @@ class GaussianRationals(_Field):
         return [GaussianRational(x, y) for x, y in zip(re, im)]
 
     @staticmethod
-    def bareiss_step(p, f, prev, x, y):
-        """(p x - f y) / prev over Gaussian integers; the division, times the
-        conjugate of prev and over its norm, is exact."""
-        (pr, pi), (fr, fi), (gr, gi) = p, f, prev
+    def bareiss_step(p, prev):
+        """x -> (p x - f y) / prev over Gaussian integers; the division, times
+        the conjugate of prev and over its norm, is exact."""
+        (pr, pi), (gr, gi) = p, prev
         norm = gr * gr + gi * gi
-        h = len(x) // 2
-        out_re, out_im = [], []
-        for xr, xi, yr, yi in zip(x[:h], x[h:], y[:h], y[h:]):
-            re = pr * xr - pi * xi - fr * yr + fi * yi
-            im = pr * xi + pi * xr - fr * yi - fi * yr
-            out_re.append((re * gr + im * gi) // norm)
-            out_im.append((im * gr - re * gi) // norm)
-        return out_re + out_im
+
+        def step(f, x, y):
+            fr, fi = f
+            h = len(x) // 2
+            out_re, out_im = [], []
+            for xr, xi, yr, yi in zip(x[:h], x[h:], y[:h], y[h:]):
+                re = pr * xr - pi * xi - fr * yr + fi * yi
+                im = pr * xi + pi * xr - fr * yi - fi * yr
+                out_re.append((re * gr + im * gi) // norm)
+                out_im.append((im * gr - re * gi) // norm)
+            return out_re + out_im
+
+        return step
 
     def reciprocal(self, d):
         dr, di = d
@@ -256,11 +285,16 @@ class PrimeField(_Field):
         return [Residue(v * inverse[d]) for v, d in zip(chans[0] or [0] * len(dens), dens)]
 
     @staticmethod
-    def bareiss_step(p, f, prev, x, y):
-        """(p x - f y) / prev mod PRIME."""
+    def bareiss_step(p, prev):
+        """x -> (p x - f y) / prev mod PRIME, with one inverse of prev."""
         q = pow(prev[0], -1, PRIME)
-        p, f = p[0] * q % PRIME, f[0] * q % PRIME
-        return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
+        p = p[0] * q % PRIME
+
+        def step(f, x, y):
+            f = f[0] * q % PRIME
+            return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
+
+        return step
 
     def __repr__(self):
         return "GFP"
@@ -428,21 +462,12 @@ class SquareMatrix:
         return self._map(lambda a: -a)
 
     def __mul__(self, other):
+        """The matrix product, formed by the entry algebra's ``matmul``: entry
+        by entry over fields and matrices, in one integer pass over series."""
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._check_same(other)
-        n = self.dim
-        cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for k in range(1, n):
-                    acc = acc + row[k] * col[k]
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return SquareMatrix(self.algebra, tuple(out))
+        return SquareMatrix(self.algebra, self.algebra.base.matmul(self.rows, other.rows))
 
     def inverse(self) -> "SquareMatrix":
         return self.algebra.base.matrix_inverse(self)
@@ -478,17 +503,9 @@ class SquareMatrix:
         return f"SquareMatrix({self.rows!r})"
 
 
-def dot(xs, ys):
-    """Sum of xs[k] * ys[k], left factor first, added left to right."""
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
-
-
 def row_times(row, m: SquareMatrix) -> tuple:
     """The row vector ``row`` times the matrix ``m``."""
-    return tuple(dot(row, col) for col in zip(*m.rows))
+    return m.algebra.base.matmul([row], m.rows)[0]
 
 
 def _gauss_jordan(field: Algebra, rows):
@@ -498,13 +515,13 @@ def _gauss_jordan(field: Algebra, rows):
     The rows are lifted once to integers A = D * rows (``_lift``) and set
     beside the identity.  Column by column, the first row with a nonzero
     entry there is the pivot row y, with pivot p; every other row x becomes
-    (p x - f y) / prev (``bareiss_step``), with f the row's entry in the
-    column and prev the previous pivot (1 at first).  The division is exact,
-    and the zero pattern of each column is that of the elimination over the
-    field, so the pivots, and the column a SingularMatrix names, are the
-    same.  At the end the left half is det * I and the right half det * A^-1,
-    and each inverse entry is built once, as D * (det * A^-1) * c / norm
-    with 1/det = c/norm (``reciprocal``).
+    (p x - f y) / prev (``bareiss_step``, made once per pivot), with f the
+    row's entry in the column and prev the previous pivot (1 at first).  The
+    division is exact, and the zero pattern of each column is that of the
+    elimination over the field, so the pivots, and the column a
+    SingularMatrix names, are the same.  At the end the left half is det * I
+    and the right half det * A^-1, and each inverse entry is built once, as
+    D * (det * A^-1) * c / norm with 1/det = c/norm (``reciprocal``).
     """
     n, m = len(rows), 2 * len(rows)
     den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
@@ -519,7 +536,6 @@ def _gauss_jordan(field: Algebra, rows):
             row += [0] * n
         row[n + i] = 1
         aug.append(row)
-    step = field.bareiss_step
     prev = [1] + zero[1:]
     for col in range(n):
         for pivot_row in range(col, n):
@@ -532,11 +548,12 @@ def _gauss_jordan(field: Algebra, rows):
         y = aug[col]
         p = y[col::m]
         same = p == prev
+        step = field.bareiss_step(p, prev)
         for r in range(n):
             if r != col:
                 f = aug[r][col::m]
                 if f != zero or not same:
-                    aug[r] = step(p, f, prev, aug[r], y)
+                    aug[r] = step(f, aug[r], y)
         prev = p
     c, norm = field.reciprocal(prev)
     right = [[den * v for row in aug for v in row[k + n:k + m]] for k in range(0, len(y), m)]
@@ -553,32 +570,40 @@ def _field_and_dim(alg):
     return alg, dim
 
 
-def _scalar_grid(alg, x):
-    """A matrix of ``alg`` as rows of bottom-algebra scalars, nested blocks
-    flattened: entry (a, b) of block (i, j) of size s is at (i s + a, j s + b)."""
-    if not isinstance(alg.base, MatrixAlgebra):
-        return x.rows
-    blocks = [[_scalar_grid(alg.base, e) for e in row] for row in x.rows]
+def _flatten(blocks):
+    """A grid of square blocks of one size s (each a list of rows) as one
+    grid: entry (a, b) of block (i, j) is at (i s + a, j s + b)."""
     return [
-        [s for block in brow for s in block[a]]
+        [e for block in brow for e in block[a]]
         for brow in blocks
         for a in range(len(brow[0]))
     ]
+
+
+def _blocks(grid, s):
+    """Inverse of _flatten: the grid cut into blocks of size s."""
+    return [
+        [[row[j:j + s] for row in grid[i:i + s]] for j in range(0, len(grid[0]), s)]
+        for i in range(0, len(grid), s)
+    ]
+
+
+def _scalar_grid(alg, x):
+    """A matrix of ``alg`` as rows of bottom-algebra scalars, nested blocks
+    flattened (see ``_flatten``)."""
+    if not isinstance(alg.base, MatrixAlgebra):
+        return x.rows
+    return _flatten([[_scalar_grid(alg.base, e) for e in row] for row in x.rows])
 
 
 def _from_grid(alg, grid):
     """Inverse of _scalar_grid."""
     if not isinstance(alg.base, MatrixAlgebra):
         return SquareMatrix(alg, grid)
-    s = len(grid) // alg.dim
-    return SquareMatrix(alg, tuple(
-        tuple(
-            _from_grid(alg.base, tuple(row[j * s:(j + 1) * s]
-                                       for row in grid[i * s:(i + 1) * s]))
-            for j in range(alg.dim)
-        )
-        for i in range(alg.dim)
-    ))
+    return SquareMatrix(alg, [
+        [_from_grid(alg.base, block) for block in brow]
+        for brow in _blocks(grid, len(grid) // alg.dim)
+    ])
 
 
 def _lift(field, grid):

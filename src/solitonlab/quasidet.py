@@ -19,7 +19,7 @@ quotient rather than guessing.
 
 from __future__ import annotations
 
-from .algebra import MatrixAlgebra, SquareMatrix, dot, row_times
+from .algebra import MatrixAlgebra, SquareMatrix, row_times
 from .errors import (
     SingularCell,
     SingularMatrix,
@@ -91,8 +91,8 @@ def quasideterminant(x: SquareMatrix, i: int, j: int):
             f"submatrix for quasideterminant ({i}, {j}) is not invertible"
         ) from exc
     row = [x.entry(i, c) for c in cols]
-    col = [x.entry(r, j) for r in rows]
-    return x.entry(i, j) - dot(row_times(row, sub_inv), col)
+    col = [(x.entry(r, j),) for r in rows]
+    return x.entry(i, j) - base.matmul([row_times(row, sub_inv)], col)[0][0]
 
 
 class WronskiPair:

@@ -14,13 +14,19 @@ inverting or row-solving it raises ``ValueError``.
 
 Products are formed over integers, in the integer form of field scalars
 that :mod:`solitonlab.algebra` owns (``_lift``, ``_lower`` and the field's
-``terms`` and ``modulus``); this module keeps only the algorithms.  Each
-operand's trusted prefix is read as integer numerators over one common
-denominator (1 over GF(p)), with one channel per entry of a matrix
-coefficient and two (re, im) over QQ(i).  The channels are convolved with
-plain ``int`` multiply-adds, and every output scalar is built once, over the
-product of the two denominators.  Scaling by a coefficient is a product with
-a constant series.
+``terms`` and ``modulus``); this module keeps only the algorithms.  One
+kernel (``_product``) multiplies a k x N grid of series by an N x m grid,
+so a product of two series is its 1 x 1 case, and a product of matrices of
+series (``SeriesAlgebra.matmul``, behind ``SquareMatrix.__mul__`` and
+``row_times``) is one call.  Each grid is flattened into one grid of
+scalars, its blocks numbered as ``algebra._flatten`` numbers them, and read
+as integer numerators over one common denominator (1 over GF(p)), with one
+channel per scalar and two (re, im) over QQ(i).  The channels are convolved
+with plain ``int`` multiply-adds and summed over the inner index, and every
+output scalar is built once, over the product of the two denominators.
+Output entry (i, j) is trusted below the least valid order in row i of the
+left grid and column j of the right one, as a sum of series products would
+be.  Scaling by a coefficient is a product with a constant series.
 
 Inverses and row solves are one right division x * a = y, also over
 integers (``_divide``): a series inverse is y = 1, the inverse of a matrix of
@@ -44,13 +50,15 @@ computation.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 
 from .algebra import (
     Algebra,
     MatrixAlgebra,
     SquareMatrix,
+    _blocks,
     _field_and_dim,
+    _flatten,
     _from_grid,
     _lift,
     _lower,
@@ -281,35 +289,28 @@ class SeriesAlgebra(Algebra):
         )[0]
 
     def _divide_rows(self, y_rows, m, action, singular):
-        """The rows of series x with x * m = y_rows, blocks of each row flattened."""
+        """The rows of series x with x * m = y_rows, through their blocks
+        flattened into one grid (see ``_entries``)."""
         vo = _trusted_order(
             [x for rows in (y_rows, m.rows) for row in rows for x in row], action
         )
         n = _count_below(self.arity, vo)
         a0 = SquareMatrix(MatrixAlgebra(self.coeff, m.dim),
                           [[x.coeffs[0] for x in row] for row in m.rows])
-        x = _divide(self.arity, vo, a0.algebra, a0, self._entry_grid(m.rows, n),
-                    self._entry_grid(y_rows, n), singular)
         r = _field_and_dim(self.coeff)[1]
+        a, y = (_entries(self.coeff, r, [[x.coeffs[:n] for x in row] for row in rows])
+                for rows in (m.rows, y_rows))
+        x = _divide(self.arity, vo, a0.algebra, a0, a, y, singular)
         return [
-            tuple(
-                TruncatedSeries(
-                    self,
-                    _from_entries(self.coeff, [row[j * r:(j + 1) * r]
-                                               for row in x[i * r:(i + 1) * r]], n),
-                    vo,
-                )
-                for j in range(m.dim)
-            )
-            for i in range(len(y_rows))
+            tuple(TruncatedSeries(self, _from_entries(self.coeff, b, n), vo) for b in brow)
+            for brow in _blocks(x, r)
         ]
 
-    def _entry_grid(self, rows, n):
-        """Per-entry scalar lists (see ``_entries``) of rows of series, with
-        every block flattened into the one grid."""
-        r = _field_and_dim(self.coeff)[1]
-        blocks = [[_entries(self.coeff, r, x.coeffs[:n]) for x in row] for row in rows]
-        return [[e for b in brow for e in b[a]] for brow in blocks for a in range(r)]
+    def matmul(self, xs, ys) -> list:
+        """The rows of the product of a k x N grid ``xs`` by an N x m grid
+        ``ys`` of series, in one pass over integers (``_product``)."""
+        return _product(self, [[self.coerce(x) for x in row] for row in xs],
+                        [[self.coerce(y) for y in row] for row in ys])
 
 
 class TruncatedSeries:
@@ -491,34 +492,67 @@ def _trusted_order(series, action: str) -> int:
 
 
 def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The Cauchy product a * b through the lesser valid order, over integers.
+    """The Cauchy product a * b through the lesser valid order: the 1 x 1
+    case of ``_product``."""
+    return _product(a.algebra, ((a,),), ((b,),))[0][0]
 
-    Each operand's trusted prefix is lifted to integer numerator channels over
-    one common denominator, the channels are convolved with plain ``int``
-    multiply-adds (block entries as (i, k) * (k, j), summed over k), and each
-    output scalar is lowered once, over the product of the two denominators.
+
+def _product(salg, xs, ys):
+    """The rows of the product of a k x N grid ``xs`` by an N x m grid ``ys``
+    of series of ``salg``, over integers.
+
+    Entry (i, j) is the sum over l of xs[i][l] * ys[l][j], trusted below the
+    least valid order of those products, as a sum of series products would
+    be: the least order in row i of xs and column j of ys.  Each grid is
+    flattened into one grid of per-entry scalar lists (``_entries``) and
+    lifted once over one denominator.  Every flattened output entry adds the
+    channel products (``_mul_add``) along its row of xs and column of ys in
+    plain ``int``s, and is lowered once, over the product of the two
+    denominators.
     """
-    salg = a.algebra
-    vo = min(a.valid_order, b.valid_order)
-    n = _count_below(salg.arity, vo)
-    rows = _row_pairs(salg.arity, vo)
-    field, dim = _field_and_dim(salg.coeff)
+    coeff, arity = salg.coeff, salg.arity
+    field, r = _field_and_dim(coeff)
     terms = field.terms
-    den_a, xs = _lift(field, _entries(salg.coeff, dim, a.coeffs[:n]))
-    den_b, ys = _lift(field, _entries(salg.coeff, dim, b.coeffs[:n]))
-    out = [[[None, None] for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            acc = out[i][j]
-            for k in range(dim):
-                x, y = xs[i][k], ys[k][j]
-                for ca, cb, co, sign in terms:
-                    if x[ca] is not None and y[cb] is not None:
-                        if acc[co] is None:
-                            acc[co] = [0] * n
-                        _mul_add(acc[co], x[ca], y[cb], rows, sign)
-    coeffs = _from_entries(salg.coeff, _lower(field, out, [den_a * den_b] * n), n)
-    return TruncatedSeries(salg, coeffs, vo)
+    row_orders = [min(map(_valid_order, row)) for row in xs]
+    col_orders = [min(map(_valid_order, col)) for col in zip(*ys)]
+    # each series is read only as far as some output entry trusts it
+    top_row, top_col = max(row_orders), max(col_orders)
+    x_counts = [_count_below(arity, min(o, top_col)) for o in row_orders]
+    y_counts = [_count_below(arity, min(o, top_row)) for o in col_orders]
+    den_x, x_int = _lift(field, _entries(coeff, r, [
+        [x.coeffs[:n] for x in row] for row, n in zip(xs, x_counts)]))
+    den_y, y_int = _lift(field, _entries(coeff, r, [
+        [y.coeffs[:n] for y, n in zip(row, y_counts)] for row in ys]))
+    den = den_x * den_y
+    y_cols = list(zip(*y_int))
+    out = []
+    for i, vo_i in enumerate(row_orders):
+        x_rows = x_int[i * r:(i + 1) * r]
+        out_row = []
+        for j, vo_j in enumerate(col_orders):
+            vo = min(vo_i, vo_j)
+            n = _count_below(arity, vo)
+            pairs = _row_pairs(arity, vo)
+            block = []
+            for x_row in x_rows:
+                block_row = []
+                for y_col in y_cols[j * r:(j + 1) * r]:
+                    acc = [None, None]
+                    for x, y in zip(x_row, y_col):
+                        for ca, cb, co, sign in terms:
+                            if x[ca] is not None and y[cb] is not None:
+                                if acc[co] is None:
+                                    acc[co] = [0] * n
+                                _mul_add(acc[co], x[ca], y[cb], pairs, sign)
+                    block_row.append(acc)
+                block.append(block_row)
+            coeffs = _from_entries(coeff, _lower(field, block, [den] * n), n)
+            out_row.append(TruncatedSeries(salg, coeffs, vo))
+        out.append(tuple(out_row))
+    return out
+
+
+_valid_order = attrgetter("valid_order")
 
 
 def _mul_add(out, x, y, rows, sign):
@@ -533,18 +567,28 @@ def _mul_add(out, x, y, rows, sign):
                 out[io] += xa * yb
 
 
-def _entries(alg, dim, coeffs):
-    """Coefficients of ``alg`` as a dim x dim grid of per-entry scalar lists:
-    entry (i, j) lists that entry of every coefficient, nested blocks
-    flattened.  A coefficient that is a field scalar is the one entry."""
+def _entries(alg, dim, rows):
+    """A grid of coefficient lists of ``alg`` (one list per series) as one
+    grid of per-entry scalar lists.  Each list becomes a dim x dim block
+    whose entry (a, b) lists that scalar of every coefficient, nested
+    blocks flattened, and the blocks are flattened into the one grid
+    (``_flatten``).  Over a field the coefficient lists are that grid."""
     if not isinstance(alg, MatrixAlgebra):
-        return [[coeffs]]
-    grids = [_scalar_grid(alg, c) for c in coeffs]
-    return [[[g[i][j] for g in grids] for j in range(dim)] for i in range(dim)]
+        return rows
+    blocks = []
+    for row in rows:
+        block_row = []
+        for coeffs in row:
+            grids = [_scalar_grid(alg, c) for c in coeffs]
+            block_row.append([[[g[a][b] for g in grids] for b in range(dim)]
+                              for a in range(dim)])
+        blocks.append(block_row)
+    return _flatten(blocks)
 
 
 def _from_entries(alg, entries, n):
-    """Inverse of _entries: the n coefficients of ``alg`` from per-entry lists."""
+    """Inverse of _entries for one series: its n coefficients of ``alg`` from
+    a dim x dim block of per-entry lists."""
     if not isinstance(alg, MatrixAlgebra):
         return entries[0][0]
     return [
@@ -566,7 +610,7 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     field, dim = _field_and_dim(salg.coeff)
     n = _count_below(salg.arity, vo - 1)
     sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
-    den, xs = _lift(field, _entries(salg.coeff, dim, s.coeffs))
+    den, xs = _lift(field, _entries(salg.coeff, dim, [[s.coeffs]]))
     scale_den, [[scale]] = _lift(field, [[[field.coerce(d.scale)]]])
     scale = [0 if ch is None else ch[0] for ch in scale]
     terms = field.terms
@@ -627,7 +671,7 @@ def _exp_coeffs(alg, c, cap):
     C^k is lowered once, over D^k k!.  Over GF(p) each product is reduced.
     """
     field, dim = _field_and_dim(alg)
-    den, c_int = _lift(field, _entries(alg, dim, [c]))
+    den, c_int = _lift(field, _entries(alg, dim, [[[c]]]))
     grid = _real_grid(field.terms, c_int)
     cols = list(zip(*([e[0] if e else 0 for e in row] for row in grid)))
     powers = [[[int(i == j) for j in range(len(grid))] for i in range(dim)]]
@@ -652,8 +696,8 @@ def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
     """
     field, dim = _field_and_dim(alg)
     n = len(coeffs)
-    one = _entries(alg, dim, [alg.one()] + [alg.zero()] * (n - 1))
-    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, coeffs), one,
+    one = _entries(alg, dim, [[[alg.one()] + [alg.zero()] * (n - 1)]])
+    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, [[coeffs]]), one,
                 "series constant term is not invertible")
     return _from_entries(alg, x, n)
 
@@ -681,7 +725,7 @@ def _divide(arity, valid_order, alg, a0, a, y, singular):
         raise SingularConstantTerm(singular) from exc
     field, dim = _field_and_dim(alg)
     den_a, a_int = _lift(field, a)
-    m, m_int = _lift(field, _entries(alg, dim, [a0_inv]))
+    m, m_int = _lift(field, _entries(alg, dim, [[[a0_inv]]]))
     den_y, y_int = _lift(field, y)
     s = den_a * m
     z = _divide_integers(
