@@ -527,6 +527,7 @@ def _product(salg, xs, ys):
     y_cols = list(zip(*y_int))
     out = []
     for i, vo_i in enumerate(row_orders):
+        # block row i is rows i r to i r + r - 1 of the grid (``_flatten``)
         x_rows = x_int[i * r:(i + 1) * r]
         out_row = []
         for j, vo_j in enumerate(col_orders):
