@@ -429,7 +429,7 @@ def _run_system(cfg) -> dict:
         data = solution.data
         checks.append(check_data("nls", data))
         checks.append(
-            check_nls(solution.U, data.b, data.d0, data.d, gamma=solution.cell)
+            check_nls(solution, data.b, data.d0, data.d, gamma=solution.cell)
         )
         notes.extend(solution.notes)
         dumps = [("U", solution.U)]

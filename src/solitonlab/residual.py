@@ -133,11 +133,11 @@ def _langmuir_residual(xs, k, d: Derivation, shift: int = 1):
 
 
 def _cubic_residual(U, b, d0: Derivation, d: Derivation):
-    """2 b d0 U + d^2 U + 2 U^3."""
+    """2 b d0 U + d^2 U + 2 U^3, formed as (b d0 U + U^3) 2 + d^2 U: b acts
+    by selection, and the one factor 2 is one scaling."""
     return (
-        U.derive(d0).scale_left(b).scale_left(2)
+        (U.derive(d0).scale_left(b) + U * U * U).scale_left(2)
         + U.derive(d).derive(d)
-        + (U * U * U).scale_left(2)
     )
 
 
@@ -323,23 +323,38 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     return report
 
 
-def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
+def check_nls(U, b, d0: Derivation, d: Derivation,
               gamma=None) -> ResidualReport:
     """Residual of the cubic equation 2 b d0 U + d^2 U + 2 U^3 = 0.
+
+    ``U`` is a series, or a solution from ``nls_solution``.  The cubic
+    residual is formed here, once, for a bare series; a solution carries the
+    residual ``nls_solution`` formed when it selected U (``cubic``), and it
+    is reused only while it belongs to the solution's own U and to the b,
+    d0 and d given here.
 
     When b is a +/-1 diagonal with both signs present, the off-diagonal
     blocks (embedded through the grading projectors) are checked against
     their coupled cubic equations and the diagonal blocks against zero.
     When the Frobenius quotient is supplied, the matrix-level identities
     B dV = U_mat^2 (with V = c B + B c) and the matrix cubic equation are
-    verified too.
+    verified too.  For a 1 x 1 quotient whose commutator is U, through the
+    same valid order, the matrix cubic residual is [[the cubic residual]];
+    otherwise it is formed from the quotient.
     """
+    formed = None
+    if not isinstance(U, TruncatedSeries):  # a solution from nls_solution
+        formed, U = U.cubic, U.U
     S = U.algebra.coeff
     b = S.coerce(b)
     if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
     report = ResidualReport("nls", exact=U.algebra.is_exact)
-    report.add("cubic equation", _cubic_residual(U, b, d0, d))
+    if formed is not None and formed[0] is U and formed[1:4] == (b, d0, d):
+        cubic = formed[4]
+    else:
+        cubic = _cubic_residual(U, b, d0, d)
+    report.add("cubic equation", cubic)
     blocks = _pm_one_split(S, b)
     if blocks is not None:
         half = Fraction(1, 2)
@@ -350,14 +365,12 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1))
         report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2))
         res_block12 = (
-            u12.derive(d0).scale_left(2)
+            (u12.derive(d0) + u12 * u21 * u12).scale_left(2)
             + u12.derive(d).derive(d)
-            + (u12 * u21 * u12).scale_left(2)
         )
         res_block21 = (
-            -u21.derive(d0).scale_left(2)
+            (u21 * u12 * u21 - u21.derive(d0)).scale_left(2)
             + u21.derive(d).derive(d)
-            + (u21 * u12 * u21).scale_left(2)
         )
         report.add("block equation (1,2)", res_block12)
         report.add("block equation (2,1)", res_block21)
@@ -369,7 +382,12 @@ def check_nls(U: TruncatedSeries, b, d0: Derivation, d: Derivation,
         u_mat = _commutator_with(g_mat, b)
         v_mat = g_mat.scale_right(b) + g_mat.scale_left(b)
         report.add("v-equation", v_mat.derive(d).scale_left(b) - u_mat * u_mat)
-        report.add("matrix cubic equation", _cubic_residual(u_mat, b, d0, d))
+        u = u_mat.entry(0, 0)
+        if u_mat.dim == 1 and u.valid_order == U.valid_order and u == U:
+            matrix_cubic = SquareMatrix(u_mat.algebra, ((cubic,),))
+        else:
+            matrix_cubic = _cubic_residual(u_mat, b, d0, d)
+        report.add("matrix cubic equation", matrix_cubic)
     return report
 
 

@@ -26,7 +26,16 @@ with plain ``int`` multiply-adds and summed over the inner index, and every
 output scalar is built once, over the product of the two denominators.
 Output entry (i, j) is trusted below the least valid order in row i of the
 left grid and column j of the right one, as a sum of series products would
-be.  Scaling by a coefficient is a product with a constant series.
+be.
+
+Scaling by a coefficient c (``scale_left``, ``scale_right``) is a selection
+when c is a matrix over a field each of whose rows (scaling from the left)
+or columns (from the right) holds at most one nonzero entry, and that entry
+is +-1, as b = +-1 diagonals, the grading projectors (1 +- b)/2 and signed
+permutations are: each row or column of every coefficient is kept, negated
+or zeroed, with no integer form.  0 and +-1 are recognised through the
+field's ``zero()`` and ``one()``.  Scaling by any other coefficient, 2 * 1
+included, is a product with a constant series.
 
 Inverses and row solves are one right division x * a = y, also over
 integers (``_divide``): a series inverse is y = 1, the inverse of a matrix of
@@ -419,12 +428,27 @@ class TruncatedSeries:
         return self.scale_left(c)
 
     def scale_left(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by ``c`` from the left."""
-        return _convolve(self.algebra.constant(c, self.valid_order), self)
+        """Multiply every coefficient by ``c`` from the left: by selection
+        of rows when ``c`` selects them (see ``_selection``), else by the
+        product with a constant series."""
+        return self._scale(c, True)
 
     def scale_right(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by ``c`` from the right."""
-        return _convolve(self, self.algebra.constant(c, self.valid_order))
+        """Multiply every coefficient by ``c`` from the right: by selection
+        of columns when ``c`` selects them, else by the product with a
+        constant series."""
+        return self._scale(c, False)
+
+    def _scale(self, c, left):
+        salg = self.algebra
+        c = salg.coeff.coerce(c)
+        picks = _selection(salg.coeff, c, left)
+        if picks is None:
+            const = salg.constant(c, self.valid_order)
+            return _convolve(const, self) if left else _convolve(self, const)
+        return TruncatedSeries(
+            salg, _select(salg.coeff, self.coeffs, picks, left), self.valid_order
+        )
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
         return series_derive(self, d)
@@ -495,6 +519,63 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The Cauchy product a * b through the lesser valid order: the 1 x 1
     case of ``_product``."""
     return _product(a.algebra, ((a,),), ((b,),))[0][0]
+
+
+def _selection(alg, c, left):
+    """How the constant ``c`` of ``alg`` acts by selection, or None.
+
+    It does when ``alg`` is one matrix layer over a field and each row of c
+    (scaling from the left) or column (from the right) holds at most one
+    nonzero entry, and that entry is +-1: b = +-1 diagonals, the grading
+    projectors (1 +- b)/2 and signed permutations.  Then row (column) i of
+    c x (x c) is zero, or plus or minus row (column) k of x, and the result
+    lists, per i, None or (k, negate).  The scan stops at the first entry
+    that is not 0 or +-1, so other constants cost almost nothing here.
+    """
+    if not isinstance(alg, MatrixAlgebra) or isinstance(alg.base, MatrixAlgebra):
+        return None
+    zero, one = alg.base.zero(), alg.base.one()
+    minus_one = -one
+    picks = []
+    for line in (c.rows if left else zip(*c.rows)):
+        pick = None
+        for k, x in enumerate(line):
+            if x == zero:
+                continue
+            if x == one:
+                negate = False
+            elif x == minus_one:
+                negate = True
+            else:
+                return None
+            if pick is not None:
+                return None
+            pick = (k, negate)
+        picks.append(pick)
+    return picks
+
+
+def _select(alg, coeffs, picks, left):
+    """c x (left) or x c (right) for each coefficient x of ``alg`` and the
+    ``_selection`` picks of c: each row (column) kept, negated or zeroed."""
+    zero = alg.base.zero()
+    zero_row = (zero,) * alg.dim
+    out = []
+    for x in coeffs:
+        if left:
+            rows = [
+                zero_row if p is None
+                else tuple(-v for v in x.rows[p[0]]) if p[1] else x.rows[p[0]]
+                for p in picks
+            ]
+        else:
+            rows = [
+                tuple(zero if p is None else -row[p[0]] if p[1] else row[p[0]]
+                      for p in picks)
+                for row in x.rows
+            ]
+        out.append(SquareMatrix(alg, rows))
+    return out
 
 
 def _product(salg, xs, ys):

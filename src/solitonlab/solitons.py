@@ -728,6 +728,10 @@ class NlsSolution:
     data: NlsData
     notes: list
     vacuum: bool = False
+    # (U, b, d0, d, residual): the cubic residual of U as the selection
+    # formed it, with what it was formed from; ``check_nls`` reuses it only
+    # while that U is still this solution's U and b, d0, d are its own
+    cubic: Optional[tuple] = None
 
 
 def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
@@ -735,7 +739,10 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
 
     Both bottom-row corner entries of the Frobenius quotient are formed into
     commutators and substituted into the equation; the entry that satisfies it
-    is selected (they coincide for one mode) and the choice is recorded.  When
+    is selected (they coincide for one mode) and the choice is recorded.  The
+    cubic residual of the selected U is formed here, once, and kept with that
+    U on the solution (``cubic``), so that ``check_nls`` given the solution
+    reports it without forming it again.  When
     one exponential family is switched off entirely the Wronskian degenerates
     and the vacuum solution U = 0 is returned.
     """
@@ -769,11 +776,13 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     # one commutator and one cubic per distinct entry: for N = 1 both
     # corners are the same object
     commutators = {id(g): _commutator_with(g, data.b) for g in candidates.values()}
-    solves = {
-        key: _cubic_residual(c, data.b, data.d0, data.d).is_zero()
+    residuals = {
+        key: _cubic_residual(c, data.b, data.d0, data.d)
         for key, c in commutators.items()
     }
-    matched = [name for name, g in candidates.items() if solves[id(g)]]
+    matched = [
+        name for name, g in candidates.items() if residuals[id(g)].is_zero()
+    ]
     note = ConventionNote(
         topic="cubic-solution-entry",
         candidates=list(candidates),
@@ -791,9 +800,9 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     if N == 1:
         cf_matched = []
         f = data.fs[0]
-        f_inv = f.inverse()
-        corrected = f.scale_left(data.b).scale_right(data.a[0]) * f_inv
-        literal = f.scale_right(data.a[0]) * f_inv
+        literal = f.scale_right(data.a[0]) * f.inverse()
+        # b (f a f^-1) = (b f a) f^-1 exactly
+        corrected = literal.scale_left(data.b)
         if corrected == g:
             cf_matched.append("sign-corrected")
         if literal == g:
@@ -824,6 +833,7 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     return NlsSolution(
         g=g, U=U, U12=U12, U21=U21, g_bottom_left=g_bl, g_bottom_right=g_br,
         cell=cell, wronskian=wp, data=data, notes=notes,
+        cubic=(U, data.b, data.d0, data.d, residuals[id(g)]),
     )
 
 

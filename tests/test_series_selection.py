@@ -1,0 +1,186 @@
+"""Scaling by a selection against the product kernel.
+
+``scale_left(c)`` and ``scale_right(c)`` keep, negate or zero rows or
+columns when c is a matrix over a field whose rows (left) or columns
+(right) each hold at most one nonzero entry, +-1.  The reference is the
+kernel's product with the constant series of c (``_convolve``); scalars are
+canonical, so the two must agree exactly, coefficient by coefficient and in
+``valid_order``.  Every other constant must still reach the kernel.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from solitonlab import series
+from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
+from solitonlab.scalars import PRIME, GaussianRational, Residue
+from solitonlab.series import SeriesAlgebra, TruncatedSeries, _convolve
+
+CAP = 5
+FIELDS = {"QQ": QQ, "QQi": QQI, "GFp": GFP}
+
+
+def _scalar(field, rng):
+    if rng.random() < 0.2:
+        return field.zero()
+    if field == GFP:
+        return Residue(rng.choice((1, 2, PRIME - 1, rng.randrange(PRIME))))
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 12)))
+
+    return GaussianRational(rational(), rational()) if field == QQI else rational()
+
+
+def _element(alg, rng):
+    if isinstance(alg, MatrixAlgebra):
+        return SquareMatrix(alg, [[_element(alg.base, rng) for _ in range(alg.dim)]
+                                  for _ in range(alg.dim)])
+    return _scalar(alg, rng)
+
+
+def _series(salg, rng, valid_order=CAP):
+    n = series._count_below(salg.arity, valid_order)
+    return TruncatedSeries(salg, [_element(salg.coeff, rng) for _ in range(n)],
+                           valid_order)
+
+
+def _matrix(alg, rows):
+    return alg.matrix([[alg.base.coerce(x) for x in row] for row in rows])
+
+
+# name -> (rows for r = 2, rows for r = 3), entries 0 and +-1 only; each
+# selects on both sides unless listed in ONE_SIDED
+SELECTIONS = {
+    "plus-minus diagonal": ([[1, 0], [0, -1]], [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+    "minus identity": ([[-1, 0], [0, -1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+    "projector q1": ([[1, 0], [0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    "projector q2": ([[0, 0], [0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+    "zero": ([[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    "swap": ([[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    "signed permutation": ([[0, -1], [1, 0]], [[0, -1, 0], [0, 0, 1], [-1, 0, 0]]),
+    # rows hold one entry each, but a column holds two
+    "row selection": ([[1, 0], [-1, 0]], [[0, 1, 0], [0, -1, 0], [1, 0, 0]]),
+}
+ONE_SIDED = {"row selection": "left"}
+
+# constants that are no selection on either side
+GENERAL = {
+    "two times identity": ([[2, 0], [0, 2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    "general": ([[1, 3], [0, -1]], [[0, 1, 0], [5, 0, 0], [0, 0, -1]]),
+    "two in a row and a column": ([[1, 1], [1, -1]], [[1, 0, 0], [0, 1, 1], [0, 1, 0]]),
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the calls of the product kernel."""
+    calls = []
+    product = series._product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(series, "_product", counted)
+    return calls
+
+
+def _reference(s, c, left):
+    const = s.algebra.constant(c, s.valid_order)
+    return _convolve(const, s) if left else _convolve(s, const)
+
+
+def _assert_same(out, ref):
+    assert out.valid_order == ref.valid_order
+    assert out.coeffs == ref.coeffs
+
+
+def _cases(table):
+    return [
+        (name, field, r, side)
+        for name in table
+        for field in FIELDS
+        for r in (2, 3)
+        for side in ("left", "right")
+    ]
+
+
+@pytest.mark.parametrize("name,field,r,side", _cases(SELECTIONS))
+def test_selection_matches_kernel(name, field, r, side, kernel_calls):
+    alg = MatrixAlgebra(FIELDS[field], r)
+    c = _matrix(alg, SELECTIONS[name][r - 2])
+    rng = Random(f"{name}-{field}-{r}-{side}")
+    left = side == "left"
+    for arity, vo in ((2, CAP), (2, 3), (1, CAP), (2, 0)):
+        s = _series(SeriesAlgebra(alg, arity, CAP), rng, vo)
+        ref = _reference(s, c, left)
+        kernel_calls.clear()
+        out = s.scale_left(c) if left else s.scale_right(c)
+        _assert_same(out, ref)
+        selects = ONE_SIDED.get(name, side) == side
+        assert len(kernel_calls) == (0 if selects else 1)
+
+
+@pytest.mark.parametrize("name,field,r,side", _cases(GENERAL))
+def test_general_constants_reach_the_kernel(name, field, r, side, kernel_calls):
+    alg = MatrixAlgebra(FIELDS[field], r)
+    c = _matrix(alg, GENERAL[name][r - 2])
+    s = _series(SeriesAlgebra(alg, 2, CAP), Random(f"{name}-{field}-{r}"))
+    left = side == "left"
+    ref = _reference(s, c, left)
+    kernel_calls.clear()
+    out = s.scale_left(c) if left else s.scale_right(c)
+    _assert_same(out, ref)
+    assert len(kernel_calls) == 1
+
+
+def test_integer_two_reaches_the_kernel(kernel_calls):
+    alg = MatrixAlgebra(QQI, 2)
+    s = _series(SeriesAlgebra(alg, 2, CAP), Random(3))
+    out = s.scale_left(2)
+    assert len(kernel_calls) == 1
+    _assert_same(out, _reference(s, alg.coerce(2), True))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("value", (1, -1, 0))
+def test_field_scalars_reach_the_kernel(field, value, kernel_calls):
+    fld = FIELDS[field]
+    s = _series(SeriesAlgebra(fld, 2, CAP), Random(f"{field}-{value}"))
+    c = fld.coerce(value)
+    for left in (True, False):
+        kernel_calls.clear()
+        out = s.scale_left(c) if left else s.scale_right(c)
+        assert len(kernel_calls) == 1
+        _assert_same(out, _reference(s, c, left))
+
+
+@pytest.mark.parametrize("rows", ([[1, 0], [0, -1]], [[0, 1], [1, 0]]))
+def test_nested_constants_reach_the_kernel(rows, kernel_calls):
+    inner = MatrixAlgebra(QQ, 2)
+    alg = MatrixAlgebra(inner, 2)
+    one = inner.one()
+    c = SquareMatrix(alg, [[inner.scalar_mul(x, one) for x in row] for row in rows])
+    s = _series(SeriesAlgebra(alg, 2, 4), Random(7), 4)
+    for left in (True, False):
+        kernel_calls.clear()
+        out = s.scale_left(c) if left else s.scale_right(c)
+        assert len(kernel_calls) == 1
+        _assert_same(out, _reference(s, c, left))
+
+
+def test_matrix_of_series_scales_entries_by_selection(kernel_calls):
+    alg = MatrixAlgebra(QQI, 2)
+    salg = SeriesAlgebra(alg, 2, CAP)
+    rng = Random(11)
+    m = SquareMatrix(MatrixAlgebra(salg, 2),
+                     [[_series(salg, rng) for _ in range(2)] for _ in range(2)])
+    b = alg.diagonal([1, -1])
+    out = m.scale_left(b).scale_right(b)
+    assert not kernel_calls
+    for row_out, row in zip(out.rows, m.rows):
+        for x_out, x in zip(row_out, row):
+            _assert_same(x_out, _reference(_reference(x, b, True), b, False))

@@ -1,12 +1,15 @@
+import dataclasses
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from solitonlab.algebra import QQI, MatrixAlgebra
+from solitonlab import residual, series
+from solitonlab.algebra import QQI, MatrixAlgebra, SquareMatrix
+from solitonlab.cli import main as cli_main
 from solitonlab.errors import BNotInvolutive, EvaluationSingularity
 from solitonlab.quasidet import ConventionNote
-from solitonlab.residual import check_data, check_nls
+from solitonlab.residual import _commutator_with, check_data, check_nls
 from solitonlab.scalars import GaussianRational
 from solitonlab.solitons import (
     NlsParams,
@@ -17,6 +20,11 @@ from solitonlab.solitons import (
 )
 
 M2I = MatrixAlgebra(QQI, 2)
+NLS_LABELS = [
+    "cubic equation", "diagonal block (1,1)", "diagonal block (2,2)",
+    "block equation (1,2)", "block equation (2,1)",
+    "v-equation", "matrix cubic equation",
+]
 
 
 def test_involution_required():
@@ -124,10 +132,7 @@ def test_block_structure_and_block_equations():
     assert sol.U12 + sol.U21 == sol.U
     report = check_nls(sol.U, sol.data.b, sol.data.d0, sol.data.d,
                        gamma=sol.cell)
-    labels = {e.label for e in report.entries}
-    assert {"cubic equation", "block equation (1,2)", "block equation (2,1)",
-            "diagonal block (1,1)", "diagonal block (2,2)",
-            "v-equation", "matrix cubic equation"} <= labels
+    assert [e.label for e in report.entries] == NLS_LABELS
 
 
 def test_heat_mode_over_plain_rationals():
@@ -138,6 +143,109 @@ def test_heat_mode_over_plain_rationals():
     report = check_nls(sol.U, sol.data.b, sol.data.d0, sol.data.d,
                        gamma=sol.cell)
     assert report.passed and report.exact
+
+
+def _entries(report):
+    return {e.label: e for e in report.entries}
+
+
+@pytest.fixture
+def cubic_calls(monkeypatch):
+    """Count the cubic residuals formed in check_nls."""
+    calls = []
+    cubic = residual._cubic_residual
+
+    def counted(*args):
+        calls.append(args)
+        return cubic(*args)
+
+    monkeypatch.setattr(residual, "_cubic_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_solution_reuses_its_cubic_residual(N, cubic_calls):
+    sol = nls_solution(random_nls_params(Random(31 + N), N=N, r=2, cap=N + 6))
+    data = sol.data
+    by_object = check_nls(sol, data.b, data.d0, data.d, gamma=sol.cell)
+    reused = len(cubic_calls)
+    bare = check_nls(sol.U, data.b, data.d0, data.d, gamma=sol.cell)
+    assert by_object.passed
+    assert by_object.to_dict() == bare.to_dict()
+    assert [e.label for e in by_object.entries] == NLS_LABELS
+    # a 1 x 1 quotient's matrix cubic is [[the cubic residual]]; for N >= 2
+    # only the solution's own residual is reused
+    assert (reused, len(cubic_calls) - reused) == ((0, 1) if N == 1 else (1, 2))
+    # the residual belongs to the solution's own b: another b forms its own
+    other = check_nls(sol, -data.b, data.d0, data.d)
+    assert other.to_dict() == check_nls(sol.U, -data.b, data.d0, data.d).to_dict()
+    assert not _entries(other)["cubic equation"].passed
+
+
+def test_u_corrupted_after_selection_fails_the_cubic_equation():
+    sol = nls_solution(random_nls_params(Random(37), N=1, r=2, cap=7))
+    data = sol.data
+    bad = sol.U.with_coeff((1, 1), sol.U.coeff((1, 1)) + data.algebra.one())
+    honest = _entries(check_nls(sol, data.b, data.d0, data.d, gamma=sol.cell))
+    # a bare U, and a solution whose U no longer is the one its residual
+    # belongs to, are both checked afresh
+    for arg in (bad, dataclasses.replace(sol, U=bad)):
+        assert not check_nls(arg, data.b, data.d0, data.d).passed
+        report = check_nls(arg, data.b, data.d0, data.d, gamma=sol.cell)
+        entries = _entries(report)
+        assert not report.passed
+        assert not entries["cubic equation"].passed
+        # the matrix identities are the quotient's own: the honest quotient
+        # gives the honest entry, not [[the corrupted residual]]
+        assert entries["matrix cubic equation"] == honest["matrix cubic equation"]
+
+
+def test_gamma_corrupted_after_selection_fails_the_matrix_cubic_equation():
+    sol = nls_solution(random_nls_params(Random(37), N=1, r=2, cap=7))
+    data = sol.data
+    # b = diag(1, -1) sees only the off-diagonal part of g
+    g = sol.g.with_coeff((1, 1), sol.g.coeff((1, 1)) + M2I.matrix([[0, 1], [0, 0]]))
+    gamma = SquareMatrix(sol.cell.matrix.algebra, ((g,),))
+    bad = _commutator_with(g, data.b)
+    entries = _entries(check_nls(bad, data.b, data.d0, data.d, gamma=gamma))
+    assert not entries["cubic equation"].passed
+    assert not entries["matrix cubic equation"].passed
+
+
+def _selection_constant(s, side):
+    """A constant series whose coefficient is a +-1/0 selection from the
+    given side: each row (left) or column (right) of a matrix over a field
+    holds at most one nonzero entry, and that entry is +-1."""
+    if not s.coeffs or not isinstance(s.coeffs[0], SquareMatrix):
+        return False
+    if any(not s.algebra.coeff.is_zero(c) for c in s.coeffs[1:]):
+        return False
+    rows = s.coeffs[0].rows
+    if any(isinstance(x, SquareMatrix) for row in rows for x in row):
+        return False
+    lines = rows if side == "left" else list(zip(*rows))
+    return all(
+        all(x in (0, 1, -1) for x in line) and sum(x != 0 for x in line) <= 1
+        for line in lines
+    )
+
+
+@pytest.mark.parametrize("mode", ["nls", "heat"])
+def test_selections_never_reach_the_product_kernel(mode, monkeypatch, tmp_path):
+    calls = []
+    product = series._product
+
+    def recorded(salg, xs, ys):
+        calls.append([s for row in xs for s in row if _selection_constant(s, "left")]
+                     + [s for row in ys for s in row if _selection_constant(s, "right")])
+        return product(salg, xs, ys)
+
+    monkeypatch.setattr(series, "_product", recorded)
+    code = cli_main(["nls", "--N", "1", "--mode", mode, "--cap", "5",
+                     "--report", str(tmp_path / "report.json")])
+    assert code == 0
+    assert calls
+    assert not [c for c in calls if c]
 
 
 def test_nls_mode_requires_gaussian_scalars():
