@@ -10,7 +10,6 @@ a checker that cannot fail is worthless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Algebra, MatrixAlgebra, SquareMatrix
@@ -18,6 +17,7 @@ from .errors import (
     BNotInvolutive,
     HypothesisViolated,
     NonInvertibleSolution,
+    Record,
     SingularMatrix,
     WindowTooSmall,
 )
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ResidualEntry:
+class ResidualEntry(Record):
     label: str
     passed: bool
     max_magnitude: float
@@ -55,16 +54,23 @@ class ResidualEntry:
         }
 
 
-@dataclass
-class ResidualReport:
+class ResidualReport(Record):
     equation: str
     exact: bool
-    entries: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    entries: list
+    notes: list
+
+    def __init__(self, equation, exact, entries=None, notes=None):
+        self.equation = equation
+        self.exact = exact
+        self.entries = [] if entries is None else entries
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        """True when at least one entry was recorded and every entry passed:
+        a check that examined nothing does not pass."""
+        return bool(self.entries) and all(e.passed for e in self.entries)
 
     def add(self, label: str, x):
         """Record a series, or a square matrix of series, as one entry.

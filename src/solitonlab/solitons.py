@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .errors import (
     BNotInvolutive,
     ClosedFormMismatch,
     EvaluationSingularity,
+    Record,
     SingularMatrix,
     SingularWronskian,
     VerificationError,
@@ -131,8 +131,7 @@ def cyclic_shift_matrix(alg: Algebra, n: int) -> SquareMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TodaParams:
+class TodaParams(Record):
     """Parameters of the n-periodic construction with N exponential modes."""
 
     n: int
@@ -158,8 +157,7 @@ class TodaParams:
             raise ValueError("p must hold N row vectors of length n")
 
 
-@dataclass
-class TodaData:
+class TodaData(Record):
     """Output of the linear stage: the f grid and its constant coefficients."""
 
     f: list  # f[i][j]: bivariate series, site i, mode j
@@ -168,8 +166,8 @@ class TodaData:
     N: int
     algebra: Algebra
     cap: int
-    d1: Derivation = field(default_factory=lambda: D_U)
-    d2: Derivation = field(default_factory=lambda: D_V)
+    d1: Derivation = D_U
+    d2: Derivation = D_V
 
 
 def toda_build_f(params: TodaParams) -> TodaData:
@@ -204,8 +202,7 @@ def toda_build_f(params: TodaParams) -> TodaData:
     return TodaData(f=f, a=a, n=n, N=N, algebra=S, cap=cap)
 
 
-@dataclass
-class TodaSolution:
+class TodaSolution(Record):
     gs: list  # n series, the bottom-left quotient entries
     cells: list  # FrobeniusCell per site
     wronskians: list  # WronskiPair per site
@@ -280,8 +277,7 @@ def random_toda_params(rng, n: int, N: int, r: int = 1, cap: int = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SineGordonParams:
+class SineGordonParams(Record):
     N: int
     r: int
     cap: int
@@ -299,8 +295,7 @@ class SineGordonParams:
             raise ValueError("p, q, a must all have N entries")
 
 
-@dataclass
-class SineGordonSolution:
+class SineGordonSolution(Record):
     gs: tuple  # the two alternating-site solutions
     closed_forms: Optional[tuple]
     notes: list
@@ -433,8 +428,7 @@ def random_sine_gordon_params(rng, N: int, r: int = 1, cap: int = None,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LangmuirParams:
+class LangmuirParams(Record):
     N: int
     r: int
     cap: int
@@ -456,8 +450,7 @@ class LangmuirParams:
             raise ValueError("k_range must be a non-empty contiguous range")
 
 
-@dataclass
-class LangmuirData:
+class LangmuirData(Record):
     f: dict  # site -> [series per mode]
     a: list  # per mode: mu + mu^-1 (site-independent)
     mu: list
@@ -467,7 +460,7 @@ class LangmuirData:
     algebra: Algebra
     cap: int
     sites: list
-    d: Derivation = field(default_factory=lambda: D_T)
+    d: Derivation = D_T
 
 
 def langmuir_build_f(params: LangmuirParams) -> LangmuirData:
@@ -508,8 +501,7 @@ def langmuir_build_f(params: LangmuirParams) -> LangmuirData:
     )
 
 
-@dataclass
-class LangmuirSolution:
+class LangmuirSolution(Record):
     gs: dict  # site -> series, the lattice solution
     etas: dict  # site -> bottom-left quotient entry
     cells: dict  # site -> FrobeniusCell
@@ -618,8 +610,7 @@ def _langmuir_single_mode_closed_form(data: LangmuirData, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NlsParams:
+class NlsParams(Record):
     """Data for the cubic-equation construction.
 
     ``b`` must square to one; in the standard setup it is a +/-1 diagonal
@@ -661,8 +652,7 @@ def _require_grading_size(r: int):
         )
 
 
-@dataclass
-class NlsData:
+class NlsData(Record):
     fs: list  # one bivariate series per mode
     b: object
     q1: object
@@ -715,8 +705,7 @@ def nls_build_f(params: NlsParams) -> NlsData:
     )
 
 
-@dataclass
-class NlsSolution:
+class NlsSolution(Record):
     g: Optional[TruncatedSeries]
     U: TruncatedSeries
     U12: Optional[TruncatedSeries]
@@ -857,8 +846,7 @@ def random_nls_params(rng, N: int, r: int = 2, cap: int = None,
     )
 
 
-@dataclass
-class NlsScalarComparison:
+class NlsScalarComparison(Record):
     """Numeric contact record between the series solution and the classical
     hyperbolic closed form."""
 

@@ -263,3 +263,12 @@ def test_report_serialization_round_trip():
     parsed = json.loads(blob)
     assert parsed["equation"] == "toda"
     assert parsed["passed"] is True
+
+
+def test_report_that_examined_nothing_fails():
+    report = ResidualReport("x", exact=True)
+    assert not report.passed
+    assert report.to_dict()["passed"] is False
+    salg = SeriesAlgebra(QQ, 1, 4)
+    report.add("zero", salg.zero())
+    assert report.passed

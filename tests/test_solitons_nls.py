@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 from fractions import Fraction
 from random import Random
 
@@ -189,7 +189,9 @@ def test_u_corrupted_after_selection_fails_the_cubic_equation():
     honest = _entries(check_nls(sol, data.b, data.d0, data.d, gamma=sol.cell))
     # a bare U, and a solution whose U no longer is the one its residual
     # belongs to, are both checked afresh
-    for arg in (bad, dataclasses.replace(sol, U=bad)):
+    moved = copy.copy(sol)
+    moved.U = bad
+    for arg in (bad, moved):
         assert not check_nls(arg, data.b, data.d0, data.d).passed
         report = check_nls(arg, data.b, data.d0, data.d, gamma=sol.cell)
         entries = _entries(report)
