@@ -392,11 +392,6 @@ class MatrixAlgebra(Algebra):
             ),
         )
 
-    @property
-    def scalar_field(self) -> Algebra:
-        """The algebra under every matrix layer: for a tower over a field, the field."""
-        return _field_and_dim(self)[0]
-
     def magnitude(self, a):
         return max(self.base.magnitude(x) for row in a.rows for x in row)
 

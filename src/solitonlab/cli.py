@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nls = sub.add_parser("nls", help="cubic matrix equation")
     p_nls.add_argument("--mode", choices=["nls", "heat"])
     p_nls.add_argument("--scalar-form", action="store_true", default=None,
-                       help="also run the numeric scalar closed-form comparison")
+                       help="also check the scalar closed form by its exact series identity")
     common(p_nls)
 
     p_self = sub.add_parser(
@@ -443,13 +443,8 @@ def _run_system(cfg) -> dict:
             alpha = GaussianRational(2, 1)
             beta = GaussianRational(1, -1)
             comparison = nls_scalar_closed_form(a, alpha, beta, cap=_default_cap(cfg))
-            notes.append(
-                ConventionNote(
-                    "scalar-closed-form", ["numeric-contact"],
-                    ["numeric-contact"],
-                    detail=json.dumps(comparison.to_dict(), sort_keys=True),
-                )
-            )
+            checks.append(comparison.report)
+            notes.append(comparison.orientation)
 
     body = {
         "system": system,

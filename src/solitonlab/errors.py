@@ -71,7 +71,8 @@ class WindowTooSmall(SolitonLabError):
 
 
 class EvaluationSingularity(SolitonLabError):
-    """Numeric evaluation hit a pole or a vanishing denominator."""
+    """Parameters are singular: the solution or closed form has a pole at
+    the origin, or a draw stayed singular after every resample."""
 
 
 class VerificationError(SolitonLabError):

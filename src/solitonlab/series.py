@@ -469,20 +469,6 @@ class TruncatedSeries:
         k = _count_below(self.algebra.arity, valid_order)
         return TruncatedSeries(self.algebra, self.coeffs[:k], valid_order)
 
-    def evaluate(self, point):
-        """Sum the trusted coefficients at a point of the scalar field."""
-        if len(point) != self.algebra.arity:
-            raise ValueError("point arity mismatch")
-        alg = self.algebra.coeff
-        total = alg.zero()
-        for e, c in zip(self.algebra.exponents, self.coeffs):
-            w = None
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    w = x if w is None else w * x
-            total = total + (c if w is None else alg.scalar_mul(w, c))
-        return total
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -11,10 +11,7 @@ one that actually satisfies the target equation is selected and recorded.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import (
     GFP,
@@ -47,6 +44,7 @@ from .quasidet import (
     wronski,
 )
 from .residual import (
+    ResidualReport,
     _commutator_with,
     _cubic_residual,
     _langmuir_residual,
@@ -297,7 +295,7 @@ class SineGordonParams(Record):
 
 class SineGordonSolution(Record):
     gs: tuple  # the two alternating-site solutions
-    closed_forms: Optional[tuple]
+    closed_forms: tuple | None
     notes: list
     toda: TodaSolution
 
@@ -505,7 +503,7 @@ class LangmuirSolution(Record):
     gs: dict  # site -> series, the lattice solution
     etas: dict  # site -> bottom-left quotient entry
     cells: dict  # site -> FrobeniusCell
-    closed_forms: Optional[dict]
+    closed_forms: dict | None
     notes: list
     data: LangmuirData
 
@@ -706,21 +704,21 @@ def nls_build_f(params: NlsParams) -> NlsData:
 
 
 class NlsSolution(Record):
-    g: Optional[TruncatedSeries]
+    g: TruncatedSeries | None
     U: TruncatedSeries
-    U12: Optional[TruncatedSeries]
-    U21: Optional[TruncatedSeries]
-    g_bottom_left: Optional[TruncatedSeries]
-    g_bottom_right: Optional[TruncatedSeries]
-    cell: Optional[FrobeniusCell]
-    wronskian: Optional[WronskiPair]
+    U12: TruncatedSeries | None
+    U21: TruncatedSeries | None
+    g_bottom_left: TruncatedSeries | None
+    g_bottom_right: TruncatedSeries | None
+    cell: FrobeniusCell | None
+    wronskian: WronskiPair | None
     data: NlsData
     notes: list
     vacuum: bool = False
     # (U, b, d0, d, residual): the cubic residual of U as the selection
     # formed it, with what it was formed from; ``check_nls`` reuses it only
     # while that U is still this solution's U and b, d0, d are its own
-    cubic: Optional[tuple] = None
+    cubic: tuple | None = None
 
 
 def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
@@ -847,61 +845,56 @@ def random_nls_params(rng, N: int, r: int = 2, cap: int = None,
 
 
 class NlsScalarComparison(Record):
-    """Numeric contact record between the series solution and the classical
-    hyperbolic closed form."""
+    """The series solution of the scalar reduction checked against the
+    classical hyperbolic closed form by an exact series identity."""
 
-    valid_order: int
-    origin_exact_match: bool
     orientation: ConventionNote
-    deviations: dict  # radius (Fraction) -> max |series - closed form|
-    slope: float
-    series: TruncatedSeries = None  # the matched orientation, exact
-
-    def to_dict(self):
-        return {
-            "valid_order": self.valid_order,
-            "origin_exact_match": self.origin_exact_match,
-            "orientation": self.orientation.to_dict(),
-            "deviations": {str(k): v for k, v in self.deviations.items()},
-            "slope": self.slope,
-        }
+    report: ResidualReport  # "scalar-closed-form": one exact_zero entry
+    series: TruncatedSeries  # the matched orientation, or via-gamma-12
 
 
-_SAMPLE_DIRECTIONS = (
-    (Fraction(1), Fraction(1, 2)),
-    (Fraction(-1, 3), Fraction(1)),
-    (Fraction(1, 2), Fraction(-1, 2)),
-    (Fraction(-1), Fraction(-1, 3)),
-    (Fraction(2, 3), Fraction(1, 5)),
-)
+def _closed_form_residual(w, a, alpha, beta):
+    """w (z zbar - 1) - 2 (a + conj(a)) zbar through w's valid order, where
+    z = (alpha / beta) exp(2x) and x = a v + i a^2 u.
+
+    It is zero exactly when w is the closed form 2 (a + conj(a)) zbar /
+    (z zbar - 1) through that order; zbar and z zbar are exponentials of
+    linear forms over QQ(i).
+    """
+    i = GaussianRational(0, 1)
+    ac, alc, bc = a.conjugate(), alpha.conjugate(), beta.conjugate()
+    cap = w.algebra.cap
+    zbar = series_exp_linear(-2 * i * ac * ac, 2 * ac, cap, algebra=QQI)
+    zzbar = series_exp_linear(2 * i * (a * a - ac * ac), 2 * (a + ac), cap, algebra=QQI)
+    zbar = zbar.scale_left(alc * bc.reciprocal())
+    zzbar = zzbar.scale_left(alpha * alc * (beta * bc).reciprocal())
+    return w * (zzbar - 1) - zbar.scale_left(2 * (a + ac))
 
 
-def nls_scalar_closed_form(a, alpha, beta, cap: int = 8,
-                           radii=(Fraction(1, 8), Fraction(1, 16)),
-                           ) -> NlsScalarComparison:
-    """Compare the series solution of the scalar reduction with
+def nls_scalar_closed_form(a, alpha, beta, cap: int = 8) -> NlsScalarComparison:
+    """Check the series solution of the scalar reduction against
     (a + conj(a)) * exp(-i Im y) / sinh(Re y), where exp(y) = alpha exp(2x) / beta.
 
     The hermitian 2x2 matrix of exponentials is pushed through the quotient
     pipeline over exact Gaussian rationals; -2 times each off-diagonal entry
     is a candidate orientation for the closed form (complex conjugation flips
-    between them).  The matching orientation is fixed exactly at the origin,
-    then the deviation at scaled sample points measures the contact order,
-    which must track the series' valid order.
+    between them).  With z = exp(y) the closed form is 2 (a + conj(a)) zbar /
+    (z zbar - 1), so a candidate matches when the identity of
+    ``_closed_form_residual`` holds exactly through its valid order.  The
+    report holds the first match's residual, or via-gamma-12's when neither
+    matches, and then fails.
     """
-    qqi = QQI
-    a = qqi.coerce(a)
-    alpha = qqi.coerce(alpha)
-    beta = qqi.coerce(beta)
+    a = QQI.coerce(a)
+    alpha = QQI.coerce(alpha)
+    beta = QQI.coerce(beta)
     if not beta:
         raise EvaluationSingularity("beta must be nonzero")
-    norm_gap = alpha * alpha.conjugate() - beta * beta.conjugate()
-    if not norm_gap:
+    if alpha * alpha.conjugate() == beta * beta.conjugate():
         raise EvaluationSingularity("|alpha| = |beta| puts the origin on a pole")
     i = GaussianRational(0, 1)
     ac, alc = a.conjugate(), alpha.conjugate()
     bc = beta.conjugate()
-    exp = lambda cu, cv: series_exp_linear(cu, cv, cap, algebra=qqi)
+    exp = lambda cu, cv: series_exp_linear(cu, cv, cap, algebra=QQI)
     f_rows = (
         (exp(i * a * a, a).scale_left(alpha), exp(i * ac * ac, -ac).scale_left(bc)),
         (exp(-i * a * a, -a).scale_left(beta), exp(-i * ac * ac, ac).scale_left(alc)),
@@ -909,59 +902,26 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8,
     salg = f_rows[0][0].algebra
     f = SquareMatrix(MatrixAlgebra(salg, 2), f_rows)
     gamma = f.derive(D_V) * f.inverse()
-    w12 = gamma.entry(0, 1).scale_left(-2)
-    w21 = gamma.entry(1, 0).scale_left(-2)
-    # exact origin value of the closed form
-    origin_closed = (a + ac) * 2 * alc * beta * norm_gap.reciprocal()
-    matched = []
-    if w12.coeff((0, 0)) == origin_closed:
-        matched.append("via-gamma-12")
-    if w21.coeff((0, 0)) == origin_closed:
-        matched.append("via-gamma-21")
+    candidates = {
+        "via-gamma-12": gamma.entry(0, 1).scale_left(-2),
+        "via-gamma-21": gamma.entry(1, 0).scale_left(-2),
+    }
+    reports = {}
+    for name, w in candidates.items():
+        reports[name] = ResidualReport("scalar-closed-form", exact=True)
+        reports[name].add(
+            "w (z zbar - 1) = 2 (a + conj a) zbar",
+            _closed_form_residual(w, a, alpha, beta),
+        )
+    matched = [name for name, report in reports.items() if report.passed]
     orientation = ConventionNote(
         topic="scalar-closed-form-orientation",
-        candidates=["via-gamma-12", "via-gamma-21"],
+        candidates=list(candidates),
         matched=matched,
         detail="the two orientations are complex conjugates of each other",
     )
-    if not matched:
-        raise EvaluationSingularity(
-            "closed form matches neither orientation at the origin"
-        )
-    w = w12 if "via-gamma-12" in matched else w21
-    af, alf, bf = complex(a), complex(alpha), complex(beta)
-    re2a = af + complex(ac)
-
-    def closed(u, v):
-        x = af * v + 1j * af * af * u
-        z = alf * cmath.exp(2 * x) / bf
-        y = cmath.log(z)
-        sh = cmath.sinh(y.real)
-        if sh == 0:
-            raise EvaluationSingularity(f"sinh vanishes at sample ({u}, {v})")
-        return re2a * cmath.exp(-1j * y.imag) / sh
-
-    deviations = {}
-    for rho in radii:
-        worst = 0.0
-        for du, dv in _SAMPLE_DIRECTIONS:
-            u, v = rho * du, rho * dv
-            series_val = complex(w.evaluate((u, v)))
-            worst = max(worst, abs(series_val - closed(float(u), float(v))))
-        deviations[rho] = worst
-    radii = list(deviations)
-    slope = 0.0
-    if len(radii) >= 2 and deviations[radii[1]] > 0:
-        ratio = float(radii[0]) / float(radii[1])
-        slope = math.log(deviations[radii[0]] / deviations[radii[1]], ratio)
-    return NlsScalarComparison(
-        valid_order=w.valid_order,
-        origin_exact_match=bool(matched),
-        orientation=orientation,
-        deviations=deviations,
-        slope=slope,
-        series=w,
-    )
+    name = (matched or ["via-gamma-12"])[0]
+    return NlsScalarComparison(orientation, reports[name], candidates[name])
 
 
 def random_langmuir_params(rng, N: int, r: int = 1, cap: int = None,

@@ -257,18 +257,19 @@ def test_criterion_8_cubic_equation_and_blocks():
 
 
 def test_criterion_9_scalar_closed_form_contact_order():
-    with criterion(9, "scalar closed-form deviation shrink: log-ratio within +/- 1 of valid order"):
+    # the series identity w (z zbar - 1) = 2 (a + conj a) zbar holding
+    # through valid order 7 implies contact of that order with the closed form
+    with criterion(9, "scalar closed form: exact identity holds through valid order 7 at cap 8"):
         cmp = nls_scalar_closed_form(
             GaussianRational(Fraction(1, 2), Fraction(1, 3)),
             GaussianRational(2, 1),
             GaussianRational(1, -1),
             cap=8,
-            radii=(Fraction(1, 8), Fraction(1, 16)),
         )
-        assert cmp.origin_exact_match
-        assert abs(cmp.slope - cmp.valid_order) <= 1.0, (
-            f"slope {cmp.slope:.3f} vs valid order {cmp.valid_order}"
-        )
+        assert cmp.orientation.matched
+        [entry] = cmp.report.entries
+        assert cmp.report.passed and entry.exact_zero
+        assert entry.valid_order == 7
 
 
 def _corrupt(series, rng, max_degree):

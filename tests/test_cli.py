@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -256,9 +257,34 @@ def test_nls_cli_with_scalar_form(tmp_path):
         ["nls", "--N", "1", "--seed", "2", "--scalar-form"], tmp_path
     )
     assert code == 0
-    topics = [c["topic"] for c in body["conventions"] if isinstance(c, dict)]
-    assert "scalar-closed-form" in topics
-    assert "cubic-solution-entry" in topics
+    [check] = [c for c in body["checks"] if c["equation"] == "scalar-closed-form"]
+    [entry] = check["entries"]
+    assert check["passed"] and entry["exact_zero"] is True
+    notes = {c["topic"]: c for c in body["conventions"] if isinstance(c, dict)}
+    orientation = notes["scalar-closed-form-orientation"]
+    assert orientation["candidates"] == ["via-gamma-12", "via-gamma-21"]
+    assert orientation["matched"]
+    assert "cubic-solution-entry" in notes
+
+
+def test_nls_cli_scalar_form_fails_on_a_broken_identity(tmp_path, monkeypatch):
+    from solitonlab import solitons
+
+    exact = solitons._closed_form_residual
+
+    def moved(w, *args):
+        return exact(w.with_coeff((1, 0), w.coeff((1, 0)) + Fraction(1, 1000)), *args)
+
+    monkeypatch.setattr(solitons, "_closed_form_residual", moved)
+    code, body = run_cli(
+        ["nls", "--N", "1", "--seed", "2", "--scalar-form"], tmp_path
+    )
+    assert code == 1 and body["passed"] is False
+    [check] = [c for c in body["checks"] if c["equation"] == "scalar-closed-form"]
+    assert check["passed"] is False and check["entries"][0]["exact_zero"] is False
+    [orientation] = [c for c in body["conventions"] if isinstance(c, dict)
+                     and c["topic"] == "scalar-closed-form-orientation"]
+    assert orientation["matched"] == []
 
 
 def test_sine_gordon_cli_records_reading(tmp_path):

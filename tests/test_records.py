@@ -37,10 +37,7 @@ SPECS = {
         "g U U12 U21 g_bottom_left g_bottom_right cell wronskian data notes vacuum cubic",
         {"vacuum": False, "cubic": None},
     ),
-    solitons.NlsScalarComparison: (
-        "valid_order origin_exact_match orientation deviations slope series",
-        {"series": None},
-    ),
+    solitons.NlsScalarComparison: ("orientation report series", {}),
     residual.ResidualEntry: (
         "label passed max_magnitude valid_order exact_zero",
         {"exact_zero": None},

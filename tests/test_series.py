@@ -310,23 +310,6 @@ def test_matrix_of_block_series_singular_constant(rng):
         m.inverse()
 
 
-def test_evaluate_exact_point():
-    e = series_exp_linear(Fraction(1), Fraction(2), 5, algebra=QQ)
-    val = e.evaluate((Fraction(1, 2), Fraction(1, 4)))
-    # direct sum over the same trusted exponents
-    total = Fraction(0)
-    for m, n in e.algebra.exponents:
-        if m + n >= e.valid_order:
-            continue
-        total += (
-            Fraction(1, factorial(m) * factorial(n))
-            * 2**n
-            * Fraction(1, 2) ** m
-            * Fraction(1, 4) ** n
-        )
-    assert val == total
-
-
 def test_with_coeff_replaces_one_coefficient():
     s = S.one().with_coeff((1, 1), Fraction(7))
     assert s.coeff((1, 1)) == 7

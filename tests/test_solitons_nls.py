@@ -1,10 +1,11 @@
+import ast
 import copy
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from solitonlab import residual, series
+from solitonlab import residual, series, solitons
 from solitonlab.algebra import QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.cli import main as cli_main
 from solitonlab.errors import BNotInvolutive, EvaluationSingularity
@@ -139,7 +140,7 @@ def test_heat_mode_over_plain_rationals():
     rng = Random(29)
     sol = nls_solution(random_nls_params(rng, N=1, r=2, cap=6, mode="heat",
                                          scalar="rational"))
-    assert sol.data.algebra.scalar_field.__class__.__name__ == "Rationals"
+    assert sol.data.algebra.base.__class__.__name__ == "Rationals"
     report = check_nls(sol.U, sol.data.b, sol.data.d0, sol.data.d,
                        gamma=sol.cell)
     assert report.passed and report.exact
@@ -261,24 +262,34 @@ def test_nls_mode_requires_gaussian_scalars():
 # -- scalar closed form ------------------------------------------------------
 
 
+SAMPLE = (  # a, alpha, beta
+    GaussianRational(Fraction(1, 2), Fraction(1, 3)),
+    GaussianRational(2, 1),
+    GaussianRational(1, -1),
+)
+
+
 def _sample_comparison(cap=8):
-    return nls_scalar_closed_form(
-        GaussianRational(Fraction(1, 2), Fraction(1, 3)),
-        GaussianRational(2, 1),
-        GaussianRational(1, -1),
-        cap=cap,
-    )
+    return nls_scalar_closed_form(*SAMPLE, cap=cap)
 
 
 def test_scalar_closed_form_origin_exact():
+    # the matched series starts at the closed form's exact origin value
+    # 2 (a + conj a) conj(alpha) beta / (|alpha|^2 - |beta|^2)
     cmp = _sample_comparison()
-    assert cmp.origin_exact_match
-    assert cmp.orientation.matched  # one of the two conjugate orientations
+    a, alpha, beta = SAMPLE
+    gap = alpha * alpha.conjugate() - beta * beta.conjugate()
+    origin = 2 * (a + a.conjugate()) * alpha.conjugate() * beta * gap.reciprocal()
+    assert cmp.orientation.matched == ("via-gamma-21",)
+    assert cmp.series.coeff((0, 0)) == origin
 
 
 def test_scalar_closed_form_contact_order():
     cmp = _sample_comparison()
-    assert abs(cmp.slope - cmp.valid_order) <= 1.0
+    assert cmp.report.equation == "scalar-closed-form"
+    [entry] = cmp.report.entries
+    assert cmp.report.passed and entry.exact_zero
+    assert entry.valid_order == cmp.series.valid_order == 7
 
 
 def test_scalar_closed_form_degenerate_inputs_rejected():
@@ -290,13 +301,39 @@ def test_scalar_closed_form_degenerate_inputs_rejected():
 
 
 def test_scalar_closed_form_real_symmetric_branch():
-    # real a with real alpha, beta: on the u = 0 axis the phase is trivial
-    # and the solution value is exactly real (a real multiple of 1/sinh)
+    # real a with real alpha, beta: both orientations agree at the origin,
+    # but only via-gamma-21 is the closed form (via-gamma-12 has +2/3 i at
+    # degree 1 where the closed form has -2/3 i); on the u = 0 axis the
+    # phase is trivial, so the series is real there
     a = GaussianRational(Fraction(1, 2))
     alpha = GaussianRational(2)
     beta = GaussianRational(1)
     cmp = nls_scalar_closed_form(a, alpha, beta, cap=7)
-    assert cmp.origin_exact_match
-    for v in (Fraction(1, 8), Fraction(-1, 5)):
-        value = cmp.series.evaluate((Fraction(0), v))
-        assert value.im == 0
+    assert cmp.orientation.matched == ("via-gamma-21",)
+    assert cmp.report.passed and cmp.report.entries[0].exact_zero
+    w = cmp.series
+    assert all(w.coeff((0, n)).im == 0 for n in range(w.valid_order))
+
+
+@pytest.mark.parametrize("exponent", [(0, 0), (1, 0), (0, 2), (3, 1)])
+def test_scalar_closed_form_identity_sees_one_moved_coefficient(exponent):
+    w = _sample_comparison().series
+    assert solitons._closed_form_residual(w, *SAMPLE).is_zero()
+    moved = w.with_coeff(exponent, w.coeff(exponent) + Fraction(1, 1000))
+    assert not solitons._closed_form_residual(moved, *SAMPLE).is_zero()
+
+
+def test_solitons_module_uses_no_floats():
+    """The NLS scalar closed form is checked exactly: solitons.py imports
+    neither cmath nor math and calls neither float() nor complex()."""
+    tree = ast.parse(open(solitons.__file__, encoding="utf-8").read())
+    imported, called = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            called.add(node.func.id)
+    assert not imported & {"cmath", "math"}
+    assert not called & {"float", "complex"}
