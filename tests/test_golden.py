@@ -20,6 +20,13 @@ from solitonlab import cli
 from solitonlab.scalars import Residue
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIG_DIR = Path(__file__).parent / "configs"
+
+
+def _explicit(system, name):
+    """A case that reads its explicit parameter arrays from tests/configs/."""
+    return [system, "--config", str(CONFIG_DIR / f"{name}.json")]
+
 
 CASES = {
     "toda-n3-N2": ["toda", "--n", "3", "--N", "2", "--cap", "8"],
@@ -44,6 +51,12 @@ CASES = {
                               "--cap", "8", "--with-lemmas"],
     "toda-n3-N3-lemmas": ["toda", "--n", "3", "--N", "3", "--cap", "8",
                           "--with-lemmas"],
+    "toda-n3-N2-explicit": _explicit("toda", "toda-n3-N2-explicit"),
+    "sine-gordon-N2-explicit": _explicit("sine-gordon", "sine-gordon-N2-explicit"),
+    "langmuir-N2-w4-explicit": _explicit("langmuir", "langmuir-N2-w4-explicit"),
+    "nls-N1-r2-explicit": _explicit("nls", "nls-N1-r2-explicit"),
+    "nls-N1-scalar-form": ["nls", "--N", "1", "--cap", "7", "--seed", "2",
+                           "--scalar-form"],
 }
 
 
