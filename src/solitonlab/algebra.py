@@ -648,40 +648,39 @@ def _fractions(nums, dens):
 _ZERO = Fraction(0)
 
 
-def random_nonzero_rational(rng, bound: int = 7) -> Fraction:
-    """Small random nonzero rational with |num|, den <= bound."""
+def random_nonzero_rational(rng) -> Fraction:
+    """Small random nonzero rational with |num|, den <= 7."""
     num = 0
     while num == 0:
-        num = rng.randint(-bound, bound)
-    return Fraction(num, rng.randint(1, bound))
+        num = rng.randint(-7, 7)
+    return Fraction(num, rng.randint(1, 7))
 
 
-def random_element(algebra: Algebra, rng, bound: int = 7):
+def random_element(algebra: Algebra, rng):
     """Random element built from small nonzero rationals; over GF(p) the same
     draws as over QQ, reduced mod p."""
     if isinstance(algebra, (Rationals, PrimeField)):
-        return algebra.coerce(random_nonzero_rational(rng, bound))
+        return algebra.coerce(random_nonzero_rational(rng))
     if isinstance(algebra, GaussianRationals):
         return GaussianRational(
-            random_nonzero_rational(rng, bound),
-            rng.choice([Fraction(0), random_nonzero_rational(rng, bound)]),
+            random_nonzero_rational(rng),
+            rng.choice([Fraction(0), random_nonzero_rational(rng)]),
         )
     if isinstance(algebra, MatrixAlgebra):
         return SquareMatrix(
             algebra,
             tuple(
-                tuple(random_element(algebra.base, rng, bound)
-                      for _ in range(algebra.dim))
+                tuple(random_element(algebra.base, rng) for _ in range(algebra.dim))
                 for _ in range(algebra.dim)
             ),
         )
     raise AlgebraMismatch(f"cannot sample from {algebra!r}")
 
 
-def random_invertible(algebra: Algebra, rng, bound: int = 7, attempts: int = 64):
-    """Random element with an exact inverse (rejection sampling)."""
-    for _ in range(attempts):
-        x = random_element(algebra, rng, bound)
+def random_invertible(algebra: Algebra, rng):
+    """Random element with an exact inverse (rejection sampling, 64 tries)."""
+    for _ in range(64):
+        x = random_element(algebra, rng)
         try:
             algebra.invert(x)
         except SingularMatrix:

@@ -29,12 +29,14 @@ from .errors import (
     ConfigError,
     EvaluationSingularity,
     NonInvertibleSolution,
+    Record,
     SingularMatrix,
     SolitonLabError,
 )
 from .quasidet import (
     ConventionNote,
     bottom_row_conventions,
+    note_dicts,
     quasideterminant,
     wronski,
 )
@@ -90,32 +92,73 @@ def _parse_scalar(node, scalar: str):
     raise ConfigError(f"cannot parse {node!r} as a {scalar} scalar")
 
 
-def _parse_element(node, scalar: str, r: int):
+def _fits(node, shape) -> bool:
+    """Whether node is nested lists of this shape; leaves are not looked at."""
+    return not shape or (
+        isinstance(node, list) and len(node) == shape[0]
+        and all(_fits(x, shape[1:]) for x in node)
+    )
+
+
+def _parse_element(node, scalar: str, r: int, what: str):
     if r == 1:
         return _parse_scalar(node, scalar)
-    if not isinstance(node, list) or len(node) != r or any(
-        not isinstance(row, list) or len(row) != r for row in node
-    ):
-        raise ConfigError(f"expected an {r}x{r} array of scalars, got {node!r}")
+    if not _fits(node, (r, r)):
+        raise ConfigError(f"{what}: expected an {r}x{r} array of scalars, got {node!r}")
     alg = scalar_algebra(scalar, r)
     return alg.matrix(
         [[_parse_scalar(x, scalar) for x in row] for row in node]
     )
 
 
-def _parse_element_grid(node, scalar, r, shape, what):
-    rows, cols = shape
-    if not isinstance(node, list) or len(node) != rows or any(
-        not isinstance(row, list) or len(row) != cols for row in node
-    ):
-        raise ConfigError(f"{what} must be a {rows}x{cols} array")
-    return [[_parse_element(x, scalar, r) for x in row] for row in node]
+def _parse_array(node, shape, scalar, r, what):
+    """One element (shape ()), a list of them (N,) or a grid (rows, cols)."""
+    if not _fits(node, shape):
+        if len(shape) == 1:
+            raise ConfigError(f"{what} must be a list of {shape[0]} entries")
+        raise ConfigError(f"{what} must be a {shape[0]}x{shape[1]} array")
+    if not shape:
+        return _parse_element(node, scalar, r, what)
+    return [_parse_array(x, shape[1:], scalar, r, what) for x in node]
 
 
-def _parse_element_list(node, scalar, r, length, what):
-    if not isinstance(node, list) or len(node) != length:
-        raise ConfigError(f"{what} must be a list of {length} entries")
-    return [_parse_element(x, scalar, r) for x in node]
+class _System(Record):
+    """How the command line runs one family.
+
+    ``solve`` and ``draw`` name this module's solver and random draw, looked
+    up when a run calls them, so that a name rebound on this module is the
+    one that runs.  ``arrays`` gives each explicit parameter array its shape
+    in config keys, in parse order.  ``keys`` are the config values that the
+    draw and the params take by name and the report lists under dimensions;
+    ``n`` is the period listed there when it is not one of them.
+    """
+
+    params: type
+    solve: str
+    draw: str
+    arrays: dict
+    keys: tuple = ()
+    n: int = None
+
+
+_SYSTEMS = {
+    "toda": _System(
+        TodaParams, "toda_solution", "random_toda_params",
+        {"a": ("n", "N"), "p": ("N", "n")}, ("n",),
+    ),
+    "sine-gordon": _System(
+        SineGordonParams, "sine_gordon_solution", "random_sine_gordon_params",
+        {"p": ("N",), "q": ("N",), "a": ("N",)}, n=2,
+    ),
+    "langmuir": _System(
+        LangmuirParams, "langmuir_solution", "random_langmuir_params",
+        {"p": ("N",), "q": ("N",), "mu": ("N",)}, ("window",),
+    ),
+    "nls": _System(
+        NlsParams, "nls_solution", "random_nls_params",
+        {"b": (), "c": ("N",), "d": ("N",), "a": ("N",)}, ("mode",),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,6 +286,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key in ("dump_series", "with_lemmas", "timings", "scalar_form"):
         if not isinstance(cfg[key], bool):
             raise ConfigError(f"{key} must be true or false")
+    if cfg["scalar_form"] and (args.system, cfg["mode"]) != ("nls", "nls"):
+        raise ConfigError("scalar_form needs the nls system in mode nls")
     return cfg
 
 
@@ -258,111 +303,44 @@ def _default_cap(cfg) -> int:
     return cfg["N"] + 6
 
 
-def _explicit_params(cfg):
+def _explicit_params(cfg, spec, sizes, fields):
     """Build a params object from the config's explicit arrays, or None."""
     raw = cfg["params"]
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("params must be a JSON object")
-    scalar, r, cap = cfg["scalar"], cfg["r"], _default_cap(cfg)
-    system = cfg["system"]
+    fields = dict(fields)
+    if "window" in fields:  # Langmuir params hold the window's sites
+        fields["k_range"] = list(range(fields.pop("window")))
     try:
-        if system == "toda":
-            n, N = cfg["n"], cfg["N"]
-            return TodaParams(
-                n=n, N=N, r=r, cap=cap,
-                a=_parse_element_grid(raw.get("a"), scalar, r, (n, N), "a"),
-                p=_parse_element_grid(raw.get("p"), scalar, r, (N, n), "p"),
-                scalar=scalar,
+        for name, shape in spec.arrays.items():
+            fields[name] = _parse_array(
+                raw.get(name), tuple(cfg[k] for k in shape), cfg["scalar"],
+                cfg["r"], name,
             )
-        if system == "sine-gordon":
-            N = cfg["N"]
-            return SineGordonParams(
-                N=N, r=r, cap=cap,
-                p=_parse_element_list(raw.get("p"), scalar, r, N, "p"),
-                q=_parse_element_list(raw.get("q"), scalar, r, N, "q"),
-                a=_parse_element_list(raw.get("a"), scalar, r, N, "a"),
-                scalar=scalar,
-            )
-        if system == "langmuir":
-            N = cfg["N"]
-            return LangmuirParams(
-                N=N, r=r, cap=cap,
-                p=_parse_element_list(raw.get("p"), scalar, r, N, "p"),
-                q=_parse_element_list(raw.get("q"), scalar, r, N, "q"),
-                mu=_parse_element_list(raw.get("mu"), scalar, r, N, "mu"),
-                k_range=list(range(cfg["window"])),
-                scalar=scalar,
-            )
-        if system == "nls":
-            N = cfg["N"]
-            return NlsParams(
-                N=N, r=r, cap=cap,
-                b=_parse_element(raw.get("b"), scalar, r),
-                c=_parse_element_list(raw.get("c"), scalar, r, N, "c"),
-                d=_parse_element_list(raw.get("d"), scalar, r, N, "d"),
-                a=_parse_element_list(raw.get("a"), scalar, r, N, "a"),
-                mode=cfg["mode"], scalar=scalar,
-            )
+        return spec.params(**sizes, **fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"explicit params unsupported for {system!r}")
-
-
-def _random_params(cfg, rng):
-    system, scalar = cfg["system"], cfg["scalar"]
-    cap = _default_cap(cfg)
-    if system == "toda":
-        return random_toda_params(
-            rng, n=cfg["n"], N=cfg["N"], r=cfg["r"], cap=cap, scalar=scalar
-        )
-    if system == "sine-gordon":
-        return random_sine_gordon_params(
-            rng, N=cfg["N"], r=cfg["r"], cap=cap, scalar=scalar
-        )
-    if system == "langmuir":
-        return random_langmuir_params(
-            rng, N=cfg["N"], r=cfg["r"], cap=cap, window=cfg["window"],
-            scalar=scalar,
-        )
-    if system == "nls":
-        return random_nls_params(
-            rng, N=cfg["N"], r=cfg["r"], cap=cap, mode=cfg["mode"],
-            scalar=scalar,
-        )
-    raise ConfigError(f"unknown system {system!r}")
-
-
-def _note_dicts(notes):
-    return [n.to_dict() if isinstance(n, ConventionNote) else n for n in notes]
-
-
-def _dump_series_map(named_series, degree_limit):
-    out = {}
-    for name, s in named_series:
-        out[name] = s.algebra.format_element(s, degree_limit=degree_limit)
-    return out
 
 
 def _run_system(cfg) -> dict:
     """Build, verify, and assemble the report body for one solution family."""
+    system = cfg["system"]
+    spec = _SYSTEMS[system]
     rng = Random(cfg["seed"])
-    explicit = _explicit_params(cfg)
+    cap = _default_cap(cfg)
+    sizes = {"N": cfg["N"], "r": cfg["r"], "cap": cap, "scalar": cfg["scalar"]}
+    fields = {k: cfg[k] for k in spec.keys}
+    explicit = _explicit_params(cfg, spec, sizes, fields)
     attempts = 1 if explicit is not None else cfg["max_resample"]
+    solve, draw = globals()[spec.solve], globals()[spec.draw]
     last_exc = None
-    solution = params = None
+    solution = None
     for _ in range(attempts):
         try:
-            params = explicit if explicit is not None else _random_params(cfg, rng)
-            if cfg["system"] == "toda":
-                solution = toda_solution(params)
-            elif cfg["system"] == "sine-gordon":
-                solution = sine_gordon_solution(params)
-            elif cfg["system"] == "langmuir":
-                solution = langmuir_solution(params)
-            else:
-                solution = nls_solution(params)
+            params = explicit if explicit is not None else draw(rng, **sizes, **fields)
+            solution = solve(params)
             break
         except _SINGULAR as exc:
             last_exc = exc
@@ -375,45 +353,30 @@ def _run_system(cfg) -> dict:
         )
 
     checks = []
-    notes = []
-    dumps = []
-    system = cfg["system"]
-    if system == "toda":
-        data = solution.data
-        checks.append(check_data("toda", data))
-        checks.append(check_toda(solution.gs, D_U, D_V))
-        notes.extend(solution.notes)
-        dumps = [(f"g[{k}]", g) for k, g in enumerate(solution.gs)]
+    notes = list(solution.notes)
+    if system in ("toda", "sine-gordon"):
+        toda = solution.toda if system == "sine-gordon" else solution
+        checks.append(check_data("toda", toda.data))
+        checks.append(check_toda(toda.gs, D_U, D_V))
+        dumps = {f"g[{k}]": g for k, g in enumerate(toda.gs)}
         if cfg["with_lemmas"]:
-            checks.append(check_toda_gamma(solution.cells, D_U, D_V))
-            gammas, a_mats = toda_shift_data(solution)
+            checks.append(check_toda_gamma(toda.cells, D_U, D_V))
+            gammas, a_mats = toda_shift_data(toda)
             checks.append(check_marchenko(gammas, a_mats, D_U, D_V))
-            for k, (wp, cell) in enumerate(
-                zip(solution.wronskians, solution.cells)
-            ):
-                note = bottom_row_conventions(wp, cell)
-                notes.append(
-                    ConventionNote(
-                        f"site-{k}-{note.topic}", note.candidates,
-                        note.matched, note.detail,
+            if system == "toda":
+                for k, (wp, cell) in enumerate(zip(toda.wronskians, toda.cells)):
+                    note = bottom_row_conventions(wp, cell)
+                    notes.append(
+                        ConventionNote(
+                            f"site-{k}-{note.topic}", note.candidates,
+                            note.matched, note.detail,
+                        )
                     )
-                )
-    elif system == "sine-gordon":
-        toda_part = solution.toda
-        checks.append(check_data("toda", toda_part.data))
-        checks.append(check_toda(list(solution.gs), D_U, D_V))
-        notes.extend(solution.notes)
-        dumps = [(f"g[{k}]", g) for k, g in enumerate(solution.gs)]
-        if cfg["with_lemmas"]:
-            checks.append(check_toda_gamma(toda_part.cells, D_U, D_V))
-            gammas, a_mats = toda_shift_data(toda_part)
-            checks.append(check_marchenko(gammas, a_mats, D_U, D_V))
     elif system == "langmuir":
         data = solution.data
         checks.append(check_data("langmuir", data))
         checks.append(check_langmuir(solution.gs, D_T))
-        notes.extend(solution.notes)
-        dumps = [(f"g[{k}]", solution.gs[k]) for k in sorted(solution.gs)]
+        dumps = {f"g[{k}]": g for k, g in solution.gs.items()}
         if cfg["with_lemmas"]:
             gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
             mat_n = MatrixAlgebra(data.algebra, data.N)
@@ -431,10 +394,9 @@ def _run_system(cfg) -> dict:
         checks.append(
             check_nls(solution, data.b, data.d0, data.d, gamma=solution.cell)
         )
-        notes.extend(solution.notes)
-        dumps = [("U", solution.U)]
+        dumps = {"U": solution.U}
         if solution.U12 is not None:
-            dumps += [("U12", solution.U12), ("U21", solution.U21)]
+            dumps.update(U12=solution.U12, U21=solution.U21)
         if cfg["scalar_form"]:
             a = GaussianRational(
                 Fraction(rng.randint(1, 3), rng.randint(1, 3)),
@@ -442,7 +404,7 @@ def _run_system(cfg) -> dict:
             )
             alpha = GaussianRational(2, 1)
             beta = GaussianRational(1, -1)
-            comparison = nls_scalar_closed_form(a, alpha, beta, cap=_default_cap(cfg))
+            comparison = nls_scalar_closed_form(a, alpha, beta, cap=cap)
             checks.append(comparison.report)
             notes.append(comparison.orientation)
 
@@ -450,22 +412,18 @@ def _run_system(cfg) -> dict:
         "system": system,
         "scalar_mode": cfg["scalar"],
         "dimensions": {
-            "n": cfg["n"] if system == "toda" else (2 if system == "sine-gordon" else None),
-            "N": cfg["N"],
-            "r": cfg["r"],
-            "cap": _default_cap(cfg),
+            "n": spec.n, "N": cfg["N"], "r": cfg["r"], "cap": cap, **fields,
         },
         "seed": None if explicit is not None else cfg["seed"],
         "checks": [c.to_dict() for c in checks],
-        "conventions": _note_dicts(notes),
+        "conventions": note_dicts(notes),
         "passed": all(c.passed for c in checks),
     }
-    if system == "langmuir":
-        body["dimensions"]["window"] = cfg["window"]
-    if system == "nls":
-        body["dimensions"]["mode"] = cfg["mode"]
     if cfg["dump_series"]:
-        body["series"] = _dump_series_map(dumps, cfg["dump_degree"])
+        body["series"] = {
+            name: s.algebra.format_element(s, degree_limit=cfg["dump_degree"])
+            for name, s in dumps.items()
+        }
     return body
 
 

@@ -65,6 +65,11 @@ class ConventionNote:
         return f"ConventionNote({self.topic}: matched {list(self.matched)})"
 
 
+def note_dicts(notes):
+    """Notes as JSON values: a ConventionNote as its dict, a string as is."""
+    return [n.to_dict() if isinstance(n, ConventionNote) else n for n in notes]
+
+
 def quasideterminant(x: SquareMatrix, i: int, j: int):
     """Quasideterminant at 0-based position (i, j).
 

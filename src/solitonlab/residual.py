@@ -21,8 +21,8 @@ from .errors import (
     SingularMatrix,
     WindowTooSmall,
 )
-from .quasidet import ConventionNote, FrobeniusCell, wronski
-from .series import D_U, D_V, Derivation, TruncatedSeries, constant_series_matrix
+from .quasidet import FrobeniusCell, note_dicts, wronski
+from .series import Derivation, TruncatedSeries, constant_series_matrix
 
 __all__ = [
     "ResidualEntry",
@@ -95,10 +95,7 @@ class ResidualReport(Record):
             "passed": self.passed,
             "exact": self.exact,
             "entries": [e.to_dict() for e in self.entries],
-            "notes": [
-                n.to_dict() if isinstance(n, ConventionNote) else n
-                for n in self.notes
-            ],
+            "notes": note_dicts(self.notes),
         }
 
 
@@ -121,21 +118,21 @@ def _invert_or_raise(x, site):
 # -- the lattice equations, each written once for series and matrices -------
 
 
-def _toda_residuals(xs, d1: Derivation, d2: Derivation, shift: int = 1):
-    """d1((d2 x_k) x_k^-1) - x_k x_{k-shift}^-1 + x_{k+shift} x_k^-1, per site."""
+def _toda_residuals(xs, d1: Derivation, d2: Derivation):
+    """d1((d2 x_k) x_k^-1) - x_k x_{k-1}^-1 + x_{k+1} x_k^-1, per site."""
     n = len(xs)
     invs = [_invert_or_raise(x, k) for k, x in enumerate(xs)]
     return [
         (xs[k].derive(d2) * invs[k]).derive(d1)
-        - xs[k] * invs[(k - shift) % n]
-        + xs[(k + shift) % n] * invs[k]
+        - xs[k] * invs[(k - 1) % n]
+        + xs[(k + 1) % n] * invs[k]
         for k in range(n)
     ]
 
 
-def _langmuir_residual(xs, k, d: Derivation, shift: int = 1):
-    """d x_k - x_{k+shift} x_k + x_k x_{k-shift}."""
-    return xs[k].derive(d) - xs[k + shift] * xs[k] + xs[k] * xs[k - shift]
+def _langmuir_residual(xs, k, d: Derivation):
+    """d x_k - x_{k+1} x_k + x_k x_{k-1}."""
+    return xs[k].derive(d) - xs[k + 1] * xs[k] + xs[k] * xs[k - 1]
 
 
 def _cubic_residual(U, b, d0: Derivation, d: Derivation):
@@ -203,18 +200,15 @@ def _embed_constants(values, template: SquareMatrix):
     return out
 
 
-def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
-                    shift: int = 1) -> ResidualReport:
+def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
     """Cyclic-shift logarithmic-derivative identity.
 
     Hypotheses (validated first, violations raise): the a-diagonals are
-    constant, d1(d2 w_k) = w_k, and d2 w_k = w_{k+shift} * A_k.  Then with
+    constant, d1(d2 w_k) = w_k, and d2 w_k = w_{k+1} * A_k.  Then with
     c_k = (d2 w_k) w_k^-1 the report checks
 
-        d1((d2 c_k) c_k^-1) - c_k c_{k-shift}^-1 + c_{k+shift} c_k^-1 = 0.
+        d1((d2 c_k) c_k^-1) - c_k c_{k-1}^-1 + c_{k+1} c_k^-1 = 0.
     """
-    d1 = d1 if d1 is not None else D_U
-    d2 = d2 if d2 is not None else D_V
     ws = [_as_matrix(g) for g in gamma]
     n = len(ws)
     alg = ws[0].algebra
@@ -231,26 +225,25 @@ def check_marchenko(gamma, a, d1: Derivation = None, d2: Derivation = None,
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        if not alg.is_zero(ws[k].derive(d2) - ws[(k + shift) % n] * a_mats[k]):
+        if not alg.is_zero(ws[k].derive(d2) - ws[(k + 1) % n] * a_mats[k]):
             raise HypothesisViolated(
-                f"d2 w[{k}] != w[{k + shift}] A[{k}]", which="shift-linear-relation"
+                f"d2 w[{k}] != w[{k + 1}] A[{k}]", which="shift-linear-relation"
             )
     report = ResidualReport("marchenko", exact=alg.is_exact)
-    report.note(f"hypotheses validated at all {n} sites (shift {shift})")
+    report.note(f"hypotheses validated at all {n} sites (shift 1)")
     cs = [ws[k].derive(d2) * _invert_or_raise(ws[k], k) for k in range(n)]
-    for k, res in enumerate(_toda_residuals(cs, d1, d2, shift)):
+    for k, res in enumerate(_toda_residuals(cs, d1, d2)):
         report.add(f"site {k}", res)
     return report
 
 
-def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
-                            shift: int = 1) -> ResidualReport:
+def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualReport:
     """Single-derivation shift form on an integer window.
 
-    Hypotheses: constant a-diagonals, d G_k = G_{k+2 shift}, and
-    d G_k + G_k = G_{k+shift} * A_k (validated wherever the window allows).
-    Main check: U_k = c_k c_{k-shift}^-1 satisfies the lattice equation
-    d U_k = U_{k+shift} U_k - U_k U_{k-shift}; diagnostics cover the
+    Hypotheses: constant a-diagonals, d G_k = G_{k+2}, and
+    d G_k + G_k = G_{k+1} * A_k (validated wherever the window allows).
+    Main check: U_k = c_k c_{k-1}^-1 satisfies the lattice equation
+    d U_k = U_{k+1} U_k - U_k U_{k-1}; diagnostics cover the
     increment-product, increment-shift, and additive-quotient identities.
     """
     sites = sorted(gamma)
@@ -261,47 +254,41 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation,
     for k in sites:
         if not alg.is_zero(a_mats[k].derive(d)):
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
-        if k + 2 * shift in ws:
-            if not alg.is_zero(ws[k].derive(d) - ws[k + 2 * shift]):
+        if k + 2 in ws:
+            if not alg.is_zero(ws[k].derive(d) - ws[k + 2]):
                 raise HypothesisViolated(
-                    f"d G[{k}] != G[{k + 2 * shift}]", which="double-shift-relation"
+                    f"d G[{k}] != G[{k + 2}]", which="double-shift-relation"
                 )
-        if k + shift in ws:
-            res = ws[k].derive(d) + ws[k] - ws[k + shift] * a_mats[k]
+        if k + 1 in ws:
+            res = ws[k].derive(d) + ws[k] - ws[k + 1] * a_mats[k]
             if not alg.is_zero(res):
                 raise HypothesisViolated(
-                    f"d G[{k}] + G[{k}] != G[{k + shift}] A[{k}]",
+                    f"d G[{k}] + G[{k}] != G[{k + 1}] A[{k}]",
                     which="shift-affine-relation",
                 )
-    main_sites = [
-        k
-        for k in sites
-        if all(k + m * shift in ws for m in (-2, -1, 1))
-    ]
+    main_sites = [k for k in sites if all(k + m in ws for m in (-2, -1, 1))]
     if not main_sites:
         raise WindowTooSmall("no site has both lattice neighbours available")
     report = ResidualReport("marchenko-lattice", exact=alg.is_exact)
     cs = {k: ws[k].derive(d) * _invert_or_raise(ws[k], k) for k in sites}
     us = {
-        k: cs[k] * _invert_or_raise(cs[k - shift], k - shift)
+        k: cs[k] * _invert_or_raise(cs[k - 1], k - 1)
         for k in sites
-        if k - shift in cs
+        if k - 1 in cs
     }
     for k in main_sites:
-        res = _langmuir_residual(us, k, d, shift)
+        res = _langmuir_residual(us, k, d)
         report.add(f"lattice-equation site {k}", res)
     one = alg.one()
     for k in sites:
-        if k + shift in cs:
-            res = (cs[k + shift] - cs[k]) * (cs[k] + one) - cs[k].derive(d)
+        if k + 1 in cs:
+            res = (cs[k + 1] - cs[k]) * (cs[k] + one) - cs[k].derive(d)
             report.add(f"increment-product site {k}", res)
-        if k + 2 * shift in cs:
-            res = (cs[k + 2 * shift] - cs[k + shift]) * cs[k] - (
-                cs[k + shift] - cs[k]
-            )
+        if k + 2 in cs:
+            res = (cs[k + 2] - cs[k + 1]) * cs[k] - (cs[k + 1] - cs[k])
             report.add(f"increment-shift site {k}", res)
-        if k in us and k + shift in cs:
-            res = us[k] - (one + cs[k + shift] - cs[k])
+        if k in us and k + 1 in cs:
+            res = us[k] - (one + cs[k + 1] - cs[k])
             report.add(f"additive-quotient site {k}", res)
     return report
 

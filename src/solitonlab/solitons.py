@@ -721,7 +721,7 @@ class NlsSolution(Record):
     cubic: tuple | None = None
 
 
-def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
+def nls_solution(params: NlsParams) -> NlsSolution:
     """Commutator solution U = g b - b g of the cubic equation.
 
     Both bottom-row corner entries of the Frobenius quotient are formed into
@@ -733,13 +733,12 @@ def nls_solution(params: NlsParams, data: NlsData = None) -> NlsSolution:
     one exponential family is switched off entirely the Wronskian degenerates
     and the vacuum solution U = 0 is returned.
     """
-    if data is None:
-        data = nls_build_f(params)
+    data = nls_build_f(params)
     S = data.algebra
     N = len(data.fs)
     salg = data.fs[0].algebra
     notes = []
-    if params is not None and (
+    if (
         all(S.is_zero(S.coerce(c)) for c in params.c)
         or all(S.is_zero(S.coerce(c)) for c in params.d)
     ):

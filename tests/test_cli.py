@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -479,3 +480,76 @@ def test_json_booleans_are_not_scalars(scalar, tmp_path, capsys):
         "configuration error: booleans are not scalars: True\n"
     )
     assert not report.exists()
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["nls", "--N", "1", "--mode", "heat", "--scalar-form"], None),
+    (["nls", "--N", "1", "--mode", "heat", "--scalar", "gf-p", "--scalar-form"],
+     None),
+    (["toda"], {"system": "toda", "n": 2, "N": 1, "scalar_form": True}),
+])
+def test_scalar_form_outside_nls_mode_exits_two(args, cfg, tmp_path, capsys):
+    # the closed form is the Schroedinger reduction over QQ(i); no other run
+    # computes anything it could be compared with
+    if cfg is not None:
+        args = args + ["--config", str(_write_config(tmp_path, cfg))]
+    report = tmp_path / "r.json"
+    assert main(args + ["--seed", "3", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "scalar_form" in err
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+_ONE = [["1", "0"], ["0", "1"]]
+_THREE = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("cfg, name", [
+    # an array of the wrong shape, or missing
+    ({"system": "toda", "n": 2, "N": 2,
+      "params": {"a": [["2", "3"], ["5", "7"]], "p": [["1", "1/2"]]}}, "p"),
+    ({"system": "sine-gordon", "N": 2,
+      "params": {"p": ["1", "2"], "q": ["1"], "a": ["2", "3"]}}, "q"),
+    ({"system": "langmuir", "N": 1,
+      "params": {"p": ["1"], "q": ["2"], "mu": "3/2"}}, "mu"),
+    ({"system": "nls", "N": 1,
+      "params": {"b": [["1", "0"], ["0", "-1"]], "c": [_ONE], "a": [_ONE]}}, "d"),
+    # an r = 2 block of the wrong size
+    ({"system": "toda", "n": 2, "N": 1, "r": 2,
+      "params": {"a": [[_ONE], [_THREE]], "p": [[_ONE, _ONE]]}}, "a"),
+    ({"system": "sine-gordon", "N": 1, "r": 2,
+      "params": {"p": [[["1", "0"]]], "q": [_ONE], "a": [_ONE]}}, "p"),
+    ({"system": "langmuir", "N": 1, "r": 2,
+      "params": {"p": [_ONE], "q": ["1"], "mu": [_ONE]}}, "q"),
+    ({"system": "nls", "N": 1, "r": 2,
+      "params": {"b": [["1", "0"]], "c": [_ONE], "d": [_ONE], "a": [_ONE]}}, "b"),
+    # params that are not an object
+    *(({"system": system, "params": [["1"]]}, "params")
+      for system in ("toda", "sine-gordon", "langmuir", "nls")),
+])
+def test_explicit_array_errors_name_the_array(cfg, name, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    path = _write_config(tmp_path, cfg)
+    assert main([cfg["system"], "--config", str(path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(tuple(f"configuration error: {name}{c}" for c in " :"))
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_every_subcommand_has_a_system_entry():
+    from solitonlab import cli
+
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert set(cli._SYSTEMS) | {"quasidet-selftest"} == set(sub.choices)
+    # solvers and draws are named in the table and looked up in the module
+    for spec in cli._SYSTEMS.values():
+        assert callable(getattr(cli, spec.solve)) and callable(getattr(cli, spec.draw))
