@@ -10,8 +10,9 @@ algebra's job (``matmul``, ``matrix_inverse``): the default product goes
 entry by entry, and series multiply whole grids at once.
 
 This module owns the integer form of field scalars (see ``_Field``), on
-which the fraction-free elimination here (``_gauss_jordan``) and the series
-kernels of :mod:`solitonlab.series` run: ``_lift`` reads scalars as integer
+which the fraction-free elimination here (``_bareiss``, behind both
+``_gauss_jordan`` and a field's ``quasideterminant``) and the series kernels
+of :mod:`solitonlab.series` run: ``_lift`` reads scalars as integer
 numerators over one denominator, and ``_lower`` builds each scalar back once.
 
 All values are immutable; every operation is a pure function.  Every field is
@@ -119,6 +120,26 @@ class _Field(Algebra):
 
     def matrix_inverse(self, m):
         return SquareMatrix(m.algebra, _gauss_jordan(self, m.rows))
+
+    def quasideterminant(self, m, i, j):
+        """|m|_ij = m_ij - r * S^-1 * c, S being m without row i and column
+        j, by one elimination and no inverse.  Row i and column j are moved
+        last and the rows lifted once to integers A = D * m (``_lift``).
+        Eliminating S's columns with pivots from S's rows (``_bareiss``)
+        leaves det A in the last entry and det(D * S) as the last pivot, so
+        |m|_ij = det m / det S is their ratio over D.  Raises SingularMatrix
+        when S is singular."""
+        n = m.dim
+        rows = [k for k in range(n) if k != i] + [i]
+        cols = [k for k in range(n) if k != j] + [j]
+        den, [[chans]] = _lift(self, [[[m.rows[r][k] for r in rows for k in cols]]])
+        aug = [
+            [v for ch in chans for v in (ch[r * n:(r + 1) * n] if ch else [0] * n)]
+            for r in range(n)
+        ]
+        c, norm = self.reciprocal(_bareiss(self, aug, n, n - 1))
+        last = [[v] for v in aug[-1][n - 1::n]]
+        return self.join(_times(self.terms, last, c), [den * norm])[0]
 
     def scalar_mul(self, q, a):
         return self.coerce(q) * a
@@ -505,24 +526,15 @@ def row_times(row, m: SquareMatrix) -> tuple:
 
 def _gauss_jordan(field: Algebra, rows):
     """The inverse rows of a square matrix over a field, by fraction-free
-    Gauss-Jordan elimination over integers (Bareiss 1968).
+    Gauss-Jordan elimination over integers (``_bareiss``).
 
     The rows are lifted once to integers A = D * rows (``_lift``) and set
-    beside the identity.  Column by column, the first row with a nonzero
-    entry there is the pivot row y, with pivot p; every other row x becomes
-    (p x - f y) / prev (``bareiss_step``, made once per pivot), with f the
-    row's entry in the column and prev the previous pivot (1 at first).  The
-    division is exact, and the zero pattern of each column is that of the
-    elimination over the field, so the pivots, and the column a
-    SingularMatrix names, are the same.  At the end the left half is det * I
-    and the right half det * A^-1, and each inverse entry is built once, as
+    beside the identity.  After the elimination the left half is det * I and
+    the right half det * A^-1, and each inverse entry is built once, as
     D * (det * A^-1) * c / norm with 1/det = c/norm (``reciprocal``).
     """
     n, m = len(rows), 2 * len(rows)
     den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
-    zero = [0] * len(chans)
-    # a row of aug is its channels laid end to end, m entries each, so the
-    # channels of the entry in column col are row[col::m]
     aug = []
     for i in range(n):
         row = []
@@ -531,9 +543,34 @@ def _gauss_jordan(field: Algebra, rows):
             row += [0] * n
         row[n + i] = 1
         aug.append(row)
+    c, norm = field.reciprocal(_bareiss(field, aug, m, n))
+    right = [[den * v for row in aug for v in row[k + n:k + m]]
+             for k in range(0, len(aug[0]), m)]
+    inv = field.join(_times(field.terms, right, c), [norm] * (n * n))
+    return [inv[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _bareiss(field, aug, m, pivots):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
+    rows ``aug`` in place, over their first ``pivots`` columns; returns the
+    last pivot.
+
+    A row of aug is its channels laid end to end, m entries each, so the
+    channels of the entry in column col are row[col::m].  Column by column,
+    the first of rows col..pivots-1 with a nonzero entry there is the pivot
+    row y, with pivot p; every other row x becomes (p x - f y) / prev
+    (``bareiss_step``, made once per pivot), with f the row's entry in the
+    column and prev the previous pivot (1 at first).  The division is exact,
+    and the zero pattern of each column is that of the elimination over the
+    field, so the pivots, and the column a SingularMatrix names, are the
+    same.  The last pivot is the determinant of the leading pivots x pivots
+    block, and each entry of a later row ends as that block bordered by the
+    row and the entry's column, both up to one sign from the row swaps.
+    """
+    zero = [0] * (len(aug[0]) // m)
     prev = [1] + zero[1:]
-    for col in range(n):
-        for pivot_row in range(col, n):
+    for col in range(pivots):
+        for pivot_row in range(col, pivots):
             if aug[pivot_row][col::m] != zero:
                 break
         else:
@@ -544,16 +581,13 @@ def _gauss_jordan(field: Algebra, rows):
         p = y[col::m]
         same = p == prev
         step = field.bareiss_step(p, prev)
-        for r in range(n):
+        for r in range(len(aug)):
             if r != col:
                 f = aug[r][col::m]
                 if f != zero or not same:
                     aug[r] = step(f, aug[r], y)
         prev = p
-    c, norm = field.reciprocal(prev)
-    right = [[den * v for row in aug for v in row[k + n:k + m]] for k in range(0, len(y), m)]
-    inv = field.join(_times(field.terms, right, c), [norm] * (n * n))
-    return [inv[i * n:(i + 1) * n] for i in range(n)]
+    return prev
 
 
 def _field_and_dim(alg):

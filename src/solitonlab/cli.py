@@ -31,6 +31,7 @@ from .errors import (
     NonInvertibleSolution,
     Record,
     SingularMatrix,
+    SingularSubmatrix,
     SolitonLabError,
 )
 from .quasidet import (
@@ -236,6 +237,7 @@ _DEFAULTS = {
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg["system"] = args.system
+    given = set()
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -256,10 +258,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if norm not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[norm] = value
+            given.add(norm)
     for key in list(cfg):
         arg_val = getattr(args, key, None)
         if arg_val is not None:
             cfg[key] = arg_val
+            given.add(key)
     if cfg["r"] is None:
         cfg["r"] = 2 if args.system == "nls" else 1
     if cfg["scalar"] is None:
@@ -286,7 +290,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
     for key in ("dump_series", "with_lemmas", "timings", "scalar_form"):
         if not isinstance(cfg[key], bool):
             raise ConfigError(f"{key} must be true or false")
-    if cfg["scalar_form"] and (args.system, cfg["mode"]) != ("nls", "nls"):
+    # a system uses its subcommand's flags, and its explicit arrays
+    uses = set(vars(args)) | ({"params"} if args.system in _SYSTEMS else set())
+    unused = sorted(given - uses)
+    if unused:
+        raise ConfigError(f"{args.system} does not use {', '.join(unused)}")
+    if cfg["dump_degree"] is not None and not cfg["dump_series"]:
+        raise ConfigError("dump_degree needs dump_series")
+    if cfg["scalar_form"] and cfg["mode"] != "nls":
         raise ConfigError("scalar_form needs the nls system in mode nls")
     return cfg
 
@@ -446,7 +457,9 @@ def _run_selftest(cfg) -> dict:
     Each trial matrix M is lifted once to integers A = D * M, with D the lcm
     of its denominators, so det M = det(A) / D^n and each minor of M is that
     of A over D^(n-1).  The reference stays a cofactor expansion, an
-    algorithm independent of the elimination that inverts the submatrices.
+    algorithm independent of the elimination that computes the
+    quasideterminant.  Where a minor is 0 the quasideterminant must raise
+    SingularSubmatrix; a value there is a failure.
     """
     rng = Random(cfg["seed"])
     trials = cfg["trials"]
@@ -468,10 +481,16 @@ def _run_selftest(cfg) -> dict:
                 sub_det = Fraction(_cofactor_det(sub), den ** (size - 1))
                 if sub_det == 0:
                     skipped += 1
-                    continue
-                value = quasideterminant(m, i, j)
-                checked += 1
-                if value * sub_det != (-1) ** (i + j) * full:
+                    try:
+                        quasideterminant(m, i, j)
+                    except SingularSubmatrix:
+                        continue
+                    ok = False
+                else:
+                    checked += 1
+                    value = quasideterminant(m, i, j)
+                    ok = value * sub_det == (-1) ** (i + j) * full
+                if not ok:
                     failures.append({"trial": trial, "size": size, "i": i, "j": j})
     return {
         "system": "quasidet-selftest",

@@ -4,6 +4,10 @@ The quasideterminant of a square matrix over a noncommutative algebra at
 position (i, j) is the (i, j) entry minus row-times-inverse-submatrix-times-
 column, with the multiplication order preserved.  Over commutative scalars it
 reduces to the signed ratio of determinants, which the tests use as an oracle.
+Over a scalar field that ratio is how it is computed: one fraction-free
+elimination of the lifted matrix, with pivots from the submatrix, yields it
+with no inverse and no product (``_Field.quasideterminant``).  Entries that
+are series or matrices still invert the submatrix.
 
 A Wronski matrix stacks iterated derivatives of a family of series; the
 quotient (dW) * W^-1 always has Frobenius (companion) shape: every row above
@@ -19,7 +23,7 @@ quotient rather than guessing.
 
 from __future__ import annotations
 
-from .algebra import MatrixAlgebra, SquareMatrix, row_times
+from .algebra import MatrixAlgebra, SquareMatrix, _Field, row_times
 from .errors import (
     SingularCell,
     SingularMatrix,
@@ -75,7 +79,10 @@ def quasideterminant(x: SquareMatrix, i: int, j: int):
 
     Returns x[i][j] - row_i (without j) * inverse(x with row i, col j removed)
     * col_j (without i).  Raises SingularSubmatrix when the submatrix has no
-    inverse; a 1x1 matrix has an empty correction term.
+    inverse; a 1x1 matrix has an empty correction term.  Over a scalar field
+    the value comes from one fraction-free elimination
+    (``_Field.quasideterminant``), with no inverse and no product; series
+    and matrix entries invert the submatrix.
     """
     n = x.dim
     if not (0 <= i < n and 0 <= j < n):
@@ -85,12 +92,13 @@ def quasideterminant(x: SquareMatrix, i: int, j: int):
         return x.entry(0, 0)
     rows = [r for r in range(n) if r != i]
     cols = [c for c in range(n) if c != j]
-    sub = SquareMatrix(
-        MatrixAlgebra(base, n - 1),
-        tuple(tuple(x.entry(r, c) for c in cols) for r in rows),
-    )
     try:
-        sub_inv = sub.inverse()
+        if isinstance(base, _Field):
+            return base.quasideterminant(x, i, j)
+        sub_inv = SquareMatrix(
+            MatrixAlgebra(base, n - 1),
+            tuple(tuple(x.entry(r, c) for c in cols) for r in rows),
+        ).inverse()
     except SingularMatrix as exc:
         raise SingularSubmatrix(
             f"submatrix for quasideterminant ({i}, {j}) is not invertible"

@@ -9,6 +9,7 @@ import pytest
 
 import solitonlab
 from solitonlab.cli import main
+from solitonlab.errors import SingularSubmatrix
 
 
 def run_cli(args, tmp_path, monkeypatch=None):
@@ -107,12 +108,33 @@ def test_gf_p_runs_pass(args, tmp_path):
 def test_selftest_that_checked_nothing_fails(tmp_path, monkeypatch):
     import solitonlab.cli as cli_mod
 
-    # every submatrix looks singular, so no position is examined
+    # every submatrix looks singular, and the quasideterminant agrees, so no
+    # position is examined
+    def singular(m, i, j):
+        raise SingularSubmatrix("singular")
+
     monkeypatch.setattr(cli_mod, "_cofactor_det", lambda rows: 0)
+    monkeypatch.setattr(cli_mod, "quasideterminant", singular)
     code, body = run_cli(
         ["quasidet-selftest", "--trials", "3", "--seed", "7"], tmp_path
     )
     assert body["positions_checked"] == 0 and body["failures"] == []
+    assert body["passed"] is False
+    assert code == 1
+
+
+def test_selftest_fails_a_value_at_a_singular_position(tmp_path, monkeypatch):
+    import solitonlab.cli as cli_mod
+
+    # the reference calls every submatrix singular, but the quasideterminant
+    # returns a value at each position instead of raising SingularSubmatrix
+    monkeypatch.setattr(cli_mod, "_cofactor_det", lambda rows: 0)
+    code, body = run_cli(
+        ["quasidet-selftest", "--trials", "3", "--seed", "7"], tmp_path
+    )
+    assert body["positions_skipped_singular"] == 4 + 9 + 16
+    # one of the 29 submatrices of these draws is singular, and raises there
+    assert len(body["failures"]) == 28
     assert body["passed"] is False
     assert code == 1
 
@@ -553,3 +575,60 @@ def test_every_subcommand_has_a_system_entry():
     # solvers and draws are named in the table and looked up in the module
     for spec in cli._SYSTEMS.values():
         assert callable(getattr(cli, spec.solve)) and callable(getattr(cli, spec.draw))
+
+
+@pytest.mark.parametrize("args, cfg, unused", [
+    (["toda"], {"n": 2, "window": 9, "mode": "heat", "trials": 0},
+     "mode, trials, window"),
+    (["toda"], {"n": 2, "scalar_form": False}, "scalar_form"),
+    (["sine-gordon"], {"n": 2}, "n"),
+    (["langmuir"], {"mode": "nls"}, "mode"),
+    (["nls"], {"window": 5}, "window"),
+    (["nls"], {"n": 3, "trials": 2}, "n, trials"),
+    (["quasidet-selftest"], {"N": 2}, "N"),
+    (["quasidet-selftest"], {"params": None, "dump_series": False},
+     "dump_series, params"),
+])
+def test_config_value_the_system_does_not_use_exits_two(
+        args, cfg, unused, tmp_path, capsys):
+    # a value the run would ignore is rejected, whatever it holds
+    report = tmp_path / "r.json"
+    argv = args + ["--config", str(_write_config(tmp_path, cfg)),
+                   "--report", str(report)]
+    assert main(argv) == 2
+    system = args[0]
+    assert capsys.readouterr().err == (
+        f"configuration error: {system} does not use {unused}\n"
+    )
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["toda", "--dump-degree", "2"], None),
+    (["nls", "--N", "1", "--dump-degree", "0"], None),
+    (["langmuir"], {"dump_degree": 3, "dump_series": False}),
+])
+def test_dump_degree_without_dump_series_exits_two(args, cfg, tmp_path, capsys):
+    if cfg is not None:
+        args = args + ["--config", str(_write_config(tmp_path, cfg))]
+    report = tmp_path / "r.json"
+    assert main(args + ["--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: dump_degree needs dump_series\n"
+    )
+    assert not report.exists()
+
+
+def test_config_values_of_each_system_are_used(tmp_path):
+    for args, cfg in [
+        (["toda"], {"n": 2, "N": 1, "cap": 5, "seed": 1, "r": 1,
+                    "scalar": "rational", "dump_series": True,
+                    "dump_degree": 2, "with_lemmas": True, "timings": False,
+                    "max_resample": 2, "params": None, "report": None}),
+        (["langmuir"], {"N": 1, "window": 3, "cap": 6}),
+        (["nls"], {"N": 1, "mode": "nls", "scalar_form": True, "cap": 5}),
+        (["quasidet-selftest"], {"trials": 2, "seed": 1, "timings": False}),
+    ]:
+        path = _write_config(tmp_path, cfg)
+        code, _ = run_cli(args + ["--config", str(path)], tmp_path)
+        assert code == 0, args

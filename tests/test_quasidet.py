@@ -2,9 +2,19 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+import sympy
 
 from conftest import fraction_det
-from solitonlab.algebra import QQ, MatrixAlgebra, random_element
+from solitonlab.algebra import (
+    GFP,
+    QQ,
+    QQI,
+    Algebra,
+    MatrixAlgebra,
+    SquareMatrix,
+    _Field,
+    random_element,
+)
 from solitonlab.errors import (
     SingularCell,
     SingularMatrix,
@@ -20,6 +30,7 @@ from solitonlab.quasidet import (
     solution_entry_via_quasidet,
     wronski,
 )
+from solitonlab.scalars import PRIME, GaussianRational, Residue
 from solitonlab.series import D_T, D_V, SeriesAlgebra, series_exp_linear
 from solitonlab.solitons import random_langmuir_params, langmuir_build_f
 
@@ -55,6 +66,126 @@ def test_det_ratio_oracle_all_positions():
                         continue
                     q = quasideterminant(m, i, j)
                     assert q * sub_det == (-1) ** (i + j) * full
+
+
+FIELDS = {"QQ": QQ, "QQi": QQI, "GFp": GFP}
+
+
+def _draw(field, rng, zeros):
+    """A reference scalar: a sympy number over QQ and QQ(i), an int residue
+    over GF(p); ``zeros`` is the share of exact zeros."""
+    if rng.random() < zeros:
+        return 0
+    if field == GFP:
+        return rng.choice((1, PRIME - 1, rng.randrange(PRIME)))
+
+    def rational():
+        return sympy.Rational(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9, 11)))
+
+    return rational() + sympy.I * rational() if field == QQI else rational()
+
+
+def _scalar(field, v):
+    if field == GFP:
+        return Residue(v)
+    re, im = (sympy.Rational(part) for part in sympy.expand(v).as_real_imag())
+    if field == QQI:
+        return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
+    return Fraction(re.p, re.q)
+
+
+def _mod_p_det(rows):
+    """Determinant of int rows mod p, by elimination on residues."""
+    rows = [[v % PRIME for v in row] for row in rows]
+    det = 1
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det = det * rows[col][col] % PRIME
+        inv = pow(rows[col][col], -1, PRIME)
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] * inv
+            rows[r] = [(v - f * w) % PRIME for v, w in zip(rows[r], rows[col])]
+    return det % PRIME
+
+
+def _ref_quasideterminant(field, grid, i, j):
+    """(-1)^(i+j) det X / det S as a reference scalar, or None when S, the
+    grid without row i and column j, is singular."""
+    sub = [row[:j] + row[j + 1:] for k, row in enumerate(grid) if k != i]
+    sign = (-1) ** (i + j)
+    if field == GFP:
+        sub_det = _mod_p_det(sub) if sub else 1
+        if sub_det == 0:
+            return None
+        return sign * _mod_p_det(grid) * pow(sub_det, -1, PRIME) % PRIME
+    sub_det = sympy.expand(sympy.Matrix(sub).det()) if sub else 1
+    if sub_det == 0:
+        return None
+    # over QQ(i), divide through the norm of det S
+    conj = sympy.conjugate(sub_det)
+    numer = sympy.expand(sign * sympy.Matrix(grid).det() * conj)
+    return sympy.expand(numer / sympy.expand(sub_det * conj))
+
+
+def _grids(field, size, rng):
+    """Full-rank draws, draws with many zeros, and draws with a repeated row
+    or column, which leave many submatrices S rank-deficient."""
+    for zeros in (0.0, 0.5):
+        yield [[_draw(field, rng, zeros) for _ in range(size)] for _ in range(size)]
+    if size > 2:
+        grid = [[_draw(field, rng, 0.2) for _ in range(size)] for _ in range(size)]
+        grid[-1] = list(grid[0])
+        yield grid
+        grid = [[_draw(field, rng, 0.2) for _ in range(size)] for _ in range(size)]
+        for row in grid:
+            row[1] = row[0]
+        yield grid
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("size", range(1, 6))
+def test_field_quasideterminant_matches_reference(name, size):
+    field = FIELDS[name]
+    rng = Random(f"quasideterminant {name} {size}")
+    singular = 0
+    for grid in _grids(field, size, rng):
+        m = SquareMatrix(MatrixAlgebra(field, size),
+                         [[_scalar(field, v) for v in row] for row in grid])
+        for i in range(size):
+            for j in range(size):
+                expected = _ref_quasideterminant(field, grid, i, j)
+                if expected is None:
+                    singular += 1
+                    with pytest.raises(SingularSubmatrix):
+                        quasideterminant(m, i, j)
+                    continue
+                got = quasideterminant(m, i, j)
+                assert got == _scalar(field, expected), (grid, i, j)
+                assert type(got) is type(field.zero())
+    assert size < 3 or singular > 0
+
+
+def test_field_quasideterminant_neither_inverts_nor_multiplies(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a field quasideterminant called this")
+
+    monkeypatch.setattr(_Field, "matrix_inverse", forbidden)
+    monkeypatch.setattr(Algebra, "matmul", forbidden)
+    rng = Random(14)
+    for field in FIELDS.values():
+        for size in (2, 3, 4):
+            m = random_element(MatrixAlgebra(field, size), rng)
+            for i in range(size):
+                for j in range(size):
+                    try:
+                        quasideterminant(m, i, j)
+                    except SingularSubmatrix:
+                        pass
 
 
 def _toda_like_series(rng, n_modes, cap=7):
