@@ -5,10 +5,10 @@ import pytest
 import sympy
 
 from conftest import fraction_det
+from test_elimination import FIELDS, _draw, _ref_inverse, _scalar
 from solitonlab.algebra import (
     GFP,
     QQ,
-    QQI,
     Algebra,
     MatrixAlgebra,
     SquareMatrix,
@@ -30,7 +30,7 @@ from solitonlab.quasidet import (
     solution_entry_via_quasidet,
     wronski,
 )
-from solitonlab.scalars import PRIME, GaussianRational, Residue
+from solitonlab.scalars import PRIME
 from solitonlab.series import D_T, D_V, SeriesAlgebra, series_exp_linear
 from solitonlab.solitons import random_langmuir_params, langmuir_build_f
 
@@ -68,68 +68,22 @@ def test_det_ratio_oracle_all_positions():
                     assert q * sub_det == (-1) ** (i + j) * full
 
 
-FIELDS = {"QQ": QQ, "QQi": QQI, "GFp": GFP}
-
-
-def _draw(field, rng, zeros):
-    """A reference scalar: a sympy number over QQ and QQ(i), an int residue
-    over GF(p); ``zeros`` is the share of exact zeros."""
-    if rng.random() < zeros:
-        return 0
-    if field == GFP:
-        return rng.choice((1, PRIME - 1, rng.randrange(PRIME)))
-
-    def rational():
-        return sympy.Rational(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9, 11)))
-
-    return rational() + sympy.I * rational() if field == QQI else rational()
-
-
-def _scalar(field, v):
-    if field == GFP:
-        return Residue(v)
-    re, im = (sympy.Rational(part) for part in sympy.expand(v).as_real_imag())
-    if field == QQI:
-        return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
-    return Fraction(re.p, re.q)
-
-
-def _mod_p_det(rows):
-    """Determinant of int rows mod p, by elimination on residues."""
-    rows = [[v % PRIME for v in row] for row in rows]
-    det = 1
-    for col in range(len(rows)):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col] % PRIME
-        inv = pow(rows[col][col], -1, PRIME)
-        for r in range(col + 1, len(rows)):
-            f = rows[r][col] * inv
-            rows[r] = [(v - f * w) % PRIME for v, w in zip(rows[r], rows[col])]
-    return det % PRIME
-
-
 def _ref_quasideterminant(field, grid, i, j):
-    """(-1)^(i+j) det X / det S as a reference scalar, or None when S, the
-    grid without row i and column j, is singular."""
+    """x_ij - r * S^-1 * c in reference scalars, or None when S, the grid
+    without row i and column j, is singular."""
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
     sub = [row[:j] + row[j + 1:] for k, row in enumerate(grid) if k != i]
-    sign = (-1) ** (i + j)
-    if field == GFP:
-        sub_det = _mod_p_det(sub) if sub else 1
-        if sub_det == 0:
-            return None
-        return sign * _mod_p_det(grid) * pow(sub_det, -1, PRIME) % PRIME
-    sub_det = sympy.expand(sympy.Matrix(sub).det()) if sub else 1
-    if sub_det == 0:
+    inv = _ref_inverse(field, sub)
+    if inv is None:
         return None
-    # over QQ(i), divide through the norm of det S
-    conj = sympy.conjugate(sub_det)
-    numer = sympy.expand(sign * sympy.Matrix(grid).det() * conj)
-    return sympy.expand(numer / sympy.expand(sub_det * conj))
+    r = grid[i][:j] + grid[i][j + 1:]
+    c = [row[j] for k, row in enumerate(grid) if k != i]
+    value = grid[i][j] - sum(
+        r[a] * inv[a][b] * c[b] for a in range(n - 1) for b in range(n - 1)
+    )
+    return value % PRIME if field == GFP else sympy.expand(value)
 
 
 def _grids(field, size, rng):
