@@ -180,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", help="report file path")
         p.add_argument("--dump-series", action="store_true", default=None)
         p.add_argument("--dump-degree", type=int)
-        p.add_argument("--with-lemmas", action="store_true", default=None)
         p.add_argument("--timings", action="store_true", default=None)
         p.add_argument("--max-resample", type=int)
 
@@ -194,6 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lm = sub.add_parser("langmuir", help="lattice system on a site window")
     p_lm.add_argument("--window", type=int)
     common(p_lm)
+    for p in (p_toda, p_sg, p_lm):  # nls has no lemma checker
+        p.add_argument("--with-lemmas", action="store_true", default=None)
 
     p_nls = sub.add_parser("nls", help="cubic matrix equation")
     p_nls.add_argument("--mode", choices=["nls", "heat"])
@@ -550,8 +551,10 @@ def _summarize(body: dict, path: str):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     try:
+        if extra:
+            raise ConfigError(f"{args.system} does not use {' '.join(extra)}")
         cfg = _merge_config(args)
         code, body = run(cfg)
     except ConfigError as exc:

@@ -45,9 +45,9 @@ coefficient algebra's exact ``invert``, then a, y and a_0^-1 become integers
 over the denominators D_a, D_y and m, and with s = D_a m each x_E is
 Z_E / (D_y m s^|E|) for integer matrices Z_E given by one recurrence.
 
-Exponentials and derivatives work on the same integer numerators.  The
-coefficients c^k / k! of exp(c t) come from integer powers of the lifted c,
-and exp(cu*u + cv*v) is the product exp(cu*u) * exp(cv*v).  A derivative
+Exponentials and derivatives work on the same integer numerators.  One
+kernel (``_exp_rows``) forms row * exp(cu*u + cv*v) by one row-times-matrix
+step per exponent, so exp(cu*u + cv*v) is its case row = 1.  A derivative
 multiplies each numerator by k and by the lifted scale of the derivation.
 
 Fractions reduce to lowest terms and residues to [0, p), and a product, an
@@ -91,6 +91,7 @@ __all__ = [
     "TruncatedSeries",
     "series_derive",
     "series_exp_linear",
+    "series_exp_row",
     "series_inverse",
     "series_equal",
     "constant_series_matrix",
@@ -710,49 +711,66 @@ def series_exp_linear(cu, cv, cap: int, algebra: Algebra) -> TruncatedSeries:
 
     Requires cu*cv = cv*cu so that both one-sided derivative identities
     d/du exp = exp*cu and d/dv exp = exp*cv hold; the coefficient at (m, n)
-    is cu^m * cv^n / (m! n!).  It is formed as the product kernel's
-    exp(cu*u) * exp(cv*v), each factor from ``_exp_coeffs``.
+    is cu^m * cv^n / (m! n!).  It is ``_exp_rows`` from the one-entry row 1.
     """
-    cs = [algebra.coerce(cu)]
-    if cv is not None:
-        cs.append(algebra.coerce(cv))
-        if cs[0] * cs[1] != cs[1] * cs[0]:
-            raise NoncommutingExponents("exponent coefficients do not commute")
-    salg = SeriesAlgebra(algebra, len(cs), cap)
-    if cv is None:
-        return TruncatedSeries(salg, _exp_coeffs(algebra, cs[0], cap), cap)
-    zero = algebra.zero()
-    factors = []
-    for axis, c in enumerate(cs):
-        powers = _exp_coeffs(algebra, c, cap)
-        factors.append(TruncatedSeries(
-            salg, [zero if e[1 - axis] else powers[e[axis]] for e in salg.exponents], cap
-        ))
-    return _convolve(*factors)
+    return _exp_rows(algebra, algebra, [algebra.one()], cu, cv, cap)[0]
 
 
-def _exp_coeffs(alg, c, cap):
-    """c^k / k! for k < cap, from integer powers of c.
+def series_exp_row(row, cu, cv, cap: int, algebra: MatrixAlgebra) -> tuple:
+    """row * exp(cu*u + cv*v) for n x n matrices cu, cv of ``algebra``: one
+    series over ``algebra.base`` per entry of the row, each coefficient the
+    row times that of ``series_exp_linear(cu, cv, cap, algebra)``."""
+    if len(row) != algebra.dim:
+        raise AlgebraMismatch(f"a row of {len(row)} entries for {algebra!r}")
+    return _exp_rows(algebra, algebra.base, row, cu, cv, cap)
 
-    c is lifted to C = D c, in its real grid (see ``_real_grid``) over QQ(i);
-    the rows of the identity are multiplied by C cap - 1 times, and each
-    C^k is lowered once, over D^k k!.  Over GF(p) each product is reduced.
+
+def _exp_rows(alg, out, row, cu, cv, cap):
+    """row * exp(cu*u + cv*v) (row * exp(cu*t) when cv is None) below total
+    degree cap, for cu, cv of ``alg`` and a row over ``out`` that flattens to
+    one row of ``alg``'s scalar grid: one series over ``out`` per entry.
+
+    The row, cu and cv are lifted once to P = D_p row, C_u = D_u cu and
+    C_v = D_v cv, real grids over QQ(i) (see ``_real_grid``).  P C_u^m C_v^l
+    is the rows at (m, l - 1) times C_v, or at (m - 1, 0) times C_u, reduced
+    over GF(p), and each scalar is lowered once, over D_p D_u^m m! D_v^l l!.
     """
+    cs = [alg.coerce(c) for c in (cu, cv) if c is not None]
+    if len(cs) == 2 and cs[0] * cs[1] != cs[1] * cs[0]:
+        raise NoncommutingExponents("exponent coefficients do not commute")
     field, dim = _field_and_dim(alg)
-    den, c_int = _lift(field, _entries(alg, dim, [[[c]]]))
-    grid = _real_grid(field.terms, c_int)
-    cols = list(zip(*([e[0] if e else 0 for e in row] for row in grid)))
-    powers = [[[int(i == j) for j in range(len(grid))] for i in range(dim)]]
-    dens = [1]
-    p = field.modulus
-    for k in range(1, cap):
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in powers[-1]]
-        if p:
-            rows = [[v % p for v in row] for row in rows]
-        powers.append(rows)
-        dens.append(dens[-1] * den * k)
-    z = [[list(col) for col in zip(*rows)] for rows in zip(*powers)]
-    return _from_entries(alg, _lower(field, _pair_channels(dim, z), dens), cap)
+    r = _field_and_dim(out)[1]
+    den, p_int = _lift(field, _entries(out, r, [[[out.coerce(x)] for x in row]]))
+    steps = []
+    for c in cs:
+        den_c, c_int = _lift(field, _entries(alg, dim, [[[c]]]))
+        grid = _real_grid(field.terms, c_int)
+        steps.append((den_c, list(zip(*([e[0] if e else 0 for e in line] for line in grid)))))
+    rows = [[[e[c][0] if e[c] else 0 for c in range(len(line[0])) for e in line]
+             for line in p_int]]
+    dens = [den]
+    modulus = field.modulus
+    for prev, axis, k in _exp_steps(len(cs), cap):
+        den_c, cols = steps[axis]
+        prod = [[sum(map(mul, line, col)) for col in cols] for line in rows[prev]]
+        rows.append([[v % modulus for v in line] for line in prod] if modulus else prod)
+        dens.append(dens[prev] * den_c * k)
+    z = [[list(col) for col in zip(*powers)] for powers in zip(*rows)]
+    grid = _lower(field, _pair_channels(dim, z), dens)
+    salg = SeriesAlgebra(out, len(cs), cap)
+    return tuple(TruncatedSeries(salg, _from_entries(out, b, len(dens)), cap)
+                 for b in _blocks(grid, r)[0])
+
+
+@lru_cache(maxsize=None)
+def _exp_steps(arity: int, cap: int):
+    """Per exponent E > 0: (index of E - e_a, a, E[a]), a the last axis with E[a] > 0."""
+    index = _index_of(arity, cap)
+    steps = []
+    for e in _exponents(arity, cap)[1:]:
+        a = arity - 1 if e[-1] else 0
+        steps.append((index[tuple(k - (i == a) for i, k in enumerate(e))], a, e[a]))
+    return tuple(steps)
 
 
 def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:

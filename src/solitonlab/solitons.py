@@ -22,7 +22,6 @@ from .algebra import (
     SquareMatrix,
     random_element,
     random_invertible,
-    row_times,
 )
 from .errors import (
     BNotInvolutive,
@@ -56,9 +55,9 @@ from .series import (
     D_U,
     D_V,
     Derivation,
-    SeriesAlgebra,
     TruncatedSeries,
     series_exp_linear,
+    series_exp_row,
 )
 
 __all__ = [
@@ -176,6 +175,9 @@ def toda_build_f(params: TodaParams) -> TodaData:
 
         d/du f[i][j] = f[i-1][j] * a[i][j]^-1
         d/dv f[i][j] = f[i+1][j] * a[i+1][j]         (site indices mod n).
+
+    Column j is p_j * exp(r_j^-1 u + r_j v), r_j = (diagonal) * s, formed by
+    ``series_exp_row`` with no n x n matrix series in between.
     """
     params.validate()
     S = scalar_algebra(params.scalar, params.r)
@@ -187,16 +189,12 @@ def toda_build_f(params: TodaParams) -> TodaData:
         for x in row:
             S.invert(x)  # raises SingularMatrix if any a is not invertible
     p = [[S.coerce(x) for x in row] for row in params.p]
-    salg = SeriesAlgebra(S, 2, cap)
     f = [[None] * N for _ in range(n)]
     for j in range(N):
         diag_j = mat_n.diagonal([a[i][j] for i in range(n)])
         r_j = diag_j * shift
-        e_j = series_exp_linear(r_j.inverse(), r_j, cap, algebra=mat_n)
-        # row vector p_j times the matrix series, one component per site
-        rows = [row_times(p[j], c) for c in e_j.coeffs]
-        for i, coeffs in enumerate(zip(*rows)):
-            f[i][j] = TruncatedSeries(salg, coeffs, e_j.valid_order)
+        for i, f_ij in enumerate(series_exp_row(p[j], r_j.inverse(), r_j, cap, mat_n)):
+            f[i][j] = f_ij
     return TodaData(f=f, a=a, n=n, N=N, algebra=S, cap=cap)
 
 

@@ -588,6 +588,7 @@ def test_every_subcommand_has_a_system_entry():
     (["quasidet-selftest"], {"N": 2}, "N"),
     (["quasidet-selftest"], {"params": None, "dump_series": False},
      "dump_series, params"),
+    (["nls"], {"with_lemmas": True}, "with_lemmas"),
 ])
 def test_config_value_the_system_does_not_use_exits_two(
         args, cfg, unused, tmp_path, capsys):
@@ -632,3 +633,11 @@ def test_config_values_of_each_system_are_used(tmp_path):
         path = _write_config(tmp_path, cfg)
         code, _ = run_cli(args + ["--config", str(path)], tmp_path)
         assert code == 0, args
+
+
+def test_with_lemmas_flag_on_nls_exits_two_with_one_line(tmp_path, capsys):
+    # nls has no lemma checker, so its subcommand has no --with-lemmas
+    report = tmp_path / "r.json"
+    assert main(["nls", "--N", "1", "--with-lemmas", "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "configuration error: nls does not use --with-lemmas\n"
+    assert not report.exists()

@@ -4,7 +4,9 @@ algebra's own ``*`` and ``+``.
 ``series_exp_linear`` is compared with cu^m * cv^n / (m! n!), formed as a
 product of m factors cu and n factors cv times the embedded scalar
 1/(m! n!), and ``series_derive`` with k * (scale * x), formed as k copies of
-scale * x added up.  Neither reference lifts to integers.  Every scalar type
+scale * x added up.  Neither reference lifts to integers.  The row form
+``series_exp_row`` is compared with ``row_times`` of the row and each
+coefficient of ``series_exp_linear``.  Every scalar type
 is canonical (lowest-terms fractions, residues in [0, p)), so the kernels
 must agree exactly, coefficient by coefficient.
 """
@@ -15,8 +17,8 @@ from random import Random
 
 import pytest
 
-from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
-from solitonlab.errors import NoncommutingExponents
+from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix, row_times
+from solitonlab.errors import AlgebraMismatch, NoncommutingExponents
 from solitonlab.scalars import GAUSSIAN_I, PRIME, GaussianRational, Residue
 from solitonlab.series import (
     Derivation,
@@ -25,6 +27,7 @@ from solitonlab.series import (
     _count_below,
     series_derive,
     series_exp_linear,
+    series_exp_row,
 )
 
 CAP = 6
@@ -160,3 +163,49 @@ def test_derive_matches_reference(name, arity, valid_order, scale):
         got = series_derive(s, d)
         assert got.valid_order == valid_order - 1
         assert got.coeffs == _derive_reference(s, d, axis)
+
+
+# the entry algebras of Toda's rows: the three fields, and r = 2 blocks
+ROW_ENTRIES = {"QQ": QQ, "QQi": QQI, "GFp": GFP, "Mat2-QQ": MatrixAlgebra(QQ, 2)}
+
+
+def _rows(base, n, rng):
+    """A row with random entries, the same row with one entry zeroed, and
+    a zero row."""
+    row = [_element(base, rng) for _ in range(n)]
+    return [row, row[:-1] + [base.zero()], [base.zero()] * n]
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ENTRIES))
+@pytest.mark.parametrize("arity", (1, 2))
+def test_exp_row_matches_row_times_of_exp_linear(name, arity):
+    base = ROW_ENTRIES[name]
+    rng = Random(f"exp row {name} {arity}")
+    for n in (1, 3):
+        alg = MatrixAlgebra(base, n)
+        cu = _element(alg, rng)
+        # cv a polynomial in cu, so the pair commutes
+        cv = None if arity == 1 else cu * cu + cu * alg.coerce(3) + alg.one()
+        exp = series_exp_linear(cu, cv, CAP, alg)
+        for row in _rows(base, n, rng):
+            got = series_exp_row(row, cu, cv, CAP, alg)
+            expected = zip(*(row_times(row, c) for c in exp.coeffs))
+            assert len(got) == n
+            for series, coeffs in zip(got, expected):
+                assert series.algebra == SeriesAlgebra(base, arity, CAP)
+                assert series.valid_order == CAP
+                assert series.coeffs == coeffs
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ENTRIES))
+def test_exp_row_rejects_noncommuting_pair_and_wrong_width(name):
+    base = ROW_ENTRIES[name]
+    alg = MatrixAlgebra(base, 3)
+    rng = Random(f"exp row noncommuting {name}")
+    cu, cv = _element(alg, rng), _element(alg, rng)
+    assert cu * cv != cv * cu
+    row = [_element(base, rng) for _ in range(3)]
+    with pytest.raises(NoncommutingExponents):
+        series_exp_row(row, cu, cv, CAP, alg)
+    with pytest.raises(AlgebraMismatch):
+        series_exp_row(row[:2], cu, None, CAP, alg)

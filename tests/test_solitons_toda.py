@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from solitonlab.algebra import QQ, MatrixAlgebra
+from solitonlab.algebra import QQ, Algebra, MatrixAlgebra
 from solitonlab.errors import SingularMatrix
 from solitonlab.quasidet import frobenius_gamma, wronski
 from solitonlab.residual import check_data, check_marchenko, check_toda, check_toda_gamma
@@ -147,3 +147,24 @@ def test_pipeline_equals_manual_wronskian_route():
         wp = wronski([sol.data.f[k][j] for j in range(2)], D_V)
         cell = frobenius_gamma(wp)
         assert cell.entry(1, 0) == sol.gs[k]
+
+
+@pytest.mark.parametrize("n, N, r", [(3, 2, 1), (4, 3, 1), (3, 2, 2)])
+def test_build_f_makes_as_many_products_at_any_cap(n, N, r, monkeypatch):
+    # the rows p_j go through the exponential kernel once per mode, so the
+    # count of constant products (Algebra.matmul) does not grow with cap
+    calls = []
+    matmul = Algebra.matmul
+
+    def counted(self, xs, ys):
+        calls.append(self)
+        return matmul(self, xs, ys)
+
+    monkeypatch.setattr(Algebra, "matmul", counted)
+    counts = []
+    for cap in (8, 16):
+        params = random_toda_params(Random(5), n=n, N=N, r=r, cap=cap)
+        calls.clear()
+        toda_build_f(params)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
