@@ -162,8 +162,14 @@ _SYSTEMS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line, subcommands' too, as a ConfigError."""
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solitonlab",
         description="construct multisoliton solutions exactly and verify them",
     )
@@ -550,9 +556,8 @@ def _summarize(body: dict, path: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = _build_parser().parse_known_args(argv)
         if extra:
             raise ConfigError(f"{args.system} does not use {' '.join(extra)}")
         cfg = _merge_config(args)

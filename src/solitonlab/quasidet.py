@@ -19,6 +19,9 @@ bottom row is the carrier of the soliton solutions, and there are two
 plausible readings of its quasideterminant expression;
 ``bottom_row_conventions`` records which one actually reproduces the computed
 quotient rather than guessing.
+Nothing is inverted beyond the order its result keeps (``series.through``):
+``solution_entry_via_quasidet`` reads W and dW only through dW's least valid
+order, and ``frobenius_gamma`` at N = 1 reads W only through its target's.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     SingularWronskian,
     VerificationError,
 )
-from .series import Derivation, TruncatedSeries, series_derive
+from .series import Derivation, TruncatedSeries, series_derive, through
 
 __all__ = [
     "ConventionNote",
@@ -201,7 +204,7 @@ def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
     salg = wp.W.algebra.base
     try:
         if wp.N == 1:
-            bottom = row_times(target, wp.W.inverse())
+            bottom = row_times(target, through(wp.W, target[0].valid_order).inverse())
         else:
             bottom = salg.row_solve(target, wp.W)
     except SingularMatrix as exc:
@@ -288,8 +291,9 @@ def bottom_row_conventions(wp: WronskiPair, cell: FrobeniusCell) -> ConventionNo
 
 def solution_entry_via_quasidet(wp: WronskiPair) -> TruncatedSeries:
     """The bottom-left quotient entry expressed through quasideterminants:
-    |dW|_NN * |W|^-1_1N."""
+    |dW|_NN * |W|^-1_1N, which keeps only dW's least valid order."""
     n = wp.N
-    numer = quasideterminant(wp.dW, n - 1, n - 1)
-    denom = quasideterminant(wp.W, 0, n - 1)
+    least = min(s.valid_order for row in wp.dW.rows for s in row)
+    numer = quasideterminant(through(wp.dW, least), n - 1, n - 1)
+    denom = quasideterminant(through(wp.W, least), 0, n - 1)
     return numer * denom.inverse()

@@ -6,6 +6,11 @@ with no tolerance.  Over QQ and QQ(i) that proves the residual vanishes
 (``exact_zero``); over GF(p) it is evidence only, so ``exact_zero`` is null.
 Hypothesis validation failures raise; residual failures are reported, because
 a checker that cannot fail is worthless.
+
+A derivative costs an order, so the products and inverses beside a
+derivative term read their operands only through the largest order any
+entry of that term keeps (``series.through``), and every coefficient and
+valid order is still the uncut formula's.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .quasidet import FrobeniusCell, note_dicts, wronski
-from .series import Derivation, TruncatedSeries, constant_series_matrix
+from .series import Derivation, TruncatedSeries, constant_series_matrix, through
 
 __all__ = [
     "ResidualEntry",
@@ -106,6 +111,11 @@ def _series_of(x):
     return [e for row in x.rows for e in row]
 
 
+def _top(x) -> int:
+    """The largest valid order any series of ``x`` keeps."""
+    return max(s.valid_order for s in _series_of(x))
+
+
 def _invert_or_raise(x, site):
     try:
         return x.inverse()
@@ -119,28 +129,35 @@ def _invert_or_raise(x, site):
 
 
 def _toda_residuals(xs, d1: Derivation, d2: Derivation):
-    """d1((d2 x_k) x_k^-1) - x_k x_{k-1}^-1 + x_{k+1} x_k^-1, per site."""
+    """d1((d2 x_k) x_k^-1) - x_k x_{k-1}^-1 + x_{k+1} x_k^-1, per site: x_k
+    is inverted through what d2 x_k and the site k + 1 derivative term read."""
     n = len(xs)
-    invs = [_invert_or_raise(x, k) for k, x in enumerate(xs)]
+    dxs = [x.derive(d2) for x in xs]
+    reads = [max(_top(dxs[k]), _top(dxs[(k + 1) % n]) - 1) for k in range(n)]
+    invs = [_invert_or_raise(through(x, reads[k]), k) for k, x in enumerate(xs)]
+    firsts = [(dxs[k] * invs[k]).derive(d1) for k in range(n)]
     return [
-        (xs[k].derive(d2) * invs[k]).derive(d1)
-        - xs[k] * invs[(k - 1) % n]
-        + xs[(k + 1) % n] * invs[k]
-        for k in range(n)
+        first
+        - through(xs[k], _top(first)) * invs[(k - 1) % n]
+        + through(xs[(k + 1) % n], _top(first)) * invs[k]
+        for k, first in enumerate(firsts)
     ]
 
 
 def _langmuir_residual(xs, k, d: Derivation):
     """d x_k - x_{k+1} x_k + x_k x_{k-1}."""
-    return xs[k].derive(d) - xs[k + 1] * xs[k] + xs[k] * xs[k - 1]
+    dx = xs[k].derive(d)
+    x = through(xs[k], _top(dx))
+    return dx - xs[k + 1] * x + x * xs[k - 1]
 
 
 def _cubic_residual(U, b, d0: Derivation, d: Derivation):
     """2 b d0 U + d^2 U + 2 U^3, formed as (b d0 U + U^3) 2 + d^2 U: b acts
     by selection, and the one factor 2 is one scaling."""
+    d2U = U.derive(d).derive(d)
     return (
-        (U.derive(d0).scale_left(b) + U * U * U).scale_left(2)
-        + U.derive(d).derive(d)
+        (U.derive(d0).scale_left(b) + through(U, _top(d2U)) * U * U).scale_left(2)
+        + d2U
     )
 
 
@@ -225,7 +242,8 @@ def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        if not alg.is_zero(ws[k].derive(d2) - ws[(k + 1) % n] * a_mats[k]):
+        dw = ws[k].derive(d2)
+        if not alg.is_zero(dw - through(ws[(k + 1) % n], _top(dw)) * a_mats[k]):
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + 1}] A[{k}]", which="shift-linear-relation"
             )
@@ -260,7 +278,8 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
                     f"d G[{k}] != G[{k + 2}]", which="double-shift-relation"
                 )
         if k + 1 in ws:
-            res = ws[k].derive(d) + ws[k] - ws[k + 1] * a_mats[k]
+            dw = ws[k].derive(d)
+            res = dw + ws[k] - through(ws[k + 1], _top(dw)) * a_mats[k]
             if not alg.is_zero(res):
                 raise HypothesisViolated(
                     f"d G[{k}] + G[{k}] != G[{k + 1}] A[{k}]",
@@ -282,7 +301,8 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     one = alg.one()
     for k in sites:
         if k + 1 in cs:
-            res = (cs[k + 1] - cs[k]) * (cs[k] + one) - cs[k].derive(d)
+            dc = cs[k].derive(d)
+            res = through(cs[k + 1] - cs[k], _top(dc)) * (cs[k] + one) - dc
             report.add(f"increment-product site {k}", res)
         if k + 2 in cs:
             res = (cs[k + 2] - cs[k + 1]) * cs[k] - (cs[k + 1] - cs[k])
@@ -309,7 +329,8 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     for k in interior:
         report.add(f"site {k}", _langmuir_residual(gs, k, d))
         if commutative:
-            res2 = gs[k].derive(d) - gs[k] * (gs[k + 1] - gs[k - 1])
+            dg = gs[k].derive(d)
+            res2 = dg - through(gs[k], _top(dg)) * (gs[k + 1] - gs[k - 1])
             report.add(f"site {k} (commutative product form)", res2)
     if commutative:
         report.note("commutative scalars: product form checked as well")
@@ -357,16 +378,12 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
         u21 = U.scale_left(q2).scale_right(q1)
         report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1))
         report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2))
-        res_block12 = (
-            (u12.derive(d0) + u12 * u21 * u12).scale_left(2)
-            + u12.derive(d).derive(d)
-        )
-        res_block21 = (
-            (u21 * u12 * u21 - u21.derive(d0)).scale_left(2)
-            + u21.derive(d).derive(d)
-        )
-        report.add("block equation (1,2)", res_block12)
-        report.add("block equation (2,1)", res_block21)
+        # (b d0 x + x y x) 2 + d^2 x, where b acts on u12 as 1 and on u21 as -1
+        for name, x, y in (("(1,2)", u12, u21), ("(2,1)", u21, u12)):
+            d2x = x.derive(d).derive(d)
+            xyx = through(x, _top(d2x)) * y * x
+            report.add(f"block equation {name}",
+                       (x.derive(d0).scale_left(b) + xyx).scale_left(2) + d2x)
         report.note(
             f"grading splits the algebra {len(blocks[0])}+{len(blocks[1])}"
         )
@@ -374,7 +391,8 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
         g_mat = _as_matrix(gamma)
         u_mat = _commutator_with(g_mat, b)
         v_mat = g_mat.scale_right(b) + g_mat.scale_left(b)
-        report.add("v-equation", v_mat.derive(d).scale_left(b) - u_mat * u_mat)
+        dv = v_mat.derive(d).scale_left(b)
+        report.add("v-equation", dv - through(u_mat, _top(dv)) * u_mat)
         u = u_mat.entry(0, 0)
         if u_mat.dim == 1 and u.valid_order == U.valid_order and u == U:
             matrix_cubic = SquareMatrix(u_mat.algebra, ((cubic,),))
@@ -425,15 +443,12 @@ def _check_toda_data(data) -> ResidualReport:
     n, N = data.n, data.N
     for i in range(n):
         for j in range(N):
-            f = data.f[i][j]
-            res1 = f.derive(data.d1) - data.f[(i - 1) % n][j].scale_right(
-                S.invert(data.a[i][j])
-            )
-            report.add(f"du relation f[{i}][{j}]", res1)
-            res2 = f.derive(data.d2) - data.f[(i + 1) % n][j].scale_right(
-                data.a[(i + 1) % n][j]
-            )
-            report.add(f"dv relation f[{i}][{j}]", res2)
+            relations = (("du", data.d1, i - 1, S.invert(data.a[i][j])),
+                         ("dv", data.d2, i + 1, data.a[(i + 1) % n][j]))
+            for name, d, k, c in relations:
+                df = data.f[i][j].derive(d)
+                shifted = through(data.f[k % n][j], df.valid_order).scale_right(c)
+                report.add(f"{name} relation f[{i}][{j}]", df - shifted)
     report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
@@ -450,10 +465,9 @@ def _check_langmuir_data(data) -> ResidualReport:
                     f.derive(data.d) - data.f[k + 2][j],
                 )
             if k + 1 in data.f:
-                report.add(
-                    f"shift-by-one relation f[{k}][{j}]",
-                    f.derive(data.d) + f - data.f[k + 1][j].scale_right(data.a[j]),
-                )
+                df = f.derive(data.d)
+                up = through(data.f[k + 1][j], df.valid_order).scale_right(data.a[j])
+                report.add(f"shift-by-one relation f[{k}][{j}]", df + f - up)
     report.note("a-coefficients are plain algebra elements, constant by type")
     return report
 
@@ -463,10 +477,10 @@ def _check_nls_data(data) -> ResidualReport:
     wp = wronski(data.fs, data.d)
     res_evolution = wp.W.derive(data.d0) + wp.dW.derive(data.d).scale_left(data.b)
     report.add("d0 + graded second derivative", res_evolution)
-    n = wp.N
     wa_rows = tuple(
-        tuple(wp.W.entry(m, j).scale_right(data.a[j]) for j in range(n))
-        for m in range(n)
+        tuple(through(w, dw.valid_order).scale_right(a)
+              for w, dw, a in zip(w_row, dw_row, data.a))
+        for w_row, dw_row in zip(wp.W.rows, wp.dW.rows)
     )
     wa = SquareMatrix(wp.W.algebra, wa_rows)
     res_grading = wp.dW.scale_left(data.b) - wa

@@ -95,6 +95,7 @@ __all__ = [
     "series_inverse",
     "series_equal",
     "constant_series_matrix",
+    "through",
 ]
 
 
@@ -916,6 +917,17 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     if a.algebra != b.algebra:
         return False
     return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+
+
+def through(x, order: int):
+    """A series, or a square matrix of series, read only through ``order``.
+
+    Each coefficient of a product, inverse or derivative reads only lower
+    degrees, so cutting the operands of a term to the largest order any
+    entry of the sum or comparison it feeds keeps moves nothing there."""
+    if isinstance(x, TruncatedSeries):
+        return x if x.valid_order <= order else x.with_valid_order(order)
+    return SquareMatrix(x.algebra, [[through(s, order) for s in row] for row in x.rows])
 
 
 def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:

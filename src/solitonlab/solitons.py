@@ -58,6 +58,7 @@ from .series import (
     TruncatedSeries,
     series_exp_linear,
     series_exp_row,
+    through,
 )
 
 __all__ = [
@@ -331,7 +332,7 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     closed_forms = None
     if N == 1:
         closed_forms = tuple(
-            _sine_gordon_single_mode_closed_form(S, p[0], q[0], a[0], cap, i)
+            _sine_gordon_single_mode_closed_form(S, p[0], q[0], a[0], toda.gs[i], i)
             for i in range(2)
         )
         for i in range(2):
@@ -343,7 +344,8 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     elif N == 2:
         matched = {"site-consistent": [], "literal-fixed-site": []}
         for i in range(2):
-            for name, cf in _sine_gordon_two_mode_closed_forms(data, a, i).items():
+            forms = _sine_gordon_two_mode_closed_forms(data, a, i, toda.gs[i])
+            for name, cf in forms.items():
                 if cf is not None and cf == toda.gs[i]:
                     matched[name].append(i)
         if matched["site-consistent"] != [0, 1]:
@@ -364,11 +366,12 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     )
 
 
-def _sine_gordon_single_mode_closed_form(S, p, q, a, cap, i):
+def _sine_gordon_single_mode_closed_form(S, p, q, a, g, i):
+    """The closed form at site i, through the order of g, compared with it."""
     a_inv = S.invert(a)
-    h = series_exp_linear(
-        S.scalar_mul(-2, a_inv), S.scalar_mul(-2, a), cap, algebra=S
-    )
+    h = through(series_exp_linear(
+        S.scalar_mul(-2, a_inv), S.scalar_mul(-2, a), g.algebra.cap, algebra=S
+    ), g.valid_order)
     qh = h.scale_left(q)
     signed = qh if i % 2 == 0 else -qh
     salg = qh.algebra
@@ -377,10 +380,10 @@ def _sine_gordon_single_mode_closed_form(S, p, q, a, cap, i):
     return num.scale_right(a) * den.inverse()
 
 
-def _sine_gordon_two_mode_closed_forms(data: TodaData, a, i):
-    """Both readings of the classical two-factor display at site i."""
+def _sine_gordon_two_mode_closed_forms(data: TodaData, a, i, g):
+    """Both readings of the two-factor display at site i, through g's order."""
     S = data.algebra
-    f = data.f
+    f = [[through(x, g.valid_order) for x in row] for row in data.f]
     j1, j2 = 0, 1
     prev = (i - 1) % 2
     a1, a2 = a[j1], a[j2]
@@ -556,7 +559,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     closed_forms = None
     if N == 1:
         closed_forms = {
-            k: _langmuir_single_mode_closed_form(data, k) for k in ks
+            k: _langmuir_single_mode_closed_form(data, k, gs[k]) for k in ks
         }
         for k in ks:
             if closed_forms[k] != gs[k]:
@@ -577,8 +580,9 @@ def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
     return all(_langmuir_residual(gs, k, d).is_zero() for k in interior)
 
 
-def _langmuir_single_mode_closed_form(data: LangmuirData, k: int):
-    """g_k written through one relative exponential E = exp((mu^2 - mu^-2) t):
+def _langmuir_single_mode_closed_form(data: LangmuirData, k: int, g):
+    """g_k written through one relative exponential E = exp((mu^2 - mu^-2) t),
+    through the order of the pipeline value g it is compared with:
 
     (q + p mu^(2k+4) E) mu^-2 (q + p mu^(2k) E)^-1
         (q + p mu^(2k-2) E) mu^2 (q + p mu^(2k+2) E)^-1
@@ -587,7 +591,7 @@ def _langmuir_single_mode_closed_form(data: LangmuirData, k: int):
     mu, p, q = data.mu[0], data.p[0], data.q[0]
     mu2 = mu * mu
     mu_m2 = _power(S, mu, -2)
-    gap = series_exp_linear(mu2 - mu_m2, None, data.cap, algebra=S)
+    gap = through(series_exp_linear(mu2 - mu_m2, None, data.cap, algebra=S), g.valid_order)
     salg = gap.algebra
 
     def h(m):
@@ -783,7 +787,7 @@ def nls_solution(params: NlsParams) -> NlsSolution:
     U = commutators[id(g)]
     if N == 1:
         cf_matched = []
-        f = data.fs[0]
+        f = through(data.fs[0], g.valid_order)  # compared with g on that prefix
         literal = f.scale_right(data.a[0]) * f.inverse()
         # b (f a f^-1) = (b f a) f^-1 exactly
         corrected = literal.scale_left(data.b)
@@ -898,7 +902,7 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8) -> NlsScalarComparison:
     )
     salg = f_rows[0][0].algebra
     f = SquareMatrix(MatrixAlgebra(salg, 2), f_rows)
-    gamma = f.derive(D_V) * f.inverse()
+    gamma = f.derive(D_V) * through(f, cap - 1).inverse()  # the derivative's order
     candidates = {
         "via-gamma-12": gamma.entry(0, 1).scale_left(-2),
         "via-gamma-21": gamma.entry(1, 0).scale_left(-2),

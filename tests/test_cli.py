@@ -41,10 +41,32 @@ def test_invalid_period_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_bad_flag_value_exits_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["toda", "--n", "three"])
-    assert exc.value.code == 2
+def test_bad_flag_value_exits_two(tmp_path, capsys):
+    assert main(["toda", "--n", "three"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: argument --n: invalid int value: 'three'\n"
+    )
+
+
+@pytest.mark.parametrize("args", [
+    ["toda", "--n", "three"],
+    ["nls", "--cap", "1.5"],
+    ["langmuir", "--scalar", "real"],
+    ["nls", "--mode"],
+    ["sine-gordon", "--seed"],
+    ["quasidet-selftest", "--trials", "many"],
+    ["wave"],
+    [],
+])
+def test_malformed_command_line_exits_two_with_one_line(args, tmp_path, capsys):
+    # argparse's own usage block and exit are routed through ConfigError
+    report = tmp_path / "r.json"
+    assert main(args + ["--report", str(report)] * bool(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("args", [
