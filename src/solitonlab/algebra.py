@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import AlgebraMismatch, SingularMatrix
-from .scalars import PRIME, GaussianRational, Residue, format_gaussian, format_rational
+from .scalars import PRIME, GaussianRational, Residue
 
 __all__ = [
     "Algebra",
@@ -103,17 +103,49 @@ class Algebra:
 
 
 class _Field(Algebra):
-    """Shared behaviour for the commutative scalar fields, and their integer
-    form: ``split`` reads scalars as channels of rationals or integers (one,
-    or (re, im) over QQ(i)), ``join`` builds scalars from integer channels
-    over denominators, ``terms`` lists the channel products (a, b, out, sign)
-    that add sign * a * b to channel out, ``modulus`` is PRIME over GF(p),
+    """Shared behaviour for the commutative scalar fields.
+
+    A field declares ``kind``, the type of its scalars, ``accepts``, the types
+    that ``coerce`` sends through ``kind``, ``label``, its name in errors, and
+    ``name``, its repr; ``zero``, ``one``, ``coerce``, ``format_element``
+    (``str`` of a scalar) and equality are read from them here.
+
+    A field also declares its integer form: ``split`` reads scalars as
+    channels of rationals or integers (one, or (re, im) over QQ(i)),
+    ``join`` builds scalars from integer channels over denominators,
+    ``terms`` lists the channel products (a, b, out, sign) that add
+    sign * a * b to channel out, ``modulus`` is PRIME over GF(p),
     ``reciprocal(d)`` is (c, norm) with 1/d = c/norm, and
     ``bareiss_step(p, prev)`` is the elimination step of one pivot p, on rows
     with their channels laid end to end."""
 
     terms = ((0, 0, 0, 1),)
     modulus = None
+
+    def zero(self):
+        return self.kind(0)
+
+    def one(self):
+        return self.kind(1)
+
+    def coerce(self, value):
+        if isinstance(value, self.kind):
+            return value
+        if isinstance(value, self.accepts):
+            return self.kind(value)
+        raise AlgebraMismatch(f"cannot coerce {value!r} into {self.label}")
+
+    def format_element(self, a):
+        return str(a)
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.name)
 
     def reciprocal(self, d):
         return [1], d[0]
@@ -146,18 +178,10 @@ class _Field(Algebra):
 
 
 class Rationals(_Field):
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise AlgebraMismatch(f"cannot coerce {value!r} into rationals")
+    kind = Fraction
+    accepts = (int,)
+    label = "rationals"
+    name = "QQ"
 
     def invert(self, a):
         if a == 0:
@@ -166,9 +190,6 @@ class Rationals(_Field):
 
     def magnitude(self, a):
         return abs(float(a))
-
-    def format_element(self, a):
-        return format_rational(a)
 
     def split(self, xs):
         return (xs,)
@@ -187,32 +208,14 @@ class Rationals(_Field):
 
         return step
 
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 class GaussianRationals(_Field):
     # a scalar is (re, im), and (a + bi)(c + di) = (ac - bd) + (ad + bc)i
     terms = ((0, 0, 0, 1), (1, 1, 0, -1), (0, 1, 1, 1), (1, 0, 1, 1))
-
-    def zero(self):
-        return GaussianRational(0)
-
-    def one(self):
-        return GaussianRational(1)
-
-    def coerce(self, value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        raise AlgebraMismatch(f"cannot coerce {value!r} into Gaussian rationals")
+    kind = GaussianRational
+    accepts = (int, Fraction)
+    label = "Gaussian rationals"
+    name = "QQ_I"
 
     def invert(self, a):
         if not a:
@@ -221,9 +224,6 @@ class GaussianRationals(_Field):
 
     def magnitude(self, a):
         return abs(a)
-
-    def format_element(self, a):
-        return format_gaussian(a)
 
     def split(self, xs):
         return [z.re for z in xs], [z.im for z in xs]
@@ -256,15 +256,6 @@ class GaussianRationals(_Field):
         dr, di = d
         return [dr, -di], dr * dr + di * di
 
-    def __repr__(self):
-        return "QQ_I"
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationals)
-
-    def __hash__(self):
-        return hash("QQ_I")
-
 
 class PrimeField(_Field):
     """GF(p) for p = PRIME: exact arithmetic, but a zero here is evidence,
@@ -272,19 +263,10 @@ class PrimeField(_Field):
 
     is_exact = False
     modulus = PRIME
-
-    def zero(self):
-        return Residue(0)
-
-    def one(self):
-        return Residue(1)
-
-    def coerce(self, value):
-        if isinstance(value, Residue):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Residue(value)
-        raise AlgebraMismatch(f"cannot coerce {value!r} into GF({PRIME})")
+    kind = Residue
+    accepts = (int, Fraction)
+    label = f"GF({PRIME})"
+    name = "GFP"
 
     def invert(self, a):
         if not a:
@@ -294,9 +276,6 @@ class PrimeField(_Field):
     def magnitude(self, a):
         # the size of the symmetric residue, in (-PRIME/2, PRIME/2)
         return float(min(a.v, PRIME - a.v))
-
-    def format_element(self, a):
-        return str(a)
 
     def split(self, xs):
         return ([r.v for r in xs],)
@@ -316,15 +295,6 @@ class PrimeField(_Field):
             return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
 
         return step
-
-    def __repr__(self):
-        return "GFP"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField)
-
-    def __hash__(self):
-        return hash("GFP")
 
 
 QQ = Rationals()
@@ -455,23 +425,16 @@ class SquareMatrix:
             )
 
     def __add__(self, other):
-        self._check_same(other)
-        return SquareMatrix(
-            self.algebra,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._zip(other, add)
 
     def __sub__(self, other):
+        return self._zip(other, sub)
+
+    def _zip(self, other, op):
+        """The entrywise op of two matrices of one algebra."""
         self._check_same(other)
         return SquareMatrix(
-            self.algebra,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
+            self.algebra, [map(op, ra, rb) for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __neg__(self):

@@ -57,6 +57,7 @@ from .solitons import (
     NlsParams,
     SineGordonParams,
     TodaParams,
+    _shaped,
     langmuir_solution,
     nls_scalar_closed_form,
     nls_solution,
@@ -93,34 +94,20 @@ def _parse_scalar(node, scalar: str):
     raise ConfigError(f"cannot parse {node!r} as a {scalar} scalar")
 
 
-def _fits(node, shape) -> bool:
-    """Whether node is nested lists of this shape; leaves are not looked at."""
-    return not shape or (
-        isinstance(node, list) and len(node) == shape[0]
-        and all(_fits(x, shape[1:]) for x in node)
-    )
-
-
-def _parse_element(node, scalar: str, r: int, what: str):
+def _parse_array(node, depth, scalar, r, what):
+    """One element (depth 0), or lists of them nested ``depth`` deep; a node
+    that is not a list where one belongs is kept, for the params'
+    ``validate`` to name with the shape it needs."""
+    if depth:
+        if not isinstance(node, list):
+            return node
+        return [_parse_array(x, depth - 1, scalar, r, what) for x in node]
     if r == 1:
         return _parse_scalar(node, scalar)
-    if not _fits(node, (r, r)):
+    if not _shaped(node, (r, r)):
         raise ConfigError(f"{what}: expected an {r}x{r} array of scalars, got {node!r}")
-    alg = scalar_algebra(scalar, r)
-    return alg.matrix(
-        [[_parse_scalar(x, scalar) for x in row] for row in node]
-    )
-
-
-def _parse_array(node, shape, scalar, r, what):
-    """One element (shape ()), a list of them (N,) or a grid (rows, cols)."""
-    if not _fits(node, shape):
-        if len(shape) == 1:
-            raise ConfigError(f"{what} must be a list of {shape[0]} entries")
-        raise ConfigError(f"{what} must be a {shape[0]}x{shape[1]} array")
-    if not shape:
-        return _parse_element(node, scalar, r, what)
-    return [_parse_array(x, shape[1:], scalar, r, what) for x in node]
+    rows = [[_parse_scalar(x, scalar) for x in row] for row in node]
+    return scalar_algebra(scalar, r).matrix(rows)
 
 
 class _System(Record):
@@ -128,37 +115,29 @@ class _System(Record):
 
     ``solve`` and ``draw`` name this module's solver and random draw, looked
     up when a run calls them, so that a name rebound on this module is the
-    one that runs.  ``arrays`` gives each explicit parameter array its shape
-    in config keys, in parse order.  ``keys`` are the config values that the
-    draw and the params take by name and the report lists under dimensions;
-    ``n`` is the period listed there when it is not one of them.
+    one that runs.  The explicit parameter arrays, their shapes and the
+    default cap are the params class's (``arrays``, ``spare``).  ``keys``
+    are the config values that the draw and the params take by name and the
+    report lists under dimensions; ``n`` is the period listed there when it
+    is not one of them.
     """
 
     params: type
     solve: str
     draw: str
-    arrays: dict
     keys: tuple = ()
     n: int = None
 
 
 _SYSTEMS = {
-    "toda": _System(
-        TodaParams, "toda_solution", "random_toda_params",
-        {"a": ("n", "N"), "p": ("N", "n")}, ("n",),
-    ),
+    "toda": _System(TodaParams, "toda_solution", "random_toda_params", ("n",)),
     "sine-gordon": _System(
-        SineGordonParams, "sine_gordon_solution", "random_sine_gordon_params",
-        {"p": ("N",), "q": ("N",), "a": ("N",)}, n=2,
+        SineGordonParams, "sine_gordon_solution", "random_sine_gordon_params", n=2,
     ),
     "langmuir": _System(
-        LangmuirParams, "langmuir_solution", "random_langmuir_params",
-        {"p": ("N",), "q": ("N",), "mu": ("N",)}, ("window",),
+        LangmuirParams, "langmuir_solution", "random_langmuir_params", ("window",),
     ),
-    "nls": _System(
-        NlsParams, "nls_solution", "random_nls_params",
-        {"b": (), "c": ("N",), "d": ("N",), "a": ("N",)}, ("mode",),
-    ),
+    "nls": _System(NlsParams, "nls_solution", "random_nls_params", ("mode",)),
 }
 
 
@@ -313,14 +292,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _default_cap(cfg) -> int:
-    if cfg["cap"] is not None:
-        return cfg["cap"]
-    if cfg["system"] == "langmuir":
-        return cfg["N"] + 8
-    return cfg["N"] + 6
-
-
 def _explicit_params(cfg, spec, sizes, fields):
     """Build a params object from the config's explicit arrays, or None."""
     raw = cfg["params"]
@@ -332,10 +303,9 @@ def _explicit_params(cfg, spec, sizes, fields):
     if "window" in fields:  # Langmuir params hold the window's sites
         fields["k_range"] = list(range(fields.pop("window")))
     try:
-        for name, shape in spec.arrays.items():
+        for name, (shape, _) in spec.params.arrays.items():
             fields[name] = _parse_array(
-                raw.get(name), tuple(cfg[k] for k in shape), cfg["scalar"],
-                cfg["r"], name,
+                raw.get(name), len(shape), cfg["scalar"], cfg["r"], name
             )
         return spec.params(**sizes, **fields)
     except ValueError as exc:
@@ -347,7 +317,7 @@ def _run_system(cfg) -> dict:
     system = cfg["system"]
     spec = _SYSTEMS[system]
     rng = Random(cfg["seed"])
-    cap = _default_cap(cfg)
+    cap = cfg["N"] + spec.params.spare if cfg["cap"] is None else cfg["cap"]
     sizes = {"N": cfg["N"], "r": cfg["r"], "cap": cap, "scalar": cfg["scalar"]}
     fields = {k: cfg[k] for k in spec.keys}
     explicit = _explicit_params(cfg, spec, sizes, fields)

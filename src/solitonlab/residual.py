@@ -27,7 +27,13 @@ from .errors import (
     WindowTooSmall,
 )
 from .quasidet import FrobeniusCell, note_dicts, wronski
-from .series import Derivation, TruncatedSeries, constant_series_matrix, through
+from .series import (
+    Derivation,
+    TruncatedSeries,
+    _selection,
+    constant_series_matrix,
+    through,
+)
 
 __all__ = [
     "ResidualEntry",
@@ -50,13 +56,7 @@ class ResidualEntry(Record):
     exact_zero: bool = None
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "passed": self.passed,
-            "exact_zero": self.exact_zero,
-            "max_magnitude": self.max_magnitude,
-            "valid_order": self.valid_order,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class ResidualReport(Record):
@@ -130,16 +130,21 @@ def _invert_or_raise(x, site):
 
 def _toda_residuals(xs, d1: Derivation, d2: Derivation):
     """d1((d2 x_k) x_k^-1) - x_k x_{k-1}^-1 + x_{k+1} x_k^-1, per site: x_k
-    is inverted through what d2 x_k and the site k + 1 derivative term read."""
+    is inverted through what d2 x_k and the site k + 1 derivative term read.
+    Each shift quotient x_{k+1} x_k^-1 is formed once, through the larger of
+    the orders sites k and k + 1 keep, and read by each through its own."""
     n = len(xs)
     dxs = [x.derive(d2) for x in xs]
     reads = [max(_top(dxs[k]), _top(dxs[(k + 1) % n]) - 1) for k in range(n)]
     invs = [_invert_or_raise(through(x, reads[k]), k) for k, x in enumerate(xs)]
     firsts = [(dxs[k] * invs[k]).derive(d1) for k in range(n)]
+    tops = [_top(first) for first in firsts]
+    shifts = [
+        through(xs[(k + 1) % n], max(tops[k], tops[(k + 1) % n])) * invs[k]
+        for k in range(n)
+    ]
     return [
-        first
-        - through(xs[k], _top(first)) * invs[(k - 1) % n]
-        + through(xs[(k + 1) % n], _top(first)) * invs[k]
+        first - through(shifts[k - 1], tops[k]) + through(shifts[k], tops[k])
         for k, first in enumerate(firsts)
     ]
 
@@ -319,11 +324,8 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     In a commutative coefficient algebra the equivalent product form
     d g_k = g_k (g_{k+1} - g_{k-1}) is verified as well.
     """
-    sites = sorted(gs)
-    interior = [k for k in sites if k - 1 in gs and k + 1 in gs]
-    if not interior:
-        raise WindowTooSmall("need at least one site with both neighbours")
-    sample = gs[sites[0]]
+    interior = _interior(gs)
+    sample = gs[interior[0]]
     report = ResidualReport("langmuir", exact=sample.algebra.is_exact)
     commutative = not isinstance(sample.algebra.coeff, MatrixAlgebra)
     for k in interior:
@@ -335,6 +337,30 @@ def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
     if commutative:
         report.note("commutative scalars: product form checked as well")
     return report
+
+
+def _interior(gs: dict) -> list:
+    """The sites of gs with both neighbours in gs, in order; WindowTooSmall
+    when there is none."""
+    interior = [k for k in sorted(gs) if k - 1 in gs and k + 1 in gs]
+    if not interior:
+        raise WindowTooSmall("need at least one site with both neighbours")
+    return interior
+
+
+def _grading(S: Algebra, b):
+    """(b, q1, q2): b in S and its grading projectors q1 = (1 + b)/2 and
+    q2 = (1 - b)/2; BNotInvolutive unless b*b = 1 exactly."""
+    b = S.coerce(b)
+    if b * b != S.one():
+        raise BNotInvolutive("b*b must equal 1 exactly")
+    half = Fraction(1, 2)
+    return b, S.scalar_mul(half, S.one() + b), S.scalar_mul(half, S.one() - b)
+
+
+def _graded_blocks(U, q1, q2):
+    """The blocks (u11, u12, u21, u22) of U, with u_ij = q_i U q_j."""
+    return [U.scale_left(p).scale_right(q) for p in (q1, q2) for q in (q1, q2)]
 
 
 def check_nls(U, b, d0: Derivation, d: Derivation,
@@ -360,9 +386,7 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
     if not isinstance(U, TruncatedSeries):  # a solution from nls_solution
         formed, U = U.cubic, U.U
     S = U.algebra.coeff
-    b = S.coerce(b)
-    if b * b != S.one():
-        raise BNotInvolutive("b*b must equal 1 exactly")
+    b, q1, q2 = _grading(S, b)
     report = ResidualReport("nls", exact=U.algebra.is_exact)
     if formed is not None and formed[0] is U and formed[1:4] == (b, d0, d):
         cubic = formed[4]
@@ -371,13 +395,9 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
     report.add("cubic equation", cubic)
     blocks = _pm_one_split(S, b)
     if blocks is not None:
-        half = Fraction(1, 2)
-        q1 = S.scalar_mul(half, S.one() + b)
-        q2 = S.scalar_mul(half, S.one() - b)
-        u12 = U.scale_left(q1).scale_right(q2)
-        u21 = U.scale_left(q2).scale_right(q1)
-        report.add("diagonal block (1,1)", U.scale_left(q1).scale_right(q1))
-        report.add("diagonal block (2,2)", U.scale_left(q2).scale_right(q2))
+        u11, u12, u21, u22 = _graded_blocks(U, q1, q2)
+        report.add("diagonal block (1,1)", u11)
+        report.add("diagonal block (2,2)", u22)
         # (b d0 x + x y x) 2 + d^2 x, where b acts on u12 as 1 and on u21 as -1
         for name, x, y in (("(1,2)", u12, u21), ("(2,1)", u21, u12)):
             d2x = x.derive(d).derive(d)
@@ -403,24 +423,13 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
 
 
 def _pm_one_split(S: Algebra, b):
-    """(plus_indices, minus_indices) when b is a +/-1 diagonal with both
-    signs present, else None."""
-    if not isinstance(S, MatrixAlgebra):
+    """(plus_indices, minus_indices) when b acts by selection (``_selection``)
+    as a +/-1 diagonal with both signs present, else None."""
+    picks = _selection(S, b, True)
+    if picks is None or any(p is None or p[0] != i for i, p in enumerate(picks)):
         return None
-    one, zero = S.base.one(), S.base.zero()
-    plus, minus = [], []
-    for i in range(S.dim):
-        for j in range(S.dim):
-            x = b.entry(i, j)
-            if i == j:
-                if x == one:
-                    plus.append(i)
-                elif x == -one:
-                    minus.append(i)
-                else:
-                    return None
-            elif x != zero:
-                return None
+    plus = [i for i, (_, negate) in enumerate(picks) if not negate]
+    minus = [i for i, (_, negate) in enumerate(picks) if negate]
     if not plus or not minus:
         return None
     return plus, minus

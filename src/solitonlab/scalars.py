@@ -21,7 +21,6 @@ __all__ = [
     "Residue",
     "parse_rational",
     "parse_gaussian",
-    "format_rational",
     "format_gaussian",
 ]
 
@@ -243,10 +242,6 @@ def parse_gaussian(text: str) -> GaussianRational:
     else:
         im_part = Fraction(im_txt)
     return GaussianRational(re_part, im_part)
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
 
 
 def format_gaussian(z: GaussianRational) -> str:

@@ -59,7 +59,7 @@ computation.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, attrgetter, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .algebra import (
     Algebra,
@@ -387,12 +387,7 @@ class TruncatedSeries:
         return self.algebra.coerce(other)
 
     def __add__(self, other):
-        other = self._coerce_other(other)
-        return TruncatedSeries(
-            self.algebra,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-            min(self.valid_order, other.valid_order),
-        )
+        return self._zip(other, add)
 
     __radd__ = __add__
 
@@ -402,10 +397,13 @@ class TruncatedSeries:
         )
 
     def __sub__(self, other):
+        return self._zip(other, sub)
+
+    def _zip(self, other, op):
+        """The coefficientwise op, through the lesser valid order."""
         other = self._coerce_other(other)
         return TruncatedSeries(
-            self.algebra,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
+            self.algebra, map(op, self.coeffs, other.coeffs),
             min(self.valid_order, other.valid_order),
         )
 
@@ -457,12 +455,6 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         return series_inverse(self)
-
-    def with_coeff(self, exponent, value) -> "TruncatedSeries":
-        """Copy with one trusted coefficient replaced; ValueError at or above valid_order."""
-        coeffs = list(self.coeffs)
-        coeffs[self._trusted_index(exponent)] = self.algebra.coeff.coerce(value)
-        return TruncatedSeries(self.algebra, coeffs, self.valid_order)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""

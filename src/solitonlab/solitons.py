@@ -11,8 +11,6 @@ one that actually satisfies the target equation is selected and recorded.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     GFP,
     QQ,
@@ -24,14 +22,12 @@ from .algebra import (
     random_invertible,
 )
 from .errors import (
-    BNotInvolutive,
     ClosedFormMismatch,
     EvaluationSingularity,
     Record,
     SingularMatrix,
     SingularWronskian,
     VerificationError,
-    WindowTooSmall,
 )
 from .quasidet import (
     ConventionNote,
@@ -46,6 +42,9 @@ from .residual import (
     ResidualReport,
     _commutator_with,
     _cubic_residual,
+    _graded_blocks,
+    _grading,
+    _interior,
     _langmuir_residual,
     _pm_one_split,
 )
@@ -124,12 +123,93 @@ def cyclic_shift_matrix(alg: Algebra, n: int) -> SquareMatrix:
     )
 
 
+class _Family(Record):
+    """What the params of every family share.
+
+    ``arrays`` gives each array of exponential data, in draw order, its
+    shape in size names (fields of the params, such as "n" and "N") and the
+    draw of one entry from (algebra, rng).  ``floor`` is the least cap past
+    N that a construction needs, and ``spare`` the cap past N of a draw that
+    names none.
+    """
+
+    arrays = {}
+    floor = 3
+    spare = 6
+
+    def validate(self):
+        if self.N < 1:
+            raise ValueError("mode count N must be at least 1")
+        if self.r < 1:
+            raise ValueError("block size r must be at least 1")
+        least = self.N + self.floor
+        if self.cap < least:
+            raise ValueError(f"cap must be at least N + {self.floor} = {least}")
+        for name, (shape, _) in self.arrays.items():
+            dims = [getattr(self, size) for size in shape]
+            if not _shaped(getattr(self, name), dims):
+                raise ValueError(
+                    f"{name} must be an array of shape {' x '.join(shape)}"
+                    f" = {' x '.join(map(str, dims))}"
+                )
+
+    @classmethod
+    def draw(cls, rng, scalar, N, r, cap=None, **fields):
+        """Random params: the arrays in table order, each entry by entry in
+        row order; with cap None the cap is N + ``spare``."""
+        S = scalar_algebra(scalar, r)
+        sizes = dict(fields, N=N)
+        for name, (shape, entry) in cls.arrays.items():
+            fields[name] = _draw_array(S, rng, [sizes[size] for size in shape], entry)
+        cap = N + cls.spare if cap is None else cap
+        return cls(N=N, r=r, cap=cap, scalar=scalar, **fields)
+
+
+def _shaped(node, dims) -> bool:
+    """Whether node is nested lists of these lengths; leaves are not looked at."""
+    return not dims or (
+        isinstance(node, (list, tuple)) and len(node) == dims[0]
+        and all(_shaped(x, dims[1:]) for x in node)
+    )
+
+
+def _draw_array(S, rng, dims, entry):
+    if not dims:
+        return entry(S, rng)
+    return [_draw_array(S, rng, dims[1:], entry) for _ in range(dims[0])]
+
+
+def _gamma(fs, d, site):
+    """The Wronski pair of the modes fs under d and its Frobenius quotient
+    (dW) W^-1; SingularWronskian names the site when W is singular."""
+    try:
+        wp = wronski(fs, d)
+        return wp, frobenius_gamma(wp)
+    except SingularMatrix as exc:
+        raise SingularWronskian(
+            f"Wronski matrix at site {site} is singular", site=site
+        ) from exc
+
+
+def _closed_forms(gs, sites, form, notes, span):
+    """The single-mode closed form form(k, g_k) at each site, each of which
+    must equal the pipeline's g_k; a note records the match."""
+    forms = {k: form(k, gs[k]) for k in sites}
+    for k in sites:
+        if forms[k] != gs[k]:
+            raise ClosedFormMismatch(
+                f"single-mode closed form disagrees with pipeline at site {k}"
+            )
+    notes.append(f"single-mode closed form matches the pipeline at {span} sites")
+    return forms
+
+
 # ---------------------------------------------------------------------------
 # periodic Toda
 # ---------------------------------------------------------------------------
 
 
-class TodaParams(Record):
+class TodaParams(_Family):
     """Parameters of the n-periodic construction with N exponential modes."""
 
     n: int
@@ -140,19 +220,12 @@ class TodaParams(Record):
     p: list  # p[j][i]: one length-n row vector per mode
     scalar: str = "rational"
 
+    arrays = {"a": (("n", "N"), random_invertible), "p": (("N", "n"), random_element)}
+
     def validate(self):
         if self.n < 1:
             raise ValueError("period n must be at least 1")
-        if self.N < 1:
-            raise ValueError("mode count N must be at least 1")
-        if self.r < 1:
-            raise ValueError("block size r must be at least 1")
-        if self.cap < self.N + 3:
-            raise ValueError(f"cap must be at least N + 3 = {self.N + 3}")
-        if len(self.a) != self.n or any(len(row) != self.N for row in self.a):
-            raise ValueError("a must be an n x N array")
-        if len(self.p) != self.N or any(len(row) != self.n for row in self.p):
-            raise ValueError("p must hold N row vectors of length n")
+        super().validate()
 
 
 class TodaData(Record):
@@ -215,13 +288,7 @@ def toda_solution(params: TodaParams, data: TodaData = None) -> TodaSolution:
     cells, pairs, gs = [], [], []
     notes = []
     for k in range(data.n):
-        try:
-            wp = wronski([data.f[k][j] for j in range(data.N)], data.d2)
-            cell = frobenius_gamma(wp)
-        except SingularMatrix as exc:
-            raise SingularWronskian(
-                f"Wronski matrix at site {k} is singular", site=k
-            ) from exc
+        wp, cell = _gamma(data.f[k], data.d2, k)
         pairs.append(wp)
         cells.append(cell)
         gs.append(cell.entry(data.N - 1, 0))
@@ -262,11 +329,7 @@ def toda_shift_data(solution: TodaSolution):
 
 def random_toda_params(rng, n: int, N: int, r: int = 1, cap: int = None,
                        scalar: str = "rational") -> TodaParams:
-    S = scalar_algebra(scalar, r)
-    cap = cap if cap is not None else N + 6
-    a = [[random_invertible(S, rng) for _ in range(N)] for _ in range(n)]
-    p = [[random_element(S, rng) for _ in range(n)] for _ in range(N)]
-    return TodaParams(n=n, N=N, r=r, cap=cap, a=a, p=p, scalar=scalar)
+    return TodaParams.draw(rng, scalar, N, r, cap, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +337,7 @@ def random_toda_params(rng, n: int, N: int, r: int = 1, cap: int = None,
 # ---------------------------------------------------------------------------
 
 
-class SineGordonParams(Record):
+class SineGordonParams(_Family):
     N: int
     r: int
     cap: int
@@ -283,13 +346,11 @@ class SineGordonParams(Record):
     a: list  # invertible
     scalar: str = "rational"
 
-    def validate(self):
-        if self.N < 1:
-            raise ValueError("mode count N must be at least 1")
-        if self.cap < self.N + 3:
-            raise ValueError(f"cap must be at least N + 3 = {self.N + 3}")
-        if not (len(self.p) == len(self.q) == len(self.a) == self.N):
-            raise ValueError("p, q, a must all have N entries")
+    arrays = {
+        "p": (("N",), random_invertible),
+        "q": (("N",), random_element),
+        "a": (("N",), random_invertible),
+    }
 
 
 class SineGordonSolution(Record):
@@ -314,8 +375,6 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     p = [S.coerce(x) for x in params.p]
     q = [S.coerce(x) for x in params.q]
     a = [S.coerce(x) for x in params.a]
-    for x in a:
-        S.invert(x)
     f = [[None] * N for _ in range(2)]
     for j in range(N):
         a_inv = S.invert(a[j])
@@ -331,16 +390,11 @@ def sine_gordon_solution(params: SineGordonParams) -> SineGordonSolution:
     notes = list(toda.notes)
     closed_forms = None
     if N == 1:
-        closed_forms = tuple(
-            _sine_gordon_single_mode_closed_form(S, p[0], q[0], a[0], toda.gs[i], i)
-            for i in range(2)
-        )
-        for i in range(2):
-            if closed_forms[i] != toda.gs[i]:
-                raise ClosedFormMismatch(
-                    f"single-mode closed form disagrees with pipeline at site {i}"
-                )
-        notes.append("single-mode closed form matches the pipeline at both sites")
+        closed_forms = tuple(_closed_forms(
+            toda.gs, range(2),
+            lambda i, g: _sine_gordon_single_mode_closed_form(S, p[0], q[0], a[0], g, i),
+            notes, "both",
+        ).values())
     elif N == 2:
         matched = {"site-consistent": [], "literal-fixed-site": []}
         for i in range(2):
@@ -409,17 +463,7 @@ def _sine_gordon_two_mode_closed_forms(data: TodaData, a, i, g):
 
 def random_sine_gordon_params(rng, N: int, r: int = 1, cap: int = None,
                               scalar: str = "rational") -> SineGordonParams:
-    S = scalar_algebra(scalar, r)
-    cap = cap if cap is not None else N + 6
-    return SineGordonParams(
-        N=N,
-        r=r,
-        cap=cap,
-        p=[random_invertible(S, rng) for _ in range(N)],
-        q=[random_element(S, rng) for _ in range(N)],
-        a=[random_invertible(S, rng) for _ in range(N)],
-        scalar=scalar,
-    )
+    return SineGordonParams.draw(rng, scalar, N, r, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +471,18 @@ def random_sine_gordon_params(rng, N: int, r: int = 1, cap: int = None,
 # ---------------------------------------------------------------------------
 
 
-class LangmuirParams(Record):
+def _draw_mu(S, rng):
+    """An invertible mu with mu + mu^-1 invertible, by rejection."""
+    while True:
+        m = random_invertible(S, rng)
+        try:
+            S.invert(m + S.invert(m))
+        except SingularMatrix:
+            continue
+        return m
+
+
+class LangmuirParams(_Family):
     N: int
     r: int
     cap: int
@@ -437,13 +492,16 @@ class LangmuirParams(Record):
     k_range: list  # contiguous sites where solutions are requested
     scalar: str = "rational"
 
+    arrays = {
+        "mu": (("N",), _draw_mu),
+        "p": (("N",), random_invertible),
+        "q": (("N",), random_invertible),
+    }
+    floor = 2
+    spare = 8
+
     def validate(self):
-        if self.N < 1:
-            raise ValueError("mode count N must be at least 1")
-        if self.cap < self.N + 2:
-            raise ValueError(f"cap must be at least N + 2 = {self.N + 2}")
-        if not (len(self.p) == len(self.q) == len(self.mu) == self.N):
-            raise ValueError("p, q, mu must all have N entries")
+        super().validate()
         ks = list(self.k_range)
         if not ks or ks != list(range(ks[0], ks[-1] + 1)):
             raise ValueError("k_range must be a non-empty contiguous range")
@@ -528,13 +586,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     gamma_sites = list(range(ks[0] - 1, ks[-1] + 2))
     cells, etas = {}, {}
     for k in gamma_sites:
-        try:
-            wp = wronski(data.f[k], data.d)
-            cells[k] = frobenius_gamma(wp)
-        except SingularMatrix as exc:
-            raise SingularWronskian(
-                f"Wronski matrix at site {k} is singular", site=k
-            ) from exc
+        cells[k] = _gamma(data.f[k], data.d, k)[1]
         etas[k] = cells[k].entry(N - 1, 0)
     gs, additive = {}, {}
     one = etas[ks[0]].algebra.one()
@@ -558,15 +610,10 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     notes = [note]
     closed_forms = None
     if N == 1:
-        closed_forms = {
-            k: _langmuir_single_mode_closed_form(data, k, gs[k]) for k in ks
-        }
-        for k in ks:
-            if closed_forms[k] != gs[k]:
-                raise ClosedFormMismatch(
-                    f"single-mode closed form disagrees with pipeline at site {k}"
-                )
-        notes.append("single-mode closed form matches the pipeline at all sites")
+        closed_forms = _closed_forms(
+            gs, ks, lambda k, g: _langmuir_single_mode_closed_form(data, k, g),
+            notes, "all",
+        )
     return LangmuirSolution(
         gs=gs, etas=etas, cells=cells, closed_forms=closed_forms,
         notes=notes, data=data,
@@ -574,10 +621,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
 
 
 def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
-    interior = [k for k in gs if k - 1 in gs and k + 1 in gs]
-    if not interior:
-        raise WindowTooSmall("need at least one site with both neighbours")
-    return all(_langmuir_residual(gs, k, d).is_zero() for k in interior)
+    return all(_langmuir_residual(gs, k, d).is_zero() for k in _interior(gs))
 
 
 def _langmuir_single_mode_closed_form(data: LangmuirData, k: int, g):
@@ -610,7 +654,23 @@ def _langmuir_single_mode_closed_form(data: LangmuirData, k: int, g):
 # ---------------------------------------------------------------------------
 
 
-class NlsParams(Record):
+def _require_grading_size(r: int):
+    if r < 2:
+        raise ValueError(
+            "block size r must be at least 2: with b = +/-1 the solution "
+            "U = g b - b g is identically zero"
+        )
+
+
+def _draw_grading(S, rng):
+    """The +/-1 diagonal b of a drawn NLS params, +1 on its first half
+    (rounded up); it draws nothing."""
+    r = S.dim if isinstance(S, MatrixAlgebra) else 1
+    _require_grading_size(r)
+    return S.diagonal([1] * ((r + 1) // 2) + [-1] * (r // 2))
+
+
+class NlsParams(_Family):
     """Data for the cubic-equation construction.
 
     ``b`` must square to one; in the standard setup it is a +/-1 diagonal
@@ -630,26 +690,20 @@ class NlsParams(Record):
     mode: str = "nls"
     scalar: str = "gaussian-rational"
 
+    arrays = {
+        "b": ((), _draw_grading),
+        "c": (("N",), random_element),
+        "d": (("N",), random_element),
+        "a": (("N",), random_invertible),
+    }
+
     def validate(self):
-        if self.N < 1:
-            raise ValueError("mode count N must be at least 1")
+        super().validate()
         _require_grading_size(self.r)
-        if self.cap < self.N + 3:
-            raise ValueError(f"cap must be at least N + 3 = {self.N + 3}")
-        if not (len(self.c) == len(self.d) == len(self.a) == self.N):
-            raise ValueError("c, d, a must all have N entries")
         if self.mode not in ("nls", "heat"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "nls" and self.scalar != "gaussian-rational":
             raise ValueError("mode 'nls' needs gaussian-rational scalars for i")
-
-
-def _require_grading_size(r: int):
-    if r < 2:
-        raise ValueError(
-            "block size r must be at least 2: with b = +/-1 the solution "
-            "U = g b - b g is identically zero"
-        )
 
 
 class NlsData(Record):
@@ -674,14 +728,9 @@ def nls_build_f(params: NlsParams) -> NlsData:
     """
     params.validate()
     S = scalar_algebra(params.scalar, params.r)
-    b = S.coerce(params.b)
-    if b * b != S.one():
-        raise BNotInvolutive("b*b must equal 1 exactly")
+    b, q1, q2 = _grading(S, params.b)
     if b == S.one() or b == -S.one():
         raise ValueError("b = +/-1 makes U = g b - b g identically zero")
-    half = Fraction(1, 2)
-    q1 = S.scalar_mul(half, S.one() + b)
-    q2 = S.scalar_mul(half, S.one() - b)
     if params.mode == "nls":
         d0 = Derivation("u", scale=GaussianRational(0, 1))
     else:
@@ -740,24 +789,15 @@ def nls_solution(params: NlsParams) -> NlsSolution:
     N = len(data.fs)
     salg = data.fs[0].algebra
     notes = []
-    if (
-        all(S.is_zero(S.coerce(c)) for c in params.c)
-        or all(S.is_zero(S.coerce(c)) for c in params.d)
-    ):
+    if any(all(S.is_zero(S.coerce(x)) for x in xs) for xs in (params.c, params.d)):
         zero = salg.zero()
         notes.append("vacuum: one exponential family is zero, U = 0")
         return NlsSolution(
-            g=None, U=zero,
-            U12=zero.scale_left(data.q1).scale_right(data.q2),
-            U21=zero.scale_left(data.q2).scale_right(data.q1),
+            g=None, U=zero, U12=zero, U21=zero,
             g_bottom_left=None, g_bottom_right=None, cell=None,
             wronskian=None, data=data, notes=notes, vacuum=True,
         )
-    try:
-        wp = wronski(data.fs, data.d)
-        cell = frobenius_gamma(wp)
-    except SingularMatrix as exc:
-        raise SingularWronskian(f"Wronski matrix is singular: {exc}") from exc
+    wp, cell = _gamma(data.fs, data.d, 0)
     g_bl = cell.entry(N - 1, 0)
     g_br = cell.entry(N - 1, N - 1)
     candidates = {"bottom-left": g_bl, "bottom-right": g_br}
@@ -809,13 +849,8 @@ def nls_solution(params: NlsParams) -> NlsSolution:
         )
     U12 = U21 = None
     if _pm_one_split(S, data.b) is not None:
-        U12 = U.scale_left(data.q1).scale_right(data.q2)
-        U21 = U.scale_left(data.q2).scale_right(data.q1)
-        diag_part = (
-            U.scale_left(data.q1).scale_right(data.q1)
-            + U.scale_left(data.q2).scale_right(data.q2)
-        )
-        if not diag_part.is_zero():
+        u11, U12, U21, u22 = _graded_blocks(U, data.q1, data.q2)
+        if not (u11 + u22).is_zero():
             raise VerificationError("diagonal blocks of U do not vanish")
         notes.append("diagonal blocks of U vanish; off-diagonal blocks extracted")
     return NlsSolution(
@@ -828,21 +863,7 @@ def nls_solution(params: NlsParams) -> NlsSolution:
 def random_nls_params(rng, N: int, r: int = 2, cap: int = None,
                       mode: str = "nls", scalar: str = "gaussian-rational",
                       ) -> NlsParams:
-    _require_grading_size(r)
-    S = scalar_algebra(scalar, r)
-    cap = cap if cap is not None else N + 6
-    b = S.diagonal([1] * ((r + 1) // 2) + [-1] * (r - (r + 1) // 2))
-    return NlsParams(
-        N=N,
-        r=r,
-        cap=cap,
-        b=b,
-        c=[random_element(S, rng) for _ in range(N)],
-        d=[random_element(S, rng) for _ in range(N)],
-        a=[random_invertible(S, rng) for _ in range(N)],
-        mode=mode,
-        scalar=scalar,
-    )
+    return NlsParams.draw(rng, scalar, N, r, cap, mode=mode)
 
 
 class NlsScalarComparison(Record):
@@ -928,23 +949,4 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8) -> NlsScalarComparison:
 def random_langmuir_params(rng, N: int, r: int = 1, cap: int = None,
                            window: int = 5, scalar: str = "rational",
                            ) -> LangmuirParams:
-    S = scalar_algebra(scalar, r)
-    cap = cap if cap is not None else N + 8
-    mu = []
-    while len(mu) < N:
-        m = random_invertible(S, rng)
-        try:
-            S.invert(m + S.invert(m))
-        except SingularMatrix:
-            continue
-        mu.append(m)
-    return LangmuirParams(
-        N=N,
-        r=r,
-        cap=cap,
-        p=[random_invertible(S, rng) for _ in range(N)],
-        q=[random_invertible(S, rng) for _ in range(N)],
-        mu=mu,
-        k_range=list(range(window)),
-        scalar=scalar,
-    )
+    return LangmuirParams.draw(rng, scalar, N, r, cap, k_range=list(range(window)))

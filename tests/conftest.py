@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+from solitonlab.series import TruncatedSeries
+
 
 def fraction_det(rows):
     """Cofactor-expansion determinant over exact rationals (test oracle)."""
@@ -15,6 +17,14 @@ def fraction_det(rows):
         term = rows[0][j] * fraction_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def with_coeff(s, exponent, value):
+    """A copy of the series s with one trusted coefficient replaced;
+    ValueError at or above its valid order."""
+    coeffs = list(s.coeffs)
+    coeffs[s._trusted_index(exponent)] = s.algebra.coeff.coerce(value)
+    return TruncatedSeries(s.algebra, coeffs, s.valid_order)
 
 
 @pytest.fixture

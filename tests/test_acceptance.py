@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from conftest import fraction_det
+from conftest import fraction_det, with_coeff
 from solitonlab.algebra import QQ, MatrixAlgebra, random_element
 from solitonlab.cli import main as cli_main
 from solitonlab.errors import SingularMatrix, SingularSubmatrix
@@ -275,8 +275,8 @@ def test_criterion_9_scalar_closed_form_contact_order():
 def _corrupt(series, rng, max_degree):
     exps = [e for e in series.algebra.exponents if sum(e) <= max_degree]
     exponent = rng.choice(exps)
-    return series.with_coeff(
-        exponent, series.coeff(exponent) + series.algebra.coeff.one()
+    return with_coeff(
+        series, exponent, series.coeff(exponent) + series.algebra.coeff.one()
     )
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import with_coeff
 import solitonlab
 from solitonlab.cli import main
 from solitonlab.errors import SingularSubmatrix
@@ -318,7 +319,7 @@ def test_nls_cli_scalar_form_fails_on_a_broken_identity(tmp_path, monkeypatch):
     exact = solitons._closed_form_residual
 
     def moved(w, *args):
-        return exact(w.with_coeff((1, 0), w.coeff((1, 0)) + Fraction(1, 1000)), *args)
+        return exact(with_coeff(w, (1, 0), w.coeff((1, 0)) + Fraction(1, 1000)), *args)
 
     monkeypatch.setattr(solitons, "_closed_form_residual", moved)
     code, body = run_cli(

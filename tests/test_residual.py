@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from conftest import with_coeff
 from solitonlab.algebra import QQ, MatrixAlgebra, SquareMatrix
 from solitonlab.errors import (
     BNotInvolutive,
@@ -59,7 +60,7 @@ def test_single_coefficient_corruption_fails_toda():
     rng = Random(111)
     sol = toda_solution(random_toda_params(rng, n=2, N=1, r=1, cap=6))
     gs = list(sol.gs)
-    bad = gs[0].with_coeff((1, 1), gs[0].coeff((1, 1)) + 1)
+    bad = with_coeff(gs[0], (1, 1), gs[0].coeff((1, 1)) + 1)
     report = check_toda([bad, gs[1]], D_U, D_V)
     assert not report.passed
 
@@ -90,7 +91,7 @@ def test_single_coefficient_corruption_fails_toda_gamma():
     for p, q in ((g.dim - 1, 0), (g.dim - 1, g.dim - 1)):
         entry = g.entry(p, q)
         rows = [list(r) for r in g.rows]
-        rows[p][q] = entry.with_coeff((1, 1), entry.coeff((1, 1)) + 1)
+        rows[p][q] = with_coeff(entry, (1, 1), entry.coeff((1, 1)) + 1)
         bad = SquareMatrix(g.algebra, rows)
         assert not check_toda_gamma([bad, gammas[1]], D_U, D_V).passed
 
@@ -107,7 +108,7 @@ def test_marchenko_hypothesis_violation_detected():
     sol = toda_solution(random_toda_params(rng, n=2, N=1, r=1, cap=6))
     gammas, a_mats = toda_shift_data(sol)
     # inject u-dependence into one a-diagonal
-    bad_entry = a_mats[0].entry(0, 0).with_coeff((1, 0), Fraction(1))
+    bad_entry = with_coeff(a_mats[0].entry(0, 0), (1, 0), Fraction(1))
     rows = [list(r) for r in a_mats[0].rows]
     rows[0][0] = bad_entry
     a_bad = SquareMatrix(a_mats[0].algebra, rows)
@@ -137,7 +138,7 @@ def test_lattice_checker_detects_corruption():
     assert check_marchenko_lattice(gamma, a_map, D_T).passed
 
     k0 = data.sites[0]
-    corrupted = gamma[k0].entry(0, 0).with_coeff((2,), Fraction(9))
+    corrupted = with_coeff(gamma[k0].entry(0, 0), (2,), Fraction(9))
     gamma_bad = dict(gamma)
     gamma_bad[k0] = SquareMatrix(
         gamma[k0].algebra, ((corrupted,),)
@@ -171,7 +172,7 @@ def test_langmuir_corruption_detected():
     sol = langmuir_solution(random_langmuir_params(rng, N=1, r=1, cap=8, window=4))
     gs = dict(sol.gs)
     mid = sorted(gs)[1]
-    gs[mid] = gs[mid].with_coeff((1,), gs[mid].coeff((1,)) + 1)
+    gs[mid] = with_coeff(gs[mid], (1,), gs[mid].coeff((1,)) + 1)
     assert not check_langmuir(gs, D_T).passed
 
 
@@ -209,7 +210,7 @@ def test_nls_requires_involution():
 def test_nls_corruption_detected():
     rng = Random(139)
     sol = nls_solution(random_nls_params(rng, N=1, r=2, cap=6))
-    bad = sol.U.with_coeff((1, 1), sol.U.coeff((0, 0)) + sol.data.algebra.one())
+    bad = with_coeff(sol.U, (1, 1), sol.U.coeff((0, 0)) + sol.data.algebra.one())
     report = check_nls(bad, sol.data.b, sol.data.d0, sol.data.d)
     assert not report.passed
 
@@ -217,7 +218,7 @@ def test_nls_corruption_detected():
 def test_check_data_identifies_violated_equation():
     rng = Random(149)
     data = toda_build_f(random_toda_params(rng, n=2, N=1, r=1, cap=6))
-    data.f[0][0] = data.f[0][0].with_coeff((1, 0), Fraction(100))
+    data.f[0][0] = with_coeff(data.f[0][0], (1, 0), Fraction(100))
     report = check_data("toda", data)
     assert not report.passed
     failing = [e.label for e in report.entries if not e.passed]
@@ -249,7 +250,7 @@ def test_gf_p_mode_has_no_tolerance():
         assert e.exact_zero is None  # a zero mod p is evidence, not a proof
     # adding one residue to one coefficient fails the check
     g = sol.gs[0]
-    bad = g.with_coeff((0, 0), g.coeff((0, 0)) + 1)
+    bad = with_coeff(g, (0, 0), g.coeff((0, 0)) + 1)
     assert not check_toda([bad, sol.gs[1]], D_U, D_V).passed
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_coeff
 from solitonlab.algebra import (
     GFP,
     QQ,
@@ -311,7 +312,7 @@ def test_matrix_of_block_series_singular_constant(rng):
 
 
 def test_with_coeff_replaces_one_coefficient():
-    s = S.one().with_coeff((1, 1), Fraction(7))
+    s = with_coeff(S.one(), (1, 1), Fraction(7))
     assert s.coeff((1, 1)) == 7
     assert s.coeff((0, 0)) == 1
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import with_coeff
 from solitonlab.algebra import GFP, QQ, MatrixAlgebra, SquareMatrix
 from solitonlab.errors import AlgebraMismatch
 from solitonlab.series import (
@@ -70,7 +71,7 @@ def _produced(salg):
         "product": a * b,
         "inverse": series_inverse(b),
         "with_valid_order": a.with_valid_order(2),
-        "with_coeff": b.with_coeff(x, 9),
+        "with_coeff": with_coeff(b, x, 9),
         "exp_linear": series_exp_linear(
             salg.coeff.one(), None if salg.arity == 1 else salg.coeff.one(),
             CAP, algebra=salg.coeff,
@@ -119,7 +120,7 @@ def test_positions_and_orders_at_or_above_valid_order_are_rejected(salg):
         with pytest.raises(ValueError):
             low.coeff(exponent)
         with pytest.raises(ValueError):
-            low.with_coeff(exponent, 1)
+            with_coeff(low, exponent, 1)
     for order in (4, CAP, CAP + 1):
         with pytest.raises(ValueError):
             low.with_valid_order(order)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from conftest import with_coeff
 from solitonlab import residual, series, solitons
 from solitonlab.algebra import QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.cli import main as cli_main
@@ -186,7 +187,7 @@ def test_solution_reuses_its_cubic_residual(N, cubic_calls):
 def test_u_corrupted_after_selection_fails_the_cubic_equation():
     sol = nls_solution(random_nls_params(Random(37), N=1, r=2, cap=7))
     data = sol.data
-    bad = sol.U.with_coeff((1, 1), sol.U.coeff((1, 1)) + data.algebra.one())
+    bad = with_coeff(sol.U, (1, 1), sol.U.coeff((1, 1)) + data.algebra.one())
     honest = _entries(check_nls(sol, data.b, data.d0, data.d, gamma=sol.cell))
     # a bare U, and a solution whose U no longer is the one its residual
     # belongs to, are both checked afresh
@@ -207,7 +208,7 @@ def test_gamma_corrupted_after_selection_fails_the_matrix_cubic_equation():
     sol = nls_solution(random_nls_params(Random(37), N=1, r=2, cap=7))
     data = sol.data
     # b = diag(1, -1) sees only the off-diagonal part of g
-    g = sol.g.with_coeff((1, 1), sol.g.coeff((1, 1)) + M2I.matrix([[0, 1], [0, 0]]))
+    g = with_coeff(sol.g, (1, 1), sol.g.coeff((1, 1)) + M2I.matrix([[0, 1], [0, 0]]))
     gamma = SquareMatrix(sol.cell.matrix.algebra, ((g,),))
     bad = _commutator_with(g, data.b)
     entries = _entries(check_nls(bad, data.b, data.d0, data.d, gamma=gamma))
@@ -319,7 +320,7 @@ def test_scalar_closed_form_real_symmetric_branch():
 def test_scalar_closed_form_identity_sees_one_moved_coefficient(exponent):
     w = _sample_comparison().series
     assert solitons._closed_form_residual(w, *SAMPLE).is_zero()
-    moved = w.with_coeff(exponent, w.coeff(exponent) + Fraction(1, 1000))
+    moved = with_coeff(w, exponent, w.coeff(exponent) + Fraction(1, 1000))
     assert not solitons._closed_form_residual(moved, *SAMPLE).is_zero()
 
 
