@@ -141,6 +141,53 @@ _SYSTEMS = {
 }
 
 
+class _Key(Record):
+    """A config key.  ``type`` is int, bool, str or a tuple of the flag's
+    choices (a string in a config); a key of type None has no flag."""
+
+    default: object
+    type: object
+    systems: object  # the names of the subcommands that take it
+    null: bool = False
+    least: int = None
+    help: str = None
+
+
+_SUBCOMMANDS = {
+    "toda": "n-periodic lattice field system",
+    "sine-gordon": "2-periodic alternating system",
+    "langmuir": "lattice system on a site window",
+    "nls": "cubic matrix equation",
+    "quasidet-selftest": "commutative determinant oracle over random rational matrices",
+}
+_LEMMAS = ("toda", "sine-gordon", "langmuir")  # nls has no lemma checker
+
+_KEYS = {
+    "n": _Key(3, int, ("toda",)),
+    "N": _Key(1, int, _SYSTEMS),
+    # None resolves per system: 2 for nls (a grading needs both signs), else 1
+    "r": _Key(None, int, _SYSTEMS),
+    "cap": _Key(None, int, _SYSTEMS, null=True),
+    "seed": _Key(0, int, _SUBCOMMANDS),
+    "scalar": _Key(None, ("rational", "gaussian-rational", "gf-p"), _SYSTEMS),
+    "window": _Key(5, int, ("langmuir",)),
+    "mode": _Key("nls", ("nls", "heat"), ("nls",)),
+    "params": _Key(None, None, _SYSTEMS),  # the explicit arrays
+    "report": _Key(None, str, _SUBCOMMANDS, null=True, help="report file path"),
+    "dump_series": _Key(False, bool, _SYSTEMS),
+    "dump_degree": _Key(None, int, _SYSTEMS, null=True, least=0),
+    "with_lemmas": _Key(False, bool, _LEMMAS),
+    "timings": _Key(False, bool, _SUBCOMMANDS),
+    "max_resample": _Key(8, int, _SYSTEMS, least=1),
+    "trials": _Key(100, int, ("quasidet-selftest",), least=1),
+    "scalar_form": _Key(False, bool, ("nls",), help=(
+        "also check the scalar closed form by its exact series identity")),
+}
+_KINDS = {int: "an integer", bool: "true or false", str: "a string"}
+# add_argument's keywords per type, else the choices; a flag not given is None
+_FLAGS = {int: {"type": int}, str: {}, bool: {"action": "store_true", "default": None}}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line, subcommands' too, as a ConfigError."""
     def error(self, message):
@@ -153,77 +200,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="construct multisoliton solutions exactly and verify them",
     )
     sub = parser.add_subparsers(dest="system", required=True)
-
-    def common(p):
+    for system, text in _SUBCOMMANDS.items():
+        p = sub.add_parser(system, help=text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--N", type=int, dest="N")
-        p.add_argument("--r", type=int, dest="r")
-        p.add_argument("--cap", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--scalar", choices=[
-            "rational", "gaussian-rational", "gf-p"])
-        p.add_argument("--report", help="report file path")
-        p.add_argument("--dump-series", action="store_true", default=None)
-        p.add_argument("--dump-degree", type=int)
-        p.add_argument("--timings", action="store_true", default=None)
-        p.add_argument("--max-resample", type=int)
-
-    p_toda = sub.add_parser("toda", help="n-periodic lattice field system")
-    p_toda.add_argument("--n", type=int, dest="n")
-    common(p_toda)
-
-    p_sg = sub.add_parser("sine-gordon", help="2-periodic alternating system")
-    common(p_sg)
-
-    p_lm = sub.add_parser("langmuir", help="lattice system on a site window")
-    p_lm.add_argument("--window", type=int)
-    common(p_lm)
-    for p in (p_toda, p_sg, p_lm):  # nls has no lemma checker
-        p.add_argument("--with-lemmas", action="store_true", default=None)
-
-    p_nls = sub.add_parser("nls", help="cubic matrix equation")
-    p_nls.add_argument("--mode", choices=["nls", "heat"])
-    p_nls.add_argument("--scalar-form", action="store_true", default=None,
-                       help="also check the scalar closed form by its exact series identity")
-    common(p_nls)
-
-    p_self = sub.add_parser(
-        "quasidet-selftest",
-        help="commutative determinant oracle over random rational matrices",
-    )
-    p_self.add_argument("--trials", type=int)
-    p_self.add_argument("--seed", type=int)
-    p_self.add_argument("--config", help="JSON config file")
-    p_self.add_argument("--report", help="report file path")
-    p_self.add_argument("--timings", action="store_true", default=None)
+        for name, key in _KEYS.items():
+            if system in key.systems and key.type is not None:
+                p.add_argument("--" + name.replace("_", "-"), help=key.help,
+                               **_FLAGS.get(key.type, {"choices": key.type}))
     return parser
 
 
-_DEFAULTS = {
-    "n": 3,
-    "N": 1,
-    "r": None,  # resolved per system: 2 for nls (a grading needs both signs), else 1
-    "cap": None,
-    "seed": 0,
-    "scalar": None,
-    "window": 5,
-    "mode": "nls",
-    "params": None,
-    "report": None,
-    "dump_series": False,
-    "dump_degree": None,
-    "with_lemmas": False,
-    "timings": False,
-    "max_resample": 8,
-    "trials": 100,
-    "scalar_form": False,
-}
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    cfg["system"] = args.system
-    given = set()
+    given = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -232,24 +220,17 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        if "system" in file_cfg and file_cfg["system"] != args.system:
-            raise ConfigError(
-                f"config is for system {file_cfg['system']!r}, "
-                f"not {args.system!r}"
-            )
+        system = file_cfg.pop("system", args.system)
+        if system != args.system:
+            raise ConfigError(f"config is for system {system!r}, not {args.system!r}")
         for key, value in file_cfg.items():
-            if key == "system":
-                continue
             norm = key.replace("-", "_")
-            if norm not in cfg:
+            if norm not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            cfg[norm] = value
-            given.add(norm)
-    for key in list(cfg):
-        arg_val = getattr(args, key, None)
-        if arg_val is not None:
-            cfg[key] = arg_val
-            given.add(key)
+            given[norm] = value
+    given.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
+    cfg = {name: key.default for name, key in _KEYS.items()}
+    cfg.update(given, system=args.system)
     if cfg["r"] is None:
         cfg["r"] = 2 if args.system == "nls" else 1
     if cfg["scalar"] is None:
@@ -258,38 +239,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
             if args.system == "nls" and cfg["mode"] == "nls"
             else "rational"
         )
-    for key in ("n", "N", "r", "seed", "window", "max_resample", "trials"):
-        if not _is_int(cfg[key]):
-            raise ConfigError(f"{key} must be an integer")
-    for key in ("cap", "dump_degree"):
-        if cfg[key] is not None and not _is_int(cfg[key]):
-            raise ConfigError(f"{key} must be an integer or null")
-    if cfg["max_resample"] < 1:
-        raise ConfigError("max_resample must be at least 1")
-    if cfg["dump_degree"] is not None and cfg["dump_degree"] < 0:
-        raise ConfigError("dump_degree must be at least 0")
-    for key in ("scalar", "mode"):
-        if not isinstance(cfg[key], str):
-            raise ConfigError(f"{key} must be a string")
-    if cfg["report"] is not None and not isinstance(cfg["report"], str):
-        raise ConfigError("report must be a string or null")
-    for key in ("dump_series", "with_lemmas", "timings", "scalar_form"):
-        if not isinstance(cfg[key], bool):
-            raise ConfigError(f"{key} must be true or false")
-    # a system uses its subcommand's flags, and its explicit arrays
-    uses = set(vars(args)) | ({"params"} if args.system in _SYSTEMS else set())
-    unused = sorted(given - uses)
+    for name, key in _KEYS.items():  # every key's type, used or not
+        kind = str if isinstance(key.type, tuple) else key.type
+        if kind and type(cfg[name]) is not kind and not (key.null and cfg[name] is None):
+            raise ConfigError(f"{name} must be {_KINDS[kind]}" + " or null" * key.null)
+    unused = sorted(k for k in given if args.system not in _KEYS[k].systems)
     if unused:
         raise ConfigError(f"{args.system} does not use {', '.join(unused)}")
+    for name in given:
+        least = _KEYS[name].least
+        if least is not None and cfg[name] is not None and cfg[name] < least:
+            raise ConfigError(f"{name} must be at least {least}")
     if cfg["dump_degree"] is not None and not cfg["dump_series"]:
         raise ConfigError("dump_degree needs dump_series")
     if cfg["scalar_form"] and cfg["mode"] != "nls":
         raise ConfigError("scalar_form needs the nls system in mode nls")
     return cfg
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _explicit_params(cfg, spec, sizes, fields):
@@ -366,7 +331,9 @@ def _run_system(cfg) -> dict:
         checks.append(check_langmuir(solution.gs, D_T))
         dumps = {f"g[{k}]": g for k, g in solution.gs.items()}
         if cfg["with_lemmas"]:
-            gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
+            gamma = {k: wp.W for k, wp in solution.wronskians.items()}
+            last = data.sites[-1]  # the one data site past the solution's cells
+            gamma[last] = wronski(data.f[last], D_T).W
             mat_n = MatrixAlgebra(data.algebra, data.N)
             a_const = constant_series_matrix(
                 mat_n.diagonal(data.a), 1, data.cap
@@ -440,8 +407,6 @@ def _run_selftest(cfg) -> dict:
     """
     rng = Random(cfg["seed"])
     trials = cfg["trials"]
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
     failures = []
     checked = 0
     skipped = 0

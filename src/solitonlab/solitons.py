@@ -562,6 +562,7 @@ class LangmuirSolution(Record):
     gs: dict  # site -> series, the lattice solution
     etas: dict  # site -> bottom-left quotient entry
     cells: dict  # site -> FrobeniusCell
+    wronskians: dict  # site -> WronskiPair
     closed_forms: dict | None
     notes: list
     data: LangmuirData
@@ -584,9 +585,9 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         data = langmuir_build_f(params)
     N = data.N
     gamma_sites = list(range(ks[0] - 1, ks[-1] + 2))
-    cells, etas = {}, {}
+    cells, etas, pairs = {}, {}, {}
     for k in gamma_sites:
-        cells[k] = _gamma(data.f[k], data.d, k)[1]
+        pairs[k], cells[k] = _gamma(data.f[k], data.d, k)
         etas[k] = cells[k].entry(N - 1, 0)
     gs, additive = {}, {}
     one = etas[ks[0]].algebra.one()
@@ -615,8 +616,8 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
             notes, "all",
         )
     return LangmuirSolution(
-        gs=gs, etas=etas, cells=cells, closed_forms=closed_forms,
-        notes=notes, data=data,
+        gs=gs, etas=etas, cells=cells, wronskians=pairs,
+        closed_forms=closed_forms, notes=notes, data=data,
     )
 
 

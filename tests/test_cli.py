@@ -70,25 +70,29 @@ def test_malformed_command_line_exits_two_with_one_line(args, tmp_path, capsys):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("args", [
-    *([system, "--r", r] for system in ("toda", "sine-gordon", "langmuir", "nls")
-      for r in ("0", "-1")),
-    ["langmuir", "--window", "1"],
-    ["langmuir", "--window", "2"],
-    ["quasidet-selftest", "--trials", "0"],
-    ["quasidet-selftest", "--trials", "-3"],
-    ["nls", "--scalar", "rational"],
-    ["nls", "--r", "1"],
-    ["toda", "--max-resample", "0"],
-    ["toda", "--max-resample", "-3"],
-    ["toda", "--dump-series", "--dump-degree", "-1"],
-])
+# each bad command line and the one error line it must print
+_SIZE_ERRORS = {
+    **{f"{system} --r {r}": "matrix dimension must be positive"
+       for system in ("toda", "sine-gordon", "langmuir", "nls") for r in ("0", "-1")},
+    "langmuir --window 1": "the site window needs at least 3 sites",
+    "langmuir --window 2": "the site window needs at least 3 sites",
+    "quasidet-selftest --trials 0": "trials must be at least 1",
+    "quasidet-selftest --trials -3": "trials must be at least 1",
+    "nls --scalar rational": "mode 'nls' needs gaussian-rational scalars for i",
+    "nls --r 1": "block size r must be at least 2: with b = +/-1 the solution"
+                 " U = g b - b g is identically zero",
+    "toda --max-resample 0": "max_resample must be at least 1",
+    "toda --max-resample -3": "max_resample must be at least 1",
+    "toda --dump-series --dump-degree -1": "dump_degree must be at least 0",
+}
+
+
+@pytest.mark.parametrize("args", [line.split() for line in _SIZE_ERRORS])
 def test_bad_sizes_exit_two_with_one_line(args, tmp_path, capsys):
     report = tmp_path / "r.json"
     assert main(args + ["--seed", "1", "--report", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
-    assert err.count("\n") == 1
+    message = _SIZE_ERRORS[" ".join(args)]
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not report.exists()
 
 
@@ -380,6 +384,15 @@ def test_module_entrypoint_runs(tmp_path):
     assert "[PASS]" in proc.stdout
 
 
+# what the error line says each key must be
+_KIND_ERRORS = {
+    "dump_degree": "an integer or null", "report": "a string or null",
+    "timings": "true or false", "dump_series": "true or false",
+    "with_lemmas": "true or false", "scalar_form": "true or false",
+    "cap": "an integer or null", "scalar": "a string", "mode": "a string",
+}
+
+
 @pytest.mark.parametrize("key, value", [
     ("dump_degree", "2"),
     ("report", 7),
@@ -399,9 +412,9 @@ def test_bad_config_types_exit_two_with_one_line(key, value, tmp_path,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 1, "seed": 1, key: value}))
     assert main(["nls", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and key in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {key} must be {_KIND_ERRORS[key]}\n"
+    )
     assert list(out.iterdir()) == []
 
 
@@ -656,6 +669,28 @@ def test_config_values_of_each_system_are_used(tmp_path):
         path = _write_config(tmp_path, cfg)
         code, _ = run_cli(args + ["--config", str(path)], tmp_path)
         assert code == 0, args
+
+
+@pytest.mark.parametrize("lemmas, builds", [(True, 8), (False, 7)])
+def test_langmuir_builds_each_wronski_pair_once(lemmas, builds, tmp_path,
+                                                monkeypatch):
+    # the solution keeps the pair of each of its 7 sites; the lemma check
+    # builds only the one data site past them
+    from solitonlab import cli as cli_mod, residual, solitons
+    from solitonlab.quasidet import wronski
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return wronski(*args, **kwargs)
+
+    for module in (solitons, residual, cli_mod):
+        monkeypatch.setattr(module, "wronski", spy)
+    args = ["langmuir", "--N", "2", "--window", "5", "--cap", "8", "--seed", "1"]
+    code, _ = run_cli(args + ["--with-lemmas"] * lemmas, tmp_path)
+    assert code == 0
+    assert len(calls) == builds
 
 
 def test_with_lemmas_flag_on_nls_exits_two_with_one_line(tmp_path, capsys):
