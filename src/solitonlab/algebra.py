@@ -84,6 +84,10 @@ class Algebra:
         """Invert a square matrix whose entries live in this algebra."""
         raise NotImplementedError
 
+    def matrix_divide(self, x: "SquareMatrix", m: "SquareMatrix") -> "SquareMatrix":
+        """x * m^-1 for square matrices with entries in this algebra."""
+        return x * m.inverse()
+
     def matmul(self, xs, ys) -> list:
         """The rows of the product of a k x N grid ``xs`` by an N x m grid
         ``ys`` of elements: entry (i, j) adds xs[i][l] * ys[l][j] over l, left
@@ -450,6 +454,11 @@ class SquareMatrix:
 
     def inverse(self) -> "SquareMatrix":
         return self.algebra.base.matrix_inverse(self)
+
+    def __truediv__(self, other) -> "SquareMatrix":
+        """self * other^-1, formed by the entry algebra's ``matrix_divide``."""
+        self._check_same(other)
+        return self.algebra.base.matrix_divide(self, other)
 
     # -- entrywise maps: a matrix of series gets the interface of a series --
 

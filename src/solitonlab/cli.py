@@ -345,7 +345,7 @@ def _run_system(cfg) -> dict:
             )
     else:  # nls
         data = solution.data
-        checks.append(check_data("nls", data))
+        checks.append(check_data("nls", data, solution.wronskian))
         checks.append(
             check_nls(solution, data.b, data.d0, data.d, gamma=solution.cell)
         )

@@ -20,8 +20,8 @@ plausible readings of its quasideterminant expression;
 ``bottom_row_conventions`` records which one actually reproduces the computed
 quotient rather than guessing.
 Nothing is inverted beyond the order its result keeps (``series.through``):
-``solution_entry_via_quasidet`` reads W and dW only through dW's least valid
-order, and ``frobenius_gamma`` at N = 1 reads W only through its target's.
+``solution_entry_via_quasidet`` reads W, dW and g only through dW's least
+valid order, and ``frobenius_gamma`` at N = 1 reads W only through its target's.
 """
 
 from __future__ import annotations
@@ -289,11 +289,16 @@ def bottom_row_conventions(wp: WronskiPair, cell: FrobeniusCell) -> ConventionNo
     )
 
 
-def solution_entry_via_quasidet(wp: WronskiPair) -> TruncatedSeries:
-    """The bottom-left quotient entry expressed through quasideterminants:
-    |dW|_NN * |W|^-1_1N, which keeps only dW's least valid order."""
+def solution_entry_via_quasidet(wp: WronskiPair, g) -> TruncatedSeries:
+    """The residual |dW|_NN - g |W|_1N of g against its quasideterminant
+    expression |dW|_NN * |W|^-1_1N, as one quasideterminant: the row is
+    left-linear and dW's upper rows are W's rows 1..N-1, so it is |M|_NN of
+    dW with bottom row (bottom row of dW) - g (top row of W), read through
+    dW's least valid order.  |W|_1N is invertible with W, so it vanishes
+    exactly when g equals the expression."""
     n = wp.N
     least = min(s.valid_order for row in wp.dW.rows for s in row)
-    numer = quasideterminant(through(wp.dW, least), n - 1, n - 1)
-    denom = quasideterminant(through(wp.W, least), 0, n - 1)
-    return numer * denom.inverse()
+    dw, g = through(wp.dW, least), through(g, least)
+    bottom = [x - g * through(w, least) for x, w in zip(dw.rows[-1], wp.W.rows[0])]
+    m = SquareMatrix(dw.algebra, dw.rows[:-1] + (bottom,))
+    return quasideterminant(m, n - 1, n - 1)

@@ -116,9 +116,10 @@ def _top(x) -> int:
     return max(s.valid_order for s in _series_of(x))
 
 
-def _invert_or_raise(x, site):
+def _invert_or_raise(x, site, numer=None):
+    """x^-1, or numer * x^-1 as the one right division numer / x."""
     try:
-        return x.inverse()
+        return x.inverse() if numer is None else numer / x
     except SingularMatrix as exc:
         raise NonInvertibleSolution(
             f"solution at site {site} is not invertible: {exc}", site=site
@@ -254,7 +255,7 @@ def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
             )
     report = ResidualReport("marchenko", exact=alg.is_exact)
     report.note(f"hypotheses validated at all {n} sites (shift 1)")
-    cs = [ws[k].derive(d2) * _invert_or_raise(ws[k], k) for k in range(n)]
+    cs = [_invert_or_raise(ws[k], k, ws[k].derive(d2)) for k in range(n)]
     for k, res in enumerate(_toda_residuals(cs, d1, d2)):
         report.add(f"site {k}", res)
     return report
@@ -294,12 +295,8 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     if not main_sites:
         raise WindowTooSmall("no site has both lattice neighbours available")
     report = ResidualReport("marchenko-lattice", exact=alg.is_exact)
-    cs = {k: ws[k].derive(d) * _invert_or_raise(ws[k], k) for k in sites}
-    us = {
-        k: cs[k] * _invert_or_raise(cs[k - 1], k - 1)
-        for k in sites
-        if k - 1 in cs
-    }
+    cs = {k: _invert_or_raise(ws[k], k, ws[k].derive(d)) for k in sites}
+    us = {k: _invert_or_raise(cs[k - 1], k - 1, cs[k]) for k in sites if k - 1 in cs}
     for k in main_sites:
         res = _langmuir_residual(us, k, d)
         report.add(f"lattice-equation site {k}", res)
@@ -435,14 +432,15 @@ def _pm_one_split(S: Algebra, b):
     return plus, minus
 
 
-def check_data(kind: str, data) -> ResidualReport:
-    """Validate the linear relations a constructor promises for its grid."""
+def check_data(kind: str, data, wronskian=None) -> ResidualReport:
+    """Validate the linear relations a constructor promises for its grid;
+    an NLS grid's Wronski pair is built here only when none is given."""
     if kind == "toda":
         return _check_toda_data(data)
     if kind == "langmuir":
         return _check_langmuir_data(data)
     if kind == "nls":
-        return _check_nls_data(data)
+        return _check_nls_data(data, wronskian or wronski(data.fs, data.d))
     raise ValueError(f"unknown data kind {kind!r}")
 
 
@@ -481,9 +479,8 @@ def _check_langmuir_data(data) -> ResidualReport:
     return report
 
 
-def _check_nls_data(data) -> ResidualReport:
+def _check_nls_data(data, wp) -> ResidualReport:
     report = ResidualReport("nls-data", exact=data.algebra.is_exact)
-    wp = wronski(data.fs, data.d)
     res_evolution = wp.W.derive(data.d0) + wp.dW.derive(data.d).scale_left(data.b)
     report.add("d0 + graded second derivative", res_evolution)
     wa_rows = tuple(

@@ -37,13 +37,15 @@ or zeroed, with no integer form.  0 and +-1 are recognised through the
 field's ``zero()`` and ``one()``.  Scaling by any other coefficient, 2 * 1
 included, is a product with a constant series.
 
-Inverses and row solves are one right division x * a = y, also over
-integers (``_divide``): a series inverse is y = 1, the inverse of a matrix of
-series is y = 1 with the N x N matrix of r x r blocks flattened to Nr x Nr,
-and ``row_solve`` takes y as one block row.  a_0^-1 comes from the
-coefficient algebra's exact ``invert``, then a, y and a_0^-1 become integers
-over the denominators D_a, D_y and m, and with s = D_a m each x_E is
-Z_E / (D_y m s^|E|) for integer matrices Z_E given by one recurrence.
+Inverses, quotients and row solves are one right division x * a = y, also
+over integers (``_divide``): a series inverse is y = 1 and a quotient y / a
+is y, the inverse of a matrix of series is y = 1 with the N x N matrix of
+r x r blocks flattened to Nr x Nr, a quotient of matrices takes the rows of
+y that keep one order at a time, and ``row_solve`` takes y as one block row.
+a_0^-1 comes from the coefficient algebra's exact ``invert``, then a, y and
+a_0^-1 become integers over the denominators D_a, D_y and m, and with
+s = D_a m each x_E is Z_E / (D_y m s^|E|) for integer matrices Z_E given by
+one recurrence.
 
 Exponentials and derivatives work on the same integer numerators.  One
 kernel (``_exp_rows``) forms row * exp(cu*u + cv*v) by one row-times-matrix
@@ -275,12 +277,24 @@ class SeriesAlgebra(Algebra):
         ]
 
     def matrix_inverse(self, m):
-        """The inverse of a matrix of series: the right division x * m = 1."""
-        one, zero = self.one(), self.zero()
-        ident = [[one if i == j else zero for j in range(m.dim)] for i in range(m.dim)]
-        rows = self._divide_rows(
-            ident, m, "invert", "series constant term is not invertible"
-        )
+        """The inverse of a matrix of series: the right division x * m = 1,
+        whose rows all keep m's least order."""
+        return self.matrix_divide(m.algebra.one(), m)
+
+    def matrix_divide(self, x, m):
+        """x * m^-1 for matrices of series: one right division per group of
+        rows of x that keep one order, the row's least order capped at m's,
+        so every entry keeps the order the product would give it."""
+        least = min(map(_valid_order, (s for row in m.rows for s in row)))
+        groups = {}
+        for i, row in enumerate(x.rows):
+            groups.setdefault(min(least, *map(_valid_order, row)), []).append(i)
+        rows = [None] * m.dim
+        for picks in groups.values():
+            solved = self._divide_rows([x.rows[i] for i in picks], m, "divide",
+                                       "series constant term is not invertible")
+            for i, row in zip(picks, solved):
+                rows[i] = row
         return SquareMatrix(m.algebra, rows)
 
     def row_solve(self, y, m) -> tuple:
@@ -455,6 +469,17 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         return series_inverse(self)
+
+    def __truediv__(self, other) -> "TruncatedSeries":
+        """self * other^-1 by one right division, through the lesser valid
+        order; SingularConstantTerm when other's constant term is singular."""
+        other = self._coerce_other(other)
+        vo = _trusted_order((self, other), "divide")
+        salg = self.algebra
+        n = _count_below(salg.arity, vo)
+        coeffs = _inverse_coeffs(salg.arity, vo, salg.coeff, other.coeffs[:n],
+                                 self.coeffs[:n])
+        return TruncatedSeries(salg, coeffs, vo)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""
@@ -766,18 +791,20 @@ def _exp_steps(arity: int, cap: int):
     return tuple(steps)
 
 
-def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs) -> list:
-    """Trusted coefficients of the two-sided inverse of a series over ``alg``.
+def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs, numer=None) -> list:
+    """Trusted coefficients of the two-sided inverse of a series over ``alg``,
+    or of numer * inverse given the coefficients ``numer``.
 
-    It is the right division x * a = 1 by ``_divide``; the inverse is unique
-    and its scalars canonical, so every value is the same as from a
-    coefficient-by-coefficient recurrence.
+    It is the right division x * a = 1 (x * a = numer) by ``_divide``; the
+    result is unique and its scalars canonical, so every value is the same
+    as from a coefficient-by-coefficient recurrence.
     """
-    field, dim = _field_and_dim(alg)
+    dim = _field_and_dim(alg)[1]
     n = len(coeffs)
-    one = _entries(alg, dim, [[[alg.one()] + [alg.zero()] * (n - 1)]])
-    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, [[coeffs]]), one,
-                "series constant term is not invertible")
+    if numer is None:
+        numer = [alg.one()] + [alg.zero()] * (n - 1)
+    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, [[coeffs]]),
+                _entries(alg, dim, [[numer]]), "series constant term is not invertible")
     return _from_entries(alg, x, n)
 
 

@@ -671,11 +671,9 @@ def test_config_values_of_each_system_are_used(tmp_path):
         assert code == 0, args
 
 
-@pytest.mark.parametrize("lemmas, builds", [(True, 8), (False, 7)])
-def test_langmuir_builds_each_wronski_pair_once(lemmas, builds, tmp_path,
-                                                monkeypatch):
-    # the solution keeps the pair of each of its 7 sites; the lemma check
-    # builds only the one data site past them
+def _spy_wronski(monkeypatch):
+    """The argument tuples of every ``wronski`` call the solitons, residual
+    and cli modules make."""
     from solitonlab import cli as cli_mod, residual, solitons
     from solitonlab.quasidet import wronski
 
@@ -687,10 +685,27 @@ def test_langmuir_builds_each_wronski_pair_once(lemmas, builds, tmp_path,
 
     for module in (solitons, residual, cli_mod):
         monkeypatch.setattr(module, "wronski", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lemmas, builds", [(True, 8), (False, 7)])
+def test_langmuir_builds_each_wronski_pair_once(lemmas, builds, tmp_path,
+                                                monkeypatch):
+    # the solution keeps the pair of each of its 7 sites; the lemma check
+    # builds only the one data site past them
+    calls = _spy_wronski(monkeypatch)
     args = ["langmuir", "--N", "2", "--window", "5", "--cap", "8", "--seed", "1"]
     code, _ = run_cli(args + ["--with-lemmas"] * lemmas, tmp_path)
     assert code == 0
     assert len(calls) == builds
+
+
+def test_nls_builds_its_wronski_pair_once(tmp_path, monkeypatch):
+    # the data check reads the pair the solution keeps
+    calls = _spy_wronski(monkeypatch)
+    code, _ = run_cli(["nls", "--N", "2", "--cap", "7", "--seed", "1"], tmp_path)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_with_lemmas_flag_on_nls_exits_two_with_one_line(tmp_path, capsys):

@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from solitonlab import cli, quasidet, residual, series
+from solitonlab import cli, quasidet, residual, series, solitons
 from solitonlab.algebra import (
     GFP,
     QQ,
@@ -379,6 +379,14 @@ def test_lemma_checkers_equal_the_uncut_formulas(monkeypatch):
 # -- quasidet.py --------------------------------------------------------------
 
 
+def uncut_cross_check(wp, g):
+    n = wp.N
+    return (
+        quasideterminant(wp.dW, n - 1, n - 1)
+        - g * quasideterminant(wp.W, 0, n - 1)
+    )
+
+
 @pytest.mark.parametrize("coeff,arity", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("orders", [[6], [7, 7], [7, 5], [6, 7, 5]])
 def test_cross_check_equals_the_uncut_formula(coeff, arity, orders):
@@ -388,12 +396,43 @@ def test_cross_check_equals_the_uncut_formula(coeff, arity, orders):
     salg = SeriesAlgebra(coeff, arity, CAP)
     d = derivations(arity)[1]
     wp = rand_wronski(salg, rng, orders, d)
-    n = wp.N
-    want = (
-        quasideterminant(wp.dW, n - 1, n - 1)
-        * quasideterminant(wp.W, 0, n - 1).inverse()
-    )
-    assert_same(solution_entry_via_quasidet(wp), want)
+    g = frobenius_gamma(wp).entry(wp.N - 1, 0)
+    assert solution_entry_via_quasidet(wp, g).is_zero()
+    for h in (g, rand_series(salg, rng, CAP), rand_series(salg, rng, 3)):
+        assert_same(solution_entry_via_quasidet(wp, h), uncut_cross_check(wp, h))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", [
+    "toda --n 3 --N 2 --cap 8",
+    "toda --n 3 --N 3 --cap 10",
+    "toda --n 4 --N 3 --cap 12",
+    "sine-gordon --N 2 --cap 10",
+    "sine-gordon --N 2 --cap 10 --with-lemmas",
+    "toda --n 2 --N 2 --r 2 --cap 6",
+])
+def test_cross_check_keeps_the_order_of_the_comparison_it_replaced(
+        case, seed, tmp_path, monkeypatch):
+    # g was compared with numer * denom^-1 through the lesser of their
+    # orders; the residual numer - g denom must vanish through that order
+    seen = []
+
+    def spy(wp, g):
+        seen.append((wp, g, solution_entry_via_quasidet(wp, g)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(solitons, "solution_entry_via_quasidet", spy)
+    args = case.split() + ["--seed", str(seed), "--report", str(tmp_path / "r.json")]
+    assert cli.main(args) == 0
+    assert seen
+    for wp, g, res in seen:
+        n = wp.N
+        least = min(s.valid_order for row in wp.dW.rows for s in row)
+        numer = quasideterminant(through(wp.dW, least), n - 1, n - 1)
+        denom = quasideterminant(through(wp.W, least), 0, n - 1)
+        quotient = numer * denom.inverse()
+        assert res.valid_order == min(quotient.valid_order, g.valid_order)
+        assert res.is_zero() and quotient == g
 
 
 @pytest.mark.parametrize("coeff,arity", CASES, ids=CASE_IDS)
@@ -416,15 +455,27 @@ def test_cross_check_inverts_nothing_above_the_least_order_of_dW(monkeypatch):
         return original(self, m)
 
     monkeypatch.setattr(series.SeriesAlgebra, "matrix_inverse", matrix_inverse)
+    def no_series_inverse(s):
+        raise AssertionError("the cross-check inverted a series")
+
+    qdets = []
+    qdet = quasidet.quasideterminant
+    monkeypatch.setattr(quasidet, "quasideterminant",
+                        lambda *args: qdets.append(args) or qdet(*args))
     rng = Random(22)
     for coeff, arity in ((QQ, 2), (QQI, 1), (MatrixAlgebra(QQ, 2), 2)):
         salg = SeriesAlgebra(coeff, arity, CAP)
         for orders in ([7, 7], [7, 6, 7]):
             wp = rand_wronski(salg, rng, orders, derivations(arity)[1])
             least = min(s.valid_order for row in wp.dW.rows for s in row)
+            g = frobenius_gamma(wp).entry(wp.N - 1, 0)
             seen.clear()
-            solution_entry_via_quasidet(wp)
-            assert len(seen) == 2  # one submatrix per quasideterminant
+            qdets.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "series_inverse", no_series_inverse)
+                solution_entry_via_quasidet(wp, g)
+            assert len(qdets) == 1
+            assert len(seen) == 1  # one submatrix, shared by both terms
             assert max(seen) <= least
 
 
@@ -562,14 +613,26 @@ def test_closed_forms_equal_the_uncut_forms_through_the_pipeline_order():
 # Calls made by the uncut formulas on these runs; cutting an operand changes
 # what a call reads, never whether it is made.  The Toda residual forms each
 # shift quotient x_{k+1} x_k^-1 once, for both sites that read it: n series
-# products at period n where there were 2n.
+# products at period n where there were 2n.  The cross-check is one
+# bordered quasideterminant per site, with no series inverse and no
+# numer * denom^-1 product, but one product g * w per entry w of W's top row;
+# a quotient x * y^-1 whose inverse feeds nothing else is one right division
+# x / y, which is neither an inverse nor a product.
 CALL_COUNTS = {
-    ("toda", "--n", "3", "--N", "2", "--cap", "7"): (6, 6, 9),
-    ("toda", "--n", "2", "--N", "3", "--cap", "7", "--with-lemmas"): (22, 10, 18),
-    ("sine-gordon", "--N", "1", "--cap", "7"): (4, 6, 8),
-    ("sine-gordon", "--N", "2", "--cap", "8", "--r", "2"): (4, 10, 22),
+    # cross-check at 3 sites, N = 2: qdet -3, inverse -3, products -3 + 6
+    ("toda", "--n", "3", "--N", "2", "--cap", "7"): (3, 3, 12),
+    # cross-check at 2 sites, N = 3: qdet -2, inverse -2, products -2 + 6
+    ("toda", "--n", "2", "--N", "3", "--cap", "7", "--with-lemmas"): (20, 8, 22),
+    # cross-check at 2 sites, N = 1: qdet -2, inverse -2, products -2 + 2;
+    # the closed form divides at 2 sites: inverse -2, products -2
+    ("sine-gordon", "--N", "1", "--cap", "7"): (2, 2, 6),
+    # cross-check at 2 sites, N = 2: qdet -2, inverse -2, products -2 + 4;
+    # both readings of the closed form divide at 2 sites: inverse -4,
+    # products -4
+    ("sine-gordon", "--N", "2", "--cap", "8", "--r", "2"): (2, 4, 20),
+    # the closed form divides twice at 4 sites: inverse -8, products -8
     ("langmuir", "--N", "1", "--window", "4", "--cap", "7", "--with-lemmas"):
-        (0, 12, 30),
+        (0, 4, 22),
     ("nls", "--N", "1", "--cap", "6"): (0, 1, 7),
     ("nls", "--N", "2", "--cap", "6", "--mode", "heat", "--scalar", "gf-p"):
         (0, 0, 8),

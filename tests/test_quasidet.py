@@ -4,7 +4,7 @@ from random import Random
 import pytest
 import sympy
 
-from conftest import fraction_det
+from conftest import fraction_det, with_coeff
 from test_elimination import FIELDS, _draw, _ref_inverse, _scalar
 from solitonlab.algebra import (
     GFP,
@@ -32,6 +32,7 @@ from solitonlab.quasidet import (
 )
 from solitonlab.scalars import PRIME
 from solitonlab.series import D_T, D_V, SeriesAlgebra, series_exp_linear
+from solitonlab import solitons
 from solitonlab.solitons import random_langmuir_params, langmuir_build_f
 
 M2 = MatrixAlgebra(QQ, 2)
@@ -234,7 +235,40 @@ def test_solution_entry_matches_cell():
     fs = _toda_like_series(rng, 2)
     wp = wronski(fs, D_V)
     cell = frobenius_gamma(wp)
-    assert solution_entry_via_quasidet(wp) == cell.entry(1, 0)
+    assert solution_entry_via_quasidet(wp, cell.entry(1, 0)).is_zero()
+
+
+def test_cross_check_residual_starts_at_a_moved_coefficient():
+    # residual = (expression - g) |W|_1N, and |W|_1N has an invertible
+    # constant term, so its least nonzero exponent is the moved one
+    rng = Random(12)
+    for n_modes in (1, 2, 3):
+        wp = wronski(_toda_like_series(rng, n_modes), D_V)
+        g = frobenius_gamma(wp).entry(n_modes - 1, 0)
+        residual = solution_entry_via_quasidet(wp, g)
+        assert residual.is_zero()
+        assert residual.valid_order == g.valid_order
+        exps = g.algebra.exponents[:len(g.coeffs)]
+        for e in (exps[0], exps[len(exps) // 2], exps[-1]):
+            moved = solution_entry_via_quasidet(wp, with_coeff(g, e, g.coeff(e) + 1))
+            assert moved.algebra.exponents[moved.nonzero_indices()[0]] == e
+
+
+def test_toda_solution_rejects_a_moved_quotient_entry(monkeypatch):
+    gamma = solitons._gamma
+
+    def moved(fs, d, site):
+        wp, cell = gamma(fs, d, site)
+        g = cell.entry(cell.N - 1, 0)
+        e = g.algebra.exponents[len(g.coeffs) - 1]  # its last trusted term
+        bottom = (with_coeff(g, e, g.coeff(e) + 1),) + cell.bottom_row()[1:]
+        return wp, FrobeniusCell(g.algebra, bottom)
+
+    params = solitons.random_toda_params(Random(3), n=3, N=2, cap=7)
+    solitons.toda_solution(params)
+    monkeypatch.setattr(solitons, "_gamma", moved)
+    with pytest.raises(VerificationError, match=r"disagrees at sites \[0, 1, 2\]"):
+        solitons.toda_solution(params)
 
 
 def test_frobenius_gamma_rejects_a_wrong_inverse(monkeypatch):
