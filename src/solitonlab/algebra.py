@@ -13,7 +13,10 @@ This module owns the integer form of field scalars (see ``_Field``), on
 which the fraction-free elimination here (``_bareiss``, behind both
 ``_gauss_jordan`` and a field's ``quasideterminant``) and the series kernels
 of :mod:`solitonlab.series` run: ``_lift`` reads scalars as integer
-numerators over one denominator, and ``_lower`` builds each scalar back once.
+numerators over one denominator, and ``_lower`` builds each scalar back
+once.  A lifted scalar enters every kernel as the row of its channels (a
+left factor) or as its real block (``_real_grid``), so every kernel works
+on one integer per entry.
 
 All values are immutable; every operation is a pure function.  Every field is
 exact, so zero and agreement tests are ``alg.is_zero(x)`` and ``==``, with no
@@ -118,10 +121,10 @@ class _Field(Algebra):
     channels of rationals or integers (one, or (re, im) over QQ(i)),
     ``join`` builds scalars from integer channels over denominators,
     ``terms`` lists the channel products (a, b, out, sign) that add
-    sign * a * b to channel out, ``modulus`` is PRIME over GF(p),
-    ``reciprocal(d)`` is (c, norm) with 1/d = c/norm, and
-    ``bareiss_step(p, prev)`` is the elimination step of one pivot p, on rows
-    with their channels laid end to end."""
+    sign * a * b to channel out, and ``modulus`` is PRIME over GF(p).  Every
+    integer kernel reads a scalar as its row of channels (a left factor) or
+    its real block (``_real_grid``: a right factor, or under elimination),
+    so it works on one integer per entry over every field."""
 
     terms = ((0, 0, 0, 1),)
     modulus = None
@@ -151,31 +154,27 @@ class _Field(Algebra):
     def __hash__(self):
         return hash(self.name)
 
-    def reciprocal(self, d):
-        return [1], d[0]
-
     def matrix_inverse(self, m):
         return SquareMatrix(m.algebra, _gauss_jordan(self, m.rows))
 
     def quasideterminant(self, m, i, j):
         """|m|_ij = m_ij - r * S^-1 * c, S being m without row i and column
         j, by one elimination and no inverse.  Row i and column j are moved
-        last and the rows lifted once to integers A = D * m (``_lift``).
-        Eliminating S's columns with pivots from S's rows (``_bareiss``)
-        leaves det A in the last entry and det(D * S) as the last pivot, so
-        |m|_ij = det m / det S is their ratio over D.  Raises SingularMatrix
-        when S is singular."""
+        last and m lifted once to its real integer form A = D * m
+        (``_real_scalars``), w x w per scalar.  Eliminating S's columns with
+        pivots from S's rows (``_bareiss``) leaves det(D * S) as the last
+        pivot and, in the last w x w block, the real block of D * |m|_ij
+        times it (the Schur complement of S, bordered), so the channels of
+        |m|_ij are that block's first row over D * det(D * S).  Raises
+        SingularMatrix when S is singular."""
         n = m.dim
         rows = [k for k in range(n) if k != i] + [i]
         cols = [k for k in range(n) if k != j] + [j]
-        den, [[chans]] = _lift(self, [[[m.rows[r][k] for r in rows for k in cols]]])
-        aug = [
-            [v for ch in chans for v in (ch[r * n:(r + 1) * n] if ch else [0] * n)]
-            for r in range(n)
-        ]
-        c, norm = self.reciprocal(_bareiss(self, aug, n, n - 1))
-        last = [[v] for v in aug[-1][n - 1::n]]
-        return self.join(_times(self.terms, last, c), [den * norm])[0]
+        den, aug = _real_scalars(self, [[m.rows[r][k] for k in cols] for r in rows])
+        w = len(aug) // n
+        last = w * (n - 1)
+        det = _bareiss(aug, last, w, self.modulus)
+        return self.join([[v] for v in aug[last][last:]], [den * det])[0]
 
     def scalar_mul(self, q, a):
         return self.coerce(q) * a
@@ -201,17 +200,6 @@ class Rationals(_Field):
     def join(self, chans, dens):
         return _fractions(chans[0], dens)
 
-    @staticmethod
-    def bareiss_step(p, prev):
-        """x -> (p x - f y) / prev over integers; the division is exact."""
-        p, prev = p[0], prev[0]
-
-        def step(f, x, y):
-            f = f[0]
-            return [(p * a - f * b) // prev for a, b in zip(x, y)]
-
-        return step
-
 
 class GaussianRationals(_Field):
     # a scalar is (re, im), and (a + bi)(c + di) = (ac - bd) + (ad + bc)i
@@ -235,30 +223,6 @@ class GaussianRationals(_Field):
     def join(self, chans, dens):
         re, im = (_fractions(c, dens) for c in chans)
         return [GaussianRational(x, y) for x, y in zip(re, im)]
-
-    @staticmethod
-    def bareiss_step(p, prev):
-        """x -> (p x - f y) / prev over Gaussian integers; the division, times
-        the conjugate of prev and over its norm, is exact."""
-        (pr, pi), (gr, gi) = p, prev
-        norm = gr * gr + gi * gi
-
-        def step(f, x, y):
-            fr, fi = f
-            h = len(x) // 2
-            out_re, out_im = [], []
-            for xr, xi, yr, yi in zip(x[:h], x[h:], y[:h], y[h:]):
-                re = pr * xr - pi * xi - fr * yr + fi * yi
-                im = pr * xi + pi * xr - fr * yi - fi * yr
-                out_re.append((re * gr + im * gi) // norm)
-                out_im.append((im * gr - re * gi) // norm)
-            return out_re + out_im
-
-        return step
-
-    def reciprocal(self, d):
-        dr, di = d
-        return [dr, -di], dr * dr + di * di
 
 
 class PrimeField(_Field):
@@ -287,18 +251,6 @@ class PrimeField(_Field):
     def join(self, chans, dens):
         inverse = {d: pow(d, -1, PRIME) for d in set(dens)}
         return [Residue(v * inverse[d]) for v, d in zip(chans[0] or [0] * len(dens), dens)]
-
-    @staticmethod
-    def bareiss_step(p, prev):
-        """x -> (p x - f y) / prev mod PRIME, with one inverse of prev."""
-        q = pow(prev[0], -1, PRIME)
-        p = p[0] * q % PRIME
-
-        def step(f, x, y):
-            f = f[0] * q % PRIME
-            return [(p * a - f * b) % PRIME for a, b in zip(x, y)]
-
-        return step
 
 
 QQ = Rationals()
@@ -500,64 +452,62 @@ def _gauss_jordan(field: Algebra, rows):
     """The inverse rows of a square matrix over a field, by fraction-free
     Gauss-Jordan elimination over integers (``_bareiss``).
 
-    The rows are lifted once to integers A = D * rows (``_lift``) and set
-    beside the identity.  After the elimination the left half is det * I and
-    the right half det * A^-1, and each inverse entry is built once, as
-    D * (det * A^-1) * c / norm with 1/det = c/norm (``reciprocal``).
+    The rows are lifted once to their real integer form A = D * rows
+    (``_real_scalars``) and set beside the identity.  After the elimination
+    the left half is det * I and the right half det * A^-1, the real form
+    of det * rows^-1 / D, so each inverse scalar is built once from the
+    first row of its block, as D * (det * A^-1) / det.
     """
-    n, m = len(rows), 2 * len(rows)
-    den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
-    aug = []
-    for i in range(n):
-        row = []
-        for ch in chans:
-            row += ch[i * n:(i + 1) * n] if ch else [0] * n
-            row += [0] * n
-        row[n + i] = 1
-        aug.append(row)
-    c, norm = field.reciprocal(_bareiss(field, aug, m, n))
-    right = [[den * v for row in aug for v in row[k + n:k + m]]
-             for k in range(0, len(aug[0]), m)]
-    inv = field.join(_times(field.terms, right, c), [norm] * (n * n))
+    n = len(rows)
+    den, aug = _real_scalars(field, rows)
+    size = len(aug)
+    w = size // n
+    for i, row in enumerate(aug):
+        row += [0] * size
+        row[size + i] = 1
+    det = _bareiss(aug, size, w, field.modulus)
+    chans = [[den * v for row in aug[::w] for v in row[size + c::w]] for c in range(w)]
+    inv = field.join(chans, [det] * (n * n))
     return [inv[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _bareiss(field, aug, m, pivots):
+def _bareiss(aug, pivots, w, modulus):
     """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
     rows ``aug`` in place, over their first ``pivots`` columns; returns the
     last pivot.
 
-    A row of aug is its channels laid end to end, m entries each, so the
-    channels of the entry in column col are row[col::m].  Column by column,
-    the first of rows col..pivots-1 with a nonzero entry there is the pivot
-    row y, with pivot p; every other row x becomes (p x - f y) / prev
-    (``bareiss_step``, made once per pivot), with f the row's entry in the
-    column and prev the previous pivot (1 at first).  The division is exact,
-    and the zero pattern of each column is that of the elimination over the
-    field, so the pivots, and the column a SingularMatrix names, are the
-    same.  The last pivot is the determinant of the leading pivots x pivots
-    block, and each entry of a later row ends as that block bordered by the
-    row and the entry's column, both up to one sign from the row swaps.
+    The rows are a real form (``_real_grid``), w integers per scalar.  Column
+    by column, the first of rows col..pivots-1 with a nonzero entry there is
+    the pivot row y, with pivot p; every other row x becomes
+    (p x - f y) / prev, with f its entry in the column and prev the previous
+    pivot (1 at first).  The division is exact, and mod ``modulus`` it is a
+    product with prev's inverse.  A real block is invertible exactly when its
+    scalar is, so the elimination stops at column w k exactly when the one
+    over the field stops at column k, and SingularMatrix names column k.  The
+    last pivot is the determinant of the leading pivots x pivots block, and
+    each entry of a later row ends as that block bordered by the row and the
+    entry's column, both up to one sign from the row swaps.
     """
-    zero = [0] * (len(aug[0]) // m)
-    prev = [1] + zero[1:]
+    prev = 1
     for col in range(pivots):
         for pivot_row in range(col, pivots):
-            if aug[pivot_row][col::m] != zero:
+            if aug[pivot_row][col]:
                 break
         else:
-            raise SingularMatrix(f"no invertible pivot in column {col}")
+            raise SingularMatrix(f"no invertible pivot in column {col // w}")
         if pivot_row != col:
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         y = aug[col]
-        p = y[col::m]
-        same = p == prev
-        step = field.bareiss_step(p, prev)
-        for r in range(len(aug)):
-            if r != col:
-                f = aug[r][col::m]
-                if f != zero or not same:
-                    aug[r] = step(f, aug[r], y)
+        p = y[col]
+        if modulus:
+            q = pow(prev, -1, modulus)
+        for r, x in enumerate(aug):
+            f = x[col]
+            if r != col and (f or p != prev):
+                if modulus:
+                    aug[r] = [(p * a - f * b) * q % modulus for a, b in zip(x, y)]
+                else:
+                    aug[r] = [(p * a - f * b) // prev for a, b in zip(x, y)]
         prev = p
     return prev
 
@@ -590,8 +540,10 @@ def _blocks(grid, s):
 
 
 def _scalar_grid(alg, x):
-    """A matrix of ``alg`` as rows of bottom-algebra scalars, nested blocks
+    """An element of ``alg`` as rows of bottom-algebra scalars, nested blocks
     flattened (see ``_flatten``)."""
+    if not isinstance(alg, MatrixAlgebra):
+        return [[x]]
     if not isinstance(alg.base, MatrixAlgebra):
         return x.rows
     return _flatten([[_scalar_grid(alg.base, e) for e in row] for row in x.rows])
@@ -633,16 +585,49 @@ def _lower(field, grid, dens):
     return [[join(ch, dens) for ch in row] for row in grid]
 
 
-def _times(terms, chans, c):
-    """Integer channels (lists, or None for all zeros) times a constant c of
-    the integer form, through the channel products ``terms``."""
-    out = [None] * len(chans)
+def _real_grid(terms, grid):
+    """The real form of a grid of lifted entries (see ``_lift``): entry
+    (i, j) becomes the w x w block at rows i w.. and columns j w.. whose
+    entry (a, out) is sign * channel b, for each channel product
+    (a, b, out, sign) of ``terms``.  So the row of x's channels times y's
+    block is the row of x * y's channels; over QQ(i) the block of re + im i
+    is [[re, im], [-im, re]], and over QQ and GF(p) it is the entry."""
+    w = len(grid[0][0])
+    real = [[None] * (w * len(row)) for row in grid for _ in range(w)]
     for ca, cb, co, sign in terms:
-        x, w = chans[ca], sign * c[cb]
-        if x is not None and w:
-            nums = x if w == 1 else [w * v for v in x]
-            out[co] = nums if out[co] is None else list(map(add, out[co], nums))
-    return out
+        for i, row in enumerate(grid):
+            out = real[i * w + ca]
+            for j, ch in enumerate(row):
+                x = ch[cb]
+                out[j * w + co] = x if x is None or sign > 0 else [-v for v in x]
+    return real
+
+
+def _real_scalars(field, rows):
+    """(D, A) for a grid of field scalars: A is the real form (``_real_grid``)
+    of the integers D * rows, as rows of ints, lifted in one call."""
+    den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
+    block = _real_grid(field.terms, [[chans]])
+    w, size = len(block), len(block) * len(rows[0])
+    # line a of every scalar's block, with the grid's rows end to end
+    lines = [[0] * (size * len(rows)) for _ in block]
+    for line, entries in zip(lines, block):
+        for out, x in enumerate(entries):
+            if x is not None:
+                line[out::w] = x
+    return den, [line[k:k + size] for k in range(0, len(lines[0]), size) for line in lines]
+
+
+def _channel_rows(grid):
+    """Each row of a grid of lifted entries as the row of their channels,
+    laid end to end: the left factor of a real form."""
+    return [[ch for e in row for ch in e] for row in grid]
+
+
+def _pair_channels(w, rows):
+    """Inverse of ``_channel_rows``: rows of w channels per entry, laid end
+    to end, back to rows of per-entry channel lists."""
+    return [[row[j:j + w] for j in range(0, len(row), w)] for row in rows]
 
 
 def _fractions(nums, dens):

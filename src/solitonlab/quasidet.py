@@ -221,21 +221,19 @@ def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMa
 
     L is invertible exactly when its bottom-left entry is.  Y has identity
     rows above the bottom row y, which mixes the cells' bottom rows mu and nu
-    through that one inverse.  The identity rows satisfy Y * L = K by
-    construction, and y is checked by y * L = mu.
+    through the one quotient mu_0 / nu_0.  The identity rows satisfy
+    Y * L = K by construction, and y is checked by y * L = mu.
     """
     if k_cell.N != l_cell.N or k_cell.matrix.algebra != l_cell.matrix.algebra:
         raise SingularCell("cells must share dimension and algebra")
-    base = k_cell.matrix.algebra.base
     mu = k_cell.bottom_row()
     nu = l_cell.bottom_row()
     try:
-        nu_inv = base.invert(nu[0])
-    except SingularMatrix as exc:
+        pivot = mu[0] / nu[0]
+    except (SingularMatrix, ZeroDivisionError) as exc:
         raise SingularCell(
             "bottom-left entry of the divisor cell is not invertible"
         ) from exc
-    pivot = mu[0] * nu_inv
     bottom = [m - pivot * v for m, v in zip(mu[1:], nu[1:])] + [pivot]
     if row_times(bottom, l_cell.matrix) != mu:
         raise VerificationError(

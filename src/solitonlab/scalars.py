@@ -191,6 +191,14 @@ class Residue:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.v:
+            raise ZeroDivisionError("division by zero residue")
+        return Residue(self.v * pow(o.v, -1, PRIME))
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -13,15 +13,16 @@ of its input.  A series with no trusted coefficient decides nothing: deriving,
 inverting or row-solving it raises ``ValueError``.
 
 Products are formed over integers, in the integer form of field scalars
-that :mod:`solitonlab.algebra` owns (``_lift``, ``_lower`` and the field's
-``terms`` and ``modulus``); this module keeps only the algorithms.  One
+that :mod:`solitonlab.algebra` owns (``_lift``, ``_lower``, ``_real_grid``
+and the field's ``modulus``); this module keeps only the algorithms.  One
 kernel (``_product``) multiplies a k x N grid of series by an N x m grid,
 so a product of two series is its 1 x 1 case, and a product of matrices of
 series (``SeriesAlgebra.matmul``, behind ``SquareMatrix.__mul__`` and
 ``row_times``) is one call.  Each grid is flattened into one grid of
 scalars, its blocks numbered as ``algebra._flatten`` numbers them, and read
-as integer numerators over one common denominator (1 over GF(p)), with one
-channel per scalar and two (re, im) over QQ(i).  The channels are convolved
+as integer numerators over one common denominator (1 over GF(p)): the left
+grid as rows of channels and the right one in its real form, one integer
+per entry (``algebra._real_grid``).  Rows and real columns are convolved
 with plain ``int`` multiply-adds and summed over the inner index, and every
 output scalar is built once, over the product of the two denominators.
 Output entry (i, j) is trusted below the least valid order in row i of the
@@ -38,8 +39,8 @@ field's ``zero()`` and ``one()``.  Scaling by any other coefficient, 2 * 1
 included, is a product with a constant series.
 
 Inverses, quotients and row solves are one right division x * a = y, also
-over integers (``_divide``): a series inverse is y = 1 and a quotient y / a
-is y, the inverse of a matrix of series is y = 1 with the N x N matrix of
+over integers (``_divide``): a quotient y / a is y, a series inverse is the
+quotient 1 / a, the inverse of a matrix of series is y = 1 with the N x N matrix of
 r x r blocks flattened to Nr x Nr, a quotient of matrices takes the rows of
 y that keep one order at a time, and ``row_solve`` takes y as one block row.
 a_0^-1 comes from the coefficient algebra's exact ``invert``, then a, y and
@@ -50,7 +51,8 @@ one recurrence.
 Exponentials and derivatives work on the same integer numerators.  One
 kernel (``_exp_rows``) forms row * exp(cu*u + cv*v) by one row-times-matrix
 step per exponent, so exp(cu*u + cv*v) is its case row = 1.  A derivative
-multiplies each numerator by k and by the lifted scale of the derivation.
+multiplies each numerator by k and its channels by the real block of the
+derivation's lifted scale.
 
 Fractions reduce to lowest terms and residues to [0, p), and a product, an
 inverse, the solution of x * a = y, a power and a derivative are unique, so
@@ -68,13 +70,16 @@ from .algebra import (
     MatrixAlgebra,
     SquareMatrix,
     _blocks,
+    _channel_rows,
     _field_and_dim,
     _flatten,
     _from_grid,
     _lift,
     _lower,
+    _pair_channels,
+    _real_grid,
+    _real_scalars,
     _scalar_grid,
-    _times,
 )
 from .errors import (
     AlgebraMismatch,
@@ -476,10 +481,13 @@ class TruncatedSeries:
         other = self._coerce_other(other)
         vo = _trusted_order((self, other), "divide")
         salg = self.algebra
+        alg = salg.coeff
         n = _count_below(salg.arity, vo)
-        coeffs = _inverse_coeffs(salg.arity, vo, salg.coeff, other.coeffs[:n],
-                                 self.coeffs[:n])
-        return TruncatedSeries(salg, coeffs, vo)
+        dim = _field_and_dim(alg)[1]
+        a, y = (_entries(alg, dim, [[x.coeffs[:n]]]) for x in (other, self))
+        x = _divide(salg.arity, vo, alg, other.coeffs[0], a, y,
+                    "series constant term is not invertible")
+        return TruncatedSeries(salg, _from_entries(alg, x, n), vo)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""
@@ -591,14 +599,14 @@ def _product(salg, xs, ys):
     least valid order of those products, as a sum of series products would
     be: the least order in row i of xs and column j of ys.  Each grid is
     flattened into one grid of per-entry scalar lists (``_entries``) and
-    lifted once over one denominator.  Every flattened output entry adds the
-    channel products (``_mul_add``) along its row of xs and column of ys in
-    plain ``int``s, and is lowered once, over the product of the two
-    denominators.
+    lifted once over one denominator, the left one read as rows of channels
+    and the right one in its real form (``_real_grid``).  Every output
+    channel adds the products (``_mul_add``) along its row and real column
+    in plain ``int``s, and each entry is lowered once, over the product of
+    the two denominators.
     """
     coeff, arity = salg.coeff, salg.arity
     field, r = _field_and_dim(coeff)
-    terms = field.terms
     row_orders = [min(map(_valid_order, row)) for row in xs]
     col_orders = [min(map(_valid_order, col)) for col in zip(*ys)]
     # each series is read only as far as some output entry trusts it
@@ -610,31 +618,31 @@ def _product(salg, xs, ys):
     den_y, y_int = _lift(field, _entries(coeff, r, [
         [y.coeffs[:n] for y, n in zip(row, y_counts)] for row in ys]))
     den = den_x * den_y
-    y_cols = list(zip(*y_int))
+    w = len(x_int[0][0])
+    x_rows = _channel_rows(x_int)
+    y_cols = list(zip(*_real_grid(field.terms, y_int)))
     out = []
     for i, vo_i in enumerate(row_orders):
-        # block row i is rows i r to i r + r - 1 of the grid (``_flatten``)
-        x_rows = x_int[i * r:(i + 1) * r]
         out_row = []
         for j, vo_j in enumerate(col_orders):
             vo = min(vo_i, vo_j)
             n = _count_below(arity, vo)
             pairs = _row_pairs(arity, vo)
+            # block (i, j) is rows i r.. and real columns j r w.. (``_flatten``)
             block = []
-            for x_row in x_rows:
+            for x_row in x_rows[i * r:(i + 1) * r]:
                 block_row = []
-                for y_col in y_cols[j * r:(j + 1) * r]:
-                    acc = [None, None]
+                for y_col in y_cols[j * r * w:(j + 1) * r * w]:
+                    acc = None
                     for x, y in zip(x_row, y_col):
-                        for ca, cb, co, sign in terms:
-                            if x[ca] is not None and y[cb] is not None:
-                                if acc[co] is None:
-                                    acc[co] = [0] * n
-                                _mul_add(acc[co], x[ca], y[cb], pairs, sign)
+                        if x is not None and y is not None:
+                            if acc is None:
+                                acc = [0] * n
+                            _mul_add(acc, x, y, pairs)
                     block_row.append(acc)
                 block.append(block_row)
-            coeffs = _from_entries(coeff, _lower(field, block, [den] * n), n)
-            out_row.append(TruncatedSeries(salg, coeffs, vo))
+            grid = _lower(field, _pair_channels(w, block), [den] * n)
+            out_row.append(TruncatedSeries(salg, _from_entries(coeff, grid, n), vo))
         out.append(tuple(out_row))
     return out
 
@@ -642,14 +650,12 @@ def _product(salg, xs, ys):
 _valid_order = attrgetter("valid_order")
 
 
-def _mul_add(out, x, y, rows, sign):
-    """out += sign * (x conv y) for integer channels x, y over the pair rows."""
+def _mul_add(out, x, y, rows):
+    """out += x conv y for integer lists x, y over the pair rows."""
     if x.count(0) < y.count(0):
-        x, y = y, x  # integers commute: walk the rows of the sparser channel
+        x, y = y, x  # integers commute: walk the rows of the sparser list
     for xa, row in zip(x, rows):
         if xa:
-            if sign < 0:
-                xa = -xa
             for io, yb in zip(row, y):
                 out[io] += xa * yb
 
@@ -689,8 +695,9 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
 
     The coefficient at E is k * scale times the one at E + e_axis, with
     k = E[axis] + 1: the lifted integer numerators (see ``_lift``) are
-    multiplied by k and by the lifted scale, and each output scalar is
-    lowered once, over the product of the two denominators.
+    multiplied by k and then by the real block of the lifted scale
+    (``_times``), and each output scalar is lowered once, over the product
+    of the two denominators.
     """
     vo = _trusted_order((s,), "differentiate")
     salg = s.algebra
@@ -698,17 +705,29 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     n = _count_below(salg.arity, vo - 1)
     sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
     den, xs = _lift(field, _entries(salg.coeff, dim, [[s.coeffs]]))
-    scale_den, [[scale]] = _lift(field, [[[field.coerce(d.scale)]]])
-    scale = [0 if ch is None else ch[0] for ch in scale]
-    terms = field.terms
+    scale_den, scale = _real_scalars(field, [[field.coerce(d.scale)]])
     out = [
-        [_times(terms, [None if ch is None else list(map(mul, factors, sources(ch)))
-                        for ch in x], scale)
+        [_times([None if ch is None else list(map(mul, factors, sources(ch)))
+                 for ch in x], scale)
          for x in row]
         for row in xs
     ]
     coeffs = _from_entries(salg.coeff, _lower(field, out, [den * scale_den] * n), n)
     return TruncatedSeries(salg, coeffs, vo - 1)
+
+
+def _times(chans, block):
+    """Integer channels (lists, or None for all zeros) times the real block
+    of a scalar (``_real_scalars``): the channels of the product."""
+    out = []
+    for col in zip(*block):
+        acc = None
+        for x, c in zip(chans, col):
+            if x is not None and c:
+                nums = x if c == 1 else [c * v for v in x]
+                acc = nums if acc is None else list(map(add, acc, nums))
+        out.append(acc)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -749,23 +768,22 @@ def _exp_rows(alg, out, row, cu, cv, cap):
     one row of ``alg``'s scalar grid: one series over ``out`` per entry.
 
     The row, cu and cv are lifted once to P = D_p row, C_u = D_u cu and
-    C_v = D_v cv, real grids over QQ(i) (see ``_real_grid``).  P C_u^m C_v^l
-    is the rows at (m, l - 1) times C_v, or at (m - 1, 0) times C_u, reduced
-    over GF(p), and each scalar is lowered once, over D_p D_u^m m! D_v^l l!.
+    C_v = D_v cv, the row as rows of channels and cu, cv in their real form
+    (see ``_real_grid``).  P C_u^m C_v^l is the rows at (m, l - 1) times
+    C_v, or at (m - 1, 0) times C_u, reduced over GF(p), and each scalar is
+    lowered once, over D_p D_u^m m! D_v^l l!.
     """
     cs = [alg.coerce(c) for c in (cu, cv) if c is not None]
     if len(cs) == 2 and cs[0] * cs[1] != cs[1] * cs[0]:
         raise NoncommutingExponents("exponent coefficients do not commute")
-    field, dim = _field_and_dim(alg)
+    field = _field_and_dim(alg)[0]
     r = _field_and_dim(out)[1]
     den, p_int = _lift(field, _entries(out, r, [[[out.coerce(x)] for x in row]]))
     steps = []
     for c in cs:
-        den_c, c_int = _lift(field, _entries(alg, dim, [[[c]]]))
-        grid = _real_grid(field.terms, c_int)
-        steps.append((den_c, list(zip(*([e[0] if e else 0 for e in line] for line in grid)))))
-    rows = [[[e[c][0] if e[c] else 0 for c in range(len(line[0])) for e in line]
-             for line in p_int]]
+        den_c, c_real = _real_scalars(field, _scalar_grid(alg, c))
+        steps.append((den_c, list(zip(*c_real))))
+    rows = [[[x[0] if x else 0 for x in line] for line in _channel_rows(p_int)]]
     dens = [den]
     modulus = field.modulus
     for prev, axis, k in _exp_steps(len(cs), cap):
@@ -774,7 +792,7 @@ def _exp_rows(alg, out, row, cu, cv, cap):
         rows.append([[v % modulus for v in line] for line in prod] if modulus else prod)
         dens.append(dens[prev] * den_c * k)
     z = [[list(col) for col in zip(*powers)] for powers in zip(*rows)]
-    grid = _lower(field, _pair_channels(dim, z), dens)
+    grid = _lower(field, _pair_channels(len(p_int[0][0]), z), dens)
     salg = SeriesAlgebra(out, len(cs), cap)
     return tuple(TruncatedSeries(salg, _from_entries(out, b, len(dens)), cap)
                  for b in _blocks(grid, r)[0])
@@ -791,23 +809,6 @@ def _exp_steps(arity: int, cap: int):
     return tuple(steps)
 
 
-def _inverse_coeffs(arity: int, valid_order: int, alg: Algebra, coeffs, numer=None) -> list:
-    """Trusted coefficients of the two-sided inverse of a series over ``alg``,
-    or of numer * inverse given the coefficients ``numer``.
-
-    It is the right division x * a = 1 (x * a = numer) by ``_divide``; the
-    result is unique and its scalars canonical, so every value is the same
-    as from a coefficient-by-coefficient recurrence.
-    """
-    dim = _field_and_dim(alg)[1]
-    n = len(coeffs)
-    if numer is None:
-        numer = [alg.one()] + [alg.zero()] * (n - 1)
-    x = _divide(arity, valid_order, alg, coeffs[0], _entries(alg, dim, [[coeffs]]),
-                _entries(alg, dim, [[numer]]), "series constant term is not invertible")
-    return _from_entries(alg, x, n)
-
-
 def _divide(arity, valid_order, alg, a0, a, y, singular):
     """The x with x * a = y through ``valid_order``, formed over integers.
 
@@ -822,50 +823,23 @@ def _divide(arity, valid_order, alg, a0, a, y, singular):
 
         Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M
 
-    is an exact integer recurrence.  Over QQ(i) each grid is embedded in
-    real integers (see ``_real_grid``), and over GF(p) every Z_E is reduced.
+    is an exact integer recurrence.  Y is read as rows of channels and A
+    and M in their real form (see ``_real_grid``), and over GF(p) every Z_E
+    is reduced.
     """
     try:
         a0_inv = alg.invert(a0)
     except SingularMatrix as exc:
         raise SingularConstantTerm(singular) from exc
-    field, dim = _field_and_dim(alg)
+    field = _field_and_dim(alg)[0]
     den_a, a_int = _lift(field, a)
-    m, m_int = _lift(field, _entries(alg, dim, [[[a0_inv]]]))
+    m, m_int = _real_scalars(field, _scalar_grid(alg, a0_inv))
     den_y, y_int = _lift(field, y)
     s = den_a * m
-    z = _divide_integers(
-        arity, valid_order,
-        _real_grid(field.terms, a_int),
-        [[e[0] if e else 0 for e in row] for row in _real_grid(field.terms, m_int)],
-        [[ch[c] for c in range(len(row[0])) for ch in row] for row in y_int],
-        s, field.modulus,
-    )
+    z = _divide_integers(arity, valid_order, _real_grid(field.terms, a_int), m_int,
+                         _channel_rows(y_int), s, field.modulus)
     dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
-    return _lower(field, _pair_channels(dim, z), dens)
-
-
-def _pair_channels(dim, rows):
-    """Rows of real entries [channel 0 | channel 1 | ...], each channel dim
-    entries wide, back to rows of per-entry channels."""
-    return [[row[j::dim] for j in range(dim)] for row in rows]
-
-
-def _real_grid(terms, grid):
-    """A square grid of integer channels as one real matrix R: block (a, out)
-    is sign * channel b for each channel product (a, b, out, sign), so a row
-    [channel 0 | channel 1 | ...] times R is that row of the channel
-    product.  Over QQ(i) R is [[Re, Im], [-Im, Re]]."""
-    dim = len(grid)
-    size = dim * len(grid[0][0])
-    real = [[None] * size for _ in range(size)]
-    for ca, cb, co, sign in terms:
-        for i, row in enumerate(grid):
-            out = real[ca * dim + i]
-            for j, ch in enumerate(row):
-                x = ch[cb]
-                out[co * dim + j] = x if x is None or sign > 0 else [-v for v in x]
-    return real
+    return _lower(field, _pair_channels(len(a_int[0][0]), z), dens)
 
 
 def _divide_integers(arity, valid_order, a, m, y, s, modulus):
@@ -921,14 +895,13 @@ def _gather(indices):
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Two-sided inverse through the input's valid order.
+    """Two-sided inverse through the input's valid order: the right
+    division 1 / s.
 
     Needs an invertible constant term; ValueError when no coefficient is trusted.
     """
     _trusted_order((s,), "invert")
-    salg = s.algebra
-    out = _inverse_coeffs(salg.arity, s.valid_order, salg.coeff, s.coeffs)
-    return TruncatedSeries(salg, out, s.valid_order)
+    return s.algebra.one() / s
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:

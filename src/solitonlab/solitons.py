@@ -922,7 +922,7 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8) -> NlsScalarComparison:
     )
     salg = f_rows[0][0].algebra
     f = SquareMatrix(MatrixAlgebra(salg, 2), f_rows)
-    gamma = f.derive(D_V) * through(f, cap - 1).inverse()  # the derivative's order
+    gamma = f.derive(D_V) / through(f, cap - 1)  # the derivative's order
     candidates = {
         "via-gamma-12": gamma.entry(0, 1).scale_left(-2),
         "via-gamma-21": gamma.entry(1, 0).scale_left(-2),

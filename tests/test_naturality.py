@@ -1,0 +1,140 @@
+"""The pipeline commutes with algebra homomorphisms applied entrywise to
+explicit parameters.
+
+The constructions and checks use only sums, products, inverses and
+derivations, so for a homomorphism phi the run on phi(params) must give
+phi(series), and every check entry must keep its ``passed`` and
+``valid_order``.  Both sides run through ``cli.main`` on explicit-params
+configs at cap <= 7, and their dumped series are compared exactly, a term
+missing from a dump read as 0.
+
+- *Realification*: z = re + im i maps to the real block [[re, im], [-im, re]],
+  entrywise, so a gaussian-rational run at block size r and the rational
+  run of the realified parameters at 2r agree.  Langmuir's "(commutative
+  product form)" entries exist only at r = 1, so checks compare the entries
+  both sides have.
+- *Inclusion QQ in QQ(i)*: the explicit configs with rational parameters
+  give equal series and checks under both scalar modes.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from solitonlab import cli
+from solitonlab.scalars import parse_gaussian
+
+CONFIG_DIR = Path(__file__).parent / "configs"
+
+# gaussian-rational configs at block size r; each is also run realified at 2r
+REALIFIED = {
+    "toda": {"system": "toda", "n": 3, "N": 2, "cap": 7, "params": {
+        "a": [["2/3+1*i", "-5/2"], ["7/4-1/2*i", "3*i"], ["-1/3", "6/5+2/3*i"]],
+        "p": [["1", "1/2*i", "-3/7+1*i"], ["2/5", "-1-1/3*i", "4/3"]],
+    }},
+    "sine-gordon": {"system": "sine-gordon", "N": 2, "cap": 7, "params": {
+        "p": ["3/2+1/2*i", "-2/7"],
+        "q": ["1/3*i", "5/4-1*i"],
+        "a": ["2-1*i", "-3/5+2/5*i"],
+    }},
+    "langmuir": {"system": "langmuir", "N": 2, "window": 4, "cap": 7, "params": {
+        "p": ["1/2+1*i", "-3"],
+        "q": ["4/5", "2/3-1/2*i"],
+        "mu": ["3/2+1/2*i", "-1/4+1*i"],
+    }},
+    "heat": {"system": "nls", "mode": "heat", "N": 1, "r": 2, "cap": 7, "params": {
+        "b": [["1", "0"], ["0", "-1"]],
+        "c": [[["1+1/2*i", "2/3"], ["-1*i", "3/4"]]],
+        "d": [[["1/2", "-1/3+1*i"], ["2", "5/7*i"]]],
+        "a": [[["3/2", "1/2*i"], ["0", "-2/3+1/3*i"]]],
+    }},
+}
+
+INCLUDED = ["toda-n3-N2-explicit", "sine-gordon-N2-explicit", "langmuir-N2-w4-explicit"]
+
+
+def _run(cfg, tmp_path, name):
+    config, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+    config.write_text(json.dumps(dict(cfg, dump_series=True)))
+    assert cli.main([cfg["system"], "--config", str(config), "--report", str(report)]) == 0
+    return json.loads(report.read_text())
+
+
+def _realify(node, depth, r):
+    """Each scalar (r = 1) or r x r matrix at array depth ``depth`` as its
+    2r x 2r real form, entries as strings."""
+    if depth:
+        return [_realify(x, depth - 1, r) for x in node]
+    rows = []
+    for row in [[node]] if r == 1 else node:
+        zs = [parse_gaussian(x) for x in row]
+        rows.append([str(v) for z in zs for v in (z.re, z.im)])
+        rows.append([str(v) for z in zs for v in (-z.im, z.re)])
+    return rows
+
+
+def _realified(cfg):
+    r = cfg.get("r", 1)
+    arrays = cli._SYSTEMS[cfg["system"]].params.arrays
+    params = {name: _realify(value, len(arrays[name][0]), r)
+              for name, value in cfg["params"].items()}
+    return dict(cfg, r=2 * r, scalar="rational", params=params)
+
+
+def _series(report, read, zero):
+    """Per series name, a reader of its coefficient at an exponent."""
+    out = {}
+    for name, terms in report["series"].items():
+        coeffs = {tuple(t["exponents"]): read(t["coefficient"]) for t in terms}
+        out[name] = lambda e, coeffs=coeffs: coeffs.get(e, zero)
+    return out, {name: {tuple(t["exponents"]) for t in terms}
+                 for name, terms in report["series"].items()}
+
+
+def _assert_same_series(left, right, read_left, read_right, zero):
+    (get_l, exps_l), (get_r, exps_r) = (_series(left, read_left, zero),
+                                        _series(right, read_right, zero))
+    assert sorted(get_l) == sorted(get_r)
+    for name in get_l:
+        for e in sorted(exps_l[name] | exps_r[name]):
+            assert get_l[name](e) == get_r[name](e), (name, e)
+
+
+def _entries(report):
+    return {(check["equation"], entry["label"]): (entry["passed"], entry["valid_order"])
+            for check in report["checks"] for entry in check["entries"]}
+
+
+@pytest.mark.parametrize("case", REALIFIED)
+def test_realification_commutes(case, tmp_path):
+    cfg = dict(REALIFIED[case], scalar="gaussian-rational")
+    r = cfg.get("r", 1)
+    complex_run = _run(cfg, tmp_path, "complex")
+    real_run = _run(_realified(cfg), tmp_path, "real")
+
+    def read_complex(c):
+        return [[Fraction(x) for x in row] for row in _realify(c, 0, r)]
+
+    def read_real(c):
+        return [[Fraction(x) for x in row] for row in c]
+
+    zero = [[Fraction(0)] * (2 * r) for _ in range(2 * r)]
+    _assert_same_series(complex_run, real_run, read_complex, read_real, zero)
+    left, right = _entries(complex_run), _entries(real_run)
+    assert {k for k in left.keys() ^ right.keys()
+            if "(commutative product form)" not in k[1]} == set()
+    assert {k: left[k] for k in left.keys() & right.keys()} == \
+        {k: right[k] for k in left.keys() & right.keys()}
+    assert complex_run["passed"] and real_run["passed"]
+
+
+@pytest.mark.parametrize("name", INCLUDED)
+def test_inclusion_of_rationals_commutes(name, tmp_path):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg.pop("dump_degree")
+    runs = [_run(dict(cfg, scalar=scalar), tmp_path, scalar)
+            for scalar in ("rational", "gaussian-rational")]
+    _assert_same_series(*runs, parse_gaussian, parse_gaussian, parse_gaussian("0"))
+    assert _entries(runs[0]) == _entries(runs[1])

@@ -335,10 +335,19 @@ def test_quotient_closed_form_random_matrix_entries():
         assert frobenius_quotient(k, l) == direct
 
 
+def test_quotient_of_prime_field_cells():
+    k = FrobeniusCell(GFP, [2, 3, 5])
+    l = FrobeniusCell(GFP, [4, 1, PRIME - 4])
+    assert frobenius_quotient(k, l) == k.matrix * l.matrix.inverse()
+    with pytest.raises(SingularCell):
+        frobenius_quotient(k, FrobeniusCell(GFP, [PRIME, 1, 4]))
+
+
 def test_quotient_rejects_a_wrong_bottom_row(monkeypatch):
     k = FrobeniusCell(QQ, [2, 3, 5])
     l = FrobeniusCell(QQ, [1, 1, 4])
-    # a wrong inverse of the corner entry moves every bottom-row entry
-    monkeypatch.setattr(type(QQ), "invert", lambda self, a: 1 / a + 1)
+    # a wrong quotient of the corner entries moves every bottom-row entry
+    divide = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__", lambda a, b: divide(a, b) + 1)
     with pytest.raises(VerificationError):
         frobenius_quotient(k, l)
