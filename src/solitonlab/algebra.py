@@ -5,9 +5,10 @@ residues modulo one 31-bit prime) at the bottom, with ``MatrixAlgebra`` layers
 stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the whole tower once to one big matrix over the scalar field
 (``_scalar_grid``), runs a Gauss-Jordan elimination there, and re-nests the
-result (``_from_grid``).  Products and inverses of matrices are the entry
-algebra's job (``matmul``, ``matrix_inverse``): the default product goes
-entry by entry, and series multiply whole grids at once.
+result (``_from_grid``); a series over a matrix tower stores its coefficients
+in that flattened layout, one tuple of scalars per entry.  Products and
+inverses of matrices are the entry algebra's job (``matmul``,
+``matrix_inverse``): entry by entry by default, whole grids for series.
 
 This module owns the integer form of field scalars (see ``_Field``), on
 which the fraction-free elimination here (``_bareiss``, behind both

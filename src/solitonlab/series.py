@@ -6,53 +6,46 @@ two commuting variables ``(u, v)``, and coefficients in any algebra from
 
 Each series carries ``valid_order`` (at most ``cap``): every coefficient of
 total degree strictly below it is guaranteed correct, and those are exactly
-the coefficients it stores, densely in graded-lexicographic order.  Products
-and sums take the minimum of the operands' valid orders and compute only that
-prefix, a formal derivative loses one order, and inversion preserves the order
-of its input.  A series with no trusted coefficient decides nothing: deriving,
-inverting or row-solving it raises ``ValueError``.
+the coefficients it stores, densely in graded-lexicographic order, in the one
+form every kernel reads: an r x r grid of field scalars, r = 1 over a field
+and the flattened size over a matrix tower, whose entry (a, b) is the tuple
+of that scalar of every coefficient (``TruncatedSeries.grid``).  ``coeffs``,
+the coefficients as elements of the coefficient algebra, is a view built on
+request.  Products and sums take the minimum of the operands' valid orders
+and compute only that prefix, a formal derivative loses one order, and
+inversion preserves the order of its input.  A series with no trusted
+coefficient decides nothing: deriving, inverting or row-solving it raises
+``ValueError``.
 
-Products are formed over integers, in the integer form of field scalars
-that :mod:`solitonlab.algebra` owns (``_lift``, ``_lower``, ``_real_grid``
-and the field's ``modulus``); this module keeps only the algorithms.  One
-kernel (``_product``) multiplies a k x N grid of series by an N x m grid,
-so a product of two series is its 1 x 1 case, and a product of matrices of
-series (``SeriesAlgebra.matmul``, behind ``SquareMatrix.__mul__`` and
-``row_times``) is one call.  Each grid is flattened into one grid of
-scalars, its blocks numbered as ``algebra._flatten`` numbers them, and read
-as integer numerators over one common denominator (1 over GF(p)): the left
-grid as rows of channels and the right one in its real form, one integer
-per entry (``algebra._real_grid``).  Rows and real columns are convolved
-with plain ``int`` multiply-adds and summed over the inner index, and every
-output scalar is built once, over the product of the two denominators.
-Output entry (i, j) is trusted below the least valid order in row i of the
-left grid and column j of the right one, as a sum of series products would
-be.
+Products, quotients, exponentials and derivatives are formed over integers,
+in the integer form of field scalars that :mod:`solitonlab.algebra` owns
+(``_lift``, ``_lower``, ``_real_grid`` and the field's ``modulus``); this
+module keeps only the algorithms.  One kernel (``_product``) multiplies a
+k x N grid of series by an N x m grid, so a product of two series is its
+1 x 1 case and a product of matrices of series (``SeriesAlgebra.matmul``)
+is one call: the grids of each side are flattened into one
+(``algebra._flatten``), read as integer numerators over one denominator,
+the left grid as rows of channels and the right one in its real form, and
+convolved with plain ``int`` multiply-adds.  Output entry (i, j) is trusted
+below the least valid order in row i of the left grid and column j of the
+right one, as a sum of series products would be.
 
 Scaling by a coefficient c (``scale_left``, ``scale_right``) is a selection
 when c is a matrix over a field each of whose rows (scaling from the left)
 or columns (from the right) holds at most one nonzero entry, and that entry
 is +-1, as b = +-1 diagonals, the grading projectors (1 +- b)/2 and signed
-permutations are: each row or column of every coefficient is kept, negated
-or zeroed, with no integer form.  0 and +-1 are recognised through the
-field's ``zero()`` and ``one()``.  Scaling by any other coefficient, 2 * 1
-included, is a product with a constant series.
+permutations are: each row or column of the grid is kept, negated or
+zeroed.  Scaling by any other coefficient, 2 * 1 included, is a product
+with a constant series.
 
-Inverses, quotients and row solves are one right division x * a = y, also
-over integers (``_divide``): a quotient y / a is y, a series inverse is the
-quotient 1 / a, the inverse of a matrix of series is y = 1 with the N x N matrix of
-r x r blocks flattened to Nr x Nr, a quotient of matrices takes the rows of
-y that keep one order at a time, and ``row_solve`` takes y as one block row.
-a_0^-1 comes from the coefficient algebra's exact ``invert``, then a, y and
-a_0^-1 become integers over the denominators D_a, D_y and m, and with
-s = D_a m each x_E is Z_E / (D_y m s^|E|) for integer matrices Z_E given by
-one recurrence.
-
-Exponentials and derivatives work on the same integer numerators.  One
-kernel (``_exp_rows``) forms row * exp(cu*u + cv*v) by one row-times-matrix
-step per exponent, so exp(cu*u + cv*v) is its case row = 1.  A derivative
-multiplies each numerator by k and its channels by the real block of the
-derivation's lifted scale.
+Inverses, quotients and row solves are one right division x * a = y
+(``_divide``): a series inverse is the quotient 1 / a, the inverse of a
+matrix of series is y = 1 with the N x N matrix of r x r blocks flattened
+to Nr x Nr, and ``row_solve`` takes y as one block row.  a_0^-1 comes from
+exact Gauss-Jordan elimination, and with the denominators D_a, D_y and m
+of a, y and a_0^-1 and s = D_a m, each x_E is Z_E / (D_y m s^|E|) for
+integer matrices Z_E given by one recurrence.  One kernel (``_exp_rows``)
+forms row * exp(cu*u + cv*v) by one row-times-matrix step per exponent.
 
 Fractions reduce to lowest terms and residues to [0, p), and a product, an
 inverse, the solution of x * a = y, a power and a derivative are unique, so
@@ -74,6 +67,7 @@ from .algebra import (
     _field_and_dim,
     _flatten,
     _from_grid,
+    _gauss_jordan,
     _lift,
     _lower,
     _pair_channels,
@@ -237,12 +231,11 @@ class SeriesAlgebra(Algebra):
         idx = _index_of(self.arity, self.cap).get(exponent)
         if idx is None:
             raise ValueError(f"exponent {exponent} out of range for cap {self.cap}")
-        value = self.coeff.coerce(value)
         vo = self.cap if valid_order is None else valid_order
-        coeffs = [self.coeff.zero()] * _count_below(self.arity, vo)
-        if idx < len(coeffs):
-            coeffs[idx] = value
-        return TruncatedSeries(self, coeffs, vo)
+        pad = (_field_and_dim(self.coeff)[0].zero(),) * _count_below(self.arity, vo)
+        grid = [[pad[:idx] + (x,) + pad[idx + 1:] if idx < len(pad) else pad for x in row]
+                for row in _scalar_grid(self.coeff, self.coeff.coerce(value))]
+        return TruncatedSeries._of(self, grid, vo)
 
     def zero(self):
         return self.constant(self.coeff.zero())
@@ -264,22 +257,23 @@ class SeriesAlgebra(Algebra):
         return a.is_zero()
 
     def scalar_mul(self, q, a):
-        return TruncatedSeries(
-            self,
-            [self.coeff.scalar_mul(q, c) for c in a.coeffs],
-            a.valid_order,
-        )
+        q = _field_and_dim(self.coeff)[0].coerce(q)
+        grid = [[[q * x for x in e] for e in row] for row in a.grid]
+        return TruncatedSeries._of(self, grid, a.valid_order)
 
     def magnitude(self, a):
-        return max((self.coeff.magnitude(c) for c in a.coeffs), default=0.0)
+        magnitude = _field_and_dim(self.coeff)[0].magnitude
+        return max((magnitude(x) for row in a.grid for e in row for x in e), default=0.0)
 
     def format_element(self, a, degree_limit=None):
-        zero = self.coeff.zero()
-        return [
-            {"exponents": list(e), "coefficient": self.coeff.format_element(c)}
-            for e, c in zip(self.exponents, a.coeffs)
-            if c != zero and (degree_limit is None or sum(e) <= degree_limit)
-        ]
+        field = _field_and_dim(self.coeff)[0]
+        out = []
+        for k in a.nonzero_indices():
+            e = self.exponents[k]
+            if degree_limit is None or sum(e) <= degree_limit:
+                grid = [[field.format_element(x[k]) for x in row] for row in a.grid]
+                out.append({"exponents": list(e), "coefficient": _nested(self.coeff, grid)})
+        return out
 
     def matrix_inverse(self, m):
         """The inverse of a matrix of series: the right division x * m = 1,
@@ -319,22 +313,21 @@ class SeriesAlgebra(Algebra):
         )[0]
 
     def _divide_rows(self, y_rows, m, action, singular):
-        """The rows of series x with x * m = y_rows, through their blocks
-        flattened into one grid (see ``_entries``)."""
+        """The rows of series x with x * m = y_rows, the grids of each side
+        flattened into one (``_flatten``).  The constant term W_0 is
+        inverted by ``invert`` of the matrix algebra over the coefficients."""
         vo = _trusted_order(
             [x for rows in (y_rows, m.rows) for row in rows for x in row], action
         )
         n = _count_below(self.arity, vo)
-        a0 = SquareMatrix(MatrixAlgebra(self.coeff, m.dim),
-                          [[x.coeffs[0] for x in row] for row in m.rows])
-        r = _field_and_dim(self.coeff)[1]
-        a, y = (_entries(self.coeff, r, [[x.coeffs[:n] for x in row] for row in rows])
+        field, r = _field_and_dim(self.coeff)
+        a, y = (_flatten([[_cut(x.grid, n) for x in row] for row in rows])
                 for rows in (m.rows, y_rows))
-        x = _divide(self.arity, vo, a0.algebra, a0, a, y, singular)
-        return [
-            tuple(TruncatedSeries(self, _from_entries(self.coeff, b, n), vo) for b in brow)
-            for brow in _blocks(x, r)
-        ]
+        alg = MatrixAlgebra(self.coeff, m.dim)
+        a0 = _from_grid(alg, [[e[0] for e in row] for row in a])
+        x = _divide(self.arity, vo, field, lambda: _scalar_grid(alg, alg.invert(a0)),
+                    a, y, singular)
+        return [tuple(TruncatedSeries._of(self, b, vo) for b in brow) for brow in _blocks(x, r)]
 
     def matmul(self, xs, ys) -> list:
         """The rows of the product of a k x N grid ``xs`` by an N x m grid
@@ -346,11 +339,16 @@ class SeriesAlgebra(Algebra):
 class TruncatedSeries:
     """Immutable truncated series; ``*`` is the Cauchy product.
 
-    ``coeffs`` holds exactly the trusted coefficients: one per exponent of
-    total degree below ``valid_order``, in graded-lexicographic order.
+    ``grid`` holds exactly the trusted coefficients, in the form every
+    kernel reads: an r x r grid, r = 1 over a field and the flattened size
+    over a matrix tower (``_scalar_grid``), whose entry (a, b) is the tuple
+    of that scalar of each coefficient of total degree below
+    ``valid_order``, in graded-lexicographic order.  The constructor takes
+    the coefficients as elements of the coefficient algebra and converts
+    them once; ``coeffs`` is a view that builds them back on each read.
     """
 
-    __slots__ = ("algebra", "coeffs", "valid_order", "_nonzero")
+    __slots__ = ("algebra", "grid", "valid_order")
 
     def __init__(self, algebra: SeriesAlgebra, coeffs, valid_order: int):
         if not 0 <= valid_order <= algebra.cap:
@@ -358,20 +356,39 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if len(coeffs) != _count_below(algebra.arity, valid_order):
             raise AlgebraMismatch(f"{len(coeffs)} coefficients for valid_order {valid_order}")
+        self._store(algebra, _grid_of(algebra.coeff, coeffs), valid_order)
+
+    @classmethod
+    def _of(cls, algebra: SeriesAlgebra, grid, valid_order: int) -> "TruncatedSeries":
+        """The series whose ``grid`` is ``grid``, with no conversion."""
+        s = object.__new__(cls)
+        s._store(algebra, grid, valid_order)
+        return s
+
+    def _store(self, algebra, grid, valid_order):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "grid", tuple([tuple(map(tuple, row)) for row in grid]))
         object.__setattr__(self, "valid_order", valid_order)
-        object.__setattr__(self, "_nonzero", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The trusted coefficients as elements of the coefficient algebra,
+        built from ``grid`` on each read."""
+        alg, grid = self.algebra.coeff, self.grid
+        if not isinstance(alg, MatrixAlgebra):
+            return grid[0][0]
+        return tuple(_from_grid(alg, [[e[k] for e in row] for row in grid])
+                     for k in range(len(grid[0][0])))
+
     def _trusted_index(self, exponent):
         e = tuple(exponent)
         idx = _index_of(self.algebra.arity, self.algebra.cap).get(e)
-        if idx is None or idx >= len(self.coeffs):
+        if idx is None or idx >= len(self.grid[0][0]):
             raise ValueError(f"exponent {e} not below valid_order {self.valid_order}")
         return idx
 
@@ -380,12 +397,10 @@ class TruncatedSeries:
         return self.coeffs[self._trusted_index(exponent)]
 
     def nonzero_indices(self):
-        cached = self._nonzero
-        if cached is None:
-            zero = self.algebra.coeff.zero()
-            cached = tuple(i for i, c in enumerate(self.coeffs) if c != zero)
-            object.__setattr__(self, "_nonzero", cached)
-        return cached
+        """The indices of the trusted coefficients with a nonzero scalar (a
+        scalar of every field is false exactly when it is zero)."""
+        entries = [e for row in self.grid for e in row]
+        return tuple(k for k, xs in enumerate(zip(*entries)) if any(xs))
 
     def is_zero(self) -> bool:
         """True when every trusted coefficient (degree < valid_order) is zero."""
@@ -411,20 +426,17 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.algebra, [-c for c in self.coeffs], self.valid_order
-        )
+        grid = [[[-x for x in e] for e in row] for row in self.grid]
+        return TruncatedSeries._of(self.algebra, grid, self.valid_order)
 
     def __sub__(self, other):
         return self._zip(other, sub)
 
     def _zip(self, other, op):
-        """The coefficientwise op, through the lesser valid order."""
+        """The scalarwise op, through the lesser valid order."""
         other = self._coerce_other(other)
-        return TruncatedSeries(
-            self.algebra, map(op, self.coeffs, other.coeffs),
-            min(self.valid_order, other.valid_order),
-        )
+        grid = [[map(op, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)]
+        return TruncatedSeries._of(self.algebra, grid, min(self.valid_order, other.valid_order))
 
     def __rsub__(self, other):
         return self.algebra.coerce(other) - self
@@ -465,9 +477,8 @@ class TruncatedSeries:
         if picks is None:
             const = salg.constant(c, self.valid_order)
             return _convolve(const, self) if left else _convolve(self, const)
-        return TruncatedSeries(
-            salg, _select(salg.coeff, self.coeffs, picks, left), self.valid_order
-        )
+        grid = _select(salg.coeff.base.zero(), self.grid, picks, left)
+        return TruncatedSeries._of(salg, grid, self.valid_order)
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
         return series_derive(self, d)
@@ -481,20 +492,20 @@ class TruncatedSeries:
         other = self._coerce_other(other)
         vo = _trusted_order((self, other), "divide")
         salg = self.algebra
-        alg = salg.coeff
+        field = _field_and_dim(salg.coeff)[0]
         n = _count_below(salg.arity, vo)
-        dim = _field_and_dim(alg)[1]
-        a, y = (_entries(alg, dim, [[x.coeffs[:n]]]) for x in (other, self))
-        x = _divide(salg.arity, vo, alg, other.coeffs[0], a, y,
+        a, y = (_cut(x.grid, n) for x in (other, self))
+        a0 = [[e[0] for e in row] for row in a]
+        x = _divide(salg.arity, vo, field, lambda: _gauss_jordan(field, a0), a, y,
                     "series constant term is not invertible")
-        return TruncatedSeries(salg, _from_entries(alg, x, n), vo)
+        return TruncatedSeries._of(salg, x, vo)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""
-        if valid_order > self.valid_order:
-            raise ValueError(f"cannot raise valid_order {self.valid_order} to {valid_order}")
+        if not 0 <= valid_order <= self.valid_order:
+            raise ValueError(f"cannot cut valid_order {self.valid_order} to {valid_order}")
         k = _count_below(self.algebra.arity, valid_order)
-        return TruncatedSeries(self.algebra, self.coeffs[:k], valid_order)
+        return TruncatedSeries._of(self.algebra, _cut(self.grid, k), valid_order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -506,17 +517,14 @@ class TruncatedSeries:
     __hash__ = None
 
     def __repr__(self):
-        terms = []
-        exps = self.algebra.exponents
+        exps, coeffs = self.algebra.exponents, self.coeffs
         names = ("t",) if self.algebra.arity == 1 else ("u", "v")
-        for i in self.nonzero_indices()[:6]:
-            mono = "*".join(
-                f"{n}^{k}" for n, k in zip(names, exps[i]) if k
-            ) or "1"
-            terms.append(f"({self.coeffs[i]!r})*{mono}")
-        body = " + ".join(terms) if terms else "0"
-        if len(self.nonzero_indices()) > 6:
-            body += " + ..."
+        nonzero = self.nonzero_indices()
+        terms = []
+        for i in nonzero[:6]:
+            mono = "*".join(f"{n}^{k}" for n, k in zip(names, exps[i]) if k)
+            terms.append(f"({coeffs[i]!r})*{mono or '1'}")
+        body = " + ".join(terms + ["..."] * (len(nonzero) > 6)) or "0"
         return f"<series {body}; valid<{self.valid_order}>"
 
 
@@ -568,27 +576,21 @@ def _selection(alg, c, left):
     return picks
 
 
-def _select(alg, coeffs, picks, left):
-    """c x (left) or x c (right) for each coefficient x of ``alg`` and the
-    ``_selection`` picks of c: each row (column) kept, negated or zeroed."""
-    zero = alg.base.zero()
-    zero_row = (zero,) * alg.dim
-    out = []
-    for x in coeffs:
-        if left:
-            rows = [
-                zero_row if p is None
-                else tuple(-v for v in x.rows[p[0]]) if p[1] else x.rows[p[0]]
-                for p in picks
-            ]
-        else:
-            rows = [
-                tuple(zero if p is None else -row[p[0]] if p[1] else row[p[0]]
-                      for p in picks)
-                for row in x.rows
-            ]
-        out.append(SquareMatrix(alg, rows))
-    return out
+def _select(zero, grid, picks, left):
+    """The grid of c x (left) or x c (right) for the series grid of x and
+    the ``_selection`` picks of c: each row (column) of the grid kept,
+    negated or zeroed."""
+    zeros = (zero,) * len(grid[0][0])
+
+    def take(line, p):
+        if p is None:
+            return zeros
+        e = line[p[0]]
+        return [-x for x in e] if p[1] else e
+
+    if left:
+        return [[take(col, p) for col in zip(*grid)] for p in picks]
+    return [[take(row, p) for p in picks] for row in grid]
 
 
 def _product(salg, xs, ys):
@@ -597,26 +599,26 @@ def _product(salg, xs, ys):
 
     Entry (i, j) is the sum over l of xs[i][l] * ys[l][j], trusted below the
     least valid order of those products, as a sum of series products would
-    be: the least order in row i of xs and column j of ys.  Each grid is
-    flattened into one grid of per-entry scalar lists (``_entries``) and
-    lifted once over one denominator, the left one read as rows of channels
+    be: the least order in row i of xs and column j of ys.  The series
+    grids of each side are flattened into one (``_flatten``) and lifted
+    once over one denominator, the left one read as rows of channels
     and the right one in its real form (``_real_grid``).  Every output
     channel adds the products (``_mul_add``) along its row and real column
     in plain ``int``s, and each entry is lowered once, over the product of
     the two denominators.
     """
-    coeff, arity = salg.coeff, salg.arity
-    field, r = _field_and_dim(coeff)
+    arity = salg.arity
+    field, r = _field_and_dim(salg.coeff)
     row_orders = [min(map(_valid_order, row)) for row in xs]
     col_orders = [min(map(_valid_order, col)) for col in zip(*ys)]
     # each series is read only as far as some output entry trusts it
     top_row, top_col = max(row_orders), max(col_orders)
     x_counts = [_count_below(arity, min(o, top_col)) for o in row_orders]
     y_counts = [_count_below(arity, min(o, top_row)) for o in col_orders]
-    den_x, x_int = _lift(field, _entries(coeff, r, [
-        [x.coeffs[:n] for x in row] for row, n in zip(xs, x_counts)]))
-    den_y, y_int = _lift(field, _entries(coeff, r, [
-        [y.coeffs[:n] for y, n in zip(row, y_counts)] for row in ys]))
+    den_x, x_int = _lift(field, _flatten([
+        [_cut(x.grid, n) for x in row] for row, n in zip(xs, x_counts)]))
+    den_y, y_int = _lift(field, _flatten([
+        [_cut(y.grid, n) for y, n in zip(row, y_counts)] for row in ys]))
     den = den_x * den_y
     w = len(x_int[0][0])
     x_rows = _channel_rows(x_int)
@@ -642,7 +644,7 @@ def _product(salg, xs, ys):
                     block_row.append(acc)
                 block.append(block_row)
             grid = _lower(field, _pair_channels(w, block), [den] * n)
-            out_row.append(TruncatedSeries(salg, _from_entries(coeff, grid, n), vo))
+            out_row.append(TruncatedSeries._of(salg, grid, vo))
         out.append(tuple(out_row))
     return out
 
@@ -660,34 +662,26 @@ def _mul_add(out, x, y, rows):
                 out[io] += xa * yb
 
 
-def _entries(alg, dim, rows):
-    """A grid of coefficient lists of ``alg`` (one list per series) as one
-    grid of per-entry scalar lists.  Each list becomes a dim x dim block
-    whose entry (a, b) lists that scalar of every coefficient, nested
-    blocks flattened, and the blocks are flattened into the one grid
-    (``_flatten``).  Over a field the coefficient lists are that grid."""
-    if not isinstance(alg, MatrixAlgebra):
-        return rows
-    blocks = []
-    for row in rows:
-        block_row = []
-        for coeffs in row:
-            grids = [_scalar_grid(alg, c) for c in coeffs]
-            block_row.append([[[g[a][b] for g in grids] for b in range(dim)]
-                              for a in range(dim)])
-        blocks.append(block_row)
-    return _flatten(blocks)
+def _grid_of(alg, coeffs):
+    """Coefficients of ``alg`` as one series grid (see ``TruncatedSeries``):
+    entry (a, b) lists that scalar of each coefficient's ``_scalar_grid``."""
+    r = _field_and_dim(alg)[1]
+    grids = [_scalar_grid(alg, c) for c in coeffs]
+    return [[tuple(g[a][b] for g in grids) for b in range(r)] for a in range(r)]
 
 
-def _from_entries(alg, entries, n):
-    """Inverse of _entries for one series: its n coefficients of ``alg`` from
-    a dim x dim block of per-entry lists."""
+def _cut(grid, n):
+    """A series grid read through its first n coefficients."""
+    return [[e[:n] for e in row] for row in grid]
+
+
+def _nested(alg, grid):
+    """A grid of values, one per scalar (``_scalar_grid``), nested in lists
+    as the rows of an element of ``alg`` are: its ``format_element`` layout."""
     if not isinstance(alg, MatrixAlgebra):
-        return entries[0][0]
-    return [
-        _from_grid(alg, tuple(tuple(e[k] for e in row) for row in entries))
-        for k in range(n)
-    ]
+        return grid[0][0]
+    return [[_nested(alg.base, block) for block in brow]
+            for brow in _blocks(grid, len(grid) // alg.dim)]
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
@@ -701,19 +695,26 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     """
     vo = _trusted_order((s,), "differentiate")
     salg = s.algebra
-    field, dim = _field_and_dim(salg.coeff)
+    field = _field_and_dim(salg.coeff)[0]
     n = _count_below(salg.arity, vo - 1)
     sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
-    den, xs = _lift(field, _entries(salg.coeff, dim, [[s.coeffs]]))
-    scale_den, scale = _real_scalars(field, [[field.coerce(d.scale)]])
+    den, xs = _lift(field, s.grid)
+    scale_den, scale = _scale_block(field, d.scale)
     out = [
         [_times([None if ch is None else list(map(mul, factors, sources(ch)))
                  for ch in x], scale)
          for x in row]
         for row in xs
     ]
-    coeffs = _from_entries(salg.coeff, _lower(field, out, [den * scale_den] * n), n)
-    return TruncatedSeries(salg, coeffs, vo - 1)
+    return TruncatedSeries._of(salg, _lower(field, out, [den * scale_den] * n), vo - 1)
+
+
+@lru_cache(maxsize=None)
+def _scale_block(field, scale):
+    """(D, block) for a derivation's scale over ``field``: its real block
+    (``_real_scalars``), lifted once per field and scale and kept read-only."""
+    den, block = _real_scalars(field, [[field.coerce(scale)]])
+    return den, tuple(map(tuple, block))
 
 
 def _times(chans, block):
@@ -778,7 +779,7 @@ def _exp_rows(alg, out, row, cu, cv, cap):
         raise NoncommutingExponents("exponent coefficients do not commute")
     field = _field_and_dim(alg)[0]
     r = _field_and_dim(out)[1]
-    den, p_int = _lift(field, _entries(out, r, [[[out.coerce(x)] for x in row]]))
+    den, p_int = _lift(field, _flatten([[_grid_of(out, [out.coerce(x)]) for x in row]]))
     steps = []
     for c in cs:
         den_c, c_real = _real_scalars(field, _scalar_grid(alg, c))
@@ -794,8 +795,7 @@ def _exp_rows(alg, out, row, cu, cv, cap):
     z = [[list(col) for col in zip(*powers)] for powers in zip(*rows)]
     grid = _lower(field, _pair_channels(len(p_int[0][0]), z), dens)
     salg = SeriesAlgebra(out, len(cs), cap)
-    return tuple(TruncatedSeries(salg, _from_entries(out, b, len(dens)), cap)
-                 for b in _blocks(grid, r)[0])
+    return tuple(TruncatedSeries._of(salg, b, cap) for b in _blocks(grid, r)[0])
 
 
 @lru_cache(maxsize=None)
@@ -809,16 +809,16 @@ def _exp_steps(arity: int, cap: int):
     return tuple(steps)
 
 
-def _divide(arity, valid_order, alg, a0, a, y, singular):
+def _divide(arity, valid_order, field, invert, a, y, singular):
     """The x with x * a = y through ``valid_order``, formed over integers.
 
-    ``a`` is a series over ``alg`` with constant coefficient ``a0``, and ``a``
-    and ``y`` are given as per-entry scalar lists (see ``_entries``): dim x dim
-    for a, k x dim for y.  Returns x in the shape of y.
+    ``a`` and ``y`` are grids of per-entry lists of ``field`` scalars (see
+    ``TruncatedSeries``): n x n for a, k x n for y.  Returns x in the shape
+    of y.
 
-    a_0^-1 comes from ``alg.invert`` (a SingularMatrix there raises
-    SingularConstantTerm with the message ``singular``).  a, y and a_0^-1 are
-    lifted to integers A = D_a a, Y = D_y y and M = m a_0^-1, and with
+    ``invert()`` gives a_0^-1 as a grid of scalars (a SingularMatrix there
+    raises SingularConstantTerm with the message ``singular``).  a, y and
+    a_0^-1 are lifted to integers A = D_a a, Y = D_y y and M = m a_0^-1, and with
     s = D_a m, x_E = Z_E / (D_y m s^|E|) where
 
         Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M
@@ -828,12 +828,11 @@ def _divide(arity, valid_order, alg, a0, a, y, singular):
     is reduced.
     """
     try:
-        a0_inv = alg.invert(a0)
+        a0_inv = invert()
     except SingularMatrix as exc:
         raise SingularConstantTerm(singular) from exc
-    field = _field_and_dim(alg)[0]
     den_a, a_int = _lift(field, a)
-    m, m_int = _real_scalars(field, _scalar_grid(alg, a0_inv))
+    m, m_int = _real_scalars(field, a0_inv)
     den_y, y_int = _lift(field, y)
     s = den_a * m
     z = _divide_integers(arity, valid_order, _real_grid(field.terms, a_int), m_int,
@@ -908,7 +907,8 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Exact agreement of every coefficient both sides trust."""
     if a.algebra != b.algebra:
         return False
-    return all(x == y for x, y in zip(a.coeffs, b.coeffs))
+    n = _count_below(a.algebra.arity, min(a.valid_order, b.valid_order))
+    return all(x[:n] == y[:n] for ra, rb in zip(a.grid, b.grid) for x, y in zip(ra, rb))
 
 
 def through(x, order: int):
@@ -925,9 +925,6 @@ def through(x, order: int):
 def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:
     """Embed a constant matrix as a matrix of constant series."""
     salg = SeriesAlgebra(m.algebra.base, arity, cap)
-    out_alg = MatrixAlgebra(salg, m.dim)
-    return SquareMatrix(
-        out_alg,
-        tuple(tuple(salg.constant(x) for x in row) for row in m.rows),
-    )
+    rows = [[salg.constant(x) for x in row] for row in m.rows]
+    return SquareMatrix(MatrixAlgebra(salg, m.dim), rows)
 

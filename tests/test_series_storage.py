@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import with_coeff
-from solitonlab.algebra import GFP, QQ, MatrixAlgebra, SquareMatrix
+from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.errors import AlgebraMismatch
+from solitonlab.scalars import GaussianRational
 from solitonlab.series import (
     D_T,
     D_U,
+    Derivation,
     SeriesAlgebra,
     TruncatedSeries,
     _count_below,
@@ -20,7 +22,13 @@ from solitonlab.series import (
 )
 
 CAP = 6
-COEFFS = {"QQ": QQ, "Mat2-QQ": MatrixAlgebra(QQ, 2), "GFp": GFP}
+COEFFS = {
+    "QQ": QQ,
+    "Mat2-QQ": MatrixAlgebra(QQ, 2),
+    "GFp": GFP,
+    "Mat2-QQi": MatrixAlgebra(QQI, 2),
+    "Mat2-Mat2-QQ": MatrixAlgebra(MatrixAlgebra(QQ, 2), 2),
+}
 
 
 def _algebras():
@@ -147,3 +155,51 @@ def test_nothing_trusted_nothing_decided(salg):
         salg.row_solve((a, b), SquareMatrix(mat, [[void, b], [salg.zero(), a]]))
     # one trusted coefficient is enough to decide
     assert series_inverse(a.with_valid_order(1)).valid_order == 1
+
+
+@pytest.mark.parametrize("salg", _algebras())
+def test_the_coefficient_view_rebuilds_the_same_series(salg):
+    for name, s in _produced(salg).items():
+        again = TruncatedSeries(salg, s.coeffs, s.valid_order)
+        assert again == s and again.valid_order == s.valid_order, name
+        assert again.grid == s.grid, name
+        assert salg.format_element(again) == salg.format_element(s), name
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_series_arithmetic_builds_no_coefficient_matrix(arity, monkeypatch):
+    """Over Mat(2, QQ(i)) the coefficients stay the kernels' grid of
+    scalars: no operation on series builds a SquareMatrix."""
+    mat = MatrixAlgebra(QQI, 2)
+    salg = SeriesAlgebra(mat, arity, CAP)
+    x = _x(salg)
+    i = GaussianRational(0, 1)
+    a = salg.one() + salg.monomial(x, mat.matrix([[1, i], [2, 0]]))
+    b = salg.monomial(x, mat.matrix([[i, 0], [3, -1]])).with_valid_order(5) - a
+    sign = mat.diagonal([1, -1])
+    d = Derivation("t" if arity == 1 else "u", scale=i)
+    built = []
+    init = SquareMatrix.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SquareMatrix, "__init__", counted)
+    results = [
+        a + b, a - b, -a, a.scale_left(sign), b.scale_right(sign),
+        a * b, b / a, a.derive(d), b.with_valid_order(3),
+    ]
+    assert (a - a).is_zero() and not b.is_zero()
+    assert a == a and not a == b
+    assert built == []
+    monkeypatch.setattr(SquareMatrix, "__init__", init)
+    # the same values as the coefficient by coefficient forms
+    coeffs = [[x + y for x, y in zip(a.coeffs, b.coeffs)],
+              [x - y for x, y in zip(a.coeffs, b.coeffs)],
+              [-x for x in a.coeffs],
+              [sign * x for x in a.coeffs],
+              [x * sign for x in b.coeffs]]
+    for got, want in zip(results, coeffs):
+        assert list(got.coeffs) == want
+    assert results[6] * a == b
