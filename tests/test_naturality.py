@@ -15,6 +15,12 @@ missing from a dump read as 0.
   both sides have.
 - *Inclusion QQ in QQ(i)*: the explicit configs with rational parameters
   give equal series and checks under both scalar modes.
+- *Upper-triangular projection*: on upper-triangular 2 x 2 rational
+  parameters [[x, y], [0, z]], taking a diagonal entry is a homomorphism
+  onto QQ, so each diagonal entry of every series of the r = 2 run is the
+  series of the r = 1 run on that entry's parameters, and the lower-left
+  entries stay 0.  The off-diagonal y is free: nothing on the diagonal may
+  depend on it.
 """
 
 import json
@@ -53,6 +59,26 @@ REALIFIED = {
 }
 
 INCLUDED = ["toda-n3-N2-explicit", "sine-gordon-N2-explicit", "langmuir-N2-w4-explicit"]
+
+# rational r = 1 configs, one per diagonal entry: (config, the (1, 1) entry's
+# params); the (0, 0) entry's are the config's own, and OFF_DIAGONAL fills
+# the upper-right entry of every upper-triangular parameter
+TRIANGULAR = {
+    "toda": ({"system": "toda", "n": 3, "N": 2, "cap": 7, "params": {
+        "a": [["2/3", "-5/2"], ["7/4", "3"], ["-1/3", "6/5"]],
+        "p": [["1", "1/2", "-3/7"], ["2/5", "-1", "4/3"]],
+    }}, {
+        "a": [["5/4", "2"], ["-2/5", "1/2"], ["3", "-7/3"]],
+        "p": [["2", "-1", "1"], ["3/2", "2/3", "-1/2"]],
+    }),
+    "sine-gordon": ({"system": "sine-gordon", "N": 2, "cap": 7, "params": {
+        "p": ["3/2", "-2/7"], "q": ["1/3", "5/4"], "a": ["2", "-3/5"],
+    }}, {"p": ["-1/2", "4"], "q": ["2", "-1/3"], "a": ["3/4", "5/2"]}),
+    "langmuir": ({"system": "langmuir", "N": 2, "window": 4, "cap": 7, "params": {
+        "p": ["1/2", "-3"], "q": ["4/5", "2/3"], "mu": ["3/2", "-1/4"],
+    }}, {"p": ["2", "1/3"], "q": ["-3/2", "5"], "mu": ["5/3", "2/7"]}),
+}
+OFF_DIAGONAL = ["1", "-1/3", "2", "1/2", "-2", "3/5"]
 
 
 def _run(cfg, tmp_path, name):
@@ -138,3 +164,34 @@ def test_inclusion_of_rationals_commutes(name, tmp_path):
             for scalar in ("rational", "gaussian-rational")]
     _assert_same_series(*runs, parse_gaussian, parse_gaussian, parse_gaussian("0"))
     assert _entries(runs[0]) == _entries(runs[1])
+
+
+def _upper(top, bottom, off):
+    """The arrays of upper-triangular 2 x 2 matrices [[x, y], [0, z]] with x
+    from ``top``, z from ``bottom`` and y drawn in turn from OFF_DIAGONAL."""
+    if isinstance(top, list):
+        return [_upper(x, z, off) for x, z in zip(top, bottom)]
+    return [[top, next(off)], ["0", bottom]]
+
+
+@pytest.mark.parametrize("case", TRIANGULAR)
+def test_upper_triangular_projection_commutes(case, tmp_path):
+    cfg, bottom = TRIANGULAR[case]
+    off = iter(OFF_DIAGONAL * 4)
+    params = {name: _upper(value, bottom[name], off)
+              for name, value in cfg["params"].items()}
+    block_run = _run(dict(cfg, r=2, params=params), tmp_path, "block")
+    diagonal_runs = [_run(cfg, tmp_path, "top"),
+                     _run(dict(cfg, params=bottom), tmp_path, "bottom")]
+    assert block_run["passed"] and all(run["passed"] for run in diagonal_runs)
+    zero = Fraction(0)
+    entries, _ = _series(block_run, lambda c: [[Fraction(x) for x in row] for row in c],
+                         [[zero] * 2 for _ in range(2)])
+    for k, run in enumerate(diagonal_runs):
+        series, exponents = _series(run, Fraction, zero)
+        assert sorted(series) == sorted(entries)
+        for name, get in series.items():
+            for e in exponents[name] | {tuple(t["exponents"])
+                                        for t in block_run["series"][name]}:
+                assert entries[name](e)[k][k] == get(e), (name, e, k)
+                assert entries[name](e)[1][0] == zero, (name, e)
