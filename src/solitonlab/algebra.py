@@ -6,18 +6,18 @@ stacked on top.  Entries of a matrix may themselves be matrices; inversion
 flattens the whole tower once to one big matrix over the scalar field
 (``_scalar_grid``), runs a Gauss-Jordan elimination there, and re-nests the
 result (``_from_grid``); a series over a matrix tower stores its coefficients
-in that flattened layout, one tuple of scalars per entry.  Products and
+in that flattened layout, as integer numerators per entry.  Products and
 inverses of matrices are the entry algebra's job (``matmul``,
 ``matrix_inverse``): entry by entry by default, whole grids for series.
 
 This module owns the integer form of field scalars (see ``_Field``), on
 which the fraction-free elimination here (``_bareiss``, behind both
 ``_gauss_jordan`` and a field's ``quasideterminant``) and the series kernels
-of :mod:`solitonlab.series` run: ``_lift`` reads scalars as integer
-numerators over one denominator, and ``_lower`` builds each scalar back
-once.  A lifted scalar enters every kernel as the row of its channels (a
-left factor) or as its real block (``_real_grid``), so every kernel works
-on one integer per entry.
+of :mod:`solitonlab.series` run: ``_integers`` reads scalars as integer
+numerators over one denominator per index, the form a series stores, and a
+field's ``join`` builds scalars back from it.  An integer scalar enters
+every kernel as the row of its channels (a left factor) or as its real
+block (``_real_grid``), so every kernel works on one integer per entry.
 
 All values are immutable; every operation is a pure function.  Every field is
 exact, so zero and agreement tests are ``alg.is_zero(x)`` and ``==``, with no
@@ -451,25 +451,30 @@ def row_times(row, m: SquareMatrix) -> tuple:
 
 def _gauss_jordan(field: Algebra, rows):
     """The inverse rows of a square matrix over a field, by fraction-free
-    Gauss-Jordan elimination over integers (``_bareiss``).
-
-    The rows are lifted once to their real integer form A = D * rows
-    (``_real_scalars``) and set beside the identity.  After the elimination
-    the left half is det * I and the right half det * A^-1, the real form
-    of det * rows^-1 / D, so each inverse scalar is built once from the
-    first row of its block, as D * (det * A^-1) / det.
+    Gauss-Jordan elimination of its real integer form A = D * rows
+    (``_real_scalars``, ``_real_inverse``): det * A^-1 is the real form of
+    det * rows^-1 / D, so each inverse scalar is built once from the first
+    row of its block, as D * (det * A^-1) / det.
     """
     n = len(rows)
-    den, aug = _real_scalars(field, rows)
-    size = len(aug)
-    w = size // n
-    for i, row in enumerate(aug):
-        row += [0] * size
-        row[size + i] = 1
-    det = _bareiss(aug, size, w, field.modulus)
-    chans = [[den * v for row in aug[::w] for v in row[size + c::w]] for c in range(w)]
+    den, real = _real_scalars(field, rows)
+    w = len(real) // n
+    det, inv = _real_inverse(real, w, field.modulus)
+    chans = [[den * v for row in inv[::w] for v in row[c::w]] for c in range(w)]
     inv = field.join(chans, [det] * (n * n))
     return [inv[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _real_inverse(rows, w, modulus):
+    """(det, B) for integer rows in real form (``_real_grid``, w integers
+    per scalar): B = det * rows^-1, by Bareiss elimination beside the
+    identity, and det the last pivot.  SingularMatrix when singular."""
+    size = len(rows)
+    aug = [list(row) + [0] * size for row in rows]
+    for i, row in enumerate(aug):
+        row[size + i] = 1
+    det = _bareiss(aug, size, w, modulus)
+    return det, [row[size:] for row in aug]
 
 
 def _bareiss(aug, pivots, w, modulus):
@@ -560,34 +565,25 @@ def _from_grid(alg, grid):
     ])
 
 
-def _lift(field, grid):
-    """(D, xs) for a grid of per-entry lists of field scalars: xs[i][j][c]
-    lists the integer numerators over D of channel c of entry (i, j), or is
-    None when they are all zero.  D is the lcm of every scalar denominator in
-    ``grid`` (1 over GF(p))."""
-    split = field.split
-    chans = [[split(e) for e in row] for row in grid]
-    den = lcm(*{v.denominator for row in chans for ch in row for part in ch
-                 for v in part})
-    return den, [
-        [[_numerators(part, den) for part in ch] for ch in row]
-        for row in chans
-    ]
+def _integers(field, grid):
+    """(nums, dens) for a grid of per-entry sequences of ``field`` scalars:
+    dens[k] is the least common denominator of every scalar at index k (1
+    over GF(p)), and nums[i][j][c] is the tuple of the integer numerators
+    over dens of channel c (``split``) of entry (i, j), or None when they
+    are all zero."""
+    chans = [[field.split(e) for e in row] for row in grid]
+    parts = [part for row in chans for ch in row for part in ch]
+    dens = tuple(lcm(*[v.denominator for v in vs]) for vs in zip(*parts))
+    return [[[_numerators(part, dens) for part in ch] for ch in row] for row in chans], dens
 
 
-def _numerators(values, den):
-    nums = [v.numerator * (den // v.denominator) for v in values]
+def _numerators(values, dens):
+    nums = tuple([v.numerator * (d // v.denominator) for v, d in zip(values, dens)])
     return nums if any(nums) else None
 
 
-def _lower(field, grid, dens):
-    """Inverse of ``_lift``: the numerators at index k are over ``dens[k]``."""
-    join = field.join
-    return [[join(ch, dens) for ch in row] for row in grid]
-
-
 def _real_grid(terms, grid):
-    """The real form of a grid of lifted entries (see ``_lift``): entry
+    """The real form of a grid of integer entries (see ``_integers``): entry
     (i, j) becomes the w x w block at rows i w.. and columns j w.. whose
     entry (a, out) is sign * channel b, for each channel product
     (a, b, out, sign) of ``terms``.  So the row of x's channels times y's
@@ -607,20 +603,12 @@ def _real_grid(terms, grid):
 def _real_scalars(field, rows):
     """(D, A) for a grid of field scalars: A is the real form (``_real_grid``)
     of the integers D * rows, as rows of ints, lifted in one call."""
-    den, [[chans]] = _lift(field, [[[x for row in rows for x in row]]])
-    block = _real_grid(field.terms, [[chans]])
-    w, size = len(block), len(block) * len(rows[0])
-    # line a of every scalar's block, with the grid's rows end to end
-    lines = [[0] * (size * len(rows)) for _ in block]
-    for line, entries in zip(lines, block):
-        for out, x in enumerate(entries):
-            if x is not None:
-                line[out::w] = x
-    return den, [line[k:k + size] for k in range(0, len(lines[0]), size) for line in lines]
+    nums, (den,) = _integers(field, [[(x,) for x in row] for row in rows])
+    return den, [[v[0] if v else 0 for v in line] for line in _real_grid(field.terms, nums)]
 
 
 def _channel_rows(grid):
-    """Each row of a grid of lifted entries as the row of their channels,
+    """Each row of a grid of integer entries as the row of their channels,
     laid end to end: the left factor of a real form."""
     return [[ch for e in row for ch in e] for row in grid]
 

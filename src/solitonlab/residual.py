@@ -365,10 +365,11 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
     """Residual of the cubic equation 2 b d0 U + d^2 U + 2 U^3 = 0.
 
     ``U`` is a series, or a solution from ``nls_solution``.  The cubic
-    residual is formed here, once, for a bare series; a solution carries the
-    residual ``nls_solution`` formed when it selected U (``cubic``), and it
-    is reused only while it belongs to the solution's own U and to the b,
-    d0 and d given here.
+    residual and the graded blocks of U are formed here, once, for a bare
+    series; a solution carries the residual ``nls_solution`` formed when it
+    selected U (``cubic``) and the blocks it formed (``U11`` ... ``U22``),
+    and they are reused only while they belong to the solution's own U and
+    to the b, d0 and d given here.
 
     When b is a +/-1 diagonal with both signs present, the off-diagonal
     blocks (embedded through the grading projectors) are checked against
@@ -379,20 +380,18 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
     same valid order, the matrix cubic residual is [[the cubic residual]];
     otherwise it is formed from the quotient.
     """
-    formed = None
+    formed = graded = None
     if not isinstance(U, TruncatedSeries):  # a solution from nls_solution
-        formed, U = U.cubic, U.U
+        formed, graded, U = U.cubic, (U.U11, U.U12, U.U21, U.U22), U.U
     S = U.algebra.coeff
     b, q1, q2 = _grading(S, b)
     report = ResidualReport("nls", exact=U.algebra.is_exact)
-    if formed is not None and formed[0] is U and formed[1:4] == (b, d0, d):
-        cubic = formed[4]
-    else:
-        cubic = _cubic_residual(U, b, d0, d)
+    reuse = formed is not None and formed[0] is U and formed[1:4] == (b, d0, d)
+    cubic = formed[4] if reuse else _cubic_residual(U, b, d0, d)
     report.add("cubic equation", cubic)
     blocks = _pm_one_split(S, b)
     if blocks is not None:
-        u11, u12, u21, u22 = _graded_blocks(U, q1, q2)
+        u11, u12, u21, u22 = graded if reuse else _graded_blocks(U, q1, q2)
         report.add("diagonal block (1,1)", u11)
         report.add("diagonal block (2,2)", u22)
         # (b d0 x + x y x) 2 + d^2 x, where b acts on u12 as 1 and on u21 as -1

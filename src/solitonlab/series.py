@@ -6,57 +6,32 @@ two commuting variables ``(u, v)``, and coefficients in any algebra from
 
 Each series carries ``valid_order`` (at most ``cap``): every coefficient of
 total degree strictly below it is guaranteed correct, and those are exactly
-the coefficients it stores, densely in graded-lexicographic order, in the one
-form every kernel reads: an r x r grid of field scalars, r = 1 over a field
-and the flattened size over a matrix tower, whose entry (a, b) is the tuple
-of that scalar of every coefficient (``TruncatedSeries.grid``).  ``coeffs``,
-the coefficients as elements of the coefficient algebra, is a view built on
-request.  Products and sums take the minimum of the operands' valid orders
-and compute only that prefix, a formal derivative loses one order, and
-inversion preserves the order of its input.  A series with no trusted
-coefficient decides nothing: deriving, inverting or row-solving it raises
-``ValueError``.
+the coefficients it stores, as integer numerators over one reduced
+denominator per coefficient (see ``TruncatedSeries``).  ``coeffs`` and
+reports are views built on request.  Products and sums take the minimum of
+the operands' valid orders and compute only that prefix, a formal derivative
+loses one order, and inversion preserves the order of its input.  A series
+with no trusted coefficient decides nothing: deriving, inverting or
+row-solving it raises ``ValueError``.
 
-Products, quotients, exponentials and derivatives are formed over integers,
-in the integer form of field scalars that :mod:`solitonlab.algebra` owns
-(``_lift``, ``_lower``, ``_real_grid`` and the field's ``modulus``); this
-module keeps only the algorithms.  One kernel (``_product``) multiplies a
-k x N grid of series by an N x m grid, so a product of two series is its
-1 x 1 case and a product of matrices of series (``SeriesAlgebra.matmul``)
-is one call: the grids of each side are flattened into one
-(``algebra._flatten``), read as integer numerators over one denominator,
-the left grid as rows of channels and the right one in its real form, and
-convolved with plain ``int`` multiply-adds.  Output entry (i, j) is trusted
-below the least valid order in row i of the left grid and column j of the
-right one, as a sum of series products would be.
-
-Scaling by a coefficient c (``scale_left``, ``scale_right``) is a selection
-when c is a matrix over a field each of whose rows (scaling from the left)
-or columns (from the right) holds at most one nonzero entry, and that entry
-is +-1, as b = +-1 diagonals, the grading projectors (1 +- b)/2 and signed
-permutations are: each row or column of the grid is kept, negated or
-zeroed.  Scaling by any other coefficient, 2 * 1 included, is a product
-with a constant series.
-
-Inverses, quotients and row solves are one right division x * a = y
-(``_divide``): a series inverse is the quotient 1 / a, the inverse of a
-matrix of series is y = 1 with the N x N matrix of r x r blocks flattened
-to Nr x Nr, and ``row_solve`` takes y as one block row.  a_0^-1 comes from
-exact Gauss-Jordan elimination, and with the denominators D_a, D_y and m
-of a, y and a_0^-1 and s = D_a m, each x_E is Z_E / (D_y m s^|E|) for
-integer matrices Z_E given by one recurrence.  One kernel (``_exp_rows``)
-forms row * exp(cu*u + cv*v) by one row-times-matrix step per exponent.
-
-Fractions reduce to lowest terms and residues to [0, p), and a product, an
-inverse, the solution of x * a = y, a power and a derivative are unique, so
-each value, and every report, is the same as from a coefficient-by-coefficient
-computation.
+Every kernel works in plain ``int``s on the integer form of field scalars
+that :mod:`solitonlab.algebra` owns, and builds no field scalar: one
+product kernel for grids of series (``_product``), one right division
+x * a = y for inverses, quotients and row solves (``_divide``), one
+exponential kernel (``_exp_rows``), and index-local sums and derivatives.
+Scaling by a coefficient that keeps, negates or zeroes rows or columns
+(``_selection``) selects them; any other scaling is a product with a
+constant series.  Every result is reduced once per index (``_reduced``).  A
+product, an inverse, the solution of x * a = y, a power and a derivative
+are unique and their stored form is canonical, so each value, and every
+report, is the same as from a coefficient-by-coefficient computation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, attrgetter, itemgetter, mul, sub
+from math import gcd, lcm
+from operator import add, attrgetter, floordiv, itemgetter, mul, neg, sub
 
 from .algebra import (
     Algebra,
@@ -67,11 +42,10 @@ from .algebra import (
     _field_and_dim,
     _flatten,
     _from_grid,
-    _gauss_jordan,
-    _lift,
-    _lower,
+    _integers,
     _pair_channels,
     _real_grid,
+    _real_inverse,
     _real_scalars,
     _scalar_grid,
 )
@@ -198,6 +172,8 @@ class SeriesAlgebra(Algebra):
         self.coeff = coeff
         self.arity = arity
         self.cap = cap
+        # the field under the coefficients, and the size r of their grids
+        self.field, self.size = _field_and_dim(coeff)
 
     @property
     def is_exact(self):
@@ -232,10 +208,14 @@ class SeriesAlgebra(Algebra):
         if idx is None:
             raise ValueError(f"exponent {exponent} out of range for cap {self.cap}")
         vo = self.cap if valid_order is None else valid_order
-        pad = (_field_and_dim(self.coeff)[0].zero(),) * _count_below(self.arity, vo)
-        grid = [[pad[:idx] + (x,) + pad[idx + 1:] if idx < len(pad) else pad for x in row]
-                for row in _scalar_grid(self.coeff, self.coeff.coerce(value))]
-        return TruncatedSeries._of(self, grid, vo)
+        n = _count_below(self.arity, vo)
+        nums, dens = _integers(self.field, _grid_of(self.coeff, [self.coeff.coerce(value)]))
+        if idx >= n:  # nothing is stored at or above valid_order
+            nums = [[[None] * len(e) for e in row] for row in nums]
+            return TruncatedSeries._of(self, nums, (1,) * n, vo)
+        before, after = (0,) * idx, (0,) * (n - idx - 1)
+        nums = [[[ch and before + ch + after for ch in e] for e in row] for row in nums]
+        return TruncatedSeries._of(self, nums, (1,) * idx + dens + (1,) * (n - idx - 1), vo)
 
     def zero(self):
         return self.constant(self.coeff.zero())
@@ -257,21 +237,20 @@ class SeriesAlgebra(Algebra):
         return a.is_zero()
 
     def scalar_mul(self, q, a):
-        q = _field_and_dim(self.coeff)[0].coerce(q)
-        grid = [[[q * x for x in e] for e in row] for row in a.grid]
-        return TruncatedSeries._of(self, grid, a.valid_order)
+        return self.constant(q, a.valid_order) * a
 
     def magnitude(self, a):
-        magnitude = _field_and_dim(self.coeff)[0].magnitude
-        return max((magnitude(x) for row in a.grid for e in row for x in e), default=0.0)
+        field = self.field
+        return max((field.magnitude(x) for row in a.nums for e in row if any(e)
+                    for x in field.join(e, a.dens)), default=0.0)
 
     def format_element(self, a, degree_limit=None):
-        field = _field_and_dim(self.coeff)[0]
+        field, scalars = self.field, _scalars(a)
         out = []
         for k in a.nonzero_indices():
             e = self.exponents[k]
             if degree_limit is None or sum(e) <= degree_limit:
-                grid = [[field.format_element(x[k]) for x in row] for row in a.grid]
+                grid = [[field.format_element(x[k]) for x in row] for row in scalars]
                 out.append({"exponents": list(e), "coefficient": _nested(self.coeff, grid)})
         return out
 
@@ -314,20 +293,21 @@ class SeriesAlgebra(Algebra):
 
     def _divide_rows(self, y_rows, m, action, singular):
         """The rows of series x with x * m = y_rows, the grids of each side
-        flattened into one (``_flatten``).  The constant term W_0 is
-        inverted by ``invert`` of the matrix algebra over the coefficients."""
+        flattened into one (``_flatten``).  The constant term W_0 is built
+        as a matrix over the coefficients and inverted by that matrix
+        algebra's ``invert``."""
         vo = _trusted_order(
             [x for rows in (y_rows, m.rows) for row in rows for x in row], action
         )
         n = _count_below(self.arity, vo)
-        field, r = _field_and_dim(self.coeff)
-        a, y = (_flatten([[_cut(x.grid, n) for x in row] for row in rows])
-                for rows in (m.rows, y_rows))
-        alg = MatrixAlgebra(self.coeff, m.dim)
-        a0 = _from_grid(alg, [[e[0] for e in row] for row in a])
-        x = _divide(self.arity, vo, field, lambda: _scalar_grid(alg, alg.invert(a0)),
-                    a, y, singular)
-        return [tuple(TruncatedSeries._of(self, b, vo) for b in brow) for brow in _blocks(x, r)]
+        field, alg = self.field, MatrixAlgebra(self.coeff, m.dim)
+        w0 = _from_grid(alg, _flatten([[_constant(s) for s in row] for row in m.rows]))
+        x, dens = _divide(self.arity, vo, field,
+                          lambda: _real_scalars(field, _scalar_grid(alg, alg.invert(w0))),
+                          *(_lift([[(s, n) for s in row] for row in rows])
+                            for rows in (m.rows, y_rows)), singular)
+        return [tuple(_reduced(self, b, dens, vo) for b in brow)
+                for brow in _blocks(x, self.size)]
 
     def matmul(self, xs, ys) -> list:
         """The rows of the product of a k x N grid ``xs`` by an N x m grid
@@ -339,16 +319,20 @@ class SeriesAlgebra(Algebra):
 class TruncatedSeries:
     """Immutable truncated series; ``*`` is the Cauchy product.
 
-    ``grid`` holds exactly the trusted coefficients, in the form every
-    kernel reads: an r x r grid, r = 1 over a field and the flattened size
-    over a matrix tower (``_scalar_grid``), whose entry (a, b) is the tuple
-    of that scalar of each coefficient of total degree below
-    ``valid_order``, in graded-lexicographic order.  The constructor takes
-    the coefficients as elements of the coefficient algebra and converts
-    them once; ``coeffs`` is a view that builds them back on each read.
+    It stores its coefficients of total degree below ``valid_order``, in
+    graded-lexicographic order, as integer numerators ``nums`` over one
+    denominator per index, ``dens``.  ``nums`` is an r x r grid, r = 1 over
+    a field and the flattened size over a matrix tower (``_scalar_grid``),
+    whose entry (a, b) lists that scalar's channels (one, or (re, im) over
+    QQ(i)), each the tuple of its numerators at every index, or None when
+    they are all zero.  Each index is reduced: its denominator is the least
+    common one of its scalars (1 at a zero index, and 1 over GF(p), whose
+    numerators are residues in [0, p)), so equal values are stored alike.
+    The constructor converts coefficients of the coefficient algebra once;
+    ``coeffs`` builds them back on each read.
     """
 
-    __slots__ = ("algebra", "grid", "valid_order")
+    __slots__ = ("algebra", "nums", "dens", "valid_order")
 
     def __init__(self, algebra: SeriesAlgebra, coeffs, valid_order: int):
         if not 0 <= valid_order <= algebra.cap:
@@ -356,18 +340,20 @@ class TruncatedSeries:
         coeffs = tuple(coeffs)
         if len(coeffs) != _count_below(algebra.arity, valid_order):
             raise AlgebraMismatch(f"{len(coeffs)} coefficients for valid_order {valid_order}")
-        self._store(algebra, _grid_of(algebra.coeff, coeffs), valid_order)
+        self._store(algebra, *_integers(algebra.field, _grid_of(algebra.coeff, coeffs)),
+                    valid_order)
 
     @classmethod
-    def _of(cls, algebra: SeriesAlgebra, grid, valid_order: int) -> "TruncatedSeries":
-        """The series whose ``grid`` is ``grid``, with no conversion."""
+    def _of(cls, algebra: SeriesAlgebra, nums, dens, valid_order: int) -> "TruncatedSeries":
+        """The series stored as ``nums`` over ``dens``, already reduced."""
         s = object.__new__(cls)
-        s._store(algebra, grid, valid_order)
+        s._store(algebra, nums, dens, valid_order)
         return s
 
-    def _store(self, algebra, grid, valid_order):
+    def _store(self, algebra, nums, dens, valid_order):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "grid", tuple([tuple(map(tuple, row)) for row in grid]))
+        object.__setattr__(self, "nums", tuple([tuple(map(tuple, row)) for row in nums]))
+        object.__setattr__(self, "dens", tuple(dens))
         object.__setattr__(self, "valid_order", valid_order)
 
     def __setattr__(self, name, value):
@@ -378,17 +364,17 @@ class TruncatedSeries:
     @property
     def coeffs(self) -> tuple:
         """The trusted coefficients as elements of the coefficient algebra,
-        built from ``grid`` on each read."""
-        alg, grid = self.algebra.coeff, self.grid
+        built from the stored integers on each read."""
+        alg, grid = self.algebra.coeff, _scalars(self)
         if not isinstance(alg, MatrixAlgebra):
-            return grid[0][0]
+            return tuple(grid[0][0])
         return tuple(_from_grid(alg, [[e[k] for e in row] for row in grid])
-                     for k in range(len(grid[0][0])))
+                     for k in range(len(self.dens)))
 
     def _trusted_index(self, exponent):
         e = tuple(exponent)
         idx = _index_of(self.algebra.arity, self.algebra.cap).get(e)
-        if idx is None or idx >= len(self.grid[0][0]):
+        if idx is None or idx >= len(self.dens):
             raise ValueError(f"exponent {e} not below valid_order {self.valid_order}")
         return idx
 
@@ -397,14 +383,12 @@ class TruncatedSeries:
         return self.coeffs[self._trusted_index(exponent)]
 
     def nonzero_indices(self):
-        """The indices of the trusted coefficients with a nonzero scalar (a
-        scalar of every field is false exactly when it is zero)."""
-        entries = [e for row in self.grid for e in row]
-        return tuple(k for k, xs in enumerate(zip(*entries)) if any(xs))
+        """The indices of the trusted coefficients with a nonzero numerator."""
+        return tuple(k for k, xs in enumerate(zip(*_channels(self.nums))) if any(xs))
 
     def is_zero(self) -> bool:
         """True when every trusted coefficient (degree < valid_order) is zero."""
-        return not self.nonzero_indices()
+        return not any(map(any, _channels(self.nums)))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -426,17 +410,25 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        grid = [[[-x for x in e] for e in row] for row in self.grid]
-        return TruncatedSeries._of(self.algebra, grid, self.valid_order)
+        modulus = self.algebra.field.modulus
+        nums = [[_negated(e, modulus) for e in row] for row in self.nums]
+        return TruncatedSeries._of(self.algebra, nums, self.dens, self.valid_order)
 
     def __sub__(self, other):
         return self._zip(other, sub)
 
     def _zip(self, other, op):
-        """The scalarwise op, through the lesser valid order."""
+        """The sum or difference (``op``), through the lesser valid order:
+        both sides rescaled to the lcm of their denominators at each index,
+        and their numerators added or subtracted channel by channel."""
         other = self._coerce_other(other)
-        grid = [[map(op, x, y) for x, y in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)]
-        return TruncatedSeries._of(self.algebra, grid, min(self.valid_order, other.valid_order))
+        vo = min(self.valid_order, other.valid_order)
+        n = _count_below(self.algebra.arity, vo)
+        dens = list(map(lcm, self.dens[:n], other.dens[:n]))
+        xs, ys = (_cut(s.nums, list(map(floordiv, dens, s.dens))) for s in (self, other))
+        nums = [[[_combine(x, y, op) for x, y in zip(ex, ey)] for ex, ey in zip(rx, ry)]
+                for rx, ry in zip(xs, ys)]
+        return _reduced(self.algebra, nums, dens, vo)
 
     def __rsub__(self, other):
         return self.algebra.coerce(other) - self
@@ -477,8 +469,10 @@ class TruncatedSeries:
         if picks is None:
             const = salg.constant(c, self.valid_order)
             return _convolve(const, self) if left else _convolve(self, const)
-        grid = _select(salg.coeff.base.zero(), self.grid, picks, left)
-        return TruncatedSeries._of(salg, grid, self.valid_order)
+        nums = _select(self.nums, picks, left, salg.field.modulus)
+        if None in picks:  # a zeroed row or column may leave a smaller denominator
+            return _reduced(salg, nums, self.dens, self.valid_order)
+        return TruncatedSeries._of(salg, nums, self.dens, self.valid_order)
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
         return series_derive(self, d)
@@ -492,20 +486,19 @@ class TruncatedSeries:
         other = self._coerce_other(other)
         vo = _trusted_order((self, other), "divide")
         salg = self.algebra
-        field = _field_and_dim(salg.coeff)[0]
         n = _count_below(salg.arity, vo)
-        a, y = (_cut(x.grid, n) for x in (other, self))
-        a0 = [[e[0] for e in row] for row in a]
-        x = _divide(salg.arity, vo, field, lambda: _gauss_jordan(field, a0), a, y,
-                    "series constant term is not invertible")
-        return TruncatedSeries._of(salg, x, vo)
+        x, dens = _divide(salg.arity, vo, salg.field, lambda: _constant_inverse(other),
+                          _lift([[(other, n)]]), _lift([[(self, n)]]),
+                          "series constant term is not invertible")
+        return _reduced(salg, x, dens, vo)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""
         if not 0 <= valid_order <= self.valid_order:
             raise ValueError(f"cannot cut valid_order {self.valid_order} to {valid_order}")
-        k = _count_below(self.algebra.arity, valid_order)
-        return TruncatedSeries._of(self.algebra, _cut(self.grid, k), valid_order)
+        n = _count_below(self.algebra.arity, valid_order)
+        return TruncatedSeries._of(self.algebra, _cut(self.nums, (1,) * n), self.dens[:n],
+                                   valid_order)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -550,43 +543,31 @@ def _selection(alg, c, left):
     nonzero entry, and that entry is +-1: b = +-1 diagonals, the grading
     projectors (1 +- b)/2 and signed permutations.  Then row (column) i of
     c x (x c) is zero, or plus or minus row (column) k of x, and the result
-    lists, per i, None or (k, negate).  The scan stops at the first entry
-    that is not 0 or +-1, so other constants cost almost nothing here.
+    lists, per i, None or (k, negate), and is read from the integers of c
+    (``_integers``), so it builds no field scalar.
     """
     if not isinstance(alg, MatrixAlgebra) or isinstance(alg.base, MatrixAlgebra):
         return None
-    zero, one = alg.base.zero(), alg.base.one()
-    minus_one = -one
+    modulus = alg.base.modulus
+    minus_one = modulus - 1 if modulus else -1
     picks = []
     for line in (c.rows if left else zip(*c.rows)):
-        pick = None
-        for k, x in enumerate(line):
-            if x == zero:
-                continue
-            if x == one:
-                negate = False
-            elif x == minus_one:
-                negate = True
-            else:
-                return None
-            if pick is not None:
-                return None
-            pick = (k, negate)
-        picks.append(pick)
+        [[(values, *rest)]], dens = _integers(alg.base, [[line]])
+        nonzero = [(k, v == minus_one) for k, v in enumerate(values or ()) if v]
+        if (any(rest) or dens.count(1) < len(dens) or len(nonzero) > 1
+                or any(v not in (0, 1, minus_one) for v in values or ())):
+            return None
+        picks.append(nonzero[0] if nonzero else None)
     return picks
 
 
-def _select(zero, grid, picks, left):
-    """The grid of c x (left) or x c (right) for the series grid of x and
-    the ``_selection`` picks of c: each row (column) of the grid kept,
-    negated or zeroed."""
-    zeros = (zero,) * len(grid[0][0])
+def _select(grid, picks, left, modulus):
+    """The stored grid of c x (left) or x c (right) for that of x and the
+    ``_selection`` picks of c: each row (column) kept, negated or zeroed."""
+    zeros = (None,) * len(grid[0][0])
 
     def take(line, p):
-        if p is None:
-            return zeros
-        e = line[p[0]]
-        return [-x for x in e] if p[1] else e
+        return zeros if p is None else _negated(line[p[0]], modulus) if p[1] else line[p[0]]
 
     if left:
         return [[take(col, p) for col in zip(*grid)] for p in picks]
@@ -600,29 +581,26 @@ def _product(salg, xs, ys):
     Entry (i, j) is the sum over l of xs[i][l] * ys[l][j], trusted below the
     least valid order of those products, as a sum of series products would
     be: the least order in row i of xs and column j of ys.  The series
-    grids of each side are flattened into one (``_flatten``) and lifted
-    once over one denominator, the left one read as rows of channels
-    and the right one in its real form (``_real_grid``).  Every output
-    channel adds the products (``_mul_add``) along its row and real column
-    in plain ``int``s, and each entry is lowered once, over the product of
-    the two denominators.
+    grids of each side are flattened into one and lifted once over one
+    denominator (``_lift``), the left one read as rows of channels and the
+    right one in its real form (``_real_grid``).  Every output channel adds
+    the products (``_mul_add``) along its row and real column in plain
+    ``int``s, over the product of the two denominators, and each output
+    series is reduced once (``_reduced``).
     """
-    arity = salg.arity
-    field, r = _field_and_dim(salg.coeff)
+    arity, r = salg.arity, salg.size
     row_orders = [min(map(_valid_order, row)) for row in xs]
     col_orders = [min(map(_valid_order, col)) for col in zip(*ys)]
     # each series is read only as far as some output entry trusts it
     top_row, top_col = max(row_orders), max(col_orders)
     x_counts = [_count_below(arity, min(o, top_col)) for o in row_orders]
     y_counts = [_count_below(arity, min(o, top_row)) for o in col_orders]
-    den_x, x_int = _lift(field, _flatten([
-        [_cut(x.grid, n) for x in row] for row, n in zip(xs, x_counts)]))
-    den_y, y_int = _lift(field, _flatten([
-        [_cut(y.grid, n) for y, n in zip(row, y_counts)] for row in ys]))
+    den_x, x_int = _lift([[(x, n) for x in row] for row, n in zip(xs, x_counts)])
+    den_y, y_int = _lift([[(y, n) for y, n in zip(row, y_counts)] for row in ys])
     den = den_x * den_y
     w = len(x_int[0][0])
     x_rows = _channel_rows(x_int)
-    y_cols = list(zip(*_real_grid(field.terms, y_int)))
+    y_cols = list(zip(*_real_grid(salg.field.terms, y_int)))
     out = []
     for i, vo_i in enumerate(row_orders):
         out_row = []
@@ -643,8 +621,7 @@ def _product(salg, xs, ys):
                             _mul_add(acc, x, y, pairs)
                     block_row.append(acc)
                 block.append(block_row)
-            grid = _lower(field, _pair_channels(w, block), [den] * n)
-            out_row.append(TruncatedSeries._of(salg, grid, vo))
+            out_row.append(_reduced(salg, _pair_channels(w, block), [den] * n, vo))
         out.append(tuple(out_row))
     return out
 
@@ -663,16 +640,73 @@ def _mul_add(out, x, y, rows):
 
 
 def _grid_of(alg, coeffs):
-    """Coefficients of ``alg`` as one series grid (see ``TruncatedSeries``):
-    entry (a, b) lists that scalar of each coefficient's ``_scalar_grid``."""
+    """Coefficients of ``alg`` as one grid of scalars: entry (a, b) lists
+    that scalar of each coefficient's ``_scalar_grid``."""
     r = _field_and_dim(alg)[1]
     grids = [_scalar_grid(alg, c) for c in coeffs]
     return [[tuple(g[a][b] for g in grids) for b in range(r)] for a in range(r)]
 
 
-def _cut(grid, n):
-    """A series grid read through its first n coefficients."""
-    return [[e[:n] for e in row] for row in grid]
+def _scalars(s):
+    """The grid of per-entry lists of field scalars that ``s`` stores."""
+    join = s.algebra.field.join
+    return [[join(e, s.dens) for e in row] for row in s.nums]
+
+
+def _channels(grid):
+    """Every channel of a stored grid that is not all zeros."""
+    return [ch for row in grid for e in row for ch in e if ch is not None]
+
+
+def _negated(e, modulus):
+    """The channels of an entry negated, residues kept in [0, p)."""
+    return tuple(ch and tuple([-v % modulus for v in ch] if modulus else map(neg, ch))
+                 for ch in e)
+
+
+def _combine(x, y, op):
+    """Integer channels x op y for ``add`` or ``sub``; None is all zeros."""
+    if y is None:
+        return x
+    if x is None:
+        return y if op is add else list(map(neg, y))
+    return list(map(op, x, y))
+
+
+def _lift(cuts):
+    """(D, grid) for rows of (series, n) pairs: D is the lcm of every
+    series' denominators through index n, and the grid holds their stored
+    grids flattened into one (``_flatten``), each through index n over D."""
+    den = lcm(*{d for row in cuts for s, n in row for d in s.dens[:n]})
+    return den, _flatten([[_cut(s.nums, [den // d for d in s.dens[:n]]) for s, n in row]
+                          for row in cuts])
+
+
+def _cut(nums, factors):
+    """A stored grid through index n = len(factors), the numerators at each
+    index times its factor; a channel all zero there becomes None."""
+    n = len(factors)
+    if factors.count(1) < n:
+        nums = [[[ch and list(map(mul, ch, factors)) for ch in e] for e in row] for row in nums]
+    return [[[c if c is None or any(c) else None for c in [ch and ch[:n] for ch in e]]
+             for e in row] for row in nums]
+
+
+def _reduced(salg, grid, dens, valid_order):
+    """The series of ``salg`` whose coefficient k is the integer channels of
+    ``grid`` (lists, or None for all zeros) over dens[k], each index reduced
+    to the stored form (see ``TruncatedSeries``) by one gcd over it, or over
+    GF(p) by one inverse of its denominator."""
+    modulus = salg.field.modulus
+    if modulus:
+        qs, dens = [pow(d, -1, modulus) for d in dens], [1] * len(dens)
+        grid = [[[ch and [v * q % modulus for v, q in zip(ch, qs)] for ch in e] for e in row]
+                for row in grid]
+    elif (gs := list(map(gcd, dens, *_channels(grid)))).count(1) < len(gs):
+        grid = [[[ch and list(map(floordiv, ch, gs)) for ch in e] for e in row] for row in grid]
+        dens = list(map(floordiv, dens, gs))
+    nums = [[[tuple(ch) if ch and any(ch) else None for ch in e] for e in row] for row in grid]
+    return TruncatedSeries._of(salg, nums, dens, valid_order)
 
 
 def _nested(alg, grid):
@@ -688,25 +722,16 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
     """Formal partial derivative; valid order drops by one.
 
     The coefficient at E is k * scale times the one at E + e_axis, with
-    k = E[axis] + 1: the lifted integer numerators (see ``_lift``) are
-    multiplied by k and then by the real block of the lifted scale
-    (``_times``), and each output scalar is lowered once, over the product
-    of the two denominators.
+    k = E[axis] + 1: that index's numerators times k and the real block of
+    the lifted scale (``_times``), over its denominator times the scale's.
     """
     vo = _trusted_order((s,), "differentiate")
     salg = s.algebra
-    field = _field_and_dim(salg.coeff)[0]
-    n = _count_below(salg.arity, vo - 1)
     sources, factors = _derive_map(salg.arity, vo, d.axis(salg.arity))
-    den, xs = _lift(field, s.grid)
-    scale_den, scale = _scale_block(field, d.scale)
-    out = [
-        [_times([None if ch is None else list(map(mul, factors, sources(ch)))
-                 for ch in x], scale)
-         for x in row]
-        for row in xs
-    ]
-    return TruncatedSeries._of(salg, _lower(field, out, [den * scale_den] * n), vo - 1)
+    scale_den, scale = _scale_block(salg.field, d.scale)
+    nums = [[_times([ch and list(map(mul, factors, sources(ch))) for ch in e], scale)
+             for e in row] for row in s.nums]
+    return _reduced(salg, nums, [den * scale_den for den in sources(s.dens)], vo - 1)
 
 
 @lru_cache(maxsize=None)
@@ -771,31 +796,29 @@ def _exp_rows(alg, out, row, cu, cv, cap):
     The row, cu and cv are lifted once to P = D_p row, C_u = D_u cu and
     C_v = D_v cv, the row as rows of channels and cu, cv in their real form
     (see ``_real_grid``).  P C_u^m C_v^l is the rows at (m, l - 1) times
-    C_v, or at (m - 1, 0) times C_u, reduced over GF(p), and each scalar is
-    lowered once, over D_p D_u^m m! D_v^l l!.
+    C_v, or at (m - 1, 0) times C_u, reduced mod p over GF(p), and each
+    output series is reduced once, over D_p D_u^m m! D_v^l l!.
     """
     cs = [alg.coerce(c) for c in (cu, cv) if c is not None]
     if len(cs) == 2 and cs[0] * cs[1] != cs[1] * cs[0]:
         raise NoncommutingExponents("exponent coefficients do not commute")
-    field = _field_and_dim(alg)[0]
-    r = _field_and_dim(out)[1]
-    den, p_int = _lift(field, _flatten([[_grid_of(out, [out.coerce(x)]) for x in row]]))
+    salg = SeriesAlgebra(out, len(cs), cap)
+    p_int, (den,) = _integers(salg.field, _flatten([[_grid_of(out, [out.coerce(x)]) for x in row]]))
     steps = []
     for c in cs:
-        den_c, c_real = _real_scalars(field, _scalar_grid(alg, c))
+        den_c, c_real = _real_scalars(salg.field, _scalar_grid(alg, c))
         steps.append((den_c, list(zip(*c_real))))
     rows = [[[x[0] if x else 0 for x in line] for line in _channel_rows(p_int)]]
     dens = [den]
-    modulus = field.modulus
+    modulus = salg.field.modulus
     for prev, axis, k in _exp_steps(len(cs), cap):
         den_c, cols = steps[axis]
         prod = [[sum(map(mul, line, col)) for col in cols] for line in rows[prev]]
         rows.append([[v % modulus for v in line] for line in prod] if modulus else prod)
         dens.append(dens[prev] * den_c * k)
     z = [[list(col) for col in zip(*powers)] for powers in zip(*rows)]
-    grid = _lower(field, _pair_channels(len(p_int[0][0]), z), dens)
-    salg = SeriesAlgebra(out, len(cs), cap)
-    return tuple(TruncatedSeries._of(salg, b, cap) for b in _blocks(grid, r)[0])
+    grid = _pair_channels(len(p_int[0][0]), z)
+    return tuple(_reduced(salg, b, dens, cap) for b in _blocks(grid, salg.size)[0])
 
 
 @lru_cache(maxsize=None)
@@ -812,14 +835,14 @@ def _exp_steps(arity: int, cap: int):
 def _divide(arity, valid_order, field, invert, a, y, singular):
     """The x with x * a = y through ``valid_order``, formed over integers.
 
-    ``a`` and ``y`` are grids of per-entry lists of ``field`` scalars (see
-    ``TruncatedSeries``): n x n for a, k x n for y.  Returns x in the shape
-    of y.
+    ``a`` and ``y`` are (D, grid) pairs from ``_lift``, A = D_a a and
+    Y = D_y y: n x n for a, k x n for y.  Returns (Z, dens), x in the
+    shape of y as integer channels with x_E = Z_E / dens[E].
 
-    ``invert()`` gives a_0^-1 as a grid of scalars (a SingularMatrix there
-    raises SingularConstantTerm with the message ``singular``).  a, y and
-    a_0^-1 are lifted to integers A = D_a a, Y = D_y y and M = m a_0^-1, and with
-    s = D_a m, x_E = Z_E / (D_y m s^|E|) where
+    ``invert()`` gives (m, M) with M the real form of m a_0^-1 and m the
+    lcm of its scalars' denominators (a SingularMatrix there raises
+    SingularConstantTerm with the message ``singular``).  With s = D_a m,
+    x_E = Z_E / (D_y m s^|E|) where
 
         Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M
 
@@ -827,18 +850,39 @@ def _divide(arity, valid_order, field, invert, a, y, singular):
     and M in their real form (see ``_real_grid``), and over GF(p) every Z_E
     is reduced.
     """
+    (den_a, a_int), (den_y, y_int) = a, y
     try:
-        a0_inv = invert()
+        m, m_int = invert()
     except SingularMatrix as exc:
         raise SingularConstantTerm(singular) from exc
-    den_a, a_int = _lift(field, a)
-    m, m_int = _real_scalars(field, a0_inv)
-    den_y, y_int = _lift(field, y)
     s = den_a * m
     z = _divide_integers(arity, valid_order, _real_grid(field.terms, a_int), m_int,
                          _channel_rows(y_int), s, field.modulus)
     dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
-    return _lower(field, _pair_channels(len(a_int[0][0]), z), dens)
+    return _pair_channels(len(a_int[0][0]), z), dens
+
+
+def _constant(s):
+    """The grid of field scalars of the constant term of ``s``."""
+    join = s.algebra.field.join
+    return [[join(e, s.dens[:1])[0] for e in row] for row in s.nums]
+
+
+def _constant_inverse(s):
+    """(m, M) as ``_real_scalars`` gives them for a_0^-1, a_0 the constant
+    term of ``s``, by one elimination of its real integer form A_0 = D a_0
+    (``_real_inverse``): with B = det A_0^-1, a_0^-1 = D B / det, so
+    m = |det| / gcd(det, D B) and M = m D B / det."""
+    field = s.algebra.field
+    a0 = [[v[0] if v else 0 for v in line]
+          for line in _real_grid(field.terms, _cut(s.nums, (1,)))]
+    det, inv = _real_inverse(a0, len(s.nums[0][0]), field.modulus)
+    if field.modulus:  # the denominator is 1
+        q = pow(det, -1, field.modulus)
+        return 1, [[v * q % field.modulus for v in row] for row in inv]
+    den = s.dens[0]
+    m = abs(det) // gcd(det, *[den * v for row in inv for v in row])
+    return m, [[den * m * v // det for v in row] for row in inv]
 
 
 def _divide_integers(arity, valid_order, a, m, y, s, modulus):
@@ -907,8 +951,10 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Exact agreement of every coefficient both sides trust."""
     if a.algebra != b.algebra:
         return False
-    n = _count_below(a.algebra.arity, min(a.valid_order, b.valid_order))
-    return all(x[:n] == y[:n] for ra, rb in zip(a.grid, b.grid) for x, y in zip(ra, rb))
+    # each index is reduced and a channel all zero is None: equal is stored alike
+    vo = min(a.valid_order, b.valid_order)
+    a, b = (s if s.valid_order == vo else s.with_valid_order(vo) for s in (a, b))
+    return a.dens == b.dens and a.nums == b.nums
 
 
 def through(x, order: int):

@@ -766,9 +766,13 @@ class NlsSolution(Record):
     notes: list
     vacuum: bool = False
     # (U, b, d0, d, residual): the cubic residual of U as the selection
-    # formed it, with what it was formed from; ``check_nls`` reuses it only
-    # while that U is still this solution's U and b, d0, d are its own
+    # formed it, with what it was formed from; ``check_nls`` reuses it, and
+    # the graded blocks, only while that U is still this solution's U and
+    # b, d0, d are its own
     cubic: tuple | None = None
+    # the diagonal blocks q1 U q1 and q2 U q2, formed beside U12 and U21
+    U11: TruncatedSeries | None = None
+    U22: TruncatedSeries | None = None
 
 
 def nls_solution(params: NlsParams) -> NlsSolution:
@@ -846,16 +850,16 @@ def nls_solution(params: NlsParams) -> NlsSolution:
                 detail="first factor of the closed form needs b f = q1 c e - q2 d e",
             )
         )
-    U12 = U21 = None
+    U11 = U12 = U21 = U22 = None
     if _pm_one_split(S, data.b) is not None:
-        u11, U12, U21, u22 = _graded_blocks(U, data.q1, data.q2)
-        if not (u11 + u22).is_zero():
+        U11, U12, U21, U22 = _graded_blocks(U, data.q1, data.q2)
+        if not (U11 + U22).is_zero():
             raise VerificationError("diagonal blocks of U do not vanish")
         notes.append("diagonal blocks of U vanish; off-diagonal blocks extracted")
     return NlsSolution(
         g=g, U=U, U12=U12, U21=U21, g_bottom_left=g_bl, g_bottom_right=g_br,
         cell=cell, wronskian=wp, data=data, notes=notes,
-        cubic=(U, data.b, data.d0, data.d, residuals[id(g)]),
+        cubic=(U, data.b, data.d0, data.d, residuals[id(g)]), U11=U11, U22=U22,
     )
 
 

@@ -19,8 +19,7 @@ from solitonlab.algebra import (
     QQ,
     QQI,
     _channel_rows,
-    _lift,
-    _lower,
+    _integers,
     _pair_channels,
     _real_grid,
 )
@@ -54,8 +53,9 @@ def _times(field, xs, ys):
 
 
 def _lifted(field, grid):
-    """(D, lifted grid) with one index per entry (see ``_lift``)."""
-    return _lift(field, [[[x] for x in row] for row in grid])
+    """(D, lifted grid) with one index per entry (see ``_integers``)."""
+    nums, (den,) = _integers(field, [[(x,) for x in row] for row in grid])
+    return den, nums
 
 
 def _ints(grid):
@@ -80,8 +80,7 @@ def test_channel_row_times_block_is_the_product(name, seed):
     real = _matmul(_ints(_channel_rows(x_int)), _ints(_real_grid(field.terms, y_int)),
                    field.modulus)
     chans = _pair_channels(w, [[[v] for v in row] for row in real])
-    got = [[scalars[0] for scalars in row]
-           for row in _lower(field, chans, [den_x * den_y])]
+    got = [[field.join(ch, [den_x * den_y])[0] for ch in row] for row in chans]
     assert got == _times(field, xs, ys)
 
 

@@ -34,8 +34,9 @@ SPECS = {
     ),
     solitons.NlsData: ("fs b q1 q2 a algebra cap d0 d mode", {}),
     solitons.NlsSolution: (
-        "g U U12 U21 g_bottom_left g_bottom_right cell wronskian data notes vacuum cubic",
-        {"vacuum": False, "cubic": None},
+        "g U U12 U21 g_bottom_left g_bottom_right cell wronskian data notes vacuum cubic"
+        " U11 U22",
+        {"vacuum": False, "cubic": None, "U11": None, "U22": None},
     ),
     solitons.NlsScalarComparison: ("orientation report series", {}),
     residual.ResidualEntry: (

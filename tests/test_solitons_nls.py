@@ -184,6 +184,32 @@ def test_solution_reuses_its_cubic_residual(N, cubic_calls):
     assert not _entries(other)["cubic equation"].passed
 
 
+def test_solution_reuses_its_graded_blocks(monkeypatch):
+    """check_nls given the solution reads u11, u12, u21 and u22 off it,
+    under the guard that decides the cubic's reuse; a bare series, another
+    b and a replaced U each form them afresh."""
+    sol = nls_solution(random_nls_params(Random(33), N=1, r=2, cap=7))
+    data = sol.data
+    calls = []
+    blocks = residual._graded_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return blocks(*args)
+
+    monkeypatch.setattr(residual, "_graded_blocks", counted)
+    moved = copy.copy(sol)
+    moved.U = sol.U + sol.U.algebra.zero()
+    reports = {}
+    for name, arg, b in (("solution", sol, data.b), ("bare", sol.U, data.b),
+                         ("other b", sol, -data.b), ("moved", moved, data.b)):
+        calls.clear()
+        reports[name] = check_nls(arg, b, data.d0, data.d).to_dict()
+        assert len(calls) == (0 if name == "solution" else 1), name
+    assert reports["solution"] == reports["bare"] == reports["moved"]
+    assert reports["other b"] == check_nls(sol.U, -data.b, data.d0, data.d).to_dict()
+
+
 def test_u_corrupted_after_selection_fails_the_cubic_equation():
     sol = nls_solution(random_nls_params(Random(37), N=1, r=2, cap=7))
     data = sol.data
