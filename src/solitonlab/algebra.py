@@ -567,10 +567,9 @@ def _from_grid(alg, grid):
 
 def _integers(field, grid):
     """(nums, dens) for a grid of per-entry sequences of ``field`` scalars:
-    dens[k] is the least common denominator of every scalar at index k (1
-    over GF(p)), and nums[i][j][c] is the tuple of the integer numerators
-    over dens of channel c (``split``) of entry (i, j), or None when they
-    are all zero."""
+    dens[k] is the least common denominator of the scalars at index k, and
+    nums[i][j][c] the tuple of numerators over dens of channel c (``split``)
+    of entry (i, j), or None when they are all zero."""
     chans = [[field.split(e) for e in row] for row in grid]
     parts = [part for row in chans for ch in row for part in ch]
     dens = tuple(lcm(*[v.denominator for v in vs]) for vs in zip(*parts))
@@ -603,8 +602,14 @@ def _real_grid(terms, grid):
 def _real_scalars(field, rows):
     """(D, A) for a grid of field scalars: A is the real form (``_real_grid``)
     of the integers D * rows, as rows of ints, lifted in one call."""
-    nums, (den,) = _integers(field, [[(x,) for x in row] for row in rows])
-    return den, [[v[0] if v else 0 for v in line] for line in _real_grid(field.terms, nums)]
+    chans = field.split([x for row in rows for x in row])
+    den = lcm(*{v.denominator for part in chans for v in part})
+    # entry (a, out) lists that of each scalar's block, for row i w + a, column j w + out
+    real = _real_grid(field.terms, [[[[v.numerator * (den // v.denominator) for v in part]
+                                      for part in chans]]])
+    k = len(rows[0])
+    return den, [[line[i * k + j] for j in range(k) for line in block]
+                 for i in range(len(rows)) for block in real]
 
 
 def _channel_rows(grid):

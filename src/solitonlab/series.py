@@ -210,12 +210,10 @@ class SeriesAlgebra(Algebra):
         vo = self.cap if valid_order is None else valid_order
         n = _count_below(self.arity, vo)
         nums, dens = _integers(self.field, _grid_of(self.coeff, [self.coeff.coerce(value)]))
-        if idx >= n:  # nothing is stored at or above valid_order
-            nums = [[[None] * len(e) for e in row] for row in nums]
-            return TruncatedSeries._of(self, nums, (1,) * n, vo)
-        before, after = (0,) * idx, (0,) * (n - idx - 1)
+        before, after = (0,) * idx, (0,) * (len(self.exponents) - idx - 1)
         nums = [[[ch and before + ch + after for ch in e] for e in row] for row in nums]
-        return TruncatedSeries._of(self, nums, (1,) * idx + dens + (1,) * (n - idx - 1), vo)
+        dens = (1,) * idx + dens + (1,) * len(after)
+        return TruncatedSeries._of(self, _cut(nums, (1,) * n), dens[:n], vo)
 
     def zero(self):
         return self.constant(self.coeff.zero())
@@ -548,8 +546,7 @@ def _selection(alg, c, left):
     """
     if not isinstance(alg, MatrixAlgebra) or isinstance(alg.base, MatrixAlgebra):
         return None
-    modulus = alg.base.modulus
-    minus_one = modulus - 1 if modulus else -1
+    minus_one = alg.base.modulus - 1 if alg.base.modulus else -1
     picks = []
     for line in (c.rows if left else zip(*c.rows)):
         [[(values, *rest)]], dens = _integers(alg.base, [[line]])
@@ -674,9 +671,8 @@ def _combine(x, y, op):
 
 
 def _lift(cuts):
-    """(D, grid) for rows of (series, n) pairs: D is the lcm of every
-    series' denominators through index n, and the grid holds their stored
-    grids flattened into one (``_flatten``), each through index n over D."""
+    """(D, grid) for rows of (series, n) pairs: their stored grids through
+    index n, flattened into one, over the lcm D of those denominators."""
     den = lcm(*{d for row in cuts for s, n in row for d in s.dens[:n]})
     return den, _flatten([[_cut(s.nums, [den // d for d in s.dens[:n]]) for s, n in row]
                           for row in cuts])
@@ -694,9 +690,8 @@ def _cut(nums, factors):
 
 def _reduced(salg, grid, dens, valid_order):
     """The series of ``salg`` whose coefficient k is the integer channels of
-    ``grid`` (lists, or None for all zeros) over dens[k], each index reduced
-    to the stored form (see ``TruncatedSeries``) by one gcd over it, or over
-    GF(p) by one inverse of its denominator."""
+    ``grid`` (None for all zeros) over dens[k], each index reduced to the
+    stored form by one gcd, or over GF(p) one inverse of its denominator."""
     modulus = salg.field.modulus
     if modulus:
         qs, dens = [pow(d, -1, modulus) for d in dens], [1] * len(dens)
@@ -803,7 +798,8 @@ def _exp_rows(alg, out, row, cu, cv, cap):
     if len(cs) == 2 and cs[0] * cs[1] != cs[1] * cs[0]:
         raise NoncommutingExponents("exponent coefficients do not commute")
     salg = SeriesAlgebra(out, len(cs), cap)
-    p_int, (den,) = _integers(salg.field, _flatten([[_grid_of(out, [out.coerce(x)]) for x in row]]))
+    p_int, (den,) = _integers(
+        salg.field, _flatten([[_grid_of(out, [out.coerce(x)]) for x in row]]))
     steps = []
     for c in cs:
         den_c, c_real = _real_scalars(salg.field, _scalar_grid(alg, c))
@@ -873,14 +869,13 @@ def _constant_inverse(s):
     term of ``s``, by one elimination of its real integer form A_0 = D a_0
     (``_real_inverse``): with B = det A_0^-1, a_0^-1 = D B / det, so
     m = |det| / gcd(det, D B) and M = m D B / det."""
-    field = s.algebra.field
+    field, den = s.algebra.field, s.dens[0]
     a0 = [[v[0] if v else 0 for v in line]
           for line in _real_grid(field.terms, _cut(s.nums, (1,)))]
     det, inv = _real_inverse(a0, len(s.nums[0][0]), field.modulus)
     if field.modulus:  # the denominator is 1
         q = pow(det, -1, field.modulus)
         return 1, [[v * q % field.modulus for v in row] for row in inv]
-    den = s.dens[0]
     m = abs(det) // gcd(det, *[den * v for row in inv for v in row])
     return m, [[den * m * v // det for v in row] for row in inv]
 

@@ -21,7 +21,7 @@ from solitonlab.algebra import (
     _scalar_grid,
 )
 from solitonlab.errors import AlgebraMismatch
-from solitonlab.scalars import PRIME, GaussianRational, Residue
+from solitonlab.scalars import GaussianRational, Residue
 from solitonlab.series import (
     D_T,
     D_U,
