@@ -160,21 +160,24 @@ class _Field(Algebra):
 
     def quasideterminant(self, m, i, j):
         """|m|_ij = m_ij - r * S^-1 * c, S being m without row i and column
-        j, by one elimination and no inverse.  Row i and column j are moved
-        last and m lifted once to its real integer form A = D * m
-        (``_real_scalars``), w x w per scalar.  Eliminating S's columns with
-        pivots from S's rows (``_bareiss``) leaves det(D * S) as the last
-        pivot and, in the last w x w block, the real block of D * |m|_ij
-        times it (the Schur complement of S, bordered), so the channels of
-        |m|_ij are that block's first row over D * det(D * S).  Raises
-        SingularMatrix when S is singular."""
+        j, by one forward elimination and no inverse.  Row i and column j
+        are moved last and m lifted once to its real integer form A = D * m
+        (``_real_scalars``), w x w per scalar, of whose last w rows only the
+        first is read and kept.  Eliminating S's columns with pivots from
+        S's rows, updating only the rows below each pivot (``_bareiss``,
+        forward), leaves det(D * S) as the last pivot and, in the kept row,
+        the first row of the real block of D * |m|_ij times it (the Schur
+        complement of S, bordered), so the channels of |m|_ij are that row's
+        last w entries over D * det(D * S).  Raises SingularMatrix when S is
+        singular."""
         n = m.dim
         rows = [k for k in range(n) if k != i] + [i]
         cols = [k for k in range(n) if k != j] + [j]
         den, aug = _real_scalars(self, [[m.rows[r][k] for k in cols] for r in rows])
         w = len(aug) // n
         last = w * (n - 1)
-        det = _bareiss(aug, last, w, self.modulus)
+        del aug[last + 1:]
+        det = _bareiss(aug, last, w, self.modulus, forward=True)
         return self.join([[v] for v in aug[last][last:]], [den * det])[0]
 
     def scalar_mul(self, q, a):
@@ -477,22 +480,25 @@ def _real_inverse(rows, w, modulus):
     return det, [row[size:] for row in aug]
 
 
-def _bareiss(aug, pivots, w, modulus):
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the integer
-    rows ``aug`` in place, over their first ``pivots`` columns; returns the
-    last pivot.
+def _bareiss(aug, pivots, w, modulus, forward=False):
+    """Fraction-free elimination (Bareiss 1968) of the integer rows ``aug``
+    in place, over their first ``pivots`` columns; returns the last pivot.
 
     The rows are a real form (``_real_grid``), w integers per scalar.  Column
     by column, the first of rows col..pivots-1 with a nonzero entry there is
-    the pivot row y, with pivot p; every other row x becomes
-    (p x - f y) / prev, with f its entry in the column and prev the previous
-    pivot (1 at first).  The division is exact, and mod ``modulus`` it is a
-    product with prev's inverse.  A real block is invertible exactly when its
-    scalar is, so the elimination stops at column w k exactly when the one
-    over the field stops at column k, and SingularMatrix names column k.  The
-    last pivot is the determinant of the leading pivots x pivots block, and
-    each entry of a later row ends as that block bordered by the row and the
-    entry's column, both up to one sign from the row swaps.
+    the pivot row y, with pivot p; every other row x (Gauss-Jordan, as an
+    inverse beside the identity needs) or, when ``forward``, every later one
+    (all a Schur complement reads) becomes (p x - f y) / prev, with f its
+    entry in the column and prev the previous pivot (1 at first).  The
+    division is exact, and mod ``modulus`` it is a product with prev's
+    inverse.  A real block is invertible exactly when its scalar is, so the
+    elimination stops at column w k exactly when the one over the field
+    stops at column k, and SingularMatrix names column k.  Rows below a pivot
+    are updated alike either way, so the last pivot is the determinant of
+    the leading pivots x pivots block, and each entry of a later row ends as
+    that block bordered by the row and the entry's column, both up to one
+    sign from the row swaps.  Rows are rebuilt whole: on rows this small,
+    cutting off the columns left of the pivot costs more than it saves.
     """
     prev = 1
     for col in range(pivots):
@@ -507,13 +513,13 @@ def _bareiss(aug, pivots, w, modulus):
         p = y[col]
         if modulus:
             q = pow(prev, -1, modulus)
-        for r, x in enumerate(aug):
-            f = x[col]
+        for r in range(col + 1 if forward else 0, len(aug)):
+            f = aug[r][col]
             if r != col and (f or p != prev):
                 if modulus:
-                    aug[r] = [(p * a - f * b) * q % modulus for a, b in zip(x, y)]
+                    aug[r] = [(p * a - f * b) * q % modulus for a, b in zip(aug[r], y)]
                 else:
-                    aug[r] = [(p * a - f * b) // prev for a, b in zip(x, y)]
+                    aug[r] = [(p * a - f * b) // prev for a, b in zip(aug[r], y)]
         prev = p
     return prev
 
@@ -601,15 +607,22 @@ def _real_grid(terms, grid):
 
 def _real_scalars(field, rows):
     """(D, A) for a grid of field scalars: A is the real form (``_real_grid``)
-    of the integers D * rows, as rows of ints, lifted in one call."""
-    chans = field.split([x for row in rows for x in row])
-    den = lcm(*{v.denominator for part in chans for v in part})
-    # entry (a, out) lists that of each scalar's block, for row i w + a, column j w + out
-    real = _real_grid(field.terms, [[[[v.numerator * (den // v.denominator) for v in part]
-                                      for part in chans]]])
-    k = len(rows[0])
-    return den, [[line[i * k + j] for j in range(k) for line in block]
-                 for i in range(len(rows)) for block in real]
+    of the integers D * rows, as rows of ints, lifted in one flat pass: each
+    scalar's channels are read once as integer ratios, and each channel
+    product (a, b, out, sign) of ``terms`` fills, in row i w + a of A, the
+    columns j w + out from channel b of row i."""
+    n, k = len(rows), len(rows[0])
+    ratios = [v.as_integer_ratio()
+              for part in field.split([x for row in rows for x in row]) for v in part]
+    den = lcm(*{d for _, d in ratios})
+    ints = [v * (den // d) for v, d in ratios]  # channel b of (i, j) at (b n + i) k + j
+    w = len(ints) // (n * k)
+    real = [[0] * (w * k) for _ in range(w * n)]
+    for a, b, out, sign in field.terms:
+        for i in range(n):
+            line = ints[(b * n + i) * k:(b * n + i + 1) * k]
+            real[i * w + a][out::w] = line if sign > 0 else [-v for v in line]
+    return den, real
 
 
 def _channel_rows(grid):

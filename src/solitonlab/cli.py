@@ -383,10 +383,13 @@ def _run_system(cfg) -> dict:
 
 
 def _cofactor_det(rows):
-    """Determinant by cofactor expansion along the first row."""
+    """Determinant by cofactor expansion along the first row, down to
+    ad - bc at 2 x 2."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
@@ -400,10 +403,13 @@ def _run_selftest(cfg) -> dict:
 
     Each trial matrix M is lifted once to integers A = D * M, with D the lcm
     of its denominators, so det M = det(A) / D^n and each minor of M is that
-    of A over D^(n-1).  The reference stays a cofactor expansion, an
-    algorithm independent of the elimination that computes the
-    quasideterminant.  Where a minor is 0 the quasideterminant must raise
-    SingularSubmatrix; a value there is a failure.
+    of A over D^(n-1).  The ratio identity |M|_ij = (-1)^(i+j) det M / det M^ij
+    for a value p / q is then the integer equation
+    p * det(A^ij) * D == (-1)^(i+j) * det(A) * q, checked exactly with no
+    fraction.  The reference stays a cofactor expansion, an algorithm
+    independent of the elimination that computes the quasideterminant.
+    Where det(A^ij) is 0 the quasideterminant must raise SingularSubmatrix;
+    a value there is a failure.
     """
     rng = Random(cfg["seed"])
     trials = cfg["trials"]
@@ -416,11 +422,11 @@ def _run_selftest(cfg) -> dict:
         m = random_element(MatrixAlgebra(QQ, size), rng)
         den = lcm(*(x.denominator for r in m.rows for x in r))
         rows = [[x.numerator * (den // x.denominator) for x in r] for r in m.rows]
-        full = Fraction(_cofactor_det(rows), den ** size)
+        full = _cofactor_det(rows)
         for i in range(size):
             for j in range(size):
                 sub = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-                sub_det = Fraction(_cofactor_det(sub), den ** (size - 1))
+                sub_det = _cofactor_det(sub)
                 if sub_det == 0:
                     skipped += 1
                     try:
@@ -430,8 +436,8 @@ def _run_selftest(cfg) -> dict:
                     ok = False
                 else:
                     checked += 1
-                    value = quasideterminant(m, i, j)
-                    ok = value * sub_det == (-1) ** (i + j) * full
+                    p, q = quasideterminant(m, i, j).as_integer_ratio()
+                    ok = p * sub_det * den == (-1) ** (i + j) * full * q
                 if not ok:
                     failures.append({"trial": trial, "size": size, "i": i, "j": j})
     return {

@@ -238,24 +238,26 @@ def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
     a_mats = _embed_constants(a, ws[0])
     if len(a_mats) != n:
         raise HypothesisViolated("need one constant diagonal per site", which="A")
+    dws = []
     for k in range(n):
         for d_i, name in ((d1, "d1"), (d2, "d2")):
             if not alg.is_zero(a_mats[k].derive(d_i)):
                 raise HypothesisViolated(
                     f"A[{k}] is not constant under {name}", which="A-constant"
                 )
-        if not alg.is_zero(ws[k].derive(d2).derive(d1) - ws[k]):
+        dw = ws[k].derive(d2)
+        dws.append(dw)
+        if not alg.is_zero(dw.derive(d1) - ws[k]):
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        dw = ws[k].derive(d2)
         if not alg.is_zero(dw - through(ws[(k + 1) % n], _top(dw)) * a_mats[k]):
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + 1}] A[{k}]", which="shift-linear-relation"
             )
     report = ResidualReport("marchenko", exact=alg.is_exact)
     report.note(f"hypotheses validated at all {n} sites (shift 1)")
-    cs = [_invert_or_raise(ws[k], k, ws[k].derive(d2)) for k in range(n)]
+    cs = [_invert_or_raise(ws[k], k, dws[k]) for k in range(n)]
     for k, res in enumerate(_toda_residuals(cs, d1, d2)):
         report.add(f"site {k}", res)
     return report
@@ -275,16 +277,17 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     template = ws[sites[0]]
     alg = template.algebra
     a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
+    dws = {}
     for k in sites:
         if not alg.is_zero(a_mats[k].derive(d)):
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
+        dws[k] = dw = ws[k].derive(d)
         if k + 2 in ws:
-            if not alg.is_zero(ws[k].derive(d) - ws[k + 2]):
+            if not alg.is_zero(dw - ws[k + 2]):
                 raise HypothesisViolated(
                     f"d G[{k}] != G[{k + 2}]", which="double-shift-relation"
                 )
         if k + 1 in ws:
-            dw = ws[k].derive(d)
             res = dw + ws[k] - through(ws[k + 1], _top(dw)) * a_mats[k]
             if not alg.is_zero(res):
                 raise HypothesisViolated(
@@ -295,22 +298,22 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     if not main_sites:
         raise WindowTooSmall("no site has both lattice neighbours available")
     report = ResidualReport("marchenko-lattice", exact=alg.is_exact)
-    cs = {k: _invert_or_raise(ws[k], k, ws[k].derive(d)) for k in sites}
+    cs = {k: _invert_or_raise(ws[k], k, dws[k]) for k in sites}
     us = {k: _invert_or_raise(cs[k - 1], k - 1, cs[k]) for k in sites if k - 1 in cs}
     for k in main_sites:
         res = _langmuir_residual(us, k, d)
         report.add(f"lattice-equation site {k}", res)
     one = alg.one()
-    for k in sites:
-        if k + 1 in cs:
-            dc = cs[k].derive(d)
-            res = through(cs[k + 1] - cs[k], _top(dc)) * (cs[k] + one) - dc
-            report.add(f"increment-product site {k}", res)
-        if k + 2 in cs:
-            res = (cs[k + 2] - cs[k + 1]) * cs[k] - (cs[k + 1] - cs[k])
+    incs = {k: cs[k + 1] - cs[k] for k in sites if k + 1 in cs}
+    for k in incs:
+        dc = cs[k].derive(d)
+        res = through(incs[k], _top(dc)) * (cs[k] + one) - dc
+        report.add(f"increment-product site {k}", res)
+        if k + 1 in incs:
+            res = incs[k + 1] * cs[k] - incs[k]
             report.add(f"increment-shift site {k}", res)
-        if k in us and k + 1 in cs:
-            res = us[k] - (one + cs[k + 1] - cs[k])
+        if k in us:
+            res = us[k] - (one + incs[k])
             report.add(f"additive-quotient site {k}", res)
     return report
 
@@ -461,17 +464,15 @@ def _check_toda_data(data) -> ResidualReport:
 
 def _check_langmuir_data(data) -> ResidualReport:
     report = ResidualReport("langmuir-data", exact=data.algebra.is_exact)
-    sites = sorted(data.f)
+    # the sites with a shifted neighbour; each derives its f[k][j] once
+    sites = [k for k in sorted(data.f) if k + 1 in data.f or k + 2 in data.f]
     for k in sites:
         for j in range(data.N):
             f = data.f[k][j]
+            df = f.derive(data.d)
             if k + 2 in data.f:
-                report.add(
-                    f"shift-by-two relation f[{k}][{j}]",
-                    f.derive(data.d) - data.f[k + 2][j],
-                )
+                report.add(f"shift-by-two relation f[{k}][{j}]", df - data.f[k + 2][j])
             if k + 1 in data.f:
-                df = f.derive(data.d)
                 up = through(data.f[k + 1][j], df.valid_order).scale_right(data.a[j])
                 report.add(f"shift-by-one relation f[{k}][{j}]", df + f - up)
     report.note("a-coefficients are plain algebra elements, constant by type")

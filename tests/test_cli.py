@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -164,6 +165,53 @@ def test_selftest_fails_a_value_at_a_singular_position(tmp_path, monkeypatch):
     assert len(body["failures"]) == 28
     assert body["passed"] is False
     assert code == 1
+
+
+@pytest.mark.parametrize("tamper", [
+    # one more at (1, 0) of the first trial, a 2 x 2 with a nonzero S
+    lambda i, j, v: v + 1 if (i, j) == (1, 0) else None,
+    # the value negated where i + j is odd, so the sign of the identity
+    # decides the verdict
+    lambda i, j, v: -v if (i + j) % 2 and v else None,
+], ids=["plus-one", "negated-odd"])
+def test_selftest_names_exactly_a_wrong_value(tamper, tmp_path, monkeypatch):
+    import solitonlab.cli as cli_mod
+
+    args = ["quasidet-selftest", "--trials", "6", "--seed", "7"]
+    code, body = run_cli(args, tmp_path)
+    assert code == 0 and body["failures"] == []
+
+    # the value of the first position ``tamper`` accepts is replaced
+    real = cli_mod.quasideterminant
+    seen = {"m": None, "trial": -1, "target": None}
+
+    def tampered(m, i, j):
+        value = real(m, i, j)
+        if m is not seen["m"]:  # each trial draws a new matrix
+            seen["m"], seen["trial"] = m, seen["trial"] + 1
+        wrong = None if seen["target"] else tamper(i, j, value)
+        if wrong is None:
+            return value
+        seen["target"] = {"trial": seen["trial"], "size": m.dim, "i": i, "j": j}
+        return wrong
+
+    monkeypatch.setattr(cli_mod, "quasideterminant", tampered)
+    code, body = run_cli(args, tmp_path)
+    assert seen["target"] is not None
+    assert body["failures"] == [seen["target"]]
+    assert body["passed"] is False and code == 1
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+def test_cofactor_det_matches_sympy(size):
+    import sympy
+
+    from solitonlab.cli import _cofactor_det
+
+    rng = Random(f"cofactor {size}")
+    for _ in range(20):
+        rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        assert _cofactor_det(rows) == sympy.Matrix(rows).det()
 
 
 def test_report_names_the_scalar_field_computed_over(tmp_path):

@@ -659,3 +659,50 @@ def test_call_counts_are_unchanged(args, tmp_path, monkeypatch):
     code = cli.main(list(args) + ["--seed", "3", "--report", str(tmp_path / "r.json")])
     assert code == 0
     assert (counts["qdet"], counts["inverse"], counts["mul"]) == CALL_COUNTS[args]
+
+
+# SquareMatrix.derive and SquareMatrix.__sub__ calls made inside the lemma
+# checkers (check_marchenko_lattice on langmuir, check_marchenko on
+# sine-gordon) on these runs.
+LEMMA_CALL_COUNTS = {
+    # 8 window sites.  derive 41 -> 28: d G_k is formed once per site (8)
+    # where the double-shift check, the affine check and the quotient c_k
+    # formed it 6 + 7 + 8 times; sub 62 -> 44: each increment c_{k+1} - c_k
+    # is formed once (7) where increment-product, increment-shift and
+    # additive-quotient formed it 7 + 12 + 6 times
+    ("langmuir", "--N", "2", "--window", "5", "--cap", "6", "--with-lemmas"):
+        (28, 44),
+    # 2 sites.  derive 16 -> 12: d2 w_k is formed once per site (2) where
+    # the mixed-derivative check, the shift-linear check and c_k formed it
+    # 2 + 2 + 2 times; sub is unchanged
+    ("sine-gordon", "--N", "2", "--cap", "6", "--with-lemmas"): (12, 6),
+}
+
+
+@pytest.mark.parametrize("args", list(LEMMA_CALL_COUNTS), ids=" ".join)
+def test_lemma_checkers_form_each_value_once(args, tmp_path, monkeypatch):
+    counts = {"derive": 0, "sub": 0}
+    inside = []
+
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            counts[name] += bool(inside)
+            return fn(*a, **kw)
+        return wrapper
+
+    def scoped(fn):
+        def wrapper(*a, **kw):
+            inside.append(fn)
+            try:
+                return fn(*a, **kw)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(SquareMatrix, "derive", counting("derive", SquareMatrix.derive))
+    monkeypatch.setattr(SquareMatrix, "__sub__", counting("sub", SquareMatrix.__sub__))
+    monkeypatch.setattr(cli, "check_marchenko", scoped(cli.check_marchenko))
+    monkeypatch.setattr(cli, "check_marchenko_lattice", scoped(cli.check_marchenko_lattice))
+    code = cli.main(list(args) + ["--seed", "3", "--report", str(tmp_path / "r.json")])
+    assert code == 0
+    assert (counts["derive"], counts["sub"]) == LEMMA_CALL_COUNTS[args]

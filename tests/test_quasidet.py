@@ -125,6 +125,43 @@ def test_field_quasideterminant_matches_reference(name, size):
     assert size < 3 or singular > 0
 
 
+def _swapping_grid(field, size, i, j, rng):
+    """A grid whose S at (i, j) puts a zero at the pivot of every column but
+    the last: S holds rows U_{s-1}, U_0, ..., U_{s-2} of an upper-triangular
+    U with a nonzero diagonal, so a first-nonzero pivot search swaps rows at
+    each of the first s - 1 columns.  Row i and column j border S."""
+    s = size - 1
+
+    def nonzero():
+        v = 0
+        while v == 0:
+            v = _draw(field, rng, 0.0)
+        return v
+
+    u = [[nonzero() if c == r else _draw(field, rng, 0.3) if c > r else 0
+          for c in range(s)] for r in range(s)]
+    grid = [[_draw(field, rng, 0.0) for _ in range(s)] for _ in range(size)]
+    for row, u_row in zip(grid[:i] + grid[i + 1:], [u[-1]] + u[:-1]):
+        row[:] = u_row
+    for row in grid:
+        row.insert(j, _draw(field, rng, 0.0))
+    return grid
+
+
+@pytest.mark.parametrize("name", FIELDS)
+@pytest.mark.parametrize("size", range(3, 6))
+def test_field_quasideterminant_with_a_row_swap_at_every_pivot(name, size):
+    field = FIELDS[name]
+    rng = Random(f"swaps {name} {size}")
+    for _ in range(6):
+        i, j = rng.randrange(size), rng.randrange(size)
+        grid = _swapping_grid(field, size, i, j, rng)
+        m = SquareMatrix(MatrixAlgebra(field, size),
+                         [[_scalar(field, v) for v in row] for row in grid])
+        expected = _ref_quasideterminant(field, grid, i, j)
+        assert quasideterminant(m, i, j) == _scalar(field, expected), (grid, i, j)
+
+
 def test_field_quasideterminant_neither_inverts_nor_multiplies(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a field quasideterminant called this")
