@@ -158,25 +158,28 @@ class _Field(Algebra):
     def matrix_inverse(self, m):
         return SquareMatrix(m.algebra, _gauss_jordan(self, m.rows))
 
+    _lifted = (None, 1, ())  # the last matrix a quasideterminant lifted, its D and A
+
     def quasideterminant(self, m, i, j):
         """|m|_ij = m_ij - r * S^-1 * c, S being m without row i and column
-        j, by one forward elimination and no inverse.  Row i and column j
-        are moved last and m lifted once to its real integer form A = D * m
-        (``_real_scalars``), w x w per scalar, of whose last w rows only the
-        first is read and kept.  Eliminating S's columns with pivots from
-        S's rows, updating only the rows below each pivot (``_bareiss``,
-        forward), leaves det(D * S) as the last pivot and, in the kept row,
-        the first row of the real block of D * |m|_ij times it (the Schur
-        complement of S, bordered), so the channels of |m|_ij are that row's
-        last w entries over D * det(D * S).  Raises SingularMatrix when S is
-        singular."""
-        n = m.dim
-        rows = [k for k in range(n) if k != i] + [i]
-        cols = [k for k in range(n) if k != j] + [j]
-        den, aug = _real_scalars(self, [[m.rows[r][k] for k in cols] for r in rows])
-        w = len(aug) // n
-        last = w * (n - 1)
-        del aug[last + 1:]
+        j, by one forward elimination and no inverse.  m is lifted once to
+        its real integer form A = D * m (``_real_scalars``), w x w per
+        scalar, kept for the next position of the same m; row i and column j
+        of A are moved last, and of the last w rows only the first is read.
+        Eliminating S's columns with pivots from S's rows, updating only the
+        rows below each pivot (``_bareiss``, forward), leaves det(D * S) as
+        the last pivot and, in that row, the first row of the real block of
+        D * |m|_ij times it (the Schur complement of S, bordered), so the
+        channels of |m|_ij are that row's last w entries over D * det(D * S).
+        Raises SingularMatrix when S is singular."""
+        if self._lifted[0] is not m:
+            self._lifted = (m, *_real_scalars(self, m.rows))
+        _, den, real = self._lifted
+        w = len(real) // m.dim
+        lo, hi = j * w, (j + 1) * w
+        aug = [row[:lo] + row[hi:] + row[lo:hi]
+               for row in real[:i * w] + real[(i + 1) * w:] + real[i * w:i * w + 1]]
+        last = len(real) - w
         det = _bareiss(aug, last, w, self.modulus, forward=True)
         return self.join([[v] for v in aug[last][last:]], [den * det])[0]
 

@@ -17,14 +17,15 @@ row-solving it raises ``ValueError``.
 Every kernel works in plain ``int``s on the integer form of field scalars
 that :mod:`solitonlab.algebra` owns, and builds no field scalar: one
 product kernel for grids of series (``_product``), one right division
-x * a = y for inverses, quotients and row solves (``_divide``), one
-exponential kernel (``_exp_rows``), and index-local sums and derivatives.
-Scaling by a coefficient that keeps, negates or zeroes rows or columns
-(``_selection``) selects them; any other scaling is a product with a
-constant series.  Every result is reduced once per index (``_reduced``).  A
-product, an inverse, the solution of x * a = y, a power and a derivative
-are unique and their stored form is canonical, so each value, and every
-report, is the same as from a coefficient-by-coefficient computation.
+x * a = y in lowest terms for inverses, quotients and row solves
+(``_divide``), one exponential kernel (``_exp_rows``), and index-local sums
+and derivatives.  Scaling by a coefficient that keeps, negates or zeroes
+rows or columns (``_selection``) selects them; any other scaling is a
+product with a constant series.  Every result is reduced once per index
+(``_reduced``).  A product, an inverse, the solution of x * a = y, a power
+and a derivative are unique and their stored form is canonical, so each
+value, and every report, is the same as from a coefficient-by-coefficient
+computation.
 """
 
 from __future__ import annotations
@@ -488,7 +489,7 @@ class TruncatedSeries:
         x, dens = _divide(salg.arity, vo, salg.field, lambda: _constant_inverse(other),
                           _lift([[(other, n)]]), _lift([[(self, n)]]),
                           "series constant term is not invertible")
-        return _reduced(salg, x, dens, vo)
+        return TruncatedSeries._of(salg, x, dens, vo)
 
     def with_valid_order(self, valid_order: int) -> "TruncatedSeries":
         """Truncate; raising the order is a ValueError, as nothing is stored there."""
@@ -690,17 +691,19 @@ def _cut(nums, factors):
 
 def _reduced(salg, grid, dens, valid_order):
     """The series of ``salg`` whose coefficient k is the integer channels of
-    ``grid`` (None for all zeros) over dens[k], each index reduced to the
-    stored form by one gcd, or over GF(p) one inverse of its denominator."""
+    ``grid`` over dens[k], each index reduced to the stored form: over GF(p)
+    by one inverse of dens[k], else by one gcd over its nonzero channels."""
     modulus = salg.field.modulus
     if modulus:
         qs, dens = [pow(d, -1, modulus) for d in dens], [1] * len(dens)
         grid = [[[ch and [v * q % modulus for v, q in zip(ch, qs)] for ch in e] for e in row]
                 for row in grid]
-    elif (gs := list(map(gcd, dens, *_channels(grid)))).count(1) < len(gs):
-        grid = [[[ch and list(map(floordiv, ch, gs)) for ch in e] for e in row] for row in grid]
-        dens = list(map(floordiv, dens, gs))
     nums = [[[tuple(ch) if ch and any(ch) else None for ch in e] for e in row] for row in grid]
+    if not (chans := _channels(nums)):
+        dens = [1] * len(dens)
+    elif not modulus and (gs := list(map(gcd, dens, *chans))).count(1) < len(gs):
+        nums = [[[ch and tuple(map(floordiv, ch, gs)) for ch in e] for e in r] for r in nums]
+        dens = list(map(floordiv, dens, gs))
     return TruncatedSeries._of(salg, nums, dens, valid_order)
 
 
@@ -829,33 +832,71 @@ def _exp_steps(arity: int, cap: int):
 
 
 def _divide(arity, valid_order, field, invert, a, y, singular):
-    """The x with x * a = y through ``valid_order``, formed over integers.
+    """The x with x * a = y through ``valid_order``, formed over integers
+    one index at a time, each in lowest terms.
 
-    ``a`` and ``y`` are (D, grid) pairs from ``_lift``, A = D_a a and
-    Y = D_y y: n x n for a, k x n for y.  Returns (Z, dens), x in the
-    shape of y as integer channels with x_E = Z_E / dens[E].
+    ``a`` and ``y`` are (D, grid) pairs from ``_lift``, A = D_a a and Y = D_y y:
+    n x n for a, k x n for y.  Returns (Z, dens), x in the shape of y as
+    channels (tuples, None for all zeros) with x_E = Z_E / dens[E] reduced.
 
-    ``invert()`` gives (m, M) with M the real form of m a_0^-1 and m the
-    lcm of its scalars' denominators (a SingularMatrix there raises
-    SingularConstantTerm with the message ``singular``).  With s = D_a m,
-    x_E = Z_E / (D_y m s^|E|) where
+    ``invert()`` gives (m, M) with M the real form of m a_0^-1 and m the lcm
+    of its scalars' denominators (a SingularMatrix there raises
+    SingularConstantTerm with the message ``singular``).  The indices before
+    E are kept as numerators P over Q, the lcm of their dens, so that
+    x_E = T M / (D_y Q D_a m) with
 
-        Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M
+        T = Y_E Q D_a - D_y sum over F != 0 of P_(E-F) A_F,
 
-    is an exact integer recurrence.  Y is read as rows of channels and A
-    and M in their real form (see ``_real_grid``), and over GF(p) every Z_E
-    is reduced.
-    """
+    reduced by one gcd over the whole grid to Z_E / dens[E]; Q then grows to
+    lcm(Q, dens[E]), rescaling the kept P.  Y is read as rows of channels, A
+    and M in their real form (``_real_grid``); over GF(p) every denominator is 1."""
     (den_a, a_int), (den_y, y_int) = a, y
     try:
         m, m_int = invert()
     except SingularMatrix as exc:
         raise SingularConstantTerm(singular) from exc
-    s = den_a * m
-    z = _divide_integers(arity, valid_order, _real_grid(field.terms, a_int), m_int,
-                         _channel_rows(y_int), s, field.modulus)
-    dens = [den_y * m * s ** sum(e) for e in _exponents(arity, valid_order)]
-    return _pair_channels(len(a_int[0][0]), z), dens
+    modulus, size = field.modulus, len(m_int)
+    pairs = _inverse_pairs(arity, valid_order)
+    take_rest = [_gather([i_r for _, i_r in p]) for p in pairs]
+    a_real = _real_grid(field.terms, a_int)
+    # per index E, per column j: (k, A_F[k][j] over E's pairs)
+    cols = [
+        [[(k, take(row[j])) for k, row in enumerate(a_real) if row[j] is not None]
+         for j in range(size)]
+        for take in (_gather([i_f for i_f, _ in p]) for p in pairs)
+    ]
+    m_cols = list(zip(*m_int))
+    y_rows = _channel_rows(y_int)
+    kept = [[] for _ in range(len(y_rows) * size)]  # P per column, x's rows end to end
+    q, dens, z = 1, [], []
+    for e, e_cols in enumerate(cols):
+        scale, take, xs = q * den_a, take_rest[e], []
+        for i, y_row in enumerate(y_rows):
+            past = list(map(take, kept[i * size:(i + 1) * size]))
+            t = [0 if ys is None else ys[e] * scale for ys in y_row]
+            for j, col in enumerate(e_cols):
+                acc = 0
+                for k, values in col:
+                    acc += sum(map(mul, past[k], values))
+                t[j] -= den_y * acc
+            xs += [sum(map(mul, t, m_col)) for m_col in m_cols]
+        if modulus:
+            xs = [v % modulus for v in xs]
+        d = den_y * scale * m
+        g = gcd(d, *xs)
+        xs, d = [v // g for v in xs], d // g
+        if q % d:
+            f = d // gcd(q, d)
+            kept = [[v * f for v in ps] for ps in kept]
+            q *= f
+        dens.append(d)
+        z.append(xs)
+        f = q // d
+        for ps, v in zip(kept, xs if f == 1 else [v * f for v in xs]):
+            ps.append(v)
+    z = [tuple(zs) if any(zs) else None for zs in zip(*z)]
+    rows = [z[i:i + size] for i in range(0, len(z), size)]
+    return _pair_channels(len(a_int[0][0]), rows), dens
 
 
 def _constant(s):
@@ -878,50 +919,6 @@ def _constant_inverse(s):
         return 1, [[v * q % field.modulus for v in row] for row in inv]
     m = abs(det) // gcd(det, *[den * v for row in inv for v in row])
     return m, [[den * m * v // det for v in row] for row in inv]
-
-
-def _divide_integers(arity, valid_order, a, m, y, s, modulus):
-    """Z_E = (Y_E s^|E| - sum over F != 0 of s^(|F|-1) Z_(E-F) A_F) M for
-    every index E below ``valid_order``, reduced mod ``modulus`` if given.
-
-    A and Y are grids of per-index integer lists (None for an all-zero
-    entry) and M a grid of integers; Z comes back in Y's shape.  Each row of
-    Z depends only on the same row of Y.
-    """
-    n = _count_below(arity, valid_order)
-    size = len(m)
-    powers = [s ** d for d in range(valid_order)]
-    degrees = [sum(e) for e in _exponents(arity, valid_order)]
-    pairs = _inverse_pairs(arity, valid_order)
-    take_rest = [_gather([i_r for _, i_r in p]) for p in pairs]
-    # per index E, per column j: (k, s^(|F|-1) * A_F[k][j] over E's pairs)
-    weights = [0] + [powers[d - 1] for d in degrees[1:]]
-    scaled = [
-        [None if x is None else [v * w for v, w in zip(x, weights)] for x in row]
-        for row in a
-    ]
-    cols = [
-        [[(k, take(row[j])) for k, row in enumerate(scaled) if row[j] is not None]
-         for j in range(size)]
-        for take in (_gather([i_f for i_f, _ in p]) for p in pairs)
-    ]
-    m_cols = list(zip(*m))
-    z = []
-    for y_row in y:
-        z_row = [[] for _ in range(size)]
-        for e in range(n):
-            scale = powers[degrees[e]]
-            t = [0 if ys is None else ys[e] * scale for ys in y_row]
-            if e:
-                past = [take_rest[e](zs) for zs in z_row]
-                for j, col in enumerate(cols[e]):
-                    for k, values in col:
-                        t[j] -= sum(map(mul, past[k], values))
-            for zs, m_col in zip(z_row, m_cols):
-                v = sum(map(mul, t, m_col))
-                zs.append(v % modulus if modulus else v)
-        z.append(z_row)
-    return z
 
 
 def _gather(indices):

@@ -10,15 +10,19 @@ constructors, and outputs are read back as numerator/denominator pairs.
 The reference inverse runs the left recurrence
 x_E = -a_0^-1 * sum over F != 0 of a_F * x_(E-F), and a row solve is the
 Cauchy product y * W^-1, so it shares no step with the kernel's right
-division.  Every scalar is canonical, so the two must agree exactly.
+division.  Every scalar is canonical, so the two must agree exactly.  The
+kernel's own output, integer numerators over one denominator per index, is
+also checked to be in lowest terms at every index as it comes out.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 import sympy
 
+from solitonlab import series
 from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.errors import SingularConstantTerm
 from solitonlab.scalars import PRIME, GaussianRational, Residue
@@ -348,3 +352,106 @@ def test_singular_constant_term_raises(name, arity):
     (s,), = _series_grid(salg, grids, 1, 1, [[CAP]])
     with pytest.raises(SingularConstantTerm):
         series_inverse(s)
+
+
+# -- the right division's own output: lowest terms at every index -----------
+
+
+def _recorded_divisions(monkeypatch):
+    """Every (Z, dens) that the right division kernel returns, in call order."""
+    calls = []
+    divide = series._divide
+
+    def recorded(*args):
+        out = divide(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(series, "_divide", recorded)
+    return calls
+
+
+def _quotient_keys(field, z, dens):
+    """Per index, the grid of keys of x_E = Z_E / dens[E], each channel read
+    as a Fraction of plain ints (a residue over GF(p), where dens[E] = 1)."""
+    def key(entry, k):
+        values = [ch[k] if ch else 0 for ch in entry]
+        if field == GFP:
+            return values[0]
+        parts = [Fraction(v, dens[k]) for v in values]
+        return tuple(n for f in parts for n in (f.numerator, f.denominator))
+
+    return [[[key(e, k) for e in row] for row in z] for k in range(len(dens))]
+
+
+def _division_case(field, kind, arity, rng, grids=None):
+    """A quotient y / a of single series (``kind`` "series") or a row solve
+    x * W = y for N = 2 modes over Mat(2, field) ("row"), both y and a
+    drawn with denominators: (the reference grids of a and y, run)."""
+    alg = field if kind == "series" else MatrixAlgebra(field, 2)
+    size = _field_and_size(alg)[1]
+    n_modes = 1 if kind == "series" else 2
+    salg = SeriesAlgebra(alg, arity, CAP)
+    count = len(_exponents(arity, CAP))
+    if grids is None:
+        ref = Ref(field)
+        grids = (_invertible_grids(ref, field, n_modes * size, CAP, arity, rng),
+                 _draw_grids(field, size, n_modes * size, count, rng))
+    a_grids, y_grids = grids
+    a = _series_grid(salg, a_grids, n_modes, n_modes, [[CAP] * n_modes] * n_modes)
+    (y,) = _series_grid(salg, y_grids, 1, n_modes, [[CAP] * n_modes])
+    if kind == "series":
+        return grids, lambda: y[0] / a[0][0]
+    w = SquareMatrix(MatrixAlgebra(salg, n_modes), a)
+    return grids, lambda: salg.row_solve(y, w)
+
+
+@pytest.mark.parametrize("kind", ["series", "row"])
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("field", [QQ, QQI], ids=["QQ", "QQi"])
+def test_right_division_comes_out_in_lowest_terms(field, arity, kind, monkeypatch):
+    """The (Z, dens) of the division kernel: at every index the denominator
+    is positive and shares no factor with all the numerators there, and
+    Z_E / dens[E] is the reference quotient y * a^-1."""
+    rng = Random(f"lowest {field!r} {arity} {kind}")
+    (a_grids, y_grids), run = _division_case(field, kind, arity, rng)
+    calls = _recorded_divisions(monkeypatch)
+    run()
+    ((z, dens),) = calls
+    assert len(dens) == len(_exponents(arity, CAP))
+    for k, den in enumerate(dens):
+        values = [ch[k] for row in z for e in row for ch in e if ch]
+        assert den > 0 and gcd(den, *values) == 1, k
+    ref = Ref(field)
+    expected = _ref_product(ref, arity, CAP, y_grids, _ref_inverse(ref, arity, CAP, a_grids))
+    assert _quotient_keys(field, z, dens) == _ref_keys(field, expected)
+
+
+def _residues(grids):
+    """Reference grids of rationals reduced mod p, in plain ints."""
+    fractions = [[[sympy.Rational(v) for v in row] for row in g] for g in grids]
+    return [[[int(v.p) * pow(int(v.q), -1, PRIME) % PRIME for v in row] for row in g]
+            for g in fractions]
+
+
+@pytest.mark.parametrize("kind", ["series", "row"])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_gfp_division_is_the_rational_quotient_mod_p(arity, kind, monkeypatch):
+    """One division loop serves every field: over GF(p), from the same draws
+    reduced mod p, every denominator is 1 and every numerator is the
+    residue of the QQ quotient's Z_E / dens[E]."""
+    rng = Random(f"mod p {arity} {kind}")
+    calls = _recorded_divisions(monkeypatch)
+    grids, run = _division_case(QQ, kind, arity, rng)
+    run()
+    _, run = _division_case(GFP, kind, arity, rng, [_residues(g) for g in grids])
+    run()
+    (z, dens), (z_p, dens_p) = calls
+    assert set(dens_p) == {1}
+    for row, row_p in zip(z, z_p):
+        for e, e_p in zip(row, row_p):
+            for ch, ch_p in zip(e, e_p):
+                got = list(ch_p or [0] * len(dens))
+                assert all(0 <= v < PRIME for v in got)
+                assert got == [v * pow(d, -1, PRIME) % PRIME
+                               for v, d in zip(ch or [0] * len(dens), dens)]
