@@ -328,7 +328,7 @@ def _run_system(cfg) -> dict:
     elif system == "langmuir":
         data = solution.data
         checks.append(check_data("langmuir", data))
-        checks.append(check_langmuir(solution.gs, D_T))
+        checks.append(check_langmuir(solution, D_T))
         dumps = {f"g[{k}]": g for k, g in solution.gs.items()}
         if cfg["with_lemmas"]:
             gamma = {k: wp.W for k, wp in solution.wronskians.items()}

@@ -318,18 +318,30 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     return report
 
 
-def check_langmuir(gs: dict, d: Derivation) -> ResidualReport:
+def check_langmuir(gs, d: Derivation) -> ResidualReport:
     """Lattice residual d g_k - g_{k+1} g_k + g_k g_{k-1} at interior sites.
+
+    ``gs`` is a dict of sites, or a solution from ``langmuir_solution``.
+    The residuals are formed here for a bare dict; a solution carries the
+    residuals ``langmuir_solution`` formed when it selected its reading
+    (``residuals``), and they are reused only while its ``gs`` is still the
+    dict, holding the same series, that they were formed from, and d is
+    the derivation they were formed with.
 
     In a commutative coefficient algebra the equivalent product form
     d g_k = g_k (g_{k+1} - g_{k-1}) is verified as well.
     """
+    formed = None
+    if not isinstance(gs, dict):  # a solution from langmuir_solution
+        formed, gs = gs.residuals, gs.gs
     interior = _interior(gs)
     sample = gs[interior[0]]
     report = ResidualReport("langmuir", exact=sample.algebra.is_exact)
     commutative = not isinstance(sample.algebra.coeff, MatrixAlgebra)
+    reuse = (formed is not None and formed[0] is gs and formed[1] == d
+             and len(formed[2]) == len(gs) and all(gs.get(k) is g for k, g in formed[2]))
     for k in interior:
-        report.add(f"site {k}", _langmuir_residual(gs, k, d))
+        report.add(f"site {k}", formed[3][k] if reuse else _langmuir_residual(gs, k, d))
         if commutative:
             dg = gs[k].derive(d)
             res2 = dg - through(gs[k], _top(dg)) * (gs[k + 1] - gs[k - 1])

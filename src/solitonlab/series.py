@@ -20,8 +20,9 @@ product kernel for grids of series (``_product``), one right division
 x * a = y in lowest terms for inverses, quotients and row solves
 (``_divide``), one exponential kernel (``_exp_rows``), and index-local sums
 and derivatives.  Scaling by a coefficient that keeps, negates or zeroes
-rows or columns (``_selection``) selects them; any other scaling is a
-product with a constant series.  Every result is reduced once per index
+rows or columns (``_selection``) selects them; any other constant scales
+each index's integers by its real form in one pass (``_scaled``), as a
+derivation's scale does.  Every result is reduced once per index
 (``_reduced``).  A product, an inverse, the solution of x * a = y, a power
 and a derivative are unique and their stored form is canonical, so each
 value, and every report, is the same as from a coefficient-by-coefficient
@@ -229,14 +230,11 @@ class SeriesAlgebra(Algebra):
             raise AlgebraMismatch(f"series from {value.algebra!r}, not {self!r}")
         return self.constant(self.coeff.coerce(value))
 
-    def invert(self, a):
-        return series_inverse(self.coerce(a))
-
     def is_zero(self, a):
         return a.is_zero()
 
     def scalar_mul(self, q, a):
-        return self.constant(q, a.valid_order) * a
+        return a.scale_left(q)
 
     def magnitude(self, a):
         field = self.field
@@ -404,7 +402,7 @@ class TruncatedSeries:
         return self.algebra.coerce(other)
 
     def __add__(self, other):
-        return self._zip(other, add)
+        return self._zip(self._coerce_other(other), add)
 
     __radd__ = __add__
 
@@ -414,13 +412,22 @@ class TruncatedSeries:
         return TruncatedSeries._of(self.algebra, nums, self.dens, self.valid_order)
 
     def __sub__(self, other):
+        """The difference through the lesser valid order: the stored zero
+        when both sides store the same coefficients there, else ``_zip``."""
+        other = self._coerce_other(other)
+        vo = min(self.valid_order, other.valid_order)
+        n = _count_below(self.algebra.arity, vo)
+        if _stored_alike(self, other, n):
+            salg = self.algebra
+            zeros = (None,) * len(self.nums[0][0])
+            return TruncatedSeries._of(salg, [[zeros] * salg.size] * salg.size, (1,) * n, vo)
         return self._zip(other, sub)
 
     def _zip(self, other, op):
-        """The sum or difference (``op``), through the lesser valid order:
-        both sides rescaled to the lcm of their denominators at each index,
-        and their numerators added or subtracted channel by channel."""
-        other = self._coerce_other(other)
+        """The sum or difference (``op``) with a series of the same algebra,
+        through the lesser valid order: both sides rescaled to the lcm of
+        their denominators at each index, and their numerators added or
+        subtracted channel by channel."""
         vo = min(self.valid_order, other.valid_order)
         n = _count_below(self.algebra.arity, vo)
         dens = list(map(lcm, self.dens[:n], other.dens[:n]))
@@ -451,14 +458,13 @@ class TruncatedSeries:
 
     def scale_left(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the left: by selection
-        of rows when ``c`` selects them (see ``_selection``), else by the
-        product with a constant series."""
+        of rows when ``c`` selects them (see ``_selection``), else in one
+        integer pass (``_scaled``)."""
         return self._scale(c, True)
 
     def scale_right(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the right: by selection
-        of columns when ``c`` selects them, else by the product with a
-        constant series."""
+        of columns when ``c`` selects them, else in one integer pass."""
         return self._scale(c, False)
 
     def _scale(self, c, left):
@@ -466,8 +472,7 @@ class TruncatedSeries:
         c = salg.coeff.coerce(c)
         picks = _selection(salg.coeff, c, left)
         if picks is None:
-            const = salg.constant(c, self.valid_order)
-            return _convolve(const, self) if left else _convolve(self, const)
+            return _scaled(self, c, left)
         nums = _select(self.nums, picks, left, salg.field.modulus)
         if None in picks:  # a zeroed row or column may leave a smaller denominator
             return _reduced(salg, nums, self.dens, self.valid_order)
@@ -557,6 +562,38 @@ def _selection(alg, c, left):
             return None
         picks.append(nonzero[0] if nonzero else None)
     return picks
+
+
+def _scaled(s, c, left):
+    """c s (``left``) or s c for a constant c of the coefficient algebra,
+    in one integer pass: each row of channels of s times the real form of
+    c's scalar grid (``_real_scalars``, ``_times``), over the product of the
+    two denominators, reduced once.  Scalars commute, so c s is read as
+    (s^T c^T)^T, with s and c's grid transposed and each scalar's block
+    kept."""
+    salg = s.algebra
+    grid, nums = _scalar_grid(salg.coeff, c), s.nums
+    if left:
+        grid, nums = list(zip(*grid)), list(zip(*nums))
+    den, real = _real_scalars(salg.field, grid)
+    cols = list(zip(*real))
+    rows = _pair_channels(len(nums[0][0]), [_times(row, cols) for row in _channel_rows(nums)])
+    return _reduced(salg, list(zip(*rows)) if left else rows, [d * den for d in s.dens],
+                    s.valid_order)
+
+
+def _stored_alike(a, b, n):
+    """Whether series a and b of one algebra store the same coefficients
+    through index n, read in place: stored forms are canonical, so this is
+    a - b = 0 there."""
+    if a.valid_order == b.valid_order:
+        return a.dens == b.dens and a.nums == b.nums
+    if a.dens[:n] != b.dens[:n]:
+        return False
+    zeros = (0,) * n
+    return all((x and x[:n] or zeros) == (y and y[:n] or zeros)
+               for ra, rb in zip(a.nums, b.nums) for ea, eb in zip(ra, rb)
+               for x, y in zip(ea, eb) if x is not y)
 
 
 def _select(grid, picks, left, modulus):
@@ -734,17 +771,18 @@ def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _scale_block(field, scale):
-    """(D, block) for a derivation's scale over ``field``: its real block
-    (``_real_scalars``), lifted once per field and scale and kept read-only."""
+    """(D, columns) for a derivation's scale over ``field``: the columns of
+    its real block (``_real_scalars``), lifted once per field and scale and
+    kept read-only."""
     den, block = _real_scalars(field, [[field.coerce(scale)]])
-    return den, tuple(map(tuple, block))
+    return den, tuple(zip(*block))
 
 
-def _times(chans, block):
-    """Integer channels (lists, or None for all zeros) times the real block
-    of a scalar (``_real_scalars``): the channels of the product."""
+def _times(chans, cols):
+    """A row of integer channels (lists, or None for all zeros) times the
+    columns of a real form (``_real_scalars``): the channels of the product."""
     out = []
-    for col in zip(*block):
+    for col in cols:
         acc = None
         for x, c in zip(chans, col):
             if x is not None and c:

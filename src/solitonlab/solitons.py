@@ -566,6 +566,11 @@ class LangmuirSolution(Record):
     closed_forms: dict | None
     notes: list
     data: LangmuirData
+    # (gs, d, sites, residuals): the lattice residual of each interior site
+    # of gs, formed with d when the product form was selected, and the
+    # (site, series) pairs of gs then; ``check_langmuir`` reuses them only
+    # while gs is still this dict, holding those series, and d is its own
+    residuals: tuple | None = None
 
 
 def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
@@ -576,7 +581,10 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     product eta_k * eta_{k-1}^-1 of bottom-left entries.  The classical pair
     of displays (a product over sites k, k-1 and an additive form over sites
     k+1, k) is evaluated; the reading that satisfies the lattice equation is
-    selected and recorded.
+    selected and recorded.  The lattice residuals of the product form are
+    formed here, once, and kept on the solution (``residuals``), so that
+    ``check_langmuir`` given the solution reports them without forming them
+    again.
     """
     ks = list(params.k_range)
     if len(ks) < 3:
@@ -596,7 +604,8 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         gs[k] = quotient.entry(N - 1, N - 1)
         additive[k] = one + etas[k + 1] - etas[k]
     matched = []
-    if _lattice_residuals_vanish(gs, data.d):
+    residuals = {k: _langmuir_residual(gs, k, data.d) for k in _interior(gs)}
+    if all(res.is_zero() for res in residuals.values()):
         matched.append("product-form-sites-k-k-1")
     if _lattice_residuals_vanish(additive, data.d):
         matched.append("additive-form-sites-k+1-k")
@@ -618,6 +627,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     return LangmuirSolution(
         gs=gs, etas=etas, cells=cells, wronskians=pairs,
         closed_forms=closed_forms, notes=notes, data=data,
+        residuals=(gs, data.d, tuple(gs.items()), residuals),
     )
 
 

@@ -27,7 +27,8 @@ SPECS = {
     solitons.SineGordonSolution: ("gs closed_forms notes toda", {}),
     solitons.LangmuirParams: ("N r cap p q mu k_range scalar", {"scalar": "rational"}),
     solitons.LangmuirData: ("f a mu p q N algebra cap sites d", {"d": D_T}),
-    solitons.LangmuirSolution: ("gs etas cells wronskians closed_forms notes data", {}),
+    solitons.LangmuirSolution: (
+        "gs etas cells wronskians closed_forms notes data residuals", {"residuals": None}),
     solitons.NlsParams: (
         "N r cap b c d a mode scalar",
         {"mode": "nls", "scalar": "gaussian-rational"},

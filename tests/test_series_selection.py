@@ -1,11 +1,13 @@
-"""Scaling by a selection against the product kernel.
+"""Scaling by a constant against the product kernel.
 
 ``scale_left(c)`` and ``scale_right(c)`` keep, negate or zero rows or
 columns when c is a matrix over a field whose rows (left) or columns
-(right) each hold at most one nonzero entry, +-1.  The reference is the
-kernel's product with the constant series of c (``_convolve``); scalars are
-canonical, so the two must agree exactly, coefficient by coefficient and in
-``valid_order``.  Every other constant must still reach the kernel.
+(right) each hold at most one nonzero entry, +-1.  Every other constant
+scales each index's integers by its real form in one pass (``_scaled``),
+the scaling kernel.  The reference is the product kernel's product with
+the constant series of c (``_convolve``); scalars are canonical, so every
+route must agree with it exactly, coefficient by coefficient and in
+``valid_order``.  No scaling reaches the product kernel.
 """
 
 from fractions import Fraction
@@ -76,16 +78,28 @@ GENERAL = {
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the calls of the product kernel."""
-    calls = []
-    product = series._product
+    """Count the calls of the product kernel and of the scaling kernel:
+    ``kernel_calls()`` gives (products, scalings) since the last call."""
+    calls = {"_product": 0, "_scaled": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return product(*args)
+    def counting(name):
+        kernel = getattr(series, name)
 
-    monkeypatch.setattr(series, "_product", counted)
-    return calls
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(series, name, counting(name))
+
+    def taken():
+        out = (calls["_product"], calls["_scaled"])
+        calls.update(dict.fromkeys(calls, 0))
+        return out
+
+    return taken
 
 
 def _reference(s, c, left):
@@ -117,11 +131,11 @@ def test_selection_matches_kernel(name, field, r, side, kernel_calls):
     for arity, vo in ((2, CAP), (2, 3), (1, CAP), (2, 0)):
         s = _series(SeriesAlgebra(alg, arity, CAP), rng, vo)
         ref = _reference(s, c, left)
-        kernel_calls.clear()
+        kernel_calls()
         out = s.scale_left(c) if left else s.scale_right(c)
         _assert_same(out, ref)
         selects = ONE_SIDED.get(name, side) == side
-        assert len(kernel_calls) == (0 if selects else 1)
+        assert kernel_calls() == (0, 0 if selects else 1)
 
 
 @pytest.mark.parametrize("name,field,r,side", _cases(GENERAL))
@@ -131,17 +145,17 @@ def test_general_constants_reach_the_kernel(name, field, r, side, kernel_calls):
     s = _series(SeriesAlgebra(alg, 2, CAP), Random(f"{name}-{field}-{r}"))
     left = side == "left"
     ref = _reference(s, c, left)
-    kernel_calls.clear()
+    kernel_calls()
     out = s.scale_left(c) if left else s.scale_right(c)
     _assert_same(out, ref)
-    assert len(kernel_calls) == 1
+    assert kernel_calls() == (0, 1)
 
 
 def test_integer_two_reaches_the_kernel(kernel_calls):
     alg = MatrixAlgebra(QQI, 2)
     s = _series(SeriesAlgebra(alg, 2, CAP), Random(3))
     out = s.scale_left(2)
-    assert len(kernel_calls) == 1
+    assert kernel_calls() == (0, 1)
     _assert_same(out, _reference(s, alg.coerce(2), True))
 
 
@@ -152,9 +166,9 @@ def test_field_scalars_reach_the_kernel(field, value, kernel_calls):
     s = _series(SeriesAlgebra(fld, 2, CAP), Random(f"{field}-{value}"))
     c = fld.coerce(value)
     for left in (True, False):
-        kernel_calls.clear()
+        kernel_calls()
         out = s.scale_left(c) if left else s.scale_right(c)
-        assert len(kernel_calls) == 1
+        assert kernel_calls() == (0, 1)
         _assert_same(out, _reference(s, c, left))
 
 
@@ -166,9 +180,9 @@ def test_nested_constants_reach_the_kernel(rows, kernel_calls):
     c = SquareMatrix(alg, [[inner.scalar_mul(x, one) for x in row] for row in rows])
     s = _series(SeriesAlgebra(alg, 2, 4), Random(7), 4)
     for left in (True, False):
-        kernel_calls.clear()
+        kernel_calls()
         out = s.scale_left(c) if left else s.scale_right(c)
-        assert len(kernel_calls) == 1
+        assert kernel_calls() == (0, 1)
         _assert_same(out, _reference(s, c, left))
 
 
@@ -180,7 +194,56 @@ def test_matrix_of_series_scales_entries_by_selection(kernel_calls):
                      [[_series(salg, rng) for _ in range(2)] for _ in range(2)])
     b = alg.diagonal([1, -1])
     out = m.scale_left(b).scale_right(b)
-    assert not kernel_calls
+    assert kernel_calls() == (0, 0)
     for row_out, row in zip(out.rows, m.rows):
         for x_out, x in zip(row_out, row):
             _assert_same(x_out, _reference(_reference(x, b, True), b, False))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_drawn_constants_scale_in_one_pass_at_every_order(field, side, kernel_calls):
+    # drawn constants (GF(p) residues include p - 1 and 2) at full, partial
+    # and zero valid order, in one and two variables
+    rng = Random(f"drawn-{field}-{side}")
+    left = side == "left"
+    for coeff in (FIELDS[field], MatrixAlgebra(FIELDS[field], 2)):
+        for arity, vo in ((2, CAP), (2, 3), (1, CAP), (1, 2), (2, 0), (1, 0)):
+            s = _series(SeriesAlgebra(coeff, arity, CAP), rng, vo)
+            c = _element(coeff, rng)
+            ref = _reference(s, c, left)
+            kernel_calls()
+            out = s.scale_left(c) if left else s.scale_right(c)
+            _assert_same(out, ref)
+            assert (out.nums, out.dens) == (ref.nums, ref.dens)
+            selects = series._selection(coeff, coeff.coerce(c), left) is not None
+            assert kernel_calls() == (0, 0 if selects else 1)
+
+
+@pytest.mark.parametrize("vo", (4, 2, 0))
+def test_nested_drawn_constants_scale_in_one_pass(vo, kernel_calls):
+    alg = MatrixAlgebra(MatrixAlgebra(QQ, 2), 2)
+    rng = Random(f"nested-{vo}")
+    for arity in (1, 2):
+        s = _series(SeriesAlgebra(alg, arity, 4), rng, vo)
+        c = _element(alg, rng)
+        for left in (True, False):
+            ref = _reference(s, c, left)
+            kernel_calls()
+            out = s.scale_left(c) if left else s.scale_right(c)
+            assert kernel_calls() == (0, 1)
+            _assert_same(out, ref)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_scalar_mul_scales_in_one_pass(field, kernel_calls):
+    fld = FIELDS[field]
+    q = fld.coerce(Fraction(-5, 3))
+    for coeff in (fld, MatrixAlgebra(fld, 2)):
+        salg = SeriesAlgebra(coeff, 2, CAP)
+        s = _series(salg, Random(f"scalar-mul-{field}"))
+        ref = _reference(s, coeff.coerce(q), True)
+        kernel_calls()
+        out = salg.scalar_mul(q, s)
+        assert kernel_calls() == (0, 1)
+        _assert_same(out, ref)

@@ -1,14 +1,16 @@
+import copy
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from solitonlab import cli, residual, solitons
 from solitonlab.algebra import QQ, QQI, MatrixAlgebra
 from solitonlab.errors import SingularMatrix, WindowTooSmall
 from solitonlab.quasidet import ConventionNote
 from solitonlab.residual import check_data, check_langmuir, check_marchenko_lattice
 from solitonlab.scalars import GaussianRational
-from solitonlab.series import D_T, SeriesAlgebra, constant_series_matrix
+from solitonlab.series import D_T, Derivation, SeriesAlgebra, constant_series_matrix
 from solitonlab.solitons import (
     LangmuirParams,
     _lattice_residuals_vanish,
@@ -136,3 +138,70 @@ def test_lattice_lemma_identities_on_constructed_data():
         "increment-shift",
         "additive-quotient",
     }
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """The lattice residuals formed in check_langmuir, as (sites, k)."""
+    calls = []
+    form = residual._langmuir_residual
+
+    def counted(xs, k, d):
+        calls.append((xs, k))
+        return form(xs, k, d)
+
+    monkeypatch.setattr(residual, "_langmuir_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N,r", [(1, 1), (2, 1), (1, 2)])
+def test_solution_reuses_its_lattice_residuals(N, r, residual_calls):
+    sol = langmuir_solution(random_langmuir_params(Random(89 + N + r), N=N, r=r, cap=7,
+                                                   window=4))
+    reused = check_langmuir(sol, D_T)
+    assert not residual_calls
+    bare = check_langmuir(sol.gs, D_T)
+    assert reused.passed
+    assert reused.to_dict() == bare.to_dict()
+    interior = [k for k in sorted(sol.gs) if k - 1 in sol.gs and k + 1 in sol.gs]
+    assert [k for _, k in residual_calls] == interior
+
+
+def test_residuals_of_other_sites_or_derivations_are_formed_afresh(residual_calls):
+    # a draw whose g_k are not constant, so a scaled derivation changes them
+    sol = langmuir_solution(random_langmuir_params(Random(98), N=1, r=1, cap=7, window=4))
+    interior = [k for k in sorted(sol.gs) if k - 1 in sol.gs and k + 1 in sol.gs]
+    mid = interior[0]
+    # another dict, equal or corrupted; the solution's own dict with a site
+    # replaced in place; another derivation
+    moved = copy.copy(sol)
+    moved.gs = dict(sol.gs)
+    corrupted = copy.copy(sol)
+    corrupted.gs = dict(sol.gs)
+    corrupted.gs[mid] = sol.gs[mid] + sol.gs[mid].algebra.monomial((1,), 1, 7)
+    in_place = langmuir_solution(random_langmuir_params(Random(98), N=1, r=1, cap=7, window=4))
+    in_place.gs[mid] = corrupted.gs[mid]
+    scaled = Derivation("t", scale=2)
+    for arg, d, passes in ((moved, D_T, True), (corrupted, D_T, False),
+                           (in_place, D_T, False), (sol, scaled, False)):
+        residual_calls.clear()
+        report = check_langmuir(arg, d)
+        assert [xs is arg.gs for xs, _ in residual_calls] == [True] * len(interior)
+        assert report.to_dict() == check_langmuir(dict(arg.gs), d).to_dict()
+        assert report.passed is passes
+
+
+def test_each_lattice_residual_is_formed_once_per_run(monkeypatch, tmp_path):
+    formed = []
+    for module in (residual, solitons):
+        form = module._langmuir_residual
+
+        def counted(xs, k, d, _form=form):
+            formed.append((xs, k))  # keeps xs alive, so its id stays its own
+            return _form(xs, k, d)
+
+        monkeypatch.setattr(module, "_langmuir_residual", counted)
+    args = ["langmuir", "--N", "2", "--window", "4", "--cap", "6", "--with-lemmas"]
+    assert cli.main(args + ["--seed", "3", "--report", str(tmp_path / "r.json")]) == 0
+    keys = [(id(xs), k) for xs, k in formed]
+    assert formed and len(keys) == len(set(keys))
