@@ -52,41 +52,18 @@ __all__ = [
 
 
 class Algebra:
-    """Descriptor of a unital associative algebra; elements are plain values."""
+    """Descriptor of a unital associative algebra; elements are plain values.
+
+    Each algebra defines ``zero`` and ``one``; ``coerce``, which brings a
+    value in or raises AlgebraMismatch; ``invert``; ``scalar_mul`` by a
+    central scalar of the ground field; ``magnitude``, a float size for
+    diagnostics; ``format_element``, its exact JSON encoding; and
+    ``matrix_inverse`` of a square matrix of its elements."""
 
     is_exact = True
 
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def coerce(self, value):
-        """Bring ``value`` into this algebra, or raise AlgebraMismatch."""
-        raise NotImplementedError
-
-    def invert(self, a):
-        raise NotImplementedError
-
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-    def scalar_mul(self, q, a):
-        """Multiply by a central scalar of the ground field."""
-        raise NotImplementedError
-
-    def magnitude(self, a) -> float:
-        """Float size estimate of an element (diagnostics only)."""
-        raise NotImplementedError
-
-    def format_element(self, a):
-        """JSON-friendly exact encoding (string, or nested lists of strings)."""
-        raise NotImplementedError
-
-    def matrix_inverse(self, m: "SquareMatrix") -> "SquareMatrix":
-        """Invert a square matrix whose entries live in this algebra."""
-        raise NotImplementedError
 
     def matrix_divide(self, x: "SquareMatrix", m: "SquareMatrix") -> "SquareMatrix":
         """x * m^-1 for square matrices with entries in this algebra."""
@@ -285,9 +262,6 @@ class MatrixAlgebra(Algebra):
             and other.base == self.base
         )
 
-    def __hash__(self):
-        return hash(("mat", self.dim, self.base))
-
     def __repr__(self):
         return f"Mat({self.dim}, {self.base!r})"
 
@@ -442,12 +416,6 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         return self.algebra == other.algebra and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.algebra, self.rows))
-
-    def __repr__(self):
-        return f"SquareMatrix({self.rows!r})"
 
 
 def row_times(row, m: SquareMatrix) -> tuple:

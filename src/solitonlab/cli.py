@@ -264,11 +264,16 @@ def _explicit_params(cfg, spec, sizes, fields):
         return None
     if not isinstance(raw, dict):
         raise ConfigError("params must be a JSON object")
+    arrays = spec.params.arrays
+    unknown = [name for name in raw if name not in arrays]
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: not a {cfg['system']} array"
+                          f" (params take {', '.join(arrays)})")
     fields = dict(fields)
     if "window" in fields:  # Langmuir params hold the window's sites
         fields["k_range"] = list(range(fields.pop("window")))
     try:
-        for name, (shape, _) in spec.params.arrays.items():
+        for name, (shape, _) in arrays.items():
             fields[name] = _parse_array(
                 raw.get(name), len(shape), cfg["scalar"], cfg["r"], name
             )

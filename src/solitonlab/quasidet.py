@@ -68,9 +68,6 @@ class ConventionNote:
             "detail": self.detail,
         }
 
-    def __repr__(self):
-        return f"ConventionNote({self.topic}: matched {list(self.matched)})"
-
 
 def note_dicts(notes):
     """Notes as JSON values: a ConventionNote as its dict, a string as is."""
@@ -180,14 +177,6 @@ class FrobeniusCell:
 
     def bottom_row(self):
         return self.matrix.rows[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, FrobeniusCell):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __repr__(self):
-        return f"FrobeniusCell(N={self.N})"
 
 
 def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:

@@ -30,7 +30,6 @@ from .quasidet import FrobeniusCell, note_dicts, wronski
 from .series import (
     Derivation,
     TruncatedSeries,
-    _selection,
     constant_series_matrix,
     through,
 )
@@ -434,16 +433,17 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
 
 
 def _pm_one_split(S: Algebra, b):
-    """(plus_indices, minus_indices) when b acts by selection (``_selection``)
-    as a +/-1 diagonal with both signs present, else None."""
-    picks = _selection(S, b, True)
-    if picks is None or any(p is None or p[0] != i for i, p in enumerate(picks)):
+    """(plus_indices, minus_indices) when b is a +/-1 diagonal matrix over a
+    field with both signs present, else None."""
+    if not isinstance(S, MatrixAlgebra) or isinstance(S.base, MatrixAlgebra):
         return None
-    plus = [i for i, (_, negate) in enumerate(picks) if not negate]
-    minus = [i for i, (_, negate) in enumerate(picks) if negate]
-    if not plus or not minus:
-        return None
-    return plus, minus
+    one = S.base.one()
+    split = ([], [])
+    for i, row in enumerate(b.rows):
+        if row[i] not in (one, -one) or any(x for j, x in enumerate(row) if j != i):
+            return None
+        split[row[i] != one].append(i)
+    return split if all(split) else None
 
 
 def check_data(kind: str, data, wronskian=None) -> ResidualReport:

@@ -63,12 +63,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -91,12 +85,6 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
 
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
@@ -177,12 +165,6 @@ class Residue:
             return NotImplemented
         return Residue(self.v - o.v)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -204,10 +186,6 @@ class Residue:
         if o is None:
             return NotImplemented
         return self.v == o.v
-
-    def __hash__(self):
-        # agrees with equality among residues, and with the ints in [0, PRIME)
-        return hash(self.v)
 
     def __bool__(self):
         return bool(self.v)

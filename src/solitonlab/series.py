@@ -19,14 +19,13 @@ that :mod:`solitonlab.algebra` owns, and builds no field scalar: one
 product kernel for grids of series (``_product``), one right division
 x * a = y in lowest terms for inverses, quotients and row solves
 (``_divide``), one exponential kernel (``_exp_rows``), and index-local sums
-and derivatives.  Scaling by a coefficient that keeps, negates or zeroes
-rows or columns (``_selection``) selects them; any other constant scales
-each index's integers by its real form in one pass (``_scaled``), as a
-derivation's scale does.  Every result is reduced once per index
-(``_reduced``).  A product, an inverse, the solution of x * a = y, a power
-and a derivative are unique and their stored form is canonical, so each
-value, and every report, is the same as from a coefficient-by-coefficient
-computation.
+and derivatives.  Scaling by a constant, the grading b and its projectors
+included, multiplies each index's integers by the constant's real form in
+one pass (``_scaled``), as a derivation's scale does.  Every result is
+reduced once per index (``_reduced``).  A product, an inverse, the
+solution of x * a = y, a power and a derivative are unique and their
+stored form is canonical, so each value, and every report, is the same as
+from a coefficient-by-coefficient computation.
 """
 
 from __future__ import annotations
@@ -149,9 +148,6 @@ class Derivation:
             return NotImplemented
         return self.var == other.var and self.scale == other.scale
 
-    def __hash__(self):
-        return hash((self.var, self.scale))
-
     def __repr__(self):
         if self.scale == 1:
             return f"Derivation({self.var!r})"
@@ -188,9 +184,6 @@ class SeriesAlgebra(Algebra):
             and other.cap == self.cap
             and other.coeff == self.coeff
         )
-
-    def __hash__(self):
-        return hash(("series", self.arity, self.cap, self.coeff))
 
     def __repr__(self):
         vars_ = "t" if self.arity == 1 else "u,v"
@@ -436,9 +429,6 @@ class TruncatedSeries:
                 for rx, ry in zip(xs, ys)]
         return _reduced(self.algebra, nums, dens, vo)
 
-    def __rsub__(self, other):
-        return self.algebra.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_same(other)
@@ -457,26 +447,14 @@ class TruncatedSeries:
         return self.scale_left(c)
 
     def scale_left(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by ``c`` from the left: by selection
-        of rows when ``c`` selects them (see ``_selection``), else in one
-        integer pass (``_scaled``)."""
-        return self._scale(c, True)
+        """Multiply every coefficient by ``c`` from the left, in one integer
+        pass (``_scaled``)."""
+        return _scaled(self, self.algebra.coeff.coerce(c), True)
 
     def scale_right(self, c) -> "TruncatedSeries":
-        """Multiply every coefficient by ``c`` from the right: by selection
-        of columns when ``c`` selects them, else in one integer pass."""
-        return self._scale(c, False)
-
-    def _scale(self, c, left):
-        salg = self.algebra
-        c = salg.coeff.coerce(c)
-        picks = _selection(salg.coeff, c, left)
-        if picks is None:
-            return _scaled(self, c, left)
-        nums = _select(self.nums, picks, left, salg.field.modulus)
-        if None in picks:  # a zeroed row or column may leave a smaller denominator
-            return _reduced(salg, nums, self.dens, self.valid_order)
-        return TruncatedSeries._of(salg, nums, self.dens, self.valid_order)
+        """Multiply every coefficient by ``c`` from the right, in one
+        integer pass (``_scaled``)."""
+        return _scaled(self, self.algebra.coeff.coerce(c), False)
 
     def derive(self, d: Derivation) -> "TruncatedSeries":
         return series_derive(self, d)
@@ -513,17 +491,6 @@ class TruncatedSeries:
     # hash can agree with equality
     __hash__ = None
 
-    def __repr__(self):
-        exps, coeffs = self.algebra.exponents, self.coeffs
-        names = ("t",) if self.algebra.arity == 1 else ("u", "v")
-        nonzero = self.nonzero_indices()
-        terms = []
-        for i in nonzero[:6]:
-            mono = "*".join(f"{n}^{k}" for n, k in zip(names, exps[i]) if k)
-            terms.append(f"({coeffs[i]!r})*{mono or '1'}")
-        body = " + ".join(terms + ["..."] * (len(nonzero) > 6)) or "0"
-        return f"<series {body}; valid<{self.valid_order}>"
-
 
 def _trusted_order(series, action: str) -> int:
     """The least valid order of ``series``; ValueError when it is 0."""
@@ -537,31 +504,6 @@ def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """The Cauchy product a * b through the lesser valid order: the 1 x 1
     case of ``_product``."""
     return _product(a.algebra, ((a,),), ((b,),))[0][0]
-
-
-def _selection(alg, c, left):
-    """How the constant ``c`` of ``alg`` acts by selection, or None.
-
-    It does when ``alg`` is one matrix layer over a field and each row of c
-    (scaling from the left) or column (from the right) holds at most one
-    nonzero entry, and that entry is +-1: b = +-1 diagonals, the grading
-    projectors (1 +- b)/2 and signed permutations.  Then row (column) i of
-    c x (x c) is zero, or plus or minus row (column) k of x, and the result
-    lists, per i, None or (k, negate), and is read from the integers of c
-    (``_integers``), so it builds no field scalar.
-    """
-    if not isinstance(alg, MatrixAlgebra) or isinstance(alg.base, MatrixAlgebra):
-        return None
-    minus_one = alg.base.modulus - 1 if alg.base.modulus else -1
-    picks = []
-    for line in (c.rows if left else zip(*c.rows)):
-        [[(values, *rest)]], dens = _integers(alg.base, [[line]])
-        nonzero = [(k, v == minus_one) for k, v in enumerate(values or ()) if v]
-        if (any(rest) or dens.count(1) < len(dens) or len(nonzero) > 1
-                or any(v not in (0, 1, minus_one) for v in values or ())):
-            return None
-        picks.append(nonzero[0] if nonzero else None)
-    return picks
 
 
 def _scaled(s, c, left):
@@ -594,19 +536,6 @@ def _stored_alike(a, b, n):
     return all((x and x[:n] or zeros) == (y and y[:n] or zeros)
                for ra, rb in zip(a.nums, b.nums) for ea, eb in zip(ra, rb)
                for x, y in zip(ea, eb) if x is not y)
-
-
-def _select(grid, picks, left, modulus):
-    """The stored grid of c x (left) or x c (right) for that of x and the
-    ``_selection`` picks of c: each row (column) kept, negated or zeroed."""
-    zeros = (None,) * len(grid[0][0])
-
-    def take(line, p):
-        return zeros if p is None else _negated(line[p[0]], modulus) if p[1] else line[p[0]]
-
-    if left:
-        return [[take(col, p) for col in zip(*grid)] for p in picks]
-    return [[take(row, p) for p in picks] for row in grid]
 
 
 def _product(salg, xs, ys):
@@ -981,10 +910,8 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
     """Exact agreement of every coefficient both sides trust."""
     if a.algebra != b.algebra:
         return False
-    # each index is reduced and a channel all zero is None: equal is stored alike
     vo = min(a.valid_order, b.valid_order)
-    a, b = (s if s.valid_order == vo else s.with_valid_order(vo) for s in (a, b))
-    return a.dens == b.dens and a.nums == b.nums
+    return _stored_alike(a, b, _count_below(a.algebra.arity, vo))
 
 
 def through(x, order: int):

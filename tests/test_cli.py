@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -646,6 +647,26 @@ def test_explicit_array_errors_name_the_array(cfg, name, tmp_path, capsys):
     assert main([cfg["system"], "--config", str(path), "--report", str(report)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(tuple(f"configuration error: {name}{c}" for c in " :"))
+    assert err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("system, extra", [
+    ("toda", "q"), ("sine-gordon", "mu"), ("langmuir", "a"), ("nls", "p"),
+])
+def test_explicit_array_the_system_does_not_take_exits_two(system, extra, tmp_path,
+                                                           capsys):
+    # each family's own explicit config, which runs, plus an array of another
+    # family's: a name the system ignores would otherwise be silently dropped
+    configs = Path(__file__).parent / "configs"
+    [path] = configs.glob(f"{system}-*-explicit.json")
+    cfg = json.loads(path.read_text())
+    cfg["params"][extra] = cfg["params"][next(iter(cfg["params"]))]
+    report = tmp_path / "r.json"
+    args = [system, "--config", str(_write_config(tmp_path, cfg)), "--report", str(report)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {extra}: not a {system} array")
     assert err.count("\n") == 1
     assert not report.exists()
 

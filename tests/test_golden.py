@@ -57,6 +57,8 @@ CASES = {
     "nls-N1-r2-explicit": _explicit("nls", "nls-N1-r2-explicit"),
     "nls-N1-scalar-form": ["nls", "--N", "1", "--cap", "7", "--seed", "2",
                            "--scalar-form"],
+    # r = 3: the grading b splits the algebra 2+1, so q1 and q2 have unequal rank
+    "nls-N1-r3": ["nls", "--N", "1", "--r", "3", "--cap", "7"],
 }
 
 

@@ -1,13 +1,16 @@
 """Scaling by a constant against the product kernel.
 
-``scale_left(c)`` and ``scale_right(c)`` keep, negate or zero rows or
-columns when c is a matrix over a field whose rows (left) or columns
-(right) each hold at most one nonzero entry, +-1.  Every other constant
-scales each index's integers by its real form in one pass (``_scaled``),
-the scaling kernel.  The reference is the product kernel's product with
-the constant series of c (``_convolve``); scalars are canonical, so every
-route must agree with it exactly, coefficient by coefficient and in
-``valid_order``.  No scaling reaches the product kernel.
+``scale_left(c)`` and ``scale_right(c)`` scale each index's integers by the
+real form of c in one pass (``_scaled``), the scaling kernel, for every
+constant: the +-1/0 selections (the grading b, its projectors, signed
+permutations) as well as general ones.  The reference is the product
+kernel's product with the constant series of c (``_convolve``); scalars are
+canonical, so every scaling must agree with it exactly, coefficient by
+coefficient and in ``valid_order``.  Each scaling reaches the scaling
+kernel once and never the product kernel.
+
+``residual._pm_one_split`` reads the grading b's +-1 diagonal, which
+decides whether the NLS check splits U into graded blocks.
 """
 
 from fractions import Fraction
@@ -16,6 +19,7 @@ from random import Random
 import pytest
 
 from solitonlab import series
+from solitonlab.residual import _pm_one_split
 from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.scalars import PRIME, GaussianRational, Residue
 from solitonlab.series import SeriesAlgebra, TruncatedSeries, _convolve
@@ -53,8 +57,7 @@ def _matrix(alg, rows):
     return alg.matrix([[alg.base.coerce(x) for x in row] for row in rows])
 
 
-# name -> (rows for r = 2, rows for r = 3), entries 0 and +-1 only; each
-# selects on both sides unless listed in ONE_SIDED
+# name -> (rows for r = 2, rows for r = 3), entries 0 and +-1 only
 SELECTIONS = {
     "plus-minus diagonal": ([[1, 0], [0, -1]], [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
     "minus identity": ([[-1, 0], [0, -1]], [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
@@ -66,9 +69,8 @@ SELECTIONS = {
     # rows hold one entry each, but a column holds two
     "row selection": ([[1, 0], [-1, 0]], [[0, 1, 0], [0, -1, 0], [1, 0, 0]]),
 }
-ONE_SIDED = {"row selection": "left"}
 
-# constants that are no selection on either side
+# constants with other entries, or two nonzero entries in a row and a column
 GENERAL = {
     "two times identity": ([[2, 0], [0, 2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
     "general": ([[1, 3], [0, -1]], [[0, 1, 0], [5, 0, 0], [0, 0, -1]]),
@@ -134,8 +136,7 @@ def test_selection_matches_kernel(name, field, r, side, kernel_calls):
         kernel_calls()
         out = s.scale_left(c) if left else s.scale_right(c)
         _assert_same(out, ref)
-        selects = ONE_SIDED.get(name, side) == side
-        assert kernel_calls() == (0, 0 if selects else 1)
+        assert kernel_calls() == (0, 1)
 
 
 @pytest.mark.parametrize("name,field,r,side", _cases(GENERAL))
@@ -186,7 +187,7 @@ def test_nested_constants_reach_the_kernel(rows, kernel_calls):
         _assert_same(out, _reference(s, c, left))
 
 
-def test_matrix_of_series_scales_entries_by_selection(kernel_calls):
+def test_matrix_of_series_scales_each_entry_in_one_pass(kernel_calls):
     alg = MatrixAlgebra(QQI, 2)
     salg = SeriesAlgebra(alg, 2, CAP)
     rng = Random(11)
@@ -194,7 +195,8 @@ def test_matrix_of_series_scales_entries_by_selection(kernel_calls):
                      [[_series(salg, rng) for _ in range(2)] for _ in range(2)])
     b = alg.diagonal([1, -1])
     out = m.scale_left(b).scale_right(b)
-    assert kernel_calls() == (0, 0)
+    # four entries, scaled once from each side
+    assert kernel_calls() == (0, 8)
     for row_out, row in zip(out.rows, m.rows):
         for x_out, x in zip(row_out, row):
             _assert_same(x_out, _reference(_reference(x, b, True), b, False))
@@ -216,8 +218,7 @@ def test_drawn_constants_scale_in_one_pass_at_every_order(field, side, kernel_ca
             out = s.scale_left(c) if left else s.scale_right(c)
             _assert_same(out, ref)
             assert (out.nums, out.dens) == (ref.nums, ref.dens)
-            selects = series._selection(coeff, coeff.coerce(c), left) is not None
-            assert kernel_calls() == (0, 0 if selects else 1)
+            assert kernel_calls() == (0, 1)
 
 
 @pytest.mark.parametrize("vo", (4, 2, 0))
@@ -247,3 +248,34 @@ def test_scalar_mul_scales_in_one_pass(field, kernel_calls):
         out = salg.scalar_mul(q, s)
         assert kernel_calls() == (0, 1)
         _assert_same(out, ref)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("signs", [(1, -1), (-1, 1), (1, 1, -1), (-1, 1, -1), (1, -1, 1)])
+def test_pm_one_split_reads_the_diagonal(field, signs):
+    # over GF(p) the entry -1 is the residue p - 1
+    alg = MatrixAlgebra(FIELDS[field], len(signs))
+    minus_one = -alg.base.one()
+    if field == "GFp":
+        assert minus_one == Residue(PRIME - 1)
+    b = alg.diagonal([alg.base.one() if x == 1 else minus_one for x in signs])
+    plus, minus = _pm_one_split(alg, b)
+    assert list(plus) == [i for i, x in enumerate(signs) if x == 1]
+    assert list(minus) == [i for i, x in enumerate(signs) if x == -1]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("rows", [
+    # a swap: b^2 = 1, but b is no diagonal
+    [[0, 1], [1, 0]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    # diagonals with one sign only
+    [[1, 0], [0, 1]],
+    [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+    # a diagonal entry that is no sign, and a +-1 diagonal with an entry beside it
+    [[2, 0], [0, -1]],
+    [[1, 1], [0, -1]],
+])
+def test_pm_one_split_needs_a_diagonal_of_both_signs(field, rows):
+    alg = MatrixAlgebra(FIELDS[field], len(rows))
+    assert _pm_one_split(alg, _matrix(alg, rows)) is None
