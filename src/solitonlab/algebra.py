@@ -275,18 +275,10 @@ class MatrixAlgebra(Algebra):
         return SquareMatrix(self, coerced)
 
     def zero(self):
-        z = self.base.zero()
-        return SquareMatrix(self, tuple((z,) * self.dim for _ in range(self.dim)))
+        return self.diagonal([self.base.zero()] * self.dim)
 
     def one(self):
-        z, e = self.base.zero(), self.base.one()
-        return SquareMatrix(
-            self,
-            tuple(
-                tuple(e if i == j else z for j in range(self.dim))
-                for i in range(self.dim)
-            ),
-        )
+        return self.diagonal([self.base.one()] * self.dim)
 
     def diagonal(self, entries) -> "SquareMatrix":
         entries = [self.base.coerce(x) for x in entries]

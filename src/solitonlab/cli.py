@@ -269,9 +269,7 @@ def _explicit_params(cfg, spec, sizes, fields):
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: not a {cfg['system']} array"
                           f" (params take {', '.join(arrays)})")
-    fields = dict(fields)
-    if "window" in fields:  # Langmuir params hold the window's sites
-        fields["k_range"] = list(range(fields.pop("window")))
+    fields = dict(fields)  # the arrays join the params, not the report's dimensions
     try:
         for name, (shape, _) in arrays.items():
             fields[name] = _parse_array(

@@ -153,30 +153,18 @@ def wronski(fs, d: Derivation) -> WronskiPair:
     return WronskiPair(w, dw, d, fs)
 
 
-class FrobeniusCell:
-    """The matrix over ``base`` with this bottom row below the shifted identity."""
+class FrobeniusCell(SquareMatrix):
+    """The matrix over ``base`` with this bottom row below the shifted
+    identity: the identity's rows 1..N-1."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, base, bottom_row):
-        n = len(bottom_row)
-        zero, one = base.zero(), base.one()
-        rows = [
-            tuple(one if q == p + 1 else zero for q in range(n))
-            for p in range(n - 1)
-        ]
-        rows.append(tuple(base.coerce(x) for x in bottom_row))
-        self.matrix = SquareMatrix(MatrixAlgebra(base, n), rows)
-
-    @property
-    def N(self):
-        return self.matrix.dim
-
-    def entry(self, p, q):
-        return self.matrix.entry(p, q)
+        alg = MatrixAlgebra(base, len(bottom_row))
+        super().__init__(alg, alg.one().rows[1:] + (tuple(map(base.coerce, bottom_row)),))
 
     def bottom_row(self):
-        return self.matrix.rows[-1]
+        return self.rows[-1]
 
 
 def frobenius_gamma(wp: WronskiPair) -> FrobeniusCell:
@@ -213,7 +201,7 @@ def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMa
     through the one quotient mu_0 / nu_0.  The identity rows satisfy
     Y * L = K by construction, and y is checked by y * L = mu.
     """
-    if k_cell.N != l_cell.N or k_cell.matrix.algebra != l_cell.matrix.algebra:
+    if k_cell.algebra != l_cell.algebra:
         raise SingularCell("cells must share dimension and algebra")
     mu = k_cell.bottom_row()
     nu = l_cell.bottom_row()
@@ -224,12 +212,12 @@ def frobenius_quotient(k_cell: FrobeniusCell, l_cell: FrobeniusCell) -> SquareMa
             "bottom-left entry of the divisor cell is not invertible"
         ) from exc
     bottom = [m - pivot * v for m, v in zip(mu[1:], nu[1:])] + [pivot]
-    if row_times(bottom, l_cell.matrix) != mu:
+    if row_times(bottom, l_cell) != mu:
         raise VerificationError(
             "Frobenius quotient fails its defining relation Y * L = K"
         )
-    identity = k_cell.matrix.algebra.one().rows
-    return SquareMatrix(k_cell.matrix.algebra, identity[:-1] + (tuple(bottom),))
+    identity = k_cell.algebra.one().rows
+    return SquareMatrix(k_cell.algebra, identity[:-1] + (tuple(bottom),))
 
 
 def _submatrix_skipping_order(wp: WronskiPair, skip: int) -> SquareMatrix:

@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrix,
     WindowTooSmall,
 )
-from .quasidet import FrobeniusCell, note_dicts, wronski
+from .quasidet import note_dicts, wronski
 from .series import (
     Derivation,
     TruncatedSeries,
@@ -157,8 +157,8 @@ def _langmuir_residual(xs, k, d: Derivation):
 
 
 def _cubic_residual(U, b, d0: Derivation, d: Derivation):
-    """2 b d0 U + d^2 U + 2 U^3, formed as (b d0 U + U^3) 2 + d^2 U: b acts
-    by selection, and the one factor 2 is one scaling."""
+    """2 b d0 U + d^2 U + 2 U^3, formed as (b d0 U + U^3) 2 + d^2 U: b and
+    the one factor 2 each scale in one integer pass."""
     d2U = U.derive(d).derive(d)
     return (
         (U.derive(d0).scale_left(b) + through(U, _top(d2U)) * U * U).scale_left(2)
@@ -183,13 +183,8 @@ def check_toda(gs, d1: Derivation, d2: Derivation) -> ResidualReport:
     return report
 
 
-def _as_matrix(x) -> SquareMatrix:
-    return x.matrix if isinstance(x, FrobeniusCell) else x
-
-
 def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     """The lattice equations at the level of whole Frobenius quotients."""
-    gammas = [_as_matrix(g) for g in gammas]
     report = ResidualReport("toda-gamma", exact=gammas[0].algebra.is_exact)
     top_rows_clean = True
     for k, res in enumerate(_toda_residuals(gammas, d1, d2)):
@@ -231,7 +226,7 @@ def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
 
         d1((d2 c_k) c_k^-1) - c_k c_{k-1}^-1 + c_{k+1} c_k^-1 = 0.
     """
-    ws = [_as_matrix(g) for g in gamma]
+    ws = list(gamma)
     n = len(ws)
     alg = ws[0].algebra
     a_mats = _embed_constants(a, ws[0])
@@ -272,32 +267,31 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
     increment-product, increment-shift, and additive-quotient identities.
     """
     sites = sorted(gamma)
-    ws = {k: _as_matrix(gamma[k]) for k in sites}
-    template = ws[sites[0]]
+    template = gamma[sites[0]]
     alg = template.algebra
     a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
     dws = {}
     for k in sites:
         if not alg.is_zero(a_mats[k].derive(d)):
             raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
-        dws[k] = dw = ws[k].derive(d)
-        if k + 2 in ws:
-            if not alg.is_zero(dw - ws[k + 2]):
+        dws[k] = dw = gamma[k].derive(d)
+        if k + 2 in gamma:
+            if not alg.is_zero(dw - gamma[k + 2]):
                 raise HypothesisViolated(
                     f"d G[{k}] != G[{k + 2}]", which="double-shift-relation"
                 )
-        if k + 1 in ws:
-            res = dw + ws[k] - through(ws[k + 1], _top(dw)) * a_mats[k]
+        if k + 1 in gamma:
+            res = dw + gamma[k] - through(gamma[k + 1], _top(dw)) * a_mats[k]
             if not alg.is_zero(res):
                 raise HypothesisViolated(
                     f"d G[{k}] + G[{k}] != G[{k + 1}] A[{k}]",
                     which="shift-affine-relation",
                 )
-    main_sites = [k for k in sites if all(k + m in ws for m in (-2, -1, 1))]
+    main_sites = [k for k in sites if all(k + m in gamma for m in (-2, -1, 1))]
     if not main_sites:
         raise WindowTooSmall("no site has both lattice neighbours available")
     report = ResidualReport("marchenko-lattice", exact=alg.is_exact)
-    cs = {k: _invert_or_raise(ws[k], k, dws[k]) for k in sites}
+    cs = {k: _invert_or_raise(gamma[k], k, dws[k]) for k in sites}
     us = {k: _invert_or_raise(cs[k - 1], k - 1, cs[k]) for k in sites if k - 1 in cs}
     for k in main_sites:
         res = _langmuir_residual(us, k, d)
@@ -418,9 +412,8 @@ def check_nls(U, b, d0: Derivation, d: Derivation,
             f"grading splits the algebra {len(blocks[0])}+{len(blocks[1])}"
         )
     if gamma is not None:
-        g_mat = _as_matrix(gamma)
-        u_mat = _commutator_with(g_mat, b)
-        v_mat = g_mat.scale_right(b) + g_mat.scale_left(b)
+        u_mat = _commutator_with(gamma, b)
+        v_mat = gamma.scale_right(b) + gamma.scale_left(b)
         dv = v_mat.derive(d).scale_left(b)
         report.add("v-equation", dv - through(u_mat, _top(dv)) * u_mat)
         u = u_mat.entry(0, 0)

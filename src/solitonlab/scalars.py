@@ -204,8 +204,12 @@ _GAUSS_RE = re.compile(
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
-    return Fraction(text.strip().replace(" ", ""))
+    """Parse "p/q" or "p" into an exact Fraction, by the grammar a Gaussian
+    rational's parts follow: no decimal point, exponent or underscore."""
+    s = text.strip().replace(" ", "")
+    if not re.fullmatch(_RAT, s):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(s)
 
 
 def parse_gaussian(text: str) -> GaussianRational:

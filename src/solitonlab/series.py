@@ -235,14 +235,10 @@ class SeriesAlgebra(Algebra):
                     for x in field.join(e, a.dens)), default=0.0)
 
     def format_element(self, a, degree_limit=None):
-        field, scalars = self.field, _scalars(a)
-        out = []
-        for k in a.nonzero_indices():
-            e = self.exponents[k]
-            if degree_limit is None or sum(e) <= degree_limit:
-                grid = [[field.format_element(x[k]) for x in row] for row in scalars]
-                out.append({"exponents": list(e), "coefficient": _nested(self.coeff, grid)})
-        return out
+        coeffs, exps, fmt = a.coeffs, self.exponents, self.coeff.format_element
+        return [{"exponents": list(exps[k]), "coefficient": fmt(coeffs[k])}
+                for k in a.nonzero_indices()
+                if degree_limit is None or sum(exps[k]) <= degree_limit]
 
     def matrix_inverse(self, m):
         """The inverse of a matrix of series: the right division x * m = 1,
@@ -355,7 +351,8 @@ class TruncatedSeries:
     def coeffs(self) -> tuple:
         """The trusted coefficients as elements of the coefficient algebra,
         built from the stored integers on each read."""
-        alg, grid = self.algebra.coeff, _scalars(self)
+        alg, join = self.algebra.coeff, self.algebra.field.join
+        grid = [[join(e, self.dens) for e in row] for row in self.nums]
         if not isinstance(alg, MatrixAlgebra):
             return tuple(grid[0][0])
         return tuple(_from_grid(alg, [[e[k] for e in row] for row in grid])
@@ -432,7 +429,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_same(other)
-            return _convolve(self, other)
+            return _product(self.algebra, ((self,),), ((other,),))[0][0]
         try:
             c = self.algebra.coeff.coerce(other)
         except AlgebraMismatch:
@@ -498,12 +495,6 @@ def _trusted_order(series, action: str) -> int:
     if vo < 1:
         raise ValueError(f"no trusted coefficients to {action}")
     return vo
-
-
-def _convolve(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """The Cauchy product a * b through the lesser valid order: the 1 x 1
-    case of ``_product``."""
-    return _product(a.algebra, ((a,),), ((b,),))[0][0]
 
 
 def _scaled(s, c, left):
@@ -611,12 +602,6 @@ def _grid_of(alg, coeffs):
     return [[tuple(g[a][b] for g in grids) for b in range(r)] for a in range(r)]
 
 
-def _scalars(s):
-    """The grid of per-entry lists of field scalars that ``s`` stores."""
-    join = s.algebra.field.join
-    return [[join(e, s.dens) for e in row] for row in s.nums]
-
-
 def _channels(grid):
     """Every channel of a stored grid that is not all zeros."""
     return [ch for row in grid for e in row for ch in e if ch is not None]
@@ -671,15 +656,6 @@ def _reduced(salg, grid, dens, valid_order):
         nums = [[[ch and tuple(map(floordiv, ch, gs)) for ch in e] for e in r] for r in nums]
         dens = list(map(floordiv, dens, gs))
     return TruncatedSeries._of(salg, nums, dens, valid_order)
-
-
-def _nested(alg, grid):
-    """A grid of values, one per scalar (``_scalar_grid``), nested in lists
-    as the rows of an element of ``alg`` are: its ``format_element`` layout."""
-    if not isinstance(alg, MatrixAlgebra):
-        return grid[0][0]
-    return [[_nested(alg.base, block) for block in brow]
-            for brow in _blocks(grid, len(grid) // alg.dim)]
 
 
 def series_derive(s: TruncatedSeries, d: Derivation) -> TruncatedSeries:

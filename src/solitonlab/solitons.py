@@ -110,19 +110,6 @@ def _power(alg: Algebra, x, k: int):
     return acc
 
 
-def cyclic_shift_matrix(alg: Algebra, n: int) -> SquareMatrix:
-    """The n x n permutation matrix sending basis vector e_i to e_{i+1 mod n}."""
-    mat_alg = MatrixAlgebra(alg, n)
-    z, e = alg.zero(), alg.one()
-    return SquareMatrix(
-        mat_alg,
-        tuple(
-            tuple(e if m == (i + 1) % n else z for i in range(n))
-            for m in range(n)
-        ),
-    )
-
-
 class _Family(Record):
     """What the params of every family share.
 
@@ -251,23 +238,25 @@ def toda_build_f(params: TodaParams) -> TodaData:
         d/dv f[i][j] = f[i+1][j] * a[i+1][j]         (site indices mod n).
 
     Column j is p_j * exp(r_j^-1 u + r_j v), r_j = (diagonal) * s, formed by
-    ``series_exp_row`` with no n x n matrix series in between.
+    ``series_exp_row`` with no n x n matrix series in between.  s sends e_i
+    to e_{i+1 mod n}, so r_j holds a[m][j] at (m, m - 1) and its inverse
+    s^T (diagonal)^-1 holds a[m + 1][j]^-1 at (m, m + 1).
     """
     params.validate()
     S = scalar_algebra(params.scalar, params.r)
     n, N, cap = params.n, params.N, params.cap
-    mat_n = MatrixAlgebra(S, n)
-    shift = cyclic_shift_matrix(S, n)
+    mat_n, z = MatrixAlgebra(S, n), S.zero()
     a = [[S.coerce(x) for x in row] for row in params.a]
-    for row in a:
-        for x in row:
-            S.invert(x)  # raises SingularMatrix if any a is not invertible
+    # raises SingularMatrix if any a is not invertible
+    a_inv = [[S.invert(x) for x in row] for row in a]
     p = [[S.coerce(x) for x in row] for row in params.p]
     f = [[None] * N for _ in range(n)]
     for j in range(N):
-        diag_j = mat_n.diagonal([a[i][j] for i in range(n)])
-        r_j = diag_j * shift
-        for i, f_ij in enumerate(series_exp_row(p[j], r_j.inverse(), r_j, cap, mat_n)):
+        r_j = SquareMatrix(mat_n, [[a[m][j] if i == (m - 1) % n else z for i in range(n)]
+                                   for m in range(n)])
+        r_inv = SquareMatrix(mat_n, [[a_inv[i][j] if i == (m + 1) % n else z
+                                      for i in range(n)] for m in range(n)])
+        for i, f_ij in enumerate(series_exp_row(p[j], r_inv, r_j, cap, mat_n)):
             f[i][j] = f_ij
     return TodaData(f=f, a=a, n=n, N=N, algebra=S, cap=cap)
 
@@ -483,13 +472,20 @@ def _draw_mu(S, rng):
 
 
 class LangmuirParams(_Family):
+    """Data for the lattice construction with N exponential modes.
+
+    Solutions are requested at the ``window`` sites 0 .. window - 1, which
+    read the data at sites -1 .. window + 1; ``validate`` rejects a window
+    below 1, and a solution needs at least 3 sites.
+    """
+
     N: int
     r: int
     cap: int
     p: list
     q: list
     mu: list  # invertible, with mu + mu^-1 invertible
-    k_range: list  # contiguous sites where solutions are requested
+    window: int
     scalar: str = "rational"
 
     arrays = {
@@ -502,9 +498,8 @@ class LangmuirParams(_Family):
 
     def validate(self):
         super().validate()
-        ks = list(self.k_range)
-        if not ks or ks != list(range(ks[0], ks[-1] + 1)):
-            raise ValueError("k_range must be a non-empty contiguous range")
+        if self.window < 1:
+            raise ValueError("window must be at least 1")
 
 
 class LangmuirData(Record):
@@ -538,8 +533,7 @@ def langmuir_build_f(params: LangmuirParams) -> LangmuirData:
         a_j = m + m_inv
         S.invert(a_j)  # raises SingularMatrix when mu + mu^-1 degenerates
         a.append(a_j)
-    lo, hi = min(params.k_range) - 1, max(params.k_range) + 2
-    sites = list(range(lo, hi + 1))
+    sites = list(range(-1, params.window + 2))
     exp_plus = [
         series_exp_linear(m * m, None, cap, algebra=S) for m in mu
     ]
@@ -586,13 +580,13 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     ``check_langmuir`` given the solution reports them without forming them
     again.
     """
-    ks = list(params.k_range)
-    if len(ks) < 3:
+    if params.window < 3:
         raise ValueError("the site window needs at least 3 sites")
     if data is None:
         data = langmuir_build_f(params)
     N = data.N
-    gamma_sites = list(range(ks[0] - 1, ks[-1] + 2))
+    ks = range(params.window)
+    gamma_sites = range(-1, params.window + 1)
     cells, etas, pairs = {}, {}, {}
     for k in gamma_sites:
         pairs[k], cells[k] = _gamma(data.f[k], data.d, k)
@@ -607,7 +601,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     residuals = {k: _langmuir_residual(gs, k, data.d) for k in _interior(gs)}
     if all(res.is_zero() for res in residuals.values()):
         matched.append("product-form-sites-k-k-1")
-    if _lattice_residuals_vanish(additive, data.d):
+    if all(_langmuir_residual(additive, k, data.d).is_zero() for k in _interior(additive)):
         matched.append("additive-form-sites-k+1-k")
     note = ConventionNote(
         topic="lattice-solution-site-indices",
@@ -629,10 +623,6 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         closed_forms=closed_forms, notes=notes, data=data,
         residuals=(gs, data.d, tuple(gs.items()), residuals),
     )
-
-
-def _lattice_residuals_vanish(gs: dict, d: Derivation) -> bool:
-    return all(_langmuir_residual(gs, k, d).is_zero() for k in _interior(gs))
 
 
 def _langmuir_single_mode_closed_form(data: LangmuirData, k: int, g):
@@ -962,4 +952,4 @@ def nls_scalar_closed_form(a, alpha, beta, cap: int = 8) -> NlsScalarComparison:
 def random_langmuir_params(rng, N: int, r: int = 1, cap: int = None,
                            window: int = 5, scalar: str = "rational",
                            ) -> LangmuirParams:
-    return LangmuirParams.draw(rng, scalar, N, r, cap, k_range=list(range(window)))
+    return LangmuirParams.draw(rng, scalar, N, r, cap, window=window)

@@ -78,6 +78,7 @@ _SIZE_ERRORS = {
        for system in ("toda", "sine-gordon", "langmuir", "nls") for r in ("0", "-1")},
     "langmuir --window 1": "the site window needs at least 3 sites",
     "langmuir --window 2": "the site window needs at least 3 sites",
+    "langmuir --window 0": "the site window needs at least 3 sites",
     "quasidet-selftest --trials 0": "trials must be at least 1",
     "quasidet-selftest --trials -3": "trials must be at least 1",
     "nls --scalar rational": "mode 'nls' needs gaussian-rational scalars for i",
@@ -572,6 +573,25 @@ def test_config_file_trials_are_used(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "configuration error: trials must be at least 1\n"
     )
+
+
+@pytest.mark.parametrize("scalar, kind", [
+    ("rational", "rational"),
+    ("gaussian-rational", "Gaussian rational"),
+    ("gf-p", "rational"),
+])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000"])
+def test_decimal_exponent_and_underscore_scalars_exit_two(scalar, kind, text, tmp_path,
+                                                          capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "toda", "n": 2, "N": 1, "cap": 6, "scalar": scalar,
+        "params": {"a": [[text], ["1"]], "p": [["1", "1/2"]]},
+    }))
+    report = tmp_path / "r.json"
+    assert main(["toda", "--config", str(cfg), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == f"configuration error: bad {kind} {text!r}\n"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("scalar", ["rational", "gaussian-rational", "gf-p"])

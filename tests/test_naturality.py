@@ -21,10 +21,16 @@ missing from a dump read as 0.
   series of the r = 1 run on that entry's parameters, and the lower-left
   entries stay 0.  The off-diagonal y is free: nothing on the diagonal may
   depend on it.
+- *Block-diagonal projection*: on block-diagonal 4 x 4 rational parameters
+  diag(X, Y), taking either 2 x 2 diagonal block is a homomorphism onto
+  Mat(2, QQ), so each diagonal block of every series of the r = 4 run is
+  the series of the r = 2 run on that block's parameters, and the
+  off-diagonal blocks stay 0.
 """
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -166,19 +172,20 @@ def test_inclusion_of_rationals_commutes(name, tmp_path):
     assert _entries(runs[0]) == _entries(runs[1])
 
 
-def _upper(top, bottom, off):
-    """The arrays of upper-triangular 2 x 2 matrices [[x, y], [0, z]] with x
-    from ``top``, z from ``bottom`` and y drawn in turn from OFF_DIAGONAL."""
+def _two_by_two(top, bottom, upper, lower):
+    """The arrays of 2 x 2 matrices [[x, y], [w, z]] with x from ``top``, z
+    from ``bottom``, and y and w drawn in turn from the iterators ``upper``
+    and ``lower``."""
     if isinstance(top, list):
-        return [_upper(x, z, off) for x, z in zip(top, bottom)]
-    return [[top, next(off)], ["0", bottom]]
+        return [_two_by_two(x, z, upper, lower) for x, z in zip(top, bottom)]
+    return [[top, next(upper)], [next(lower), bottom]]
 
 
 @pytest.mark.parametrize("case", TRIANGULAR)
 def test_upper_triangular_projection_commutes(case, tmp_path):
     cfg, bottom = TRIANGULAR[case]
     off = iter(OFF_DIAGONAL * 4)
-    params = {name: _upper(value, bottom[name], off)
+    params = {name: _two_by_two(value, bottom[name], off, repeat("0"))
               for name, value in cfg["params"].items()}
     block_run = _run(dict(cfg, r=2, params=params), tmp_path, "block")
     diagonal_runs = [_run(cfg, tmp_path, "top"),
@@ -195,3 +202,45 @@ def test_upper_triangular_projection_commutes(case, tmp_path):
                                         for t in block_run["series"][name]}:
                 assert entries[name](e)[k][k] == get(e), (name, e, k)
                 assert entries[name](e)[1][0] == zero, (name, e)
+
+
+def _block_diagonal(x, y, depth):
+    """The arrays of 4 x 4 matrices diag(X, Y) for arrays of 2 x 2 X and Y
+    at array depth ``depth``."""
+    if depth:
+        return [_block_diagonal(a, b, depth - 1) for a, b in zip(x, y)]
+    zeros = ["0", "0"]
+    return [row + zeros for row in x] + [zeros + row for row in y]
+
+
+def _fractions(c):
+    return [[Fraction(x) for x in row] for row in c]
+
+
+@pytest.mark.parametrize("case", TRIANGULAR)
+def test_block_diagonal_projection_commutes(case, tmp_path):
+    cfg, other = TRIANGULAR[case]
+    arrays = cli._SYSTEMS[cfg["system"]].params.arrays
+    off = iter(OFF_DIAGONAL * 8)
+    # X and Y: 2 x 2 rational parameters with every entry filled
+    blocks = [{name: _two_by_two(top[name], bottom[name], off, off) for name in arrays}
+              for top, bottom in ((cfg["params"], other), (other, cfg["params"]))]
+    params = {name: _block_diagonal(*(b[name] for b in blocks), len(arrays[name][0]))
+              for name in arrays}
+    block_run = _run(dict(cfg, r=4, params=params), tmp_path, "diag")
+    runs = [_run(dict(cfg, r=2, params=b), tmp_path, f"block-{k}")
+            for k, b in enumerate(blocks)]
+    assert block_run["passed"] and all(run["passed"] for run in runs)
+    zero = Fraction(0)
+    entries, block_exponents = _series(block_run, _fractions, [[zero] * 4 for _ in range(4)])
+    for k, run in enumerate(runs):
+        assert _entries(run) == _entries(block_run)
+        series, exponents = _series(run, _fractions, [[zero] * 2 for _ in range(2)])
+        assert sorted(series) == sorted(entries)
+        for name, get in series.items():
+            for e in exponents[name] | block_exponents[name]:
+                c = entries[name](e)
+                assert [row[2 * k:2 * k + 2] for row in c[2 * k:2 * k + 2]] == get(e), \
+                    (name, e, k)
+                assert all(c[i][j] == zero for i in range(4) for j in range(4)
+                           if i // 2 != j // 2), (name, e)

@@ -30,8 +30,9 @@ from solitonlab.quasidet import (
     solution_entry_via_quasidet,
     wronski,
 )
+from solitonlab.residual import check_nls, check_toda_gamma
 from solitonlab.scalars import PRIME
-from solitonlab.series import D_T, D_V, SeriesAlgebra, series_exp_linear
+from solitonlab.series import D_T, D_U, D_V, SeriesAlgebra, series_exp_linear
 from solitonlab import solitons
 from solitonlab.solitons import random_langmuir_params, langmuir_build_f
 
@@ -241,7 +242,7 @@ def test_frobenius_gamma_defining_relation_and_shape():
         fs = _toda_like_series(rng, n_modes)
         wp = wronski(fs, D_V)
         cell = frobenius_gamma(wp)
-        prod = cell.matrix * wp.W
+        prod = cell * wp.W
         for i in range(n_modes):
             for j in range(n_modes):
                 assert prod.entry(i, j) == wp.dW.entry(i, j)
@@ -296,7 +297,7 @@ def test_toda_solution_rejects_a_moved_quotient_entry(monkeypatch):
 
     def moved(fs, d, site):
         wp, cell = gamma(fs, d, site)
-        g = cell.entry(cell.N - 1, 0)
+        g = cell.entry(cell.dim - 1, 0)
         e = g.algebra.exponents[len(g.coeffs) - 1]  # its last trusted term
         bottom = (with_coeff(g, e, g.coeff(e) + 1),) + cell.bottom_row()[1:]
         return wp, FrobeniusCell(g.algebra, bottom)
@@ -324,10 +325,44 @@ def test_frobenius_gamma_rejects_a_wrong_inverse(monkeypatch):
 
 def test_frobenius_cell_of_bottom_row():
     cell = FrobeniusCell(QQ, [1, 2, 3])
-    assert cell.N == 3
+    assert cell.dim == 3
     assert cell.entry(0, 1) == 1
     assert cell.entry(0, 0) == 0
     assert cell.bottom_row() == (1, 2, 3)
+
+
+def _plain(cell):
+    return SquareMatrix(cell.algebra, cell.rows)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_a_cell_is_its_matrix(r):
+    sol = solitons.toda_solution(solitons.random_toda_params(Random(5), n=2, N=3, r=r, cap=7))
+    coeff = sol.data.algebra
+    for cell in sol.cells:
+        assert isinstance(cell, SquareMatrix)
+        assert cell == _plain(cell) and _plain(cell) == cell
+        assert not hasattr(cell, "matrix")
+        assert cell.rows[:-1] == cell.algebra.one().rows[1:]
+        # the bottom row, and its entries' coefficients, are what the traced
+        # benchmark child reads
+        bottom = cell.bottom_row()
+        assert bottom == cell.rows[-1] and len(bottom) == cell.dim == 3
+        for s in bottom:
+            assert s.algebra.coeff == coeff and len(s.coeffs) == len(s.dens)
+            assert all(coeff.coerce(c) is c for c in s.coeffs)
+    gamma = check_toda_gamma(sol.cells, D_U, D_V).to_dict()
+    assert gamma["passed"]
+    assert gamma == check_toda_gamma([_plain(c) for c in sol.cells], D_U, D_V).to_dict()
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_nls_check_reads_a_cell_as_its_matrix(N):
+    sol = solitons.nls_solution(solitons.random_nls_params(Random(9), N=N, r=2, cap=N + 5))
+    data = sol.data
+    checks = [check_nls(sol, data.b, data.d0, data.d, gamma=g).to_dict()
+              for g in (sol.cell, _plain(sol.cell))]
+    assert checks[0]["passed"] and checks[0] == checks[1]
 
 
 def test_quotient_identity_when_equal():
@@ -366,7 +401,7 @@ def test_quotient_closed_form_random_matrix_entries():
             M2, [random_element(M2, rng) for _ in range(n)]
         )
         try:
-            direct = k.matrix * l.matrix.inverse()
+            direct = k * l.inverse()
         except SingularMatrix:
             continue
         assert frobenius_quotient(k, l) == direct
@@ -375,7 +410,7 @@ def test_quotient_closed_form_random_matrix_entries():
 def test_quotient_of_prime_field_cells():
     k = FrobeniusCell(GFP, [2, 3, 5])
     l = FrobeniusCell(GFP, [4, 1, PRIME - 4])
-    assert frobenius_quotient(k, l) == k.matrix * l.matrix.inverse()
+    assert frobenius_quotient(k, l) == k * l.inverse()
     with pytest.raises(SingularCell):
         frobenius_quotient(k, FrobeniusCell(GFP, [PRIME, 1, 4]))
 

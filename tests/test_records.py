@@ -25,7 +25,7 @@ SPECS = {
     solitons.TodaSolution: ("gs cells wronskians data notes", {}),
     solitons.SineGordonParams: ("N r cap p q a scalar", {"scalar": "rational"}),
     solitons.SineGordonSolution: ("gs closed_forms notes toda", {}),
-    solitons.LangmuirParams: ("N r cap p q mu k_range scalar", {"scalar": "rational"}),
+    solitons.LangmuirParams: ("N r cap p q mu window scalar", {"scalar": "rational"}),
     solitons.LangmuirData: ("f a mu p q N algebra cap sites d", {"d": D_T}),
     solitons.LangmuirSolution: (
         "gs etas cells wronskians closed_forms notes data residuals", {"residuals": None}),

@@ -85,7 +85,7 @@ def test_report_checks_each_matrix_entry_through_its_own_order():
 def test_single_coefficient_corruption_fails_toda_gamma():
     rng = Random(167)
     sol = toda_solution(random_toda_params(rng, n=2, N=2, r=1, cap=7))
-    gammas = [cell.matrix for cell in sol.cells]
+    gammas = list(sol.cells)
     assert check_toda_gamma(gammas, D_U, D_V).passed
     g = gammas[0]
     for p, q in ((g.dim - 1, 0), (g.dim - 1, g.dim - 1)):

@@ -66,6 +66,16 @@ def test_reciprocal_roundtrip(a, b):
 def test_parse_rational():
     assert parse_rational("3/2") == Fraction(3, 2)
     assert parse_rational("-7") == Fraction(-7)
+    assert parse_rational(" +6 / 8 ") == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", "1/2.5"])
+def test_rationals_follow_the_gaussian_grammar(text):
+    # a rational and a Gaussian rational's real part are read alike
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_gaussian(text)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 ``scale_left(c)`` and ``scale_right(c)`` scale each index's integers by the
 real form of c in one pass (``_scaled``), the scaling kernel, for every
 constant: the +-1/0 selections (the grading b, its projectors, signed
-permutations) as well as general ones.  The reference is the product
-kernel's product with the constant series of c (``_convolve``); scalars are
+permutations) as well as general ones.  The reference is the series product
+with the constant series of c, which the product kernel forms; scalars are
 canonical, so every scaling must agree with it exactly, coefficient by
 coefficient and in ``valid_order``.  Each scaling reaches the scaling
 kernel once and never the product kernel.
@@ -22,7 +22,7 @@ from solitonlab import series
 from solitonlab.residual import _pm_one_split
 from solitonlab.algebra import GFP, QQ, QQI, MatrixAlgebra, SquareMatrix
 from solitonlab.scalars import PRIME, GaussianRational, Residue
-from solitonlab.series import SeriesAlgebra, TruncatedSeries, _convolve
+from solitonlab.series import SeriesAlgebra, TruncatedSeries
 
 CAP = 5
 FIELDS = {"QQ": QQ, "QQi": QQI, "GFp": GFP}
@@ -106,7 +106,7 @@ def kernel_calls(monkeypatch):
 
 def _reference(s, c, left):
     const = s.algebra.constant(c, s.valid_order)
-    return _convolve(const, s) if left else _convolve(s, const)
+    return const * s if left else s * const
 
 
 def _assert_same(out, ref):

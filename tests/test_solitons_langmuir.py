@@ -8,12 +8,11 @@ from solitonlab import cli, residual, solitons
 from solitonlab.algebra import QQ, QQI, MatrixAlgebra
 from solitonlab.errors import SingularMatrix, WindowTooSmall
 from solitonlab.quasidet import ConventionNote
-from solitonlab.residual import check_data, check_langmuir, check_marchenko_lattice
+from solitonlab.residual import _interior, check_data, check_langmuir, check_marchenko_lattice
 from solitonlab.scalars import GaussianRational
 from solitonlab.series import D_T, Derivation, SeriesAlgebra, constant_series_matrix
 from solitonlab.solitons import (
     LangmuirParams,
-    _lattice_residuals_vanish,
     langmuir_build_f,
     langmuir_solution,
     random_langmuir_params,
@@ -34,7 +33,7 @@ def test_vacuum_family_and_constant_solution():
     params = LangmuirParams(
         N=1, r=1, cap=8,
         p=[Fraction(2)], q=[Fraction(0)], mu=[Fraction(3, 2)],
-        k_range=[0, 1, 2],
+        window=3,
     )
     data = langmuir_build_f(params)
     assert check_data("langmuir", data).passed
@@ -48,13 +47,39 @@ def test_vacuum_family_and_constant_solution():
 def test_window_without_interior_site_rejected():
     params = LangmuirParams(
         N=1, r=1, cap=6, p=[Fraction(1)], q=[Fraction(1)],
-        mu=[Fraction(2)], k_range=[0, 1],
+        mu=[Fraction(2)], window=2,
     )
     with pytest.raises(ValueError, match="at least 3 sites"):
         langmuir_solution(params)
     one = SeriesAlgebra(QQ, 1, 6).one()
     with pytest.raises(WindowTooSmall):
-        _lattice_residuals_vanish({0: one, 1: one}, D_T)
+        _interior({0: one, 1: one})
+
+
+def _window_params(window):
+    return LangmuirParams(N=1, r=1, cap=6, p=[Fraction(1)], q=[Fraction(2)],
+                          mu=[Fraction(2)], window=window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 5])
+def test_data_sites_run_from_minus_one_to_window_plus_one(window):
+    data = langmuir_build_f(_window_params(window))
+    assert data.sites == list(range(-1, window + 2)) == sorted(data.f)
+    assert check_data("langmuir", data).passed
+    if window < 3:  # data, but too few sites for a solution
+        with pytest.raises(ValueError, match="the site window needs at least 3 sites"):
+            langmuir_solution(_window_params(window), data=data)
+    else:
+        assert sorted(langmuir_solution(_window_params(window), data=data).gs) == list(
+            range(window))
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_empty_window_rejected(window):
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        _window_params(window).validate()
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        langmuir_build_f(_window_params(window))
 
 
 def test_mu_with_singular_sum_rejected():
@@ -62,7 +87,7 @@ def test_mu_with_singular_sum_rejected():
     params = LangmuirParams(
         N=1, r=1, cap=6,
         p=[GaussianRational(1)], q=[GaussianRational(1)],
-        mu=[GaussianRational(0, 1)], k_range=[0, 1, 2],
+        mu=[GaussianRational(0, 1)], window=3,
         scalar="gaussian-rational",
     )
     with pytest.raises(SingularMatrix):
@@ -74,7 +99,7 @@ def test_periodic_root_of_unity_mode():
     params = LangmuirParams(
         N=1, r=1, cap=7,
         p=[Fraction(2)], q=[Fraction(1, 3)], mu=[Fraction(-1)],
-        k_range=[0, 1, 2],
+        window=3,
     )
     sol = langmuir_solution(params)
     for g in sol.gs.values():
@@ -87,7 +112,7 @@ def test_single_mode_closed_form_and_residual():
         params = random_langmuir_params(rng, N=1, r=r, cap=9, window=4)
         sol = langmuir_solution(params)
         assert sol.closed_forms is not None
-        for k in params.k_range:
+        for k in range(params.window):
             assert sol.closed_forms[k] == sol.gs[k]
         assert check_langmuir(sol.gs, D_T).passed
 

@@ -235,7 +235,7 @@ def test_gamma_corrupted_after_selection_fails_the_matrix_cubic_equation():
     data = sol.data
     # b = diag(1, -1) sees only the off-diagonal part of g
     g = with_coeff(sol.g, (1, 1), sol.g.coeff((1, 1)) + M2I.matrix([[0, 1], [0, 0]]))
-    gamma = SquareMatrix(sol.cell.matrix.algebra, ((g,),))
+    gamma = SquareMatrix(sol.cell.algebra, ((g,),))
     bad = _commutator_with(g, data.b)
     entries = _entries(check_nls(bad, data.b, data.d0, data.d, gamma=gamma))
     assert not entries["cubic equation"].passed

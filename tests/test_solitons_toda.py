@@ -110,14 +110,14 @@ def test_derivative_rows_reproduce_exponential_pattern():
     # row vector p times (exponential series right-multiplied by the m-th
     # power of its v-exponent), reconstructed independently here
     from solitonlab.series import SeriesAlgebra, TruncatedSeries, series_exp_linear
-    from solitonlab.solitons import cyclic_shift_matrix
-
     rng = Random(67)
     params = random_toda_params(rng, n=3, N=1, r=1, cap=7)
     data = toda_build_f(params)
     S = data.algebra
     mat_n = MatrixAlgebra(S, 3)
-    r_mat = mat_n.diagonal([data.a[i][0] for i in range(3)]) * cyclic_shift_matrix(S, 3)
+    # the cyclic shift sends e_i to e_{i+1 mod 3}
+    shift = mat_n.matrix([[1 if m == (i + 1) % 3 else 0 for i in range(3)] for m in range(3)])
+    r_mat = mat_n.diagonal([data.a[i][0] for i in range(3)]) * shift
     e_series = series_exp_linear(r_mat.inverse(), r_mat, 7, algebra=mat_n)
     for order in (1, 2):
         power = mat_n.one()
