@@ -55,8 +55,8 @@ class Algebra:
     """Descriptor of a unital associative algebra; elements are plain values.
 
     Each algebra defines ``zero`` and ``one``; ``coerce``, which brings a
-    value in or raises AlgebraMismatch; ``invert``; ``scalar_mul`` by a
-    central scalar of the ground field; ``magnitude``, a float size for
+    value in or raises AlgebraMismatch (a scalar of the ground field is
+    scaled by ``coerce(q) * a``); ``invert``; ``magnitude``, a float size for
     diagnostics; ``format_element``, its exact JSON encoding; and
     ``matrix_inverse`` of a square matrix of its elements."""
 
@@ -159,9 +159,6 @@ class _Field(Algebra):
         last = len(real) - w
         det = _bareiss(aug, last, w, self.modulus, forward=True)
         return self.join([[v] for v in aug[last][last:]], [den * det])[0]
-
-    def scalar_mul(self, q, a):
-        return self.coerce(q) * a
 
 
 class Rationals(_Field):
@@ -299,18 +296,10 @@ class MatrixAlgebra(Algebra):
                 return value
             raise AlgebraMismatch(f"matrix from {value.algebra!r}, not {self!r}")
         # scalars of the ground field embed as multiples of the identity
-        return self.scalar_mul(value, self.one())
+        return self.diagonal([value] * self.dim)
 
     def invert(self, a):
         return self.base.matrix_inverse(self.coerce(a))
-
-    def scalar_mul(self, q, a):
-        return SquareMatrix(
-            self,
-            tuple(
-                tuple(self.base.scalar_mul(q, x) for x in row) for row in a.rows
-            ),
-        )
 
     def magnitude(self, a):
         return max(self.base.magnitude(x) for row in a.rows for x in row)

@@ -51,7 +51,7 @@ from .residual import (
     check_toda_gamma,
 )
 from .scalars import GaussianRational, parse_gaussian, parse_rational
-from .series import D_T, D_U, D_V, constant_series_matrix
+from .series import D_T, D_U, D_V
 from .solitons import (
     LangmuirParams,
     NlsParams,
@@ -317,8 +317,8 @@ def _run_system(cfg) -> dict:
         dumps = {f"g[{k}]": g for k, g in enumerate(toda.gs)}
         if cfg["with_lemmas"]:
             checks.append(check_toda_gamma(toda.cells, D_U, D_V))
-            gammas, a_mats = toda_shift_data(toda)
-            checks.append(check_marchenko(gammas, a_mats, D_U, D_V))
+            gammas, diags = toda_shift_data(toda)
+            checks.append(check_marchenko(gammas, diags, D_U, D_V))
             if system == "toda":
                 for k, (wp, cell) in enumerate(zip(toda.wronskians, toda.cells)):
                     note = bottom_row_conventions(wp, cell)
@@ -337,15 +337,7 @@ def _run_system(cfg) -> dict:
             gamma = {k: wp.W for k, wp in solution.wronskians.items()}
             last = data.sites[-1]  # the one data site past the solution's cells
             gamma[last] = wronski(data.f[last], D_T).W
-            mat_n = MatrixAlgebra(data.algebra, data.N)
-            a_const = constant_series_matrix(
-                mat_n.diagonal(data.a), 1, data.cap
-            )
-            checks.append(
-                check_marchenko_lattice(
-                    gamma, {k: a_const for k in data.sites}, D_T
-                )
-            )
+            checks.append(check_marchenko_lattice(gamma, data.a, D_T))
     else:  # nls
         data = solution.data
         checks.append(check_data("nls", data, solution.wronskian))

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, MatrixAlgebra, SquareMatrix
 from .errors import (
+    AlgebraMismatch,
     BNotInvolutive,
     HypothesisViolated,
     NonInvertibleSolution,
@@ -27,12 +28,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .quasidet import note_dicts, wronski
-from .series import (
-    Derivation,
-    TruncatedSeries,
-    constant_series_matrix,
-    through,
-)
+from .series import Derivation, TruncatedSeries, through
 
 __all__ = [
     "ResidualEntry",
@@ -204,48 +200,52 @@ def check_toda_gamma(gammas, d1: Derivation, d2: Derivation) -> ResidualReport:
     return report
 
 
-def _embed_constants(values, template: SquareMatrix):
-    salg = template.algebra.base
-    out = []
-    for v in values:
-        if isinstance(v, SquareMatrix) and v.algebra == template.algebra:
-            out.append(v)
-        elif isinstance(v, SquareMatrix):
-            out.append(constant_series_matrix(v, salg.arity, salg.cap))
-        else:
-            raise HypothesisViolated(f"cannot interpret constant {v!r}")
-    return out
+def _diagonal(entries, coeff: Algebra, n: int) -> list:
+    """One a-diagonal's N entries as constants of ``coeff``; HypothesisViolated
+    ``which="A"`` for another length, so no column goes unscaled, and
+    ``which="A-constant"`` for an entry that is not such a constant."""
+    entries = list(entries)
+    if len(entries) != n:
+        raise HypothesisViolated(f"need {n} diagonal entries, got {len(entries)}", which="A")
+    try:
+        return [coeff.coerce(x) for x in entries]
+    except AlgebraMismatch as exc:
+        raise HypothesisViolated(f"not a constant: {exc}", which="A-constant") from exc
+
+
+def _times_diagonal(w: SquareMatrix, diag) -> SquareMatrix:
+    """W diag(a) for a matrix W of series: each w_ij scaled on the right by a_j."""
+    return SquareMatrix(w.algebra, [[s.scale_right(c) for s, c in zip(row, diag)]
+                                    for row in w.rows])
 
 
 def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
     """Cyclic-shift logarithmic-derivative identity.
 
-    Hypotheses (validated first, violations raise): the a-diagonals are
-    constant, d1(d2 w_k) = w_k, and d2 w_k = w_{k+1} * A_k.  Then with
-    c_k = (d2 w_k) w_k^-1 the report checks
+    ``a[k]`` is the a-diagonal A_k of site k: a sequence of N constants of
+    the series' coefficient algebra, so it is constant by type.  Hypotheses
+    (validated first, violations raise): d1(d2 w_k) = w_k, and
+    d2 w_k = w_{k+1} * A_k.  Then with c_k = (d2 w_k) w_k^-1 the report
+    checks
 
         d1((d2 c_k) c_k^-1) - c_k c_{k-1}^-1 + c_{k+1} c_k^-1 = 0.
     """
     ws = list(gamma)
     n = len(ws)
     alg = ws[0].algebra
-    a_mats = _embed_constants(a, ws[0])
-    if len(a_mats) != n:
-        raise HypothesisViolated("need one constant diagonal per site", which="A")
+    if len(a) != n:
+        raise HypothesisViolated("need one a-diagonal per site", which="A")
+    diags = [_diagonal(x, alg.base.coeff, alg.dim) for x in a]
     dws = []
     for k in range(n):
-        for d_i, name in ((d1, "d1"), (d2, "d2")):
-            if not alg.is_zero(a_mats[k].derive(d_i)):
-                raise HypothesisViolated(
-                    f"A[{k}] is not constant under {name}", which="A-constant"
-                )
         dw = ws[k].derive(d2)
         dws.append(dw)
         if not alg.is_zero(dw.derive(d1) - ws[k]):
             raise HypothesisViolated(
                 f"d1 d2 w[{k}] != w[{k}]", which="mixed-derivative-identity"
             )
-        if not alg.is_zero(dw - through(ws[(k + 1) % n], _top(dw)) * a_mats[k]):
+        shifted = _times_diagonal(through(ws[(k + 1) % n], _top(dw)), diags[k])
+        if not alg.is_zero(dw - shifted):
             raise HypothesisViolated(
                 f"d2 w[{k}] != w[{k + 1}] A[{k}]", which="shift-linear-relation"
             )
@@ -257,23 +257,22 @@ def check_marchenko(gamma, a, d1: Derivation, d2: Derivation) -> ResidualReport:
     return report
 
 
-def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualReport:
+def check_marchenko_lattice(gamma: dict, a, d: Derivation) -> ResidualReport:
     """Single-derivation shift form on an integer window.
 
-    Hypotheses: constant a-diagonals, d G_k = G_{k+2}, and
-    d G_k + G_k = G_{k+1} * A_k (validated wherever the window allows).
-    Main check: U_k = c_k c_{k-1}^-1 satisfies the lattice equation
-    d U_k = U_{k+1} U_k - U_k U_{k-1}; diagnostics cover the
-    increment-product, increment-shift, and additive-quotient identities.
+    ``a`` is the one a-diagonal A of every site: a sequence of N constants
+    of the series' coefficient algebra, so it is constant by type.
+    Hypotheses: d G_k = G_{k+2}, and d G_k + G_k = G_{k+1} * A (validated
+    wherever the window allows).  Main check: U_k = c_k c_{k-1}^-1
+    satisfies the lattice equation d U_k = U_{k+1} U_k - U_k U_{k-1};
+    diagnostics cover the increment-product, increment-shift, and
+    additive-quotient identities.
     """
     sites = sorted(gamma)
-    template = gamma[sites[0]]
-    alg = template.algebra
-    a_mats = dict(zip(sites, _embed_constants([a[k] for k in sites], template)))
+    alg = gamma[sites[0]].algebra
+    diag = _diagonal(a, alg.base.coeff, alg.dim)
     dws = {}
     for k in sites:
-        if not alg.is_zero(a_mats[k].derive(d)):
-            raise HypothesisViolated(f"A[{k}] is not constant", which="A-constant")
         dws[k] = dw = gamma[k].derive(d)
         if k + 2 in gamma:
             if not alg.is_zero(dw - gamma[k + 2]):
@@ -281,10 +280,10 @@ def check_marchenko_lattice(gamma: dict, a: dict, d: Derivation) -> ResidualRepo
                     f"d G[{k}] != G[{k + 2}]", which="double-shift-relation"
                 )
         if k + 1 in gamma:
-            res = dw + gamma[k] - through(gamma[k + 1], _top(dw)) * a_mats[k]
+            res = dw + gamma[k] - _times_diagonal(through(gamma[k + 1], _top(dw)), diag)
             if not alg.is_zero(res):
                 raise HypothesisViolated(
-                    f"d G[{k}] + G[{k}] != G[{k + 1}] A[{k}]",
+                    f"d G[{k}] + G[{k}] != G[{k + 1}] A",
                     which="shift-affine-relation",
                 )
     main_sites = [k for k in sites if all(k + m in gamma for m in (-2, -1, 1))]
@@ -359,8 +358,8 @@ def _grading(S: Algebra, b):
     b = S.coerce(b)
     if b * b != S.one():
         raise BNotInvolutive("b*b must equal 1 exactly")
-    half = Fraction(1, 2)
-    return b, S.scalar_mul(half, S.one() + b), S.scalar_mul(half, S.one() - b)
+    half = S.coerce(Fraction(1, 2))
+    return b, half * (S.one() + b), half * (S.one() - b)
 
 
 def _graded_blocks(U, q1, q2):

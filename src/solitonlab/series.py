@@ -70,7 +70,6 @@ __all__ = [
     "series_exp_row",
     "series_inverse",
     "series_equal",
-    "constant_series_matrix",
     "through",
 ]
 
@@ -225,9 +224,6 @@ class SeriesAlgebra(Algebra):
 
     def is_zero(self, a):
         return a.is_zero()
-
-    def scalar_mul(self, q, a):
-        return a.scale_left(q)
 
     def magnitude(self, a):
         field = self.field
@@ -899,11 +895,4 @@ def through(x, order: int):
     if isinstance(x, TruncatedSeries):
         return x if x.valid_order <= order else x.with_valid_order(order)
     return SquareMatrix(x.algebra, [[through(s, order) for s in row] for row in x.rows])
-
-
-def constant_series_matrix(m: SquareMatrix, arity: int, cap: int) -> SquareMatrix:
-    """Embed a constant matrix as a matrix of constant series."""
-    salg = SeriesAlgebra(m.algebra.base, arity, cap)
-    rows = [[salg.constant(x) for x in row] for row in m.rows]
-    return SquareMatrix(MatrixAlgebra(salg, m.dim), rows)
 

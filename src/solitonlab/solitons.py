@@ -300,20 +300,13 @@ def toda_solution(params: TodaParams, data: TodaData = None) -> TodaSolution:
 
 def toda_shift_data(solution: TodaSolution):
     """Package (Gamma, A) for the cyclic-shift checker: Gamma[k] is the k-th
-    Wronski matrix and A[k] the diagonal of a-coefficients at site k+1.
+    Wronski matrix and A[k] the a-diagonal of site k+1, its N constants.
 
     The site shift on A makes d2 Gamma[k] = Gamma[k+1] * A[k] hold literally.
     """
     data = solution.data
-    salg = solution.wronskians[0].W.algebra.base
-    gammas = [wp.W for wp in solution.wronskians]
-    a_mats = []
-    for k in range(data.n):
-        diag = [
-            salg.constant(data.a[(k + 1) % data.n][j]) for j in range(data.N)
-        ]
-        a_mats.append(MatrixAlgebra(salg, data.N).diagonal(diag))
-    return gammas, a_mats
+    n = data.n
+    return [wp.W for wp in solution.wronskians], [data.a[(k + 1) % n] for k in range(n)]
 
 
 def random_toda_params(rng, n: int, N: int, r: int = 1, cap: int = None,
@@ -413,7 +406,7 @@ def _sine_gordon_single_mode_closed_form(S, p, q, a, g, i):
     """The closed form at site i, through the order of g, compared with it."""
     a_inv = S.invert(a)
     h = through(series_exp_linear(
-        S.scalar_mul(-2, a_inv), S.scalar_mul(-2, a), g.algebra.cap, algebra=S
+        S.coerce(-2) * a_inv, S.coerce(-2) * a, g.algebra.cap, algebra=S
     ), g.valid_order)
     qh = h.scale_left(q)
     signed = qh if i % 2 == 0 else -qh
@@ -740,7 +733,7 @@ def nls_build_f(params: NlsParams) -> NlsData:
         a_j = a[j]
         S.invert(a_j)
         a_sq = a_j * a_j
-        cu = S.scalar_mul(GaussianRational(0, 1), a_sq) if params.mode == "nls" else a_sq
+        cu = S.coerce(GaussianRational(0, 1)) * a_sq if params.mode == "nls" else a_sq
         plus = series_exp_linear(cu, a_j, params.cap, algebra=S)
         minus = series_exp_linear(-cu, -a_j, params.cap, algebra=S)
         fs.append(

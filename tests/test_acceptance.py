@@ -34,7 +34,7 @@ from solitonlab.residual import (
     check_toda,
 )
 from solitonlab.scalars import GaussianRational
-from solitonlab.series import D_T, D_U, D_V, constant_series_matrix
+from solitonlab.series import D_T, D_U, D_V
 from solitonlab.solitons import (
     langmuir_build_f,
     langmuir_solution,
@@ -152,8 +152,8 @@ def test_criterion_4_shift_identity_on_constructed_data():
                 sol = toda_solution(
                     random_toda_params(rng, n=n, N=n_modes, r=1, cap=8)
                 )
-                gammas, a_mats = toda_shift_data(sol)
-                report = check_marchenko(gammas, a_mats, D_U, D_V)
+                gammas, diags = toda_shift_data(sol)
+                report = check_marchenko(gammas, diags, D_U, D_V)
                 assert report.passed, f"n={n}, N={n_modes}"
                 for entry in report.entries:
                     assert entry.exact_zero
@@ -215,11 +215,7 @@ def test_criterion_7_lattice_window_and_identities():
             data = langmuir_build_f(params)
             assert check_data("langmuir", data).passed
             gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
-            mat_n = MatrixAlgebra(data.algebra, data.N)
-            a_const = constant_series_matrix(mat_n.diagonal(data.a), 1, data.cap)
-            lemma = check_marchenko_lattice(
-                gamma, {k: a_const for k in data.sites}, D_T
-            )
+            lemma = check_marchenko_lattice(gamma, data.a, D_T)
             assert lemma.passed
             kinds = {e.label.split(" site")[0] for e in lemma.entries}
             assert kinds == {

@@ -14,7 +14,7 @@ from solitonlab.algebra import (
     random_invertible,
 )
 from solitonlab.errors import AlgebraMismatch, SingularMatrix
-from solitonlab.scalars import PRIME, Residue
+from solitonlab.scalars import PRIME, GaussianRational, Residue
 
 M2 = MatrixAlgebra(QQ, 2)
 M3 = MatrixAlgebra(QQ, 3)
@@ -114,10 +114,23 @@ def test_gf_p_inverse(rng):
     assert m * m.inverse() == alg.one()
 
 
-def test_scalar_embedding_and_scalar_mul():
+def test_scalar_embedding():
     m = M2.coerce(Fraction(3, 2))
     assert m == M2.matrix([[Fraction(3, 2), 0], [0, Fraction(3, 2)]])
-    assert M2.scalar_mul(2, M2.one()) == M2.matrix([[2, 0], [0, 2]])
+    assert M2.coerce(2) * M2.one() == M2.matrix([[2, 0], [0, 2]])
+    # a scalar of the ground field is the diagonal of its copies, over every
+    # field and on a tower, where each copy is itself such a diagonal
+    tower = MatrixAlgebra(MatrixAlgebra(QQ, 2), 3)
+    for alg in (M3, MatrixAlgebra(QQI, 2), MatrixAlgebra(GFP, 2), tower):
+        for q in (Fraction(-5, 3), 2, 0):
+            want = alg.diagonal([q] * alg.dim)
+            assert alg.coerce(q) == want
+            assert alg.coerce(q) * alg.one() == want
+    inner = tower.base.diagonal([Fraction(7, 4)] * 2)
+    assert tower.coerce(Fraction(7, 4)) == tower.diagonal([inner] * 3)
+    i = GaussianRational(0, 1)
+    assert MatrixAlgebra(QQI, 2).coerce(i).rows == ((i, 0), (0, i))
+    assert MatrixAlgebra(GFP, 2).coerce(-1).entry(1, 1) == Residue(PRIME - 1)
 
 
 def test_immutability():

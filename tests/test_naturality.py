@@ -26,6 +26,18 @@ missing from a dump read as 0.
   Mat(2, QQ), so each diagonal block of every series of the r = 4 run is
   the series of the r = 2 run on that block's parameters, and the
   off-diagonal blocks stay 0.
+- *Quaternions*: on 2 x 2 gaussian-rational parameters [[z, w], [-w*, z*]]
+  (* the conjugate), a noncommutative division algebra over QQ inside
+  Mat(2, QQ(i)), every coefficient of every series is a quaternion, and the
+  run commutes with realification.
+- *Exterior algebra*: on the left-regular 4 x 4 rational matrices of
+  Lambda(Q^2), [[a, 0, 0, 0], [b, a, 0, 0], [c, 0, a, 0], [d, -c, b, a]], a
+  local algebra whose non-units are nilpotent, every coefficient lies in
+  Lambda(Q^2), and the scalar part a, a homomorphism onto QQ, of every
+  coefficient is the series of the r = 1 run on the scalar parts.
+
+Closure in a subalgebra is asserted by one helper, ``_assert_in_subalgebra``,
+on the pattern of the subalgebra's matrices.
 """
 
 import json
@@ -36,7 +48,7 @@ from pathlib import Path
 import pytest
 
 from solitonlab import cli
-from solitonlab.scalars import parse_gaussian
+from solitonlab.scalars import format_gaussian, parse_gaussian
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -115,6 +127,10 @@ def _realified(cfg):
     return dict(cfg, r=2 * r, scalar="rational", params=params)
 
 
+def _fractions(c):
+    return [[Fraction(x) for x in row] for row in c]
+
+
 def _series(report, read, zero):
     """Per series name, a reader of its coefficient at an exponent."""
     out = {}
@@ -134,14 +150,36 @@ def _assert_same_series(left, right, read_left, read_right, zero):
             assert get_l[name](e) == get_r[name](e), (name, e)
 
 
+def _assert_in_subalgebra(run, pattern, read):
+    """Every dumped coefficient of ``run`` (read by ``read``) has the shape of
+    ``pattern``: each entry is "0", or a name, "-name", "name*" (its
+    conjugate) or "-name*", and one name stands for one value wherever it
+    appears.  Returns the number of coefficients checked."""
+    checked = 0
+    for name, terms in run["series"].items():
+        for t in terms:
+            c, values = read(t["coefficient"]), {}
+            assert len(c) == len(pattern) and all(len(row) == len(c) for row in c)
+            for pats, row in zip(pattern, c):
+                for pat, x in zip(pats, row):
+                    if pat == "0":
+                        assert not x, (name, t["exponents"])
+                        continue
+                    if pat.startswith("-"):
+                        pat, x = pat[1:], -x
+                    if pat.endswith("*"):
+                        pat, x = pat[:-1], x.conjugate()
+                    assert values.setdefault(pat, x) == x, (name, t["exponents"])
+            checked += 1
+    return checked
+
+
 def _entries(report):
     return {(check["equation"], entry["label"]): (entry["passed"], entry["valid_order"])
             for check in report["checks"] for entry in check["entries"]}
 
 
-@pytest.mark.parametrize("case", REALIFIED)
-def test_realification_commutes(case, tmp_path):
-    cfg = dict(REALIFIED[case], scalar="gaussian-rational")
+def _assert_realification_commutes(cfg, tmp_path):
     r = cfg.get("r", 1)
     complex_run = _run(cfg, tmp_path, "complex")
     real_run = _run(_realified(cfg), tmp_path, "real")
@@ -160,6 +198,13 @@ def test_realification_commutes(case, tmp_path):
     assert {k: left[k] for k in left.keys() & right.keys()} == \
         {k: right[k] for k in left.keys() & right.keys()}
     assert complex_run["passed"] and real_run["passed"]
+    return complex_run
+
+
+@pytest.mark.parametrize("case", REALIFIED)
+def test_realification_commutes(case, tmp_path):
+    _assert_realification_commutes(dict(REALIFIED[case], scalar="gaussian-rational"),
+                                   tmp_path)
 
 
 @pytest.mark.parametrize("name", INCLUDED)
@@ -192,8 +237,8 @@ def test_upper_triangular_projection_commutes(case, tmp_path):
                      _run(dict(cfg, params=bottom), tmp_path, "bottom")]
     assert block_run["passed"] and all(run["passed"] for run in diagonal_runs)
     zero = Fraction(0)
-    entries, _ = _series(block_run, lambda c: [[Fraction(x) for x in row] for row in c],
-                         [[zero] * 2 for _ in range(2)])
+    assert _assert_in_subalgebra(block_run, [["x", "y"], ["0", "z"]], _fractions)
+    entries, _ = _series(block_run, _fractions, [[zero] * 2 for _ in range(2)])
     for k, run in enumerate(diagonal_runs):
         series, exponents = _series(run, Fraction, zero)
         assert sorted(series) == sorted(entries)
@@ -201,7 +246,6 @@ def test_upper_triangular_projection_commutes(case, tmp_path):
             for e in exponents[name] | {tuple(t["exponents"])
                                         for t in block_run["series"][name]}:
                 assert entries[name](e)[k][k] == get(e), (name, e, k)
-                assert entries[name](e)[1][0] == zero, (name, e)
 
 
 def _block_diagonal(x, y, depth):
@@ -211,10 +255,6 @@ def _block_diagonal(x, y, depth):
         return [_block_diagonal(a, b, depth - 1) for a, b in zip(x, y)]
     zeros = ["0", "0"]
     return [row + zeros for row in x] + [zeros + row for row in y]
-
-
-def _fractions(c):
-    return [[Fraction(x) for x in row] for row in c]
 
 
 @pytest.mark.parametrize("case", TRIANGULAR)
@@ -244,3 +284,65 @@ def test_block_diagonal_projection_commutes(case, tmp_path):
                     (name, e, k)
                 assert all(c[i][j] == zero for i in range(4) for j in range(4)
                            if i // 2 != j // 2), (name, e)
+
+
+# the w of each quaternion [[z, w], [-w*, z*]], drawn in turn; z is the
+# entry of the REALIFIED config
+QUATERNION_W = ["1/2-1*i", "2", "-1/3*i", "3/4+2/3*i", "-2+1/2*i", "5/3"]
+
+
+def _quaternions(node, ws):
+    """The arrays of quaternions [[z, w], [-w*, z*]] with z from ``node`` and
+    w drawn in turn from the iterator ``ws``."""
+    if isinstance(node, list):
+        return [_quaternions(x, ws) for x in node]
+    z, w = parse_gaussian(node), parse_gaussian(next(ws))
+    return [[format_gaussian(z), format_gaussian(w)],
+            [format_gaussian(-w.conjugate()), format_gaussian(z.conjugate())]]
+
+
+@pytest.mark.parametrize("case", TRIANGULAR)
+def test_quaternion_parameters_give_quaternion_series(case, tmp_path):
+    cfg = REALIFIED[case]
+    ws = iter(QUATERNION_W * 4)
+    params = {name: _quaternions(value, ws) for name, value in cfg["params"].items()}
+    run = _assert_realification_commutes(
+        dict(cfg, r=2, scalar="gaussian-rational", params=params), tmp_path)
+
+    def read(c):
+        return [[parse_gaussian(x) for x in row] for row in c]
+
+    assert _assert_in_subalgebra(run, [["z", "w"], ["-w*", "z*"]], read)
+
+
+def _exterior(node, parts):
+    """The arrays of left-regular matrices of a + b e1 + c e2 + d e1 e2 in
+    Lambda(Q^2) with a from ``node`` and b, c, d drawn in turn from the
+    iterator ``parts``."""
+    if isinstance(node, list):
+        return [_exterior(x, parts) for x in node]
+    b, c, d = (next(parts) for _ in range(3))
+    minus_c = str(-Fraction(c))
+    return [[node, "0", "0", "0"], [b, node, "0", "0"],
+            [c, "0", node, "0"], [d, minus_c, b, node]]
+
+
+@pytest.mark.parametrize("case", TRIANGULAR)
+def test_exterior_algebra_parameters_stay_in_it(case, tmp_path):
+    cfg, _ = TRIANGULAR[case]
+    parts = iter(OFF_DIAGONAL * 8)
+    params = {name: _exterior(value, parts) for name, value in cfg["params"].items()}
+    exterior_run = _run(dict(cfg, r=4, params=params), tmp_path, "exterior")
+    scalar_run = _run(cfg, tmp_path, "scalar")
+    assert exterior_run["passed"] and scalar_run["passed"]
+    pattern = [["a", "0", "0", "0"], ["b", "a", "0", "0"],
+               ["c", "0", "a", "0"], ["d", "-c", "b", "a"]]
+    assert _assert_in_subalgebra(exterior_run, pattern, _fractions)
+    zero = Fraction(0)
+    entries, exterior_exponents = _series(exterior_run, _fractions,
+                                          [[zero] * 4 for _ in range(4)])
+    series, exponents = _series(scalar_run, Fraction, zero)
+    assert sorted(series) == sorted(entries)
+    for name, get in series.items():
+        for e in exponents[name] | exterior_exponents[name]:
+            assert entries[name](e)[0][0] == get(e), (name, e)

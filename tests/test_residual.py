@@ -21,24 +21,28 @@ from solitonlab.residual import (
     check_toda,
     check_toda_gamma,
 )
-from solitonlab.series import (
-    D_T,
-    D_U,
-    D_V,
-    SeriesAlgebra,
-    constant_series_matrix,
-)
+from solitonlab.quasidet import wronski
+from solitonlab.series import D_T, D_U, D_V, SeriesAlgebra
 from solitonlab.solitons import (
     langmuir_build_f,
     langmuir_solution,
     nls_solution,
     random_langmuir_params,
     random_nls_params,
+    random_sine_gordon_params,
     random_toda_params,
+    sine_gordon_solution,
     toda_build_f,
     toda_shift_data,
     toda_solution,
 )
+
+
+def constant_matrix(mat, arity, cap):
+    """A constant matrix as a matrix of constant series."""
+    salg = SeriesAlgebra(mat.algebra.base, arity, cap)
+    rows = [[salg.constant(x) for x in row] for row in mat.rows]
+    return SquareMatrix(MatrixAlgebra(salg, mat.dim), rows)
 
 
 def test_constant_solution_passes_toda():
@@ -98,7 +102,7 @@ def test_single_coefficient_corruption_fails_toda_gamma():
 
 def test_constant_gammas_pass_matrix_level():
     mat = MatrixAlgebra(QQ, 2).matrix([[1, 2], [3, 5]])
-    m = constant_series_matrix(mat, 2, 5)
+    m = constant_matrix(mat, 2, 5)
     report = check_toda_gamma([m, m], D_U, D_V)
     assert report.passed
 
@@ -106,36 +110,29 @@ def test_constant_gammas_pass_matrix_level():
 def test_marchenko_hypothesis_violation_detected():
     rng = Random(113)
     sol = toda_solution(random_toda_params(rng, n=2, N=1, r=1, cap=6))
-    gammas, a_mats = toda_shift_data(sol)
-    # inject u-dependence into one a-diagonal
-    bad_entry = with_coeff(a_mats[0].entry(0, 0), (1, 0), Fraction(1))
-    rows = [list(r) for r in a_mats[0].rows]
-    rows[0][0] = bad_entry
-    a_bad = SquareMatrix(a_mats[0].algebra, rows)
+    gammas, diags = toda_shift_data(sol)
+    # a u-dependent series in place of one a-diagonal's constant
+    salg = gammas[0].algebra.base
+    bad_entry = with_coeff(salg.constant(diags[0][0]), (1, 0), Fraction(1))
     with pytest.raises(HypothesisViolated) as exc:
-        check_marchenko(gammas, [a_bad] + a_mats[1:], D_U, D_V)
+        check_marchenko(gammas, [[bad_entry]] + diags[1:], D_U, D_V)
     assert exc.value.which == "A-constant"
 
 
 def test_marchenko_period_one_telescopes():
     rng = Random(127)
     sol = toda_solution(random_toda_params(rng, n=1, N=1, r=1, cap=6))
-    gammas, a_mats = toda_shift_data(sol)
-    report = check_marchenko(gammas, a_mats, D_U, D_V)
+    gammas, diags = toda_shift_data(sol)
+    report = check_marchenko(gammas, diags, D_U, D_V)
     assert report.passed
 
 
 def test_lattice_checker_detects_corruption():
-    from solitonlab.quasidet import wronski
-
     rng = Random(131)
     params = random_langmuir_params(rng, N=1, r=1, cap=8, window=3)
     data = langmuir_build_f(params)
     gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
-    mat_n = MatrixAlgebra(data.algebra, data.N)
-    a_const = constant_series_matrix(mat_n.diagonal(data.a), 1, data.cap)
-    a_map = {k: a_const for k in data.sites}
-    assert check_marchenko_lattice(gamma, a_map, D_T).passed
+    assert check_marchenko_lattice(gamma, data.a, D_T).passed
 
     k0 = data.sites[0]
     corrupted = with_coeff(gamma[k0].entry(0, 0), (2,), Fraction(9))
@@ -144,14 +141,74 @@ def test_lattice_checker_detects_corruption():
         gamma[k0].algebra, ((corrupted,),)
     )
     with pytest.raises(HypothesisViolated):
-        check_marchenko_lattice(gamma_bad, a_map, D_T)
+        check_marchenko_lattice(gamma_bad, data.a, D_T)
 
 
 def test_lattice_checker_window_too_small():
-    salg = SeriesAlgebra(QQ, 1, 5)
-    m = constant_series_matrix(MatrixAlgebra(QQ, 1).one(), 1, 5)
+    m = constant_matrix(MatrixAlgebra(QQ, 1).one(), 1, 5)
     with pytest.raises(WindowTooSmall):
-        check_marchenko_lattice({0: m, 1: m}, {0: m, 1: m}, D_T)
+        check_marchenko_lattice({0: m, 1: m}, [1], D_T)
+
+
+def _toda_lemma(sol):
+    """(check, A, salg, relation): the cyclic-shift checker on a Toda
+    solution, called with site 0's a-diagonal replaced by its argument."""
+    gammas, diags = toda_shift_data(sol)
+    return (lambda a: check_marchenko(gammas, [a] + diags[1:], D_U, D_V),
+            list(diags[0]), gammas[0].algebra.base, "shift-linear-relation")
+
+
+def _langmuir_lemma(N, r, seed):
+    """(check, A, salg, relation): the lattice checker on Langmuir data,
+    called with the window's one a-diagonal replaced by its argument."""
+    params = random_langmuir_params(Random(seed), N=N, r=r, cap=6, window=4)
+    data = langmuir_build_f(params)
+    gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
+    return (lambda a: check_marchenko_lattice(gamma, a, D_T),
+            list(data.a), gamma[data.sites[0]].algebra.base, "shift-affine-relation")
+
+
+LEMMA_CASES = {
+    "toda-n3-N2": lambda: _toda_lemma(
+        toda_solution(random_toda_params(Random(211), n=3, N=2, cap=6))),
+    "sine-gordon-N2-r2": lambda: _toda_lemma(
+        sine_gordon_solution(random_sine_gordon_params(Random(223), N=2, r=2, cap=6)).toda),
+    "langmuir-N2-r1": lambda: _langmuir_lemma(2, 1, 227),
+    "langmuir-N2-r2": lambda: _langmuir_lemma(2, 2, 229),
+}
+
+
+def _violation(check, a):
+    with pytest.raises(HypothesisViolated) as exc:
+        check(a)
+    return exc.value.which
+
+
+@pytest.mark.parametrize("case", LEMMA_CASES)
+def test_lemma_checkers_take_each_a_diagonal_as_n_constants(case):
+    check, a, salg, relation = LEMMA_CASES[case]()
+    assert len(a) == 2 and a[0] != a[1]
+    assert check(a).passed
+    one = salg.coeff.one()
+    # a wrong constant, or the right ones in the wrong columns, breaks the
+    # shift relation
+    assert _violation(check, [a[0] + one, a[1]]) == relation
+    assert _violation(check, [a[0], a[1] + one]) == relation
+    assert _violation(check, [a[1], a[0]]) == relation
+    # every column is scaled, by exactly one constant
+    assert _violation(check, a[:1]) == "A"
+    assert _violation(check, a + [one]) == "A"
+    # a series is not a constant, even a constant series
+    x = (1,) * salg.arity
+    assert _violation(check, [salg.constant(a[0]) + salg.monomial(x), a[1]]) == "A-constant"
+    assert _violation(check, [a[0], salg.constant(a[1])]) == "A-constant"
+
+
+def test_cyclic_shift_checker_takes_one_a_diagonal_per_site():
+    gammas, diags = toda_shift_data(
+        toda_solution(random_toda_params(Random(211), n=3, N=2, cap=6)))
+    for wrong in (diags[:-1], diags + diags[:1]):
+        assert _violation(lambda a: check_marchenko(gammas, a, D_U, D_V), wrong) == "A"
 
 
 def test_langmuir_constant_one():

@@ -113,7 +113,7 @@ def test_exp_linear_coefficient_table():
             expected = expected * cu
         for _ in range(n):
             expected = expected * cv
-        expected = M2.scalar_mul(Fraction(1, factorial(m) * factorial(n)), expected)
+        expected = M2.coerce(Fraction(1, factorial(m) * factorial(n))) * expected
         assert e.coeff((m, n)) == expected
 
 

@@ -178,7 +178,7 @@ def test_nested_constants_reach_the_kernel(rows, kernel_calls):
     inner = MatrixAlgebra(QQ, 2)
     alg = MatrixAlgebra(inner, 2)
     one = inner.one()
-    c = SquareMatrix(alg, [[inner.scalar_mul(x, one) for x in row] for row in rows])
+    c = SquareMatrix(alg, [[inner.coerce(x) * one for x in row] for row in rows])
     s = _series(SeriesAlgebra(alg, 2, 4), Random(7), 4)
     for left in (True, False):
         kernel_calls()
@@ -237,7 +237,7 @@ def test_nested_drawn_constants_scale_in_one_pass(vo, kernel_calls):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-def test_scalar_mul_scales_in_one_pass(field, kernel_calls):
+def test_scale_left_by_a_scalar_scales_in_one_pass(field, kernel_calls):
     fld = FIELDS[field]
     q = fld.coerce(Fraction(-5, 3))
     for coeff in (fld, MatrixAlgebra(fld, 2)):
@@ -245,7 +245,7 @@ def test_scalar_mul_scales_in_one_pass(field, kernel_calls):
         s = _series(salg, Random(f"scalar-mul-{field}"))
         ref = _reference(s, coeff.coerce(q), True)
         kernel_calls()
-        out = salg.scalar_mul(q, s)
+        out = s.scale_left(q)
         assert kernel_calls() == (0, 1)
         _assert_same(out, ref)
 

@@ -87,7 +87,7 @@ def _produced(salg):
         "negation": -b,
         "scale_left": b.scale_left(c),
         "scale_right": b.scale_right(c),
-        "scalar_mul": salg.scalar_mul(Fraction(1, 3), b),
+        "scale_left-scalar": b.scale_left(Fraction(1, 3)),
         "derive": series_derive(b, d),
         "derive-full": a.derive(d),
         "product": a * b,

@@ -5,12 +5,12 @@ from random import Random
 import pytest
 
 from solitonlab import cli, residual, solitons
-from solitonlab.algebra import QQ, QQI, MatrixAlgebra
+from solitonlab.algebra import QQ, QQI
 from solitonlab.errors import SingularMatrix, WindowTooSmall
 from solitonlab.quasidet import ConventionNote
 from solitonlab.residual import _interior, check_data, check_langmuir, check_marchenko_lattice
 from solitonlab.scalars import GaussianRational
-from solitonlab.series import D_T, Derivation, SeriesAlgebra, constant_series_matrix
+from solitonlab.series import D_T, Derivation, SeriesAlgebra
 from solitonlab.solitons import (
     LangmuirParams,
     langmuir_build_f,
@@ -152,9 +152,7 @@ def test_lattice_lemma_identities_on_constructed_data():
     params = random_langmuir_params(rng, N=2, r=1, cap=9, window=3)
     data = langmuir_build_f(params)
     gamma = {k: wronski(data.f[k], D_T).W for k in data.sites}
-    mat_n = MatrixAlgebra(data.algebra, data.N)
-    a_const = constant_series_matrix(mat_n.diagonal(data.a), 1, data.cap)
-    report = check_marchenko_lattice(gamma, {k: a_const for k in data.sites}, D_T)
+    report = check_marchenko_lattice(gamma, data.a, D_T)
     assert report.passed
     kinds = {e.label.split(" site")[0] for e in report.entries}
     assert kinds == {

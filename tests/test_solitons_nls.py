@@ -52,7 +52,7 @@ def test_grading_needs_two_blocks(r):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_scalar_grading_rejected(sign):
     params = NlsParams(
-        N=1, r=2, cap=6, b=M2I.scalar_mul(sign, M2I.one()),
+        N=1, r=2, cap=6, b=M2I.coerce(sign) * M2I.one(),
         c=[M2I.one()], d=[M2I.one()], a=[M2I.one()],
     )
     with pytest.raises(ValueError):

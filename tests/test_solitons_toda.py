@@ -94,8 +94,8 @@ def test_gamma_level_residual_zero():
 def test_shift_data_satisfies_hypotheses():
     rng = Random(29)
     sol = toda_solution(random_toda_params(rng, n=3, N=1, r=1, cap=6))
-    gammas, a_mats = toda_shift_data(sol)
-    report = check_marchenko(gammas, a_mats, D_U, D_V)
+    gammas, diags = toda_shift_data(sol)
+    report = check_marchenko(gammas, diags, D_U, D_V)
     assert report.passed
 
 
