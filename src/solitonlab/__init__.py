@@ -67,7 +67,6 @@ from .series import (
     SeriesAlgebra,
     TruncatedSeries,
     series_derive,
-    series_equal,
     series_exp_linear,
     series_inverse,
 )

@@ -120,6 +120,11 @@ class _Field(Algebra):
             return self.kind(value)
         raise AlgebraMismatch(f"cannot coerce {value!r} into {self.label}")
 
+    def invert(self, a):
+        if not a:
+            raise SingularMatrix(f"division by zero in {self.label}")
+        return self.one() / a
+
     def format_element(self, a):
         return str(a)
 
@@ -167,11 +172,6 @@ class Rationals(_Field):
     label = "rationals"
     name = "QQ"
 
-    def invert(self, a):
-        if a == 0:
-            raise SingularMatrix("division by zero rational")
-        return 1 / a
-
     def magnitude(self, a):
         return abs(float(a))
 
@@ -189,11 +189,6 @@ class GaussianRationals(_Field):
     accepts = (int, Fraction)
     label = "Gaussian rationals"
     name = "QQ_I"
-
-    def invert(self, a):
-        if not a:
-            raise SingularMatrix("division by zero Gaussian rational")
-        return a.reciprocal()
 
     def magnitude(self, a):
         return abs(a)
@@ -216,11 +211,6 @@ class PrimeField(_Field):
     accepts = (int, Fraction)
     label = f"GF({PRIME})"
     name = "GFP"
-
-    def invert(self, a):
-        if not a:
-            raise SingularMatrix("division by zero residue")
-        return Residue(pow(a.v, -1, PRIME))
 
     def magnitude(self, a):
         # the size of the symmetric residue, in (-PRIME/2, PRIME/2)

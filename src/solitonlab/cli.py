@@ -43,7 +43,6 @@ from .quasidet import (
 )
 from .residual import (
     check_data,
-    check_langmuir,
     check_marchenko,
     check_marchenko_lattice,
     check_nls,
@@ -331,7 +330,7 @@ def _run_system(cfg) -> dict:
     elif system == "langmuir":
         data = solution.data
         checks.append(check_data("langmuir", data))
-        checks.append(check_langmuir(solution, D_T))
+        checks.append(solution.report)
         dumps = {f"g[{k}]": g for k, g in solution.gs.items()}
         if cfg["with_lemmas"]:
             gamma = {k: wp.W for k, wp in solution.wronskians.items()}

@@ -145,9 +145,8 @@ def _toda_residuals(xs, d1: Derivation, d2: Derivation):
     ]
 
 
-def _langmuir_residual(xs, k, d: Derivation):
-    """d x_k - x_{k+1} x_k + x_k x_{k-1}."""
-    dx = xs[k].derive(d)
+def _langmuir_residual(xs, k, dx):
+    """d x_k - x_{k+1} x_k + x_k x_{k-1}, given dx = d x_k."""
     x = through(xs[k], _top(dx))
     return dx - xs[k + 1] * x + x * xs[k - 1]
 
@@ -293,7 +292,7 @@ def check_marchenko_lattice(gamma: dict, a, d: Derivation) -> ResidualReport:
     cs = {k: _invert_or_raise(gamma[k], k, dws[k]) for k in sites}
     us = {k: _invert_or_raise(cs[k - 1], k - 1, cs[k]) for k in sites if k - 1 in cs}
     for k in main_sites:
-        res = _langmuir_residual(us, k, d)
+        res = _langmuir_residual(us, k, us[k].derive(d))
         report.add(f"lattice-equation site {k}", res)
     one = alg.one()
     incs = {k: cs[k + 1] - cs[k] for k in sites if k + 1 in cs}
@@ -311,31 +310,21 @@ def check_marchenko_lattice(gamma: dict, a, d: Derivation) -> ResidualReport:
 
 
 def check_langmuir(gs, d: Derivation) -> ResidualReport:
-    """Lattice residual d g_k - g_{k+1} g_k + g_k g_{k-1} at interior sites.
-
-    ``gs`` is a dict of sites, or a solution from ``langmuir_solution``.
-    The residuals are formed here for a bare dict; a solution carries the
-    residuals ``langmuir_solution`` formed when it selected its reading
-    (``residuals``), and they are reused only while its ``gs`` is still the
-    dict, holding the same series, that they were formed from, and d is
-    the derivation they were formed with.
+    """Lattice residual d g_k - g_{k+1} g_k + g_k g_{k-1} at the interior
+    sites of the dict ``gs``.
 
     In a commutative coefficient algebra the equivalent product form
-    d g_k = g_k (g_{k+1} - g_{k-1}) is verified as well.
+    d g_k = g_k (g_{k+1} - g_{k-1}) is verified as well, from the same
+    derivative of g_k.
     """
-    formed = None
-    if not isinstance(gs, dict):  # a solution from langmuir_solution
-        formed, gs = gs.residuals, gs.gs
     interior = _interior(gs)
     sample = gs[interior[0]]
     report = ResidualReport("langmuir", exact=sample.algebra.is_exact)
     commutative = not isinstance(sample.algebra.coeff, MatrixAlgebra)
-    reuse = (formed is not None and formed[0] is gs and formed[1] == d
-             and len(formed[2]) == len(gs) and all(gs.get(k) is g for k, g in formed[2]))
     for k in interior:
-        report.add(f"site {k}", formed[3][k] if reuse else _langmuir_residual(gs, k, d))
+        dg = gs[k].derive(d)
+        report.add(f"site {k}", _langmuir_residual(gs, k, dg))
         if commutative:
-            dg = gs[k].derive(d)
             res2 = dg - through(gs[k], _top(dg)) * (gs[k + 1] - gs[k - 1])
             report.add(f"site {k} (commutative product form)", res2)
     if commutative:

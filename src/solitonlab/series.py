@@ -69,7 +69,6 @@ __all__ = [
     "series_exp_linear",
     "series_exp_row",
     "series_inverse",
-    "series_equal",
     "through",
 ]
 
@@ -423,21 +422,10 @@ class TruncatedSeries:
         return _reduced(self.algebra, nums, dens, vo)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_same(other)
-            return _product(self.algebra, ((self,),), ((other,),))[0][0]
-        try:
-            c = self.algebra.coeff.coerce(other)
-        except AlgebraMismatch:
+        if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.scale_right(c)
-
-    def __rmul__(self, other):
-        try:
-            c = self.algebra.coeff.coerce(other)
-        except AlgebraMismatch:
-            return NotImplemented
-        return self.scale_left(c)
+        self._check_same(other)
+        return _product(self.algebra, ((self,),), ((other,),))[0][0]
 
     def scale_left(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by ``c`` from the left, in one integer
@@ -476,9 +464,13 @@ class TruncatedSeries:
                                    valid_order)
 
     def __eq__(self, other):
+        """Exact agreement of every coefficient both sides trust."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return series_equal(self, other)
+        if self.algebra != other.algebra:
+            return False
+        vo = min(self.valid_order, other.valid_order)
+        return _stored_alike(self, other, _count_below(self.algebra.arity, vo))
 
     # series of different orders compare equal on their common prefix, so no
     # hash can agree with equality
@@ -876,14 +868,6 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """
     _trusted_order((s,), "invert")
     return s.algebra.one() / s
-
-
-def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Exact agreement of every coefficient both sides trust."""
-    if a.algebra != b.algebra:
-        return False
-    vo = min(a.valid_order, b.valid_order)
-    return _stored_alike(a, b, _count_below(a.algebra.arity, vo))
 
 
 def through(x, order: int):

@@ -47,6 +47,7 @@ from .residual import (
     _interior,
     _langmuir_residual,
     _pm_one_split,
+    check_langmuir,
 )
 from .scalars import GaussianRational
 from .series import (
@@ -553,11 +554,7 @@ class LangmuirSolution(Record):
     closed_forms: dict | None
     notes: list
     data: LangmuirData
-    # (gs, d, sites, residuals): the lattice residual of each interior site
-    # of gs, formed with d when the product form was selected, and the
-    # (site, series) pairs of gs then; ``check_langmuir`` reuses them only
-    # while gs is still this dict, holding those series, and d is its own
-    residuals: tuple | None = None
+    report: ResidualReport  # check_langmuir(gs, data.d), which selected gs
 
 
 def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
@@ -568,10 +565,9 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
     product eta_k * eta_{k-1}^-1 of bottom-left entries.  The classical pair
     of displays (a product over sites k, k-1 and an additive form over sites
     k+1, k) is evaluated; the reading that satisfies the lattice equation is
-    selected and recorded.  The lattice residuals of the product form are
-    formed here, once, and kept on the solution (``residuals``), so that
-    ``check_langmuir`` given the solution reports them without forming them
-    again.
+    selected and recorded.  The product form is selected exactly when the
+    lattice entries of ``check_langmuir``'s report on it pass, and that
+    report is kept on the solution (``report``).
     """
     if params.window < 3:
         raise ValueError("the site window needs at least 3 sites")
@@ -591,10 +587,11 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         gs[k] = quotient.entry(N - 1, N - 1)
         additive[k] = one + etas[k + 1] - etas[k]
     matched = []
-    residuals = {k: _langmuir_residual(gs, k, data.d) for k in _interior(gs)}
-    if all(res.is_zero() for res in residuals.values()):
+    report = check_langmuir(gs, data.d)
+    if all(e.passed for e in report.entries if not e.label.endswith("product form)")):
         matched.append("product-form-sites-k-k-1")
-    if all(_langmuir_residual(additive, k, data.d).is_zero() for k in _interior(additive)):
+    if all(_langmuir_residual(additive, k, additive[k].derive(data.d)).is_zero()
+           for k in _interior(additive)):
         matched.append("additive-form-sites-k+1-k")
     note = ConventionNote(
         topic="lattice-solution-site-indices",
@@ -613,8 +610,7 @@ def langmuir_solution(params: LangmuirParams, data: LangmuirData = None
         )
     return LangmuirSolution(
         gs=gs, etas=etas, cells=cells, wronskians=pairs,
-        closed_forms=closed_forms, notes=notes, data=data,
-        residuals=(gs, data.d, tuple(gs.items()), residuals),
+        closed_forms=closed_forms, notes=notes, data=data, report=report,
     )
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ from solitonlab.algebra import (
     QQI,
     MatrixAlgebra,
     SquareMatrix,
+    random_element,
     random_invertible,
 )
 from solitonlab.errors import AlgebraMismatch, SingularMatrix
@@ -112,6 +114,18 @@ def test_gf_p_inverse(rng):
     m = alg.matrix([[Residue(rng.randrange(PRIME)) for _ in range(3)]
                     for _ in range(3)])
     assert m * m.inverse() == alg.one()
+
+
+@pytest.mark.parametrize("field", [QQ, QQI, GFP], ids=repr)
+def test_field_invert_is_one_over_x(field):
+    with pytest.raises(SingularMatrix, match=f"division by zero in {re.escape(field.label)}"):
+        field.invert(field.zero())
+    rng = Random(field.name)
+    for _ in range(20):
+        x = random_element(field, rng)
+        inv = field.invert(x)
+        assert type(inv) is field.kind
+        assert x * inv == inv * x == field.one()
 
 
 def test_scalar_embedding():

@@ -214,7 +214,7 @@ def test_langmuir_residual_equals_the_uncut_formula(coeff, arity):
     for ys in (xs, cells):
         for k in list(ys)[1:-1]:
             want = ys[k].derive(d) - ys[k + 1] * ys[k] + ys[k] * ys[k - 1]
-            assert_same(_langmuir_residual(ys, k, d), want)
+            assert_same(_langmuir_residual(ys, k, ys[k].derive(d)), want)
 
 
 @pytest.mark.parametrize("coeff,arity", CASES, ids=CASE_IDS)
@@ -637,8 +637,8 @@ CALL_COUNTS = {
     ("sine-gordon", "--N", "2", "--cap", "8", "--r", "2"): (2, 4, 20),
     # the closed form divides twice at 4 sites: inverse -8, products -8;
     # the 4 cell quotients divide mu_0 / nu_0: inverse -4, products -4;
-    # check_langmuir reports the lattice residuals langmuir_solution formed
-    # at the 2 interior sites: products -4
+    # langmuir_solution keeps the check_langmuir report whose lattice
+    # residuals selected its reading, 2 interior sites: products -4
     ("langmuir", "--N", "1", "--window", "4", "--cap", "7", "--with-lemmas"):
         (0, 0, 14),
     ("nls", "--N", "1", "--cap", "6"): (0, 1, 7),

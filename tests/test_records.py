@@ -28,7 +28,7 @@ SPECS = {
     solitons.LangmuirParams: ("N r cap p q mu window scalar", {"scalar": "rational"}),
     solitons.LangmuirData: ("f a mu p q N algebra cap sites d", {"d": D_T}),
     solitons.LangmuirSolution: (
-        "gs etas cells wronskians closed_forms notes data residuals", {"residuals": None}),
+        "gs etas cells wronskians closed_forms notes data report", {}),
     solitons.NlsParams: (
         "N r cap b c d a mode scalar",
         {"mode": "nls", "scalar": "gaussian-rational"},

@@ -127,7 +127,11 @@ def test_scaling_matches_coefficientwise_products(salg, valid_order):
         assert left.valid_order == right.valid_order == valid_order
         assert left.coeffs == tuple(c * x for x in s.coeffs)
         assert right.coeffs == tuple(x * c for x in s.coeffs)
-        assert (c * s).coeffs == left.coeffs and (s * c).coeffs == right.coeffs
+        # a constant scales by method, never by *
+        with pytest.raises(TypeError):
+            c * s
+        with pytest.raises(TypeError):
+            s * c
 
 
 @pytest.mark.parametrize("arity", [1, 2])
